@@ -30,12 +30,11 @@ class WeightedIslEdge:
     kind: IslKind
     length_m: float
     delay_s: float
-    capacity_gbps: float
 
 
 @dataclass(frozen=True)
 class WeightedNetSnapshot:
-    """Active edges at one instant, annotated with length, delay, capacity."""
+    """Active edges at one instant, annotated with length and delay."""
     t: float
     num_sats: int
     edges: tuple[WeightedIslEdge, ...]
@@ -80,11 +79,10 @@ class FlowScenario:
             raise ConfigError("ISL capacity must be positive")
 
 
-def weight_snapshot(config: ConstellationConfig, edges, t: float,
-                    capacity_gbps: float = 1.0) -> WeightedNetSnapshot:
+def weight_snapshot(config: ConstellationConfig, edges, t: float) -> WeightedNetSnapshot:
     """Annotate the active edges of a snapshot with chord length and delay."""
     n2 = config.sats_per_plane
-    _, _, positions, lats, lons = propagate_all(config, t)
+    _, positions, lats, lons = propagate_all(config, t)
     weighted = []
     for e in edges:
         if not e.active:
@@ -94,17 +92,15 @@ def weight_snapshot(config: ConstellationConfig, edges, t: float,
         length = float(np.linalg.norm(positions[ia] - positions[ib]))
         weighted.append(WeightedIslEdge(
             a_index=ia, b_index=ib, kind=e.kind, length_m=length,
-            delay_s=length / SPEED_OF_LIGHT, capacity_gbps=capacity_gbps))
+            delay_s=length / SPEED_OF_LIGHT))
     return WeightedNetSnapshot(t=t, num_sats=config.total_sats,
                                edges=tuple(weighted), positions=positions,
                                lats=lats, lons=lons)
 
 
-def snapshot_at(config: ConstellationConfig, mode: IslMode, t: float,
-                capacity_gbps: float = 1.0) -> WeightedNetSnapshot:
+def snapshot_at(config: ConstellationConfig, mode: IslMode, t: float) -> WeightedNetSnapshot:
     division = division_for(config)
-    return weight_snapshot(config, snapshot_edges(config, mode, division, t),
-                           t, capacity_gbps)
+    return weight_snapshot(config, snapshot_edges(config, mode, division, t), t)
 
 
 def max_flow_throughput(snapshot: WeightedNetSnapshot,
@@ -142,9 +138,7 @@ def mean_throughput(config: ConstellationConfig, mode: IslMode,
     """Mean throughput over evenly spaced snapshot times across one period."""
     scenario = scenario or FlowScenario()
     times = [k * config.period / snapshots for k in range(snapshots)]
-    values = [max_flow_throughput(snapshot_at(config, mode, t,
-                                              scenario.isl_capacity_gbps), scenario)
-              for t in times]
+    values = [max_flow_throughput(snapshot_at(config, mode, t), scenario) for t in times]
     return float(np.mean(values))
 
 
@@ -239,11 +233,16 @@ def sweep(config_template: ConstellationConfig, f_values, polar_values, modes,
           snapshots: int = 16) -> list[SweepRow]:
     """One row per (F, polar threshold, mode) with the chosen metrics.
 
-    Failing grid points are recorded as error rows and the sweep continues.
-    Latency requires an explicit seed.
+    Grid points whose configuration is rejected (ConfigError) are recorded
+    as error rows and the sweep continues; any other exception is a program
+    fault and propagates.  Latency requires an explicit seed.
     """
     if include_latency and seed is None:
         raise ConfigError("latency sweeps require an explicit seed")
+    if pairs < 1:
+        raise ConfigError(f"pairs must be >= 1, got {pairs}")
+    if snapshots < 1:
+        raise ConfigError(f"snapshots must be >= 1, got {snapshots}")
     rows = []
     for polar in polar_values:
         for f in f_values:
@@ -270,7 +269,7 @@ def sweep(config_template: ConstellationConfig, f_values, polar_values, modes,
                         phasing_factor=int(f), polar_threshold_deg=float(polar),
                         mode=mode.value, n_hisl=n_hisl,
                         throughput_gbps=throughput, avg_latency_ms=latency))
-                except Exception as exc:  # keep sweeping, record the point
+                except ConfigError as exc:  # keep sweeping, record the point
                     rows.append(SweepRow(
                         phasing_factor=int(f), polar_threshold_deg=float(polar),
                         mode=mode.value, n_hisl=-1, throughput_gbps=None,

@@ -12,23 +12,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-TWO_PI = 2.0 * math.pi
-
 # Snap tolerance for float phase -> integer cell index.  Satellites that are
 # mathematically on a cell boundary land within ~1e-12 of it in double
 # precision; anything a real sample places inside a cell is >> 1e-9 away.
 CELL_SNAP = 1e-9
-
-
-def wrap_radians(angle: float) -> float:
-    """Wrap an angle to [0, 2*pi)."""
-    a = math.fmod(angle, TWO_PI)
-    return a + TWO_PI if a < 0.0 else a
-
-
-def wrap_longitude(angle: float) -> float:
-    """Wrap an angle to [-pi, pi)."""
-    return wrap_radians(angle + math.pi) - math.pi
 
 
 def normalize_lon_deg(value) -> Fraction:

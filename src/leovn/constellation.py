@@ -8,14 +8,12 @@ is checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-
-from .angles import wrap_longitude, wrap_radians
 
 MU_EARTH = 3.986004418e14       # m^3/s^2
 R_EARTH = 6_371_000.0           # mean radius, m
@@ -142,22 +140,6 @@ class ConstellationConfig:
                 + (sat.slot - 1) * self.phase_step_deg
                 + (sat.plane - 1) * self.phase_offset_deg)
 
-    def satellites(self) -> list[SatelliteId]:
-        return [SatelliteId(h, j)
-                for h in range(1, self.num_planes + 1)
-                for j in range(1, self.sats_per_plane + 1)]
-
-
-@dataclass(frozen=True, eq=False)
-class SatelliteState:
-    """Instantaneous state: phase, inertial position, geodetic sub-point."""
-    sat: SatelliteId
-    t: float
-    phase: float                  # argument of latitude, rad in [0, 2pi)
-    position: np.ndarray = field(repr=False)   # m, inertial
-    lat: float                    # rad, [-pi/2, pi/2]
-    lon: float                    # rad, [-pi, pi), rotating-Earth sub-point
-
 
 def orbital_period(altitude_m: float) -> float:
     """Circular-orbit period from Kepler's third law, spherical Earth."""
@@ -167,92 +149,58 @@ def orbital_period(altitude_m: float) -> float:
     return 2.0 * math.pi * math.sqrt(a ** 3 / MU_EARTH)
 
 
-def build_constellation(config: ConstellationConfig) -> list[tuple[SatelliteId, float, float]]:
-    """Return (id, RAAN, initial phase) in radians for all n1*n2 satellites.
+def phases_deg(config: ConstellationConfig, t: float) -> np.ndarray:
+    """Unwrapped along-track phase (degrees) of every satellite at time t.
 
-    Plane h sits at RAAN raan0 + (h-1)*pi/n1; satellite (h, j) starts at
-    phase0 + (j-1)*2pi/n2 + (h-1)*2pi*F/(n1*n2).
+    Flat-indexed (plane-1)*n2 + slot-1.  Callers wrap or reshape as needed.
     """
-    out = []
-    for sat in config.satellites():
-        raan = math.radians(float(config.raan_deg(sat.plane)))
-        phase = math.radians(float(config.initial_phase_deg(sat)))
-        out.append((sat, raan, phase))
-    return out
-
-
-def _position(radius: float, raan: float, inclination: float, u: float) -> np.ndarray:
-    cu, su = math.cos(u), math.sin(u)
-    co, so = math.cos(raan), math.sin(raan)
-    ci, si = math.cos(inclination), math.sin(inclination)
-    return radius * np.array([
-        cu * co - su * ci * so,
-        cu * so + su * ci * co,
-        su * si,
-    ])
-
-
-def propagate(config: ConstellationConfig, sat: SatelliteId, t: float) -> SatelliteState:
-    """State of one satellite at time t >= 0 (pure function)."""
-    u0 = math.radians(float(config.initial_phase_deg(sat)))
-    u = wrap_radians(u0 + 2.0 * math.pi * t / config.period)
-    raan = math.radians(float(config.raan_deg(sat.plane)))
-    inc = config.inclination
-    pos = _position(config.orbit_radius, raan, inc, u)
-    lat = math.asin(max(-1.0, min(1.0, math.sin(inc) * math.sin(u))))
-    lon_inertial = math.atan2(pos[1], pos[0])
-    lon = wrap_longitude(lon_inertial - OMEGA_EARTH * t)
-    return SatelliteState(sat=sat, t=t, phase=u, position=pos, lat=lat, lon=lon)
+    planes, slots = _plane_slot_index(config)
+    return (config.phase0_deg + slots * (360.0 / config.sats_per_plane)
+            + planes * float(config.phase_offset_deg)
+            + 360.0 * t / config.period)
 
 
 def propagate_all(config: ConstellationConfig, t: float):
     """Vectorized states for the full constellation at time t.
 
-    Returns (sats, phases, positions, lats, ground_lons) with arrays indexed
-    in ``config.satellites()`` order.  Positions are inertial meters.
+    Returns (phases, positions, lats, ground_lons), flat-indexed
+    (plane-1)*n2 + slot-1: phases in radians wrapped to [0, 2pi), inertial
+    positions in meters, sub-point latitude and rotating-Earth longitude in
+    radians.
     """
-    n1, n2 = config.num_planes, config.sats_per_plane
-    planes = np.repeat(np.arange(n1), n2)
-    slots = np.tile(np.arange(n2), n1)
+    planes, slots = _plane_slot_index(config)
+    # Kept in radians rather than derived from phases_deg: at t=0 satellites
+    # sit exactly on the closed edges of the throughput boxes, where a 1-ulp
+    # change moves them in or out of a box.
     u0 = (math.radians(config.phase0_deg)
           + slots * config.phase_step
           + planes * config.phase_offset)
     u = np.mod(u0 + 2.0 * math.pi * t / config.period, 2.0 * math.pi)
     raan = math.radians(config.raan0_deg) + planes * config.raan_step
-    inc = config.inclination
-    cu, su = np.cos(u), np.sin(u)
-    co, so = np.cos(raan), np.sin(raan)
-    ci, si = math.cos(inc), math.sin(inc)
-    pos = config.orbit_radius * np.stack([
-        cu * co - su * ci * so,
-        cu * so + su * ci * co,
-        su * si,
-    ], axis=1)
-    lats = np.arcsin(np.clip(si * su, -1.0, 1.0))
+    unit = _orbit_unit_vectors(u, raan, config.inclination)
+    pos = config.orbit_radius * unit
+    lats = np.arcsin(np.clip(unit[:, 2], -1.0, 1.0))
     lons = np.mod(np.arctan2(pos[:, 1], pos[:, 0]) - OMEGA_EARTH * t + math.pi,
                   2.0 * math.pi) - math.pi
-    return config.satellites(), u, pos, lats, lons
+    return u, pos, lats, lons
 
 
-def in_polar_region(lat: float, polar_threshold: float) -> bool:
-    """True iff the sub-point latitude is strictly inside a polar cap."""
-    return abs(lat) > polar_threshold
-
-
-def elevation_angle(state: SatelliteState, ground_lat: float, ground_lon: float) -> float:
-    """Elevation of a satellite above the local horizon of a ground point.
-
-    Ground coordinates are geodetic radians on the rotating Earth; negative
-    result means the satellite is below the horizon.
+def _orbit_unit_vectors(u, raan, inclination: float) -> np.ndarray:
+    """Inertial unit vectors at argument of latitude ``u`` (radians) on
+    circular orbits with ascending node ``raan``; the last axis is (x, y, z).
     """
-    lon_inertial = ground_lon + OMEGA_EARTH * state.t
-    g = R_EARTH * np.array([
-        math.cos(ground_lat) * math.cos(lon_inertial),
-        math.cos(ground_lat) * math.sin(lon_inertial),
-        math.sin(ground_lat),
-    ])
-    d = state.position - g
-    return math.asin(float(np.dot(d, g)) / (np.linalg.norm(d) * R_EARTH))
+    cu, su = np.cos(u), np.sin(u)
+    co, so = np.cos(raan), np.sin(raan)
+    ci, si = math.cos(inclination), math.sin(inclination)
+    return np.stack([cu * co - su * ci * so,
+                     cu * so + su * ci * co,
+                     su * si], axis=-1)
+
+
+def _plane_slot_index(config: ConstellationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """0-based plane and slot of every flat satellite index."""
+    n1, n2 = config.num_planes, config.sats_per_plane
+    return np.repeat(np.arange(n1), n2), np.tile(np.arange(n2), n1)
 
 
 # -- configuration file ingestion ------------------------------------------

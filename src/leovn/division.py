@@ -20,12 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import CELL_SNAP, fold_lat_deg, normalize_lon_deg, snapped_floor
+from .angles import CELL_SNAP, fold_lat_deg, normalize_lon_deg
 from .constellation import (
     R_EARTH,
     ConfigError,
     ConstellationConfig,
-    SatelliteState,
+    _orbit_unit_vectors,
+    phases_deg,
     propagate_all,
 )
 
@@ -120,30 +121,19 @@ class DivisionConfig:
                 + (row - 1) * self.phase_step_deg)
 
 
-def division_for(config: ConstellationConfig, phased: bool | None = None,
-                 lat_origin_deg=None) -> DivisionConfig:
+def division_for(config: ConstellationConfig) -> DivisionConfig:
     """Division matching a constellation: row 1 starts at -polar threshold,
-    column 1 at raan0.
-
-    ``phased`` defaults to F > 0; pass False to force the unshifted grid.
-    ``lat_origin_deg`` overrides the default row origin for sensitivity
-    studies.
+    column 1 at raan0, and the grid is phased whenever F > 0.
     """
-    if phased is None:
-        phased = config.phasing_factor > 0
-    phased = phased and config.phasing_factor > 0
-    k = (Fraction(config.num_planes, config.phasing_factor)
-         if config.phasing_factor > 0 else None)
-    origin = (-Fraction(config.polar_threshold_deg) if lat_origin_deg is None
-              else Fraction(lat_origin_deg))
+    phased = config.phasing_factor > 0
     return DivisionConfig(
         num_planes=config.num_planes,
         sats_per_plane=config.sats_per_plane,
-        lat_origin_deg=origin,
+        lat_origin_deg=-Fraction(config.polar_threshold_deg),
         lon_origin_deg=Fraction(config.raan0_deg),
         phase_offset_deg=config.phase_offset_deg,
         phased=phased,
-        k_ratio=k if phased else None,
+        k_ratio=Fraction(config.num_planes, config.phasing_factor) if phased else None,
     )
 
 
@@ -273,37 +263,16 @@ def classify_region(row: int, b: RegionBoundaries) -> RegionLabel:
 
 # -- satellite -> address mapping ---------------------------------------------
 
-def csd_row_from_phase(phase_deg: float, plane: int, division: DivisionConfig) -> int:
-    """Row index of a phase angle (degrees) in a plane's cell grid."""
-    n2 = division.sats_per_plane
-    rel = (phase_deg - float(division.row_start_deg(1, plane))) % 360.0
-    idx = snapped_floor(rel / (360.0 / n2))
-    return 1 + idx % n2
-
-
-def csd_map(state: SatelliteState, config: ConstellationConfig,
-            division: DivisionConfig) -> VirtualAddress:
-    """CSD address of a satellite: plane fixed, row from the phase angle.
-
-    The row comes from the argument of latitude, not the geodetic latitude,
-    so ascending and descending passes map to distinct rows.
-    """
-    row = csd_row_from_phase(math.degrees(state.phase), state.sat.plane, division)
-    return VirtualAddress(row=row, plane=state.sat.plane)
-
-
 def csd_rows_all(config: ConstellationConfig, division: DivisionConfig, t: float) -> np.ndarray:
     """Vectorized CSD row index for every satellite at time t.
 
-    Returns an int array shaped (n1, n2) indexed by (plane-1, slot-1).
+    Returns an int array shaped (n1, n2) indexed by (plane-1, slot-1).  The
+    row comes from the along-track phase, not the geodetic latitude, so
+    ascending and descending passes map to distinct rows.
     """
     n1, n2 = config.num_planes, config.sats_per_plane
-    planes = np.arange(n1)[:, None]
-    slots = np.arange(n2)[None, :]
     step = 360.0 / n2
-    phase = (config.phase0_deg + slots * step
-             + planes * float(config.phase_offset_deg)
-             + 360.0 * t / config.period)
+    phase = phases_deg(config, t).reshape(n1, n2)
     shifts = np.array([float(division.plane_shift_deg(h)) for h in range(1, n1 + 1)])
     rel = np.mod(phase - float(division.lat_origin_deg) - shifts[:, None], 360.0)
     rows = 1 + np.floor(rel / step + CELL_SNAP).astype(int) % n2
@@ -341,14 +310,6 @@ class GrdVariant(enum.Enum):
     INTER_PLANE = "inter_plane"   # cells served by the best satellite anywhere
 
 
-class _NoCover:
-    def __repr__(self) -> str:  # pragma: no cover - repr only
-        return "NO_COVER"
-
-
-NO_COVER = _NoCover()
-
-
 @dataclass(frozen=True, eq=False)
 class GrdGrid:
     """Earth-fixed grid frozen from the t=0 ground projection of the cells.
@@ -361,55 +322,38 @@ class GrdGrid:
     num_planes: int
     sats_per_plane: int
     anchors: np.ndarray
-    anchor_lat_deg: np.ndarray
-    anchor_lon_deg: np.ndarray
 
 
 def build_grd_grid(config: ConstellationConfig, division: DivisionConfig) -> GrdGrid:
     n1, n2 = config.num_planes, config.sats_per_plane
-    inc = config.inclination
-    anchors = np.empty((n2, n1, 3))
-    lats = np.empty((n2, n1))
-    lons = np.empty((n2, n1))
-    for h in range(1, n1 + 1):
-        raan = math.radians(float(config.raan_deg(h)))
-        for v in range(1, n2 + 1):
-            u = math.radians(float(division.row_start_deg(v, h)))
-            cu, su = math.cos(u), math.sin(u)
-            vec = np.array([
-                cu * math.cos(raan) - su * math.cos(inc) * math.sin(raan),
-                cu * math.sin(raan) + su * math.cos(inc) * math.cos(raan),
-                su * math.sin(inc),
-            ])
-            anchors[v - 1, h - 1] = vec
-            lats[v - 1, h - 1] = math.degrees(math.asin(max(-1.0, min(1.0, vec[2]))))
-            lons[v - 1, h - 1] = math.degrees(math.atan2(vec[1], vec[0]))
-    return GrdGrid(num_planes=n1, sats_per_plane=n2, anchors=anchors,
-                   anchor_lat_deg=lats, anchor_lon_deg=lons)
+    u = np.radians([[float(division.row_start_deg(v, h)) for h in range(1, n1 + 1)]
+                    for v in range(1, n2 + 1)])
+    raan = np.radians([float(config.raan_deg(h)) for h in range(1, n1 + 1)])
+    return GrdGrid(num_planes=n1, sats_per_plane=n2,
+                   anchors=_orbit_unit_vectors(u, raan, config.inclination))
 
 
-def _coverage_cos_limit(config: ConstellationConfig, sigma_min_deg: float) -> float:
-    """cos of the max central angle at which elevation >= sigma_min."""
-    sigma = math.radians(sigma_min_deg)
-    psi_max = math.acos(R_EARTH / config.orbit_radius * math.cos(sigma)) - sigma
-    return math.cos(psi_max)
+def _coverage_cos_limit(config: ConstellationConfig) -> float:
+    """cos of the horizon central angle acos(R/r): the widest separation
+    between sub-point and anchor at which the elevation is still >= 0."""
+    return math.cos(math.acos(R_EARTH / config.orbit_radius))
 
 
 def grd_assignment(config: ConstellationConfig, grid: GrdGrid, t: float,
-                   variant: GrdVariant, sigma_min_deg: float = 0.0) -> np.ndarray:
+                   variant: GrdVariant) -> np.ndarray:
     """Serving satellite of every frozen cell at time t.
 
     Returns an int array (n2, n1): flat satellite index (plane-1)*n2 +
-    (slot-1), or -1 where no eligible satellite clears the minimum elevation
-    (NO_COVER).  Serving = maximum elevation, which for a single shell is the
-    minimum central angle between sub-point and anchor.
+    (slot-1), or -1 where no eligible satellite is above the horizon.
+    Serving = maximum elevation, which for a single shell is the minimum
+    central angle between sub-point and anchor.
     """
     n1, n2 = config.num_planes, config.sats_per_plane
-    _, _, _, lats, lons = propagate_all(config, t)
+    _, _, lats, lons = propagate_all(config, t)
     sub = np.stack([np.cos(lats) * np.cos(lons),
                     np.cos(lats) * np.sin(lons),
                     np.sin(lats)], axis=1)          # (N, 3) Earth-fixed units
-    cos_limit = _coverage_cos_limit(config, sigma_min_deg)
+    cos_limit = _coverage_cos_limit(config)
     anchors = grid.anchors.reshape(-1, 3)           # (n2*n1, 3), row-major (v, h)
     serving = np.full(n2 * n1, -1, dtype=int)
     if variant is GrdVariant.INTER_PLANE:
@@ -438,18 +382,3 @@ def grd_assignment(config: ConstellationConfig, grid: GrdGrid, t: float,
             serving[sel[ok]] = sat_idx[best[ok]]
     return serving.reshape(n2, n1)
 
-
-def grd_map(state: SatelliteState, config: ConstellationConfig, grid: GrdGrid,
-            variant: GrdVariant, sigma_min_deg: float = 0.0):
-    """Address served by one satellite under the GRD mapping, or NO_COVER.
-
-    When a satellite is the best server of several cells the lowest (row,
-    plane) address is returned; satellites serving no cell map to NO_COVER.
-    """
-    serving = grd_assignment(config, grid, state.t, variant, sigma_min_deg)
-    flat = (state.sat.plane - 1) * config.sats_per_plane + (state.sat.slot - 1)
-    hits = np.argwhere(serving == flat)
-    if hits.size == 0:
-        return NO_COVER
-    v, h = min((int(r), int(c)) for r, c in hits)
-    return VirtualAddress(row=v + 1, plane=h + 1)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import CELL_SNAP, circular_interval_hits_open
-from .constellation import ConfigError, ConstellationConfig, SatelliteId
+from .constellation import ConfigError, ConstellationConfig, SatelliteId, phases_deg
 from .division import (
     DivisionConfig,
     RegionBoundaries,
@@ -90,18 +90,6 @@ class PhaseAnalysis:
     fh_count: tuple[int, ...]          # index h-1 -> M(h)
     spread_deg: tuple[Fraction, ...]   # index h-1 -> optimized-row spread
     bh_planes: frozenset[int] | None   # BH boundaries; None when F > n1
-
-    @property
-    def delta_f_rad(self) -> float:
-        return math.radians(float(self.delta_f_deg))
-
-    @property
-    def max_spread_conventional_rad(self) -> float:
-        return math.radians(float(self.max_spread_conventional_deg))
-
-    @property
-    def max_spread_optimized_rad(self) -> float:
-        return math.radians(float(self.max_spread_optimized_deg))
 
 
 def _mod_fraction(value: int, modulus: Fraction) -> Fraction:
@@ -283,17 +271,6 @@ def _static_pairs(config: ConstellationConfig, mode: IslMode):
     return rows, h_pairs, directions
 
 
-def phases_deg_all(config: ConstellationConfig, t: float) -> np.ndarray:
-    """Wrapped phase (degrees) of every satellite, flat-indexed."""
-    n1, n2 = config.num_planes, config.sats_per_plane
-    planes = np.repeat(np.arange(n1), n2)
-    slots = np.tile(np.arange(n2), n1)
-    phase = (config.phase0_deg + slots * (360.0 / n2)
-             + planes * float(config.phase_offset_deg)
-             + 360.0 * t / config.period)
-    return np.mod(phase, 360.0)
-
-
 def row_activity(config: ConstellationConfig, mode: IslMode, division: DivisionConfig,
                  t: float, shutoff: ShutoffRule) -> np.ndarray:
     """Active flag of every H boundary, shaped (n2 rows, n1-1).
@@ -304,7 +281,7 @@ def row_activity(config: ConstellationConfig, mode: IslMode, division: DivisionC
     """
     rows, h_pairs, _ = _static_pairs(config, mode)
     n1, n2 = config.num_planes, config.sats_per_plane
-    phases = phases_deg_all(config, t)
+    phases = np.mod(phases_deg(config, t), 360.0)
     if shutoff is ShutoffRule.ROW_SYNCHRONIZED:
         active = active_row_set(config, mode, division)
         origin = float(division.row_start_deg(1, 1))

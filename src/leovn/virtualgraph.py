@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import snapped_floor
-from .constellation import OMEGA_EARTH, ConstellationConfig
+from .constellation import OMEGA_EARTH, ConstellationConfig, phases_deg
 from .division import (
     DivisionConfig,
     GrdGrid,
@@ -37,7 +37,6 @@ from .isl import (
     IslMode,
     ShutoffRule,
     boundaries_for,
-    phases_deg_all,
     snapshot_edges,
 )
 
@@ -194,16 +193,10 @@ def seam_columns(config: ConstellationConfig, t: float) -> int:
     return 1 + snapped_floor(rel / col_width) % n1
 
 
-def _seam_boundary_pair(config: ConstellationConfig, t: float) -> tuple[int, int]:
-    k = seam_columns(config, t)
-    return (k - 1 if k > 1 else config.num_planes, k)
-
-
 # -- instances per method ------------------------------------------------------
 
 def method_instance(config: ConstellationConfig, method: VnMethod, mode: IslMode,
-                    t: float, division: DivisionConfig, grid: GrdGrid | None,
-                    sigma_min_deg: float = 0.0):
+                    t: float, division: DivisionConfig, grid: GrdGrid | None):
     """(instance edges, servers by address, conflicts) at one sample time.
 
     CSD uses the row-synchronized shut-off and its own (bijective)
@@ -216,7 +209,7 @@ def method_instance(config: ConstellationConfig, method: VnMethod, mode: IslMode
         conflicts = 0
     else:
         variant = GrdVariant.INTRA_ONLY if method is VnMethod.GRD1 else GrdVariant.INTER_PLANE
-        serving = grd_assignment(config, grid, t, variant, sigma_min_deg)
+        serving = grd_assignment(config, grid, t, variant)
         addressing, conflicts = grd_addressing(serving)
         edges = snapshot_edges(config, mode, division, t, ShutoffRule.PER_SATELLITE)
     instance = map_snapshot(edges, addressing, config.sats_per_plane)
@@ -249,7 +242,7 @@ def _classify(edge: VEdge, servers_absent: dict, lats_absent: np.ndarray,
 
 def _lats_all(config: ConstellationConfig, t: float) -> np.ndarray:
     """Sub-point latitudes of all satellites straight from their phases."""
-    u = np.radians(phases_deg_all(config, t))
+    u = np.radians(np.mod(phases_deg(config, t), 360.0))
     return np.arcsin(np.clip(math.sin(config.inclination) * np.sin(u), -1.0, 1.0))
 
 
@@ -270,8 +263,7 @@ def sample_times(config: ConstellationConfig, division: DivisionConfig,
 
 
 def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMode,
-                      duration_s: float, samples: int,
-                      sigma_min_deg: float = 0.0) -> StaticnessReport:
+                      duration_s: float, samples: int) -> StaticnessReport:
     """Diff mapped snapshots over a time window and tally events by cause.
 
     A celestial division matched to the connecting mode must report zero
@@ -295,7 +287,7 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
     prev_t = None
     for t in times:
         instance, servers, conflicts = method_instance(
-            config, method, mode, t, division, grid, sigma_min_deg)
+            config, method, mode, t, division, grid)
         conflicts_total += conflicts
         lats = _lats_all(config, t)
         if method is VnMethod.GRD2:

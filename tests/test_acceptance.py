@@ -5,7 +5,6 @@ captured output on failure) and enforces the stated tolerance and runtime
 budget.  Tolerances are exact where the criterion is exact; trend criteria
 use the stated percentage bands.
 """
-import math
 import random
 import time
 from fractions import Fraction
@@ -22,7 +21,6 @@ from leovn.division import (
     region_boundaries_phased,
     switching_epochs,
 )
-from leovn.flow import MinCostMaxFlow
 from leovn.isl import (
     IslMode,
     active_hisl_count,
@@ -32,12 +30,7 @@ from leovn.isl import (
     snapshot_edges,
     theorem1_bruteforce,
 )
-from leovn.verify import (
-    all_paths_min_delay,
-    boundaries_by_scan,
-    min_cut_exhaustive,
-    random_flow_graph,
-)
+from leovn.verify import boundaries_by_scan, check_flow
 from leovn.virtualgraph import VnMethod, staticness_report
 
 
@@ -194,37 +187,8 @@ def test_criterion_09_switching_interval_identity():
 
 def test_criterion_10_flow_and_path_kernels():
     start = time.time()
-    ok = True
-    for seed in range(20):
-        n, arcs = random_flow_graph(seed)
-        net = MinCostMaxFlow(n)
-        for a, b, cap, cost in arcs:
-            net.add_arc(a, b, cap, cost)
-        value, _ = net.solve(0, n - 1)
-        ok &= value == min_cut_exhaustive(n, arcs, 0, n - 1)
-        ok &= net.check_feasible(0, n - 1)
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-    for seed in range(100, 120):
-        rng = random.Random(seed)
-        n = rng.randrange(4, 11)
-        edges = [(a, b, rng.uniform(0.1, 5.0))
-                 for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
-        if not edges:
-            edges = [(0, n - 1, 1.0)]
-        rows, cols, vals = [], [], []
-        for a, b, w in edges:
-            rows += [a, b]
-            cols += [b, a]
-            vals += [w, w]
-        dist = dijkstra(csr_matrix((vals, (rows, cols)), shape=(n, n)),
-                        directed=False, indices=[0])[0]
-        for dst in range(1, n):
-            want = all_paths_min_delay(n, edges, 0, dst)
-            got = float(dist[dst])
-            if math.isinf(want) != math.isinf(got):
-                ok = False
-            elif not math.isinf(want) and abs(got - want) > 1e-9:
-                ok = False
-    report(10, "flow kernel equals exhaustive min-cut; Dijkstra equals path "
-               "enumeration (exact)", ok, time.time() - start, 60.0)
+    res = check_flow()
+    label = ("flow kernel equals exhaustive min-cut; Dijkstra equals path "
+             "enumeration (exact)")
+    report(10, label if res.passed else f"{label}: {res.failures}",
+           res.passed, time.time() - start, 60.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import leovn.analysis
 from leovn.analysis import (
     SPEED_OF_LIGHT,
     FlowScenario,
@@ -101,10 +102,9 @@ class TestThroughput:
 
     def test_capacity_scales_linearly(self):
         cfg = make_config()
-        snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0, capacity_gbps=2.5)
-        base = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
+        snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
         assert max_flow_throughput(snap, FlowScenario(isl_capacity_gbps=2.5)) \
-            == pytest.approx(2.5 * max_flow_throughput(base, FlowScenario()))
+            == pytest.approx(2.5 * max_flow_throughput(snap, FlowScenario()))
 
     def test_optimized_not_worse_than_conventional(self):
         for f in (2, 5, 9):
@@ -192,3 +192,19 @@ class TestSweep:
         errors = [r for r in rows if r.error]
         assert len(errors) == 1 and errors[0].phasing_factor == 99
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("kw,fragment", [
+        (dict(include_latency=True, seed=1, pairs=0), "pairs"),
+        (dict(include_throughput=True, snapshots=0), "snapshots"),
+    ])
+    def test_empty_sample_counts_rejected(self, kw, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            sweep(make_config(), (0,), (70.0,), (IslMode.CONVENTIONAL,), **kw)
+
+    def test_program_fault_is_not_an_error_row(self, monkeypatch):
+        def broken(*args):
+            raise IndexError("kernel bug")
+
+        monkeypatch.setattr(leovn.analysis, "hisl_count_analytic", broken)
+        with pytest.raises(IndexError, match="kernel bug"):
+            sweep(make_config(), (0,), (70.0,), (IslMode.CONVENTIONAL,))

@@ -108,6 +108,17 @@ class TestSweepCommands:
             main(["latency", "--n1", "6", "--n2", "12"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv,fragment", [
+        (["latency", "--seed", "1", "--pairs", "0"], "pairs"),
+        (["throughput", "--snapshots", "0"], "snapshots"),
+    ])
+    def test_empty_sample_counts_exit_2(self, tmp_path, capsys, argv, fragment):
+        out = tmp_path / "sweep.csv"
+        assert main(argv + ["--n1", "6", "--n2", "12", "--f-max", "1",
+                            "--out", str(out)]) == 2
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTheoremCheck:
     def test_agreement_exit_zero(self, capsys):

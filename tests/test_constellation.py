@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leovn.constellation import (
     OMEGA_EARTH,
@@ -10,14 +13,20 @@ from leovn.constellation import (
     ConfigError,
     ConstellationConfig,
     SatelliteId,
-    build_constellation,
-    elevation_angle,
-    in_polar_region,
     load_config,
     orbital_period,
-    propagate,
+    phases_deg,
     propagate_all,
 )
+from leovn.division import (
+    GrdGrid,
+    GrdVariant,
+    build_grd_grid,
+    csd_rows_all,
+    division_for,
+    grd_assignment,
+)
+from leovn.isl import IslMode, ShutoffRule, row_activity
 
 
 def make_config(**kw):
@@ -27,33 +36,58 @@ def make_config(**kw):
     return ConstellationConfig(**base)
 
 
+def flat(cfg, plane, slot):
+    return (plane - 1) * cfg.sats_per_plane + slot - 1
+
+
+def circular_gap(a, b):
+    d = np.mod(np.asarray(a) - np.asarray(b), 2 * math.pi)
+    return np.minimum(d, 2 * math.pi - d)
+
+
+def rotation_oracle(cfg, sat, t):
+    """(phase, position, lat, lon) of one satellite from explicit rotations:
+    R3(raan) R1(inclination) applied to the in-plane vector at phase u."""
+    u = math.radians(float(cfg.initial_phase_deg(sat))) + 2 * math.pi * t / cfg.period
+    raan = math.radians(float(cfg.raan_deg(sat.plane)))
+    inc = cfg.inclination
+    x, y = math.cos(u), math.sin(u)
+    y, z = y * math.cos(inc), y * math.sin(inc)
+    x, y = x * math.cos(raan) - y * math.sin(raan), x * math.sin(raan) + y * math.cos(raan)
+    pos = cfg.orbit_radius * np.array([x, y, z])
+    lon = math.atan2(y, x) - OMEGA_EARTH * t
+    return u % (2 * math.pi), pos, math.asin(z), lon
+
+
 class TestBuildConstellation:
     def test_f0_no_interplane_offset(self):
         cfg = make_config(phasing_factor=0)
-        entries = build_constellation(cfg)
-        assert len(entries) == 648
+        phases = phases_deg(cfg, 0.0)
+        assert phases.shape == (648,)
         # same slot in adjacent planes: identical initial phase
-        by_id = {sat: phase for sat, _, phase in entries}
-        assert by_id[SatelliteId(2, 1)] == pytest.approx(by_id[SatelliteId(1, 1)])
+        assert phases[flat(cfg, 2, 1)] == phases[flat(cfg, 1, 1)]
 
     def test_f2_offset_is_two_base_units(self):
         cfg = make_config(phasing_factor=2)
         delta = 2 * math.pi * 2 / 648
-        by_id = {sat: phase for sat, _, phase in build_constellation(cfg)}
-        assert by_id[SatelliteId(2, 1)] - by_id[SatelliteId(1, 1)] == pytest.approx(delta)
+        u, _, _, _ = propagate_all(cfg, 0.0)
+        assert u[flat(cfg, 2, 1)] - u[flat(cfg, 1, 1)] == pytest.approx(delta)
 
     def test_plane4_leads_plane1_by_quarter_pi(self):
         # n1=6, n2=12, F=3: 3 plane steps of 2*pi*3/72 add up to pi/4
         cfg = ConstellationConfig(num_planes=6, sats_per_plane=12, phasing_factor=3,
                                   altitude_km=780.0, polar_threshold_deg=70.0)
-        by_id = {sat: phase for sat, _, phase in build_constellation(cfg)}
-        assert by_id[SatelliteId(4, 5)] - by_id[SatelliteId(1, 5)] == pytest.approx(math.pi / 4)
+        u, _, _, _ = propagate_all(cfg, 0.0)
+        assert u[flat(cfg, 4, 5)] - u[flat(cfg, 1, 5)] == pytest.approx(math.pi / 4)
 
     def test_raan_spacing(self):
-        cfg = make_config()
-        raans = {sat.plane: raan for sat, raan, _ in build_constellation(cfg)}
-        for h in range(1, 18):
-            assert raans[h + 1] - raans[h] == pytest.approx(math.pi / 18)
+        # slot 1 starts at the ascending node, so its inertial longitude is the RAAN
+        cfg = make_config(phase0_deg=0.0)
+        _, pos, _, _ = propagate_all(cfg, 0.0)
+        nodes = pos[[flat(cfg, h, 1) for h in range(1, 19)]]
+        assert np.allclose(nodes[:, 2], 0.0, atol=1e-6)
+        raans = np.arctan2(nodes[:, 1], nodes[:, 0])
+        assert np.allclose(np.diff(raans), math.pi / 18)
 
     @pytest.mark.parametrize("kw,fragment", [
         (dict(num_planes=1), "num_planes"),
@@ -72,64 +106,108 @@ class TestBuildConstellation:
 class TestPropagate:
     def test_epoch_identity(self):
         cfg = make_config()
-        for sat, _, phase0 in build_constellation(cfg)[:5]:
-            state = propagate(cfg, sat, 0.0)
-            assert state.phase == pytest.approx(phase0 % (2 * math.pi))
+        u, _, _, _ = propagate_all(cfg, 0.0)
+        for slot in range(1, 6):
+            phase0 = math.radians(float(cfg.initial_phase_deg(SatelliteId(1, slot))))
+            assert u[flat(cfg, 1, slot)] == pytest.approx(phase0 % (2 * math.pi))
 
     def test_periodicity(self):
         cfg = make_config()
-        sat = SatelliteId(1, 1)
-        s0 = propagate(cfg, sat, 0.0)
-        s1 = propagate(cfg, sat, cfg.period)
-        assert s1.phase == pytest.approx(s0.phase, abs=1e-9)
-        assert np.linalg.norm(s1.position - s0.position) <= 1e-9 * np.linalg.norm(s0.position)
+        u0, p0, _, _ = propagate_all(cfg, 0.0)
+        u1, p1, _, _ = propagate_all(cfg, cfg.period)
+        assert circular_gap(u1, u0).max() <= 1e-9
+        assert np.linalg.norm(p1 - p0, axis=1).max() <= 1e-9 * cfg.orbit_radius
 
     def test_quarter_period_polar_orbit_reaches_pole(self):
         cfg = make_config(phase0_deg=0.0)
-        state = propagate(cfg, SatelliteId(1, 1), cfg.period / 4)
-        assert state.lat == pytest.approx(math.pi / 2, abs=1e-9)
-        assert state.lat == pytest.approx(
-            math.asin(math.sin(cfg.inclination) * math.sin(state.phase)), abs=1e-12)
+        u, _, lats, _ = propagate_all(cfg, cfg.period / 4)
+        assert lats[0] == pytest.approx(math.pi / 2, abs=1e-9)
+        assert lats[0] == pytest.approx(
+            math.asin(math.sin(cfg.inclination) * math.sin(u[0])), abs=1e-12)
 
     def test_radius_invariant_over_time(self):
         cfg = make_config(phasing_factor=5)
         r = R_EARTH + 780e3
         for t in np.linspace(0, cfg.period, 7):
-            _, _, pos, _, _ = propagate_all(cfg, float(t))
+            _, pos, _, _ = propagate_all(cfg, float(t))
             assert np.allclose(np.linalg.norm(pos, axis=1), r, rtol=1e-9)
 
     def test_phase_spacing_within_and_across_planes(self):
         cfg = make_config(phasing_factor=2)
-        t = 1234.5
-        sa = propagate(cfg, SatelliteId(3, 10), t)
-        sb = propagate(cfg, SatelliteId(3, 11), t)
-        sc = propagate(cfg, SatelliteId(4, 10), t)
+        u, _, _, _ = propagate_all(cfg, 1234.5)
+        sa, sb, sc = u[flat(cfg, 3, 10)], u[flat(cfg, 3, 11)], u[flat(cfg, 4, 10)]
         wf = 2 * math.pi / 36
         df = 2 * math.pi * 2 / 648
-        assert (sb.phase - sa.phase) % (2 * math.pi) == pytest.approx(wf, abs=1e-9)
-        assert (sc.phase - sa.phase) % (2 * math.pi) == pytest.approx(df, abs=1e-9)
+        assert (sb - sa) % (2 * math.pi) == pytest.approx(wf, abs=1e-9)
+        assert (sc - sa) % (2 * math.pi) == pytest.approx(df, abs=1e-9)
 
     def test_earth_rotation_cancels_over_sidereal_day(self):
         cfg = make_config()
-        sat = SatelliteId(5, 7)
+        idx = flat(cfg, 5, 7)
         t = 1000.0
-        s0 = propagate(cfg, sat, t)
-        s1 = propagate(cfg, sat, t + SIDEREAL_DAY)
-        lon_inertial_0 = s0.lon + OMEGA_EARTH * s0.t
-        lon_inertial_1 = s1.lon + OMEGA_EARTH * s1.t
-        ground_shift = (s1.lon - s0.lon) % (2 * math.pi)
-        inertial_shift = (lon_inertial_1 - lon_inertial_0) % (2 * math.pi)
-        assert ground_shift == pytest.approx(inertial_shift % (2 * math.pi), abs=1e-6)
+        _, p0, _, lon0 = propagate_all(cfg, t)
+        _, p1, _, lon1 = propagate_all(cfg, t + SIDEREAL_DAY)
+        ground_shift = (lon1[idx] - lon0[idx]) % (2 * math.pi)
+        inertial_shift = (math.atan2(p1[idx, 1], p1[idx, 0])
+                          - math.atan2(p0[idx, 1], p0[idx, 0])) % (2 * math.pi)
+        assert circular_gap(ground_shift, inertial_shift) <= 1e-6
 
     def test_vectorized_matches_scalar(self):
-        cfg = make_config(phasing_factor=3)
-        sats, phases, pos, lats, lons = propagate_all(cfg, 777.0)
+        cfg = make_config(phasing_factor=3, inclination_deg=86.4, raan0_deg=7.5)
+        t = 777.0
+        phases, pos, lats, lons = propagate_all(cfg, t)
         for idx in (0, 100, 647):
-            state = propagate(cfg, sats[idx], 777.0)
-            assert phases[idx] == pytest.approx(state.phase, abs=1e-9)
-            assert np.allclose(pos[idx], state.position, atol=1e-3)
-            assert lats[idx] == pytest.approx(state.lat, abs=1e-12)
-            assert lons[idx] == pytest.approx(state.lon, abs=1e-12)
+            sat = SatelliteId(idx // 36 + 1, idx % 36 + 1)
+            u, p, lat, lon = rotation_oracle(cfg, sat, t)
+            assert circular_gap(phases[idx], u) <= 1e-9
+            assert np.allclose(pos[idx], p, atol=1e-3)
+            assert lats[idx] == pytest.approx(lat, abs=1e-12)
+            assert circular_gap(lons[idx], lon) <= 1e-12
+
+
+@st.composite
+def configs(draw):
+    """Any constellation ConstellationConfig accepts, with a sample time."""
+    n1 = draw(st.integers(2, 24))
+    n2 = draw(st.integers(3, 48))
+    cfg = ConstellationConfig(
+        num_planes=n1, sats_per_plane=n2,
+        phasing_factor=draw(st.integers(0, n2 - 1)),
+        altitude_km=draw(st.floats(200.0, 36000.0)),
+        inclination_deg=draw(st.floats(0.5, 180.0)),
+        polar_threshold_deg=draw(st.floats(1.0, 90.0)),
+        raan0_deg=draw(st.floats(-360.0, 360.0)),
+        phase0_deg=draw(st.none() | st.floats(-360.0, 360.0)),
+        period_s=draw(st.none() | st.floats(600.0, 90000.0)),
+    )
+    return cfg, draw(st.floats(0.0, 2 * SIDEREAL_DAY))
+
+
+class TestKinematicsProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(case=configs())
+    def test_radian_phase_matches_degree_phase(self, case):
+        cfg, t = case
+        u, _, _, _ = propagate_all(cfg, t)
+        want = np.radians(np.mod(phases_deg(cfg, t), 360.0))
+        assert circular_gap(u, want).max() <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=configs())
+    def test_csd_rows_match_exact_phase(self, case):
+        cfg, t = case
+        n1, n2 = cfg.num_planes, cfg.sats_per_plane
+        div = division_for(cfg)
+        rows = csd_rows_all(cfg, div, t)
+        step = div.phase_step_deg
+        advance = 360 * Fraction(t) / Fraction(cfg.period)
+        for plane in range(1, n1 + 1):
+            for slot in range(1, n2 + 1):
+                phase = cfg.initial_phase_deg(SatelliteId(plane, slot)) + advance
+                rel = (phase - div.row_start_deg(1, plane)) % 360
+                if min(rel % step, step - rel % step) < Fraction(1, 10**6):
+                    continue  # within float reach of a cell boundary
+                assert rows[plane - 1, slot - 1] == 1 + math.floor(rel / step) % n2
 
 
 class TestOrbitalPeriod:
@@ -152,35 +230,63 @@ class TestOrbitalPeriod:
 
 
 class TestInPolarRegion:
+    """Polar-cap membership is strict (|lat| > threshold), as applied by the
+    per-satellite shut-off rule.  Two planes of three satellites, F=0: slot j
+    of both planes shares one phase, so row j's link is off iff slot j is in
+    a cap."""
+
+    @staticmethod
+    def row_links(phase0_deg):
+        cfg = make_config(num_planes=2, sats_per_plane=3, phase0_deg=phase0_deg)
+        return row_activity(cfg, IslMode.CONVENTIONAL, division_for(cfg), 0.0,
+                            ShutoffRule.PER_SATELLITE)[:, 0].tolist()
+
     def test_strictly_above(self):
-        assert in_polar_region(math.radians(75), math.radians(70))
+        assert self.row_links(75.0) == [False, True, True]
 
     def test_boundary_excluded(self):
-        assert not in_polar_region(math.radians(70), math.radians(70))
+        assert self.row_links(70.0) == [True, True, True]
+        assert self.row_links(-70.0) == [True, True, True]
 
     def test_southern_cap(self):
-        assert in_polar_region(math.radians(-71), math.radians(70))
+        assert self.row_links(-71.0) == [False, True, True]
 
 
 class TestElevation:
+    """Coverage of the geographic division: a frozen cell is served only by a
+    satellite at or above its horizon.  Satellite (1,1) of a 2x3 shell starts
+    on the equator at longitude 0; its plane mates are 120 deg away, so under
+    intra-plane serving column 1 is served by (1,1) or by nobody."""
+
+    @staticmethod
+    def column1_servers(anchor):
+        cfg = make_config(num_planes=2, sats_per_plane=3, phase0_deg=0.0)
+        grid = GrdGrid(num_planes=2, sats_per_plane=3,
+                       anchors=np.broadcast_to(anchor, (3, 2, 3)))
+        return grd_assignment(cfg, grid, 0.0, GrdVariant.INTRA_ONLY)[:, 0].tolist()
+
     def test_zenith(self):
+        # t=0, default epoch: every satellite sits at the zenith of its own anchor
         cfg = make_config()
-        state = propagate(cfg, SatelliteId(1, 1), 0.0)
-        assert elevation_angle(state, state.lat, state.lon) == pytest.approx(math.pi / 2, abs=1e-9)
+        grid = build_grd_grid(cfg, division_for(cfg))
+        _, _, lats, lons = propagate_all(cfg, 0.0)
+        sub = np.stack([np.cos(lats) * np.cos(lons), np.cos(lats) * np.sin(lons),
+                        np.sin(lats)], axis=1)
+        assert float(grid.anchors[0, 0] @ sub[0]) == pytest.approx(1.0, abs=1e-12)
+        assert grd_assignment(cfg, grid, 0.0, GrdVariant.INTRA_ONLY)[0, 0] == 0
 
     def test_antipode_below_horizon(self):
-        cfg = make_config()
-        state = propagate(cfg, SatelliteId(1, 1), 0.0)
-        anti_lon = state.lon + math.pi if state.lon < 0 else state.lon - math.pi
-        assert elevation_angle(state, -state.lat, anti_lon) < 0
+        assert self.column1_servers(np.array([-1.0, 0.0, 0.0])) == [-1, -1, -1]
 
     def test_zero_elevation_at_coverage_circle_edge(self):
-        # ground point at central angle acos(R/r) from the sub-point sees the
+        # a ground point at central angle acos(R/r) from the sub-point sees the
         # satellite exactly on its horizon
-        cfg = make_config(phase0_deg=0.0)
-        state = propagate(cfg, SatelliteId(1, 1), 0.0)
-        psi = math.acos(R_EARTH / cfg.orbit_radius)
-        assert elevation_angle(state, state.lat + psi, state.lon) == pytest.approx(0.0, abs=1e-6)
+        psi = math.acos(R_EARTH / make_config().orbit_radius)
+        inside, outside = psi - 1e-6, psi + 1e-6
+        assert self.column1_servers(
+            np.array([math.cos(inside), 0.0, math.sin(inside)])) == [0, 0, 0]
+        assert self.column1_servers(
+            np.array([math.cos(outside), 0.0, math.sin(outside)])) == [-1, -1, -1]
 
 
 class TestConfigFile:

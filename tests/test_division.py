@@ -6,27 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leovn.angles import fold_lat_deg
-from leovn.constellation import (
-    SIDEREAL_DAY,
-    ConfigError,
-    ConstellationConfig,
-    SatelliteId,
-    propagate,
-)
+from leovn.constellation import SIDEREAL_DAY, ConfigError, ConstellationConfig
 from leovn.division import (
-    NO_COVER,
     DivisionConfig,
     GrdVariant,
     RegionLabel,
-    VirtualAddress,
     build_grd_grid,
     cell_bounds,
     classify_region,
-    csd_map,
     csd_rows_all,
     division_for,
     grd_assignment,
-    grd_map,
     grd_switch_interval,
     region_boundaries,
     region_boundaries_phased,
@@ -194,26 +184,26 @@ class TestRegionBoundaries:
 class TestCsdMap:
     def test_cell_start_identity(self):
         cfg = make_config()
-        div = division_for(cfg)
-        state = propagate(cfg, SatelliteId(1, 1), 0.0)
-        assert csd_map(state, cfg, div) == VirtualAddress(row=1, plane=1)
+        assert csd_rows_all(cfg, division_for(cfg), 0.0)[0, 0] == 1
 
     def test_half_open_cells(self):
-        cfg = make_config()
-        div = division_for(cfg)
-        # phase exactly on the boundary between rows 4 and 5 belongs to row 5
-        from leovn.division import csd_row_from_phase
+        # satellite (1,1) placed on the boundary between rows 4 and 5
+        # (the division's row 1 starts at -70 whatever the epoch phase)
+        def row_at(phase0):
+            cfg = make_config(phase0_deg=phase0)
+            return csd_rows_all(cfg, division_for(cfg), 0.0)[0, 0]
+
         boundary = -70.0 + 4 * 10.0
-        assert csd_row_from_phase(boundary, 1, div) == 5
-        assert csd_row_from_phase(boundary - 1e-13, 1, div) == 5  # snap
-        assert csd_row_from_phase(boundary - 1e-6, 1, div) == 4
+        assert row_at(boundary) == 5
+        assert row_at(boundary - 1e-13) == 5  # snap
+        assert row_at(boundary - 1e-6) == 4
 
     def test_full_period_sweep_cycles_in_order(self):
         cfg = make_config(sats_per_plane=12, num_planes=6)
         div = division_for(cfg)
         seen = []
         for t in range(0, int(cfg.period) + 2, 1):
-            row = csd_map(propagate(cfg, SatelliteId(1, 1), float(t)), cfg, div).row
+            row = csd_rows_all(cfg, div, float(t))[0, 0]
             if not seen or seen[-1] != row:
                 seen.append(row)
         assert seen[:13] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1]
@@ -221,7 +211,8 @@ class TestCsdMap:
     @pytest.mark.parametrize("F,phased", [(0, False), (2, True), (5, True)])
     def test_bijection_at_sampled_times(self, F, phased):
         cfg = make_config(phasing_factor=F)
-        div = division_for(cfg, phased=phased)
+        div = division_for(cfg)
+        assert div.phased is phased
         full = {(v, h) for v in range(1, 37) for h in range(1, 19)}
         for t in (0.0, 100.0, cfg.period / 3, cfg.period * 0.77):
             rows = csd_rows_all(cfg, div, t)
@@ -312,17 +303,15 @@ class TestGrdGrid:
         assert common in (8, 9, 10)
         assert shifts.count(common) >= 12
 
-    def test_grd_map_returns_address_or_no_cover(self):
+    def test_assignment_serves_own_cell_or_nothing(self):
         cfg = make_config()
-        div = division_for(cfg)
-        grid = build_grd_grid(cfg, div)
-        state = propagate(cfg, SatelliteId(1, 1), 0.0)
-        assert grd_map(state, cfg, grid, GrdVariant.INTER_PLANE) == VirtualAddress(1, 1)
+        grid = build_grd_grid(cfg, division_for(cfg))
+        # at the frozen epoch satellite (1,1) serves exactly cell (1,1)
+        serving = grd_assignment(cfg, grid, 0.0, GrdVariant.INTER_PLANE)
+        assert np.argwhere(serving == 0).tolist() == [[0, 0]]
         # a satellite whose plane drifted off its column serves nothing
-        state_late = propagate(cfg, SatelliteId(1, 1), SIDEREAL_DAY / 4)
-        result = grd_map(state_late, cfg, grid, GrdVariant.INTRA_ONLY,
-                         sigma_min_deg=85.0)
-        assert result is NO_COVER
+        late = grd_assignment(cfg, grid, SIDEREAL_DAY / 4, GrdVariant.INTRA_ONLY)
+        assert not (late == 0).any()
 
 
 class TestCellBounds:
