@@ -18,26 +18,24 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 from .constellation import ConfigError, ConstellationConfig, propagate_all
 from .division import division_for
 from .flow import INF_CAPACITY, MinCostMaxFlow
-from .isl import IslKind, IslMode, boundaries_for, hisl_count_analytic, snapshot_edges
+from .isl import IslMode, IslSnapshot, boundaries_for, hisl_count_analytic, snapshot_edges
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
-@dataclass(frozen=True)
-class WeightedIslEdge:
-    a_index: int           # flat satellite index (plane-1)*n2 + slot-1
-    b_index: int
-    kind: IslKind
-    length_m: float
-    delay_s: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedNetSnapshot:
-    """Active edges at one instant, annotated with length and delay."""
+    """Active edges at one instant, annotated with length and delay.
+
+    ``edges`` holds the (E, 2) flat satellite indices of the active edges in
+    snapshot order; ``kind``, ``length_m`` and ``delay_s`` are per edge.
+    """
     t: float
     num_sats: int
-    edges: tuple[WeightedIslEdge, ...]
+    edges: np.ndarray = field(repr=False)
+    kind: np.ndarray = field(repr=False)
+    length_m: np.ndarray = field(repr=False)
+    delay_s: np.ndarray = field(repr=False)
     positions: np.ndarray = field(repr=False)       # (N, 3) inertial, m
     lats: np.ndarray = field(repr=False)            # rad
     lons: np.ndarray = field(repr=False)            # rad, rotating frame
@@ -79,22 +77,17 @@ class FlowScenario:
             raise ConfigError("ISL capacity must be positive")
 
 
-def weight_snapshot(config: ConstellationConfig, edges, t: float) -> WeightedNetSnapshot:
+def weight_snapshot(config: ConstellationConfig, snapshot: IslSnapshot,
+                    t: float) -> WeightedNetSnapshot:
     """Annotate the active edges of a snapshot with chord length and delay."""
-    n2 = config.sats_per_plane
     _, positions, lats, lons = propagate_all(config, t)
-    weighted = []
-    for e in edges:
-        if not e.active:
-            continue
-        ia = (e.a.plane - 1) * n2 + (e.a.slot - 1)
-        ib = (e.b.plane - 1) * n2 + (e.b.slot - 1)
-        length = float(np.linalg.norm(positions[ia] - positions[ib]))
-        weighted.append(WeightedIslEdge(
-            a_index=ia, b_index=ib, kind=e.kind, length_m=length,
-            delay_s=length / SPEED_OF_LIGHT))
-    return WeightedNetSnapshot(t=t, num_sats=config.total_sats,
-                               edges=tuple(weighted), positions=positions,
+    edges = snapshot.pairs[snapshot.active]
+    d = positions[edges[:, 0]] - positions[edges[:, 1]]
+    # vecdot rounds like the per-edge norm of a 3-vector; (d*d).sum(1) does not
+    length = np.sqrt(np.vecdot(d, d))
+    return WeightedNetSnapshot(t=t, num_sats=config.total_sats, edges=edges,
+                               kind=snapshot.kind[snapshot.active], length_m=length,
+                               delay_s=length / SPEED_OF_LIGHT, positions=positions,
                                lats=lats, lons=lons)
 
 
@@ -126,8 +119,8 @@ def max_flow_throughput(snapshot: WeightedNetSnapshot,
     for i in np.flatnonzero(over_sink):
         net.add_arc(int(i), sink, INF_CAPACITY)
     # one capacity unit == one ISL; per-direction capacity on each link
-    for e in snapshot.edges:
-        net.add_edge(e.a_index, e.b_index, 1, e.delay_s)
+    for (a, b), delay in zip(snapshot.edges.tolist(), snapshot.delay_s.tolist()):
+        net.add_edge(a, b, 1, delay)
     flow_units, _cost = net.solve(source, sink)
     return flow_units * scenario.isl_capacity_gbps
 
@@ -146,13 +139,10 @@ def mean_throughput(config: ConstellationConfig, mode: IslMode,
 
 def delay_matrix(snapshot: WeightedNetSnapshot) -> csr_matrix:
     """Symmetric sparse matrix of per-edge propagation delays (seconds)."""
-    n = snapshot.num_sats
-    rows, cols, vals = [], [], []
-    for e in snapshot.edges:
-        rows += [e.a_index, e.b_index]
-        cols += [e.b_index, e.a_index]
-        vals += [e.delay_s, e.delay_s]
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+    a, b = snapshot.edges.T
+    return csr_matrix((np.tile(snapshot.delay_s, 2), (np.concatenate([a, b]),
+                                                      np.concatenate([b, a]))),
+                      shape=(snapshot.num_sats,) * 2)
 
 
 def shortest_path_delays(snapshot: WeightedNetSnapshot,

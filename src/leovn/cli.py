@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,9 +30,10 @@ from .isl import (
     snapshot_edges,
     theorem1_bruteforce,
 )
-from .virtualgraph import VnMethod, staticness_report
+from .virtualgraph import EventCause, EventChange, VnMethod, edge_addresses, staticness_report
 
 OUTPUT_DIR_ENV = "LEOVN_OUTPUT_DIR"
+KIND_LETTERS = ("V", "H")       # indexed by IslKind code
 
 
 # -- manifest -------------------------------------------------------------------
@@ -188,10 +190,13 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     started = _now()
     config = _build_config(args)
     division = division_for(config)
-    edges = snapshot_edges(config, IslMode(args.mode), division, args.t_seconds)
+    snapshot = snapshot_edges(config, IslMode(args.mode), division, args.t_seconds)
     header = ["a_plane", "a_slot", "b_plane", "b_slot", "kind", "direction", "active"]
-    rows = [[e.a.plane, e.a.slot, e.b.plane, e.b.slot,
-             e.kind.value, e.h_direction.value, e.active] for e in edges]
+    plane, slot = divmod(snapshot.pairs, config.sats_per_plane)
+    rows = [[ap + 1, aslot + 1, bp + 1, bslot + 1, KIND_LETTERS[k], d.value, act]
+            for (ap, bp), (aslot, bslot), k, d, act in zip(
+                plane.tolist(), slot.tolist(), snapshot.kind.tolist(),
+                snapshot.direction, snapshot.active.tolist())]
     out = _out_path(args, "snapshot.csv" if args.format == "csv" else "snapshot.json")
     _write_rows(out, args.format, header, rows)
     _write_manifest(out, config, args, started)
@@ -217,11 +222,15 @@ def cmd_staticness(args: argparse.Namespace) -> int:
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
     events_path = out.with_suffix(".events.csv")
+    sample, keys, change, cause = report.events.T
+    columns = edge_addresses(keys, config.num_planes, config.total_sats)
     _write_csv(events_path,
                ["t", "a_v", "a_h", "b_v", "b_h", "kind", "change", "cause"],
-               [[repr(e.t), e.edge[0].row, e.edge[0].plane, e.edge[1].row,
-                 e.edge[1].plane, e.edge[2].value, e.change.value, e.cause.value]
-                for e in report.events])
+               [[repr(report.times[i]), a_v, a_h, b_v, b_h, KIND_LETTERS[k],
+                 EventChange(c).name, EventCause(x).name]
+                for i, a_v, a_h, b_v, b_h, k, c, x in zip(
+                    sample.tolist(), *(col.tolist() for col in columns),
+                    change.tolist(), cause.tolist())])
     _write_manifest(out, config, args, started)
     print(f"{report.event_count} events ({report.events_by_cause}) -> {out}")
     return 0
@@ -281,16 +290,18 @@ def cmd_theorem1_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = verify_mod.run_suite(args.suite)
     failed = False
-    for res in results:
+    for check in verify_mod.SUITES[args.suite]:
+        start = time.perf_counter()
+        res = check()
         print(json.dumps({
             "check": res.name,
             "grid": res.grid,
             "passed": res.passed,
             "detail": res.detail,
             "failures": res.failures[:20],
-        }))
+            "elapsed_s": round(time.perf_counter() - start, 3),
+        }), flush=True)
         failed = failed or not res.passed
     return 1 if failed else 0
 

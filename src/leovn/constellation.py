@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,12 +22,6 @@ OMEGA_EARTH = 2.0 * math.pi / SIDEREAL_DAY
 
 class ConfigError(ValueError):
     """A constellation parameter violates its documented bound."""
-
-
-class SatelliteId(NamedTuple):
-    """Fixed physical identity: plane 1..n1, slot 1..n2 within the plane."""
-    plane: int
-    slot: int
 
 
 @dataclass(frozen=True)
@@ -70,6 +63,8 @@ class ConstellationConfig:
         if not 0 < self.inclination_deg <= 180:
             raise ConfigError(
                 f"inclination_deg must be in (0, 180], got {self.inclination_deg}")
+        if self.period_s is not None and not self.period_s > 0:
+            raise ConfigError(f"period_s must be > 0, got {self.period_s}")
         if self.phase0_deg is None:
             object.__setattr__(self, "phase0_deg", -self.polar_threshold_deg)
 
@@ -134,11 +129,12 @@ class ConstellationConfig:
     def raan_deg(self, plane: int) -> Fraction:
         return Fraction(self.raan0_deg) + (plane - 1) * self.raan_step_deg
 
-    def initial_phase_deg(self, sat: SatelliteId) -> Fraction:
-        """Epoch phase of a satellite, exact degrees (not wrapped)."""
+    def initial_phase_deg(self, plane: int, slot: int) -> Fraction:
+        """Epoch phase of satellite (plane 1..n1, slot 1..n2), exact degrees
+        (not wrapped)."""
         return (Fraction(self.phase0_deg)
-                + (sat.slot - 1) * self.phase_step_deg
-                + (sat.plane - 1) * self.phase_offset_deg)
+                + (slot - 1) * self.phase_step_deg
+                + (plane - 1) * self.phase_offset_deg)
 
 
 def orbital_period(altitude_m: float) -> float:

@@ -16,7 +16,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,12 +28,6 @@ from .constellation import (
     phases_deg,
     propagate_all,
 )
-
-
-class VirtualAddress(NamedTuple):
-    """Virtual node address: row v (1..n2, along track), plane h (1..n1)."""
-    row: int
-    plane: int
 
 
 class RegionLabel(enum.Enum):
@@ -353,32 +346,24 @@ def grd_assignment(config: ConstellationConfig, grid: GrdGrid, t: float,
     sub = np.stack([np.cos(lats) * np.cos(lons),
                     np.cos(lats) * np.sin(lons),
                     np.sin(lats)], axis=1)          # (N, 3) Earth-fixed units
-    cos_limit = _coverage_cos_limit(config)
-    anchors = grid.anchors.reshape(-1, 3)           # (n2*n1, 3), row-major (v, h)
-    serving = np.full(n2 * n1, -1, dtype=int)
+    score = grid.anchors.reshape(-1, 3) @ sub.T    # (cells, sats), cells row-major (v, h)
+    cells = np.arange(len(score))
+    cell_planes = cells % n1
+    own = score.reshape(-1, n1, n2)[cells, cell_planes]   # the cell's own column
+    own_slot = np.argmax(own, axis=1)
+    own_top = own[cells, own_slot]
+    own_best = np.ravel_multi_index((cell_planes, own_slot), (n1, n2))
     if variant is GrdVariant.INTER_PLANE:
-        score = anchors @ sub.T                     # (cells, sats)
         best = np.argmax(score, axis=1)
-        top = score[np.arange(len(best)), best]
+        top = score[cells, best]
         # exact geometric ties (satellites meeting over a pole) resolve to the
-        # cell's own column, keeping the frozen-epoch assignment unambiguous
-        cell_planes = np.tile(np.arange(n1), n2)
-        for cell in np.flatnonzero(np.isclose(top, 1.0, atol=1e-12)):
-            h = cell_planes[cell]
-            own = slice(h * n2, (h + 1) * n2)
-            local_best = int(np.argmax(score[cell, own]))
-            if score[cell, own][local_best] >= top[cell] - 1e-12:
-                best[cell] = h * n2 + local_best
-        ok = top >= cos_limit
-        serving[ok] = best[ok]
+        # cell's own column, keeping the frozen-epoch assignment unambiguous;
+        # isclose keeps its default rtol, so cells within ~0.26 deg of a
+        # zenith count as ties too
+        tie = np.isclose(top, 1.0, atol=1e-12) & (own_top >= top - 1e-12)
+        best = np.where(tie, own_best, best)
     else:
-        cell_planes = np.tile(np.arange(n1), n2)    # column h of each flat cell
-        for h in range(n1):
-            sel = np.where(cell_planes == h)[0]
-            sat_idx = np.arange(h * n2, (h + 1) * n2)
-            score = anchors[sel] @ sub[sat_idx].T
-            best = np.argmax(score, axis=1)
-            ok = score[np.arange(len(best)), best] >= cos_limit
-            serving[sel[ok]] = sat_idx[best[ok]]
+        best, top = own_best, own_top
+    serving = np.where(top >= _coverage_cos_limit(config), best, -1)
     return serving.reshape(n2, n1)
 

@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .angles import CELL_SNAP, circular_interval_hits_open
-from .constellation import ConfigError, ConstellationConfig, SatelliteId, phases_deg
+from .constellation import ConfigError, ConstellationConfig, phases_deg
 from .division import (
     DivisionConfig,
     RegionBoundaries,
@@ -35,9 +34,10 @@ class IslMode(enum.Enum):
     OPTIMIZED = "optimized"
 
 
-class IslKind(enum.Enum):
-    V_ISL = "V"
-    H_ISL = "H"
+class IslKind(enum.IntEnum):
+    """Link kind; the value is the code stored in edge arrays and virtual-edge keys."""
+    V_ISL = 0
+    H_ISL = 1
 
 
 class HDirection(enum.Enum):
@@ -59,12 +59,22 @@ class ShutoffRule(enum.Enum):
     PER_SATELLITE = "per_satellite"
 
 
-class IslEdge(NamedTuple):
-    a: SatelliteId
-    b: SatelliteId
-    kind: IslKind
-    h_direction: HDirection
-    active: bool
+@dataclass(frozen=True, eq=False)
+class IslSnapshot:
+    """Physical edge set at one instant.
+
+    ``pairs`` holds flat satellite indices (E, 2), V edges plane-major then H
+    edges row-major; ``pairs``, ``kind`` and ``direction`` are the cached,
+    read-only layout shared by every snapshot of a (config, mode), and only
+    the boolean ``active`` mask depends on time.
+    """
+    pairs: np.ndarray
+    kind: np.ndarray
+    direction: tuple[HDirection, ...]
+    active: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -155,54 +165,32 @@ def bh_isl_planes(num_planes: int, k_ratio: Fraction) -> frozenset[int]:
     return frozenset(out)
 
 
-def h_neighbor(sat: SatelliteId, side: str, mode: IslMode,
-               analysis: PhaseAnalysis) -> SatelliteId | None:
-    """Inter-plane neighbor of a satellite, or None across the seam.
-
-    Conventional chains keep the slot; at a backward boundary the eastern
-    partner is one slot down (the trailing neighbor whose phase is behind by
-    step - delta_f), and the western mirror is one slot up.
-    """
-    if side not in ("east", "west"):
-        raise ValueError(f"side must be 'east' or 'west', got {side!r}")
-    n1, n2 = analysis.num_planes, analysis.sats_per_plane
-    if side == "east":
-        if sat.plane >= n1:
-            return None
-        boundary, plane = sat.plane, sat.plane + 1
-        shift = -1
-    else:
-        if sat.plane <= 1:
-            return None
-        boundary, plane = sat.plane - 1, sat.plane - 1
-        shift = +1
-    slot = sat.slot
-    if mode is IslMode.OPTIMIZED and analysis.phasing_factor > 0:
-        if analysis.bh_planes is None:
-            raise ConfigError("optimized layout requires F <= n1")
-        if boundary in analysis.bh_planes:
-            slot = (sat.slot - 1 + shift) % n2 + 1
-    return SatelliteId(plane=plane, slot=slot)
+def _backward_boundaries(config: ConstellationConfig, mode: IslMode) -> np.ndarray:
+    """Per plane boundary h = 1..n1-1: whether it carries backward links."""
+    n1 = config.num_planes
+    if mode is IslMode.CONVENTIONAL or config.phasing_factor == 0:
+        return np.zeros(n1 - 1, dtype=bool)
+    analysis = phase_analysis(n1, config.sats_per_plane, config.phasing_factor)
+    if analysis.bh_planes is None:
+        raise ConfigError("optimized layout requires F <= n1")
+    return np.isin(np.arange(1, n1), sorted(analysis.bh_planes))
 
 
 @lru_cache(maxsize=None)
-def row_chains(config: ConstellationConfig, mode: IslMode) -> tuple[tuple[SatelliteId, ...], ...]:
+def row_chains(config: ConstellationConfig, mode: IslMode) -> np.ndarray:
     """The n2 rows of H-ISL-chained satellites, one member per plane.
 
-    Row r (0-based) starts at (plane 1, slot r+1); the member in plane h is
-    slot r+1 minus the number of backward boundaries crossed.
+    Returns a read-only int array (n2 rows, n1 planes) of flat satellite
+    indices (plane-1)*n2 + slot-1.  Row r (0-based) starts at (plane 1,
+    slot r+1); its member in plane h is slot r+1 minus the number of
+    backward boundaries crossed, so no row crosses the seam.
     """
-    analysis = phase_analysis(config.num_planes, config.sats_per_plane, config.phasing_factor)
     n1, n2 = config.num_planes, config.sats_per_plane
-    if mode is IslMode.OPTIMIZED and config.phasing_factor > 0 and analysis.bh_planes is None:
-        raise ConfigError("optimized layout requires F <= n1")
-    rows = []
-    for j in range(1, n2 + 1):
-        members = [SatelliteId(plane=1, slot=j)]
-        for h in range(2, n1 + 1):
-            members.append(h_neighbor(members[-1], "east", mode, analysis))
-        rows.append(tuple(members))
-    return tuple(rows)
+    crossed = np.concatenate([[0], np.cumsum(_backward_boundaries(config, mode))])
+    slots = (np.arange(n2)[:, None] - crossed) % n2
+    rows = np.arange(n1) * n2 + slots
+    rows.flags.writeable = False
+    return rows
 
 
 def row_spreads_deg(config: ConstellationConfig, mode: IslMode) -> tuple[Fraction, ...]:
@@ -255,20 +243,19 @@ def active_row_set(config: ConstellationConfig, mode: IslMode,
 
 @lru_cache(maxsize=None)
 def _static_pairs(config: ConstellationConfig, mode: IslMode):
-    """Time-invariant structure: rows, flat H index pairs, boundary directions.
-
-    Flat satellite index is (plane-1)*n2 + slot-1.  H pairs come out as an
-    array shaped (n2 rows, n1-1 boundaries, 2).
-    """
+    """Time-invariant layout: (pairs, kind, direction) of every edge."""
     n1, n2 = config.num_planes, config.sats_per_plane
     rows = row_chains(config, mode)
-    h_pairs = np.array([[[(a.plane - 1) * n2 + a.slot - 1,
-                          (b.plane - 1) * n2 + b.slot - 1]
-                         for a, b in zip(row, row[1:])] for row in rows])
-    analysis = phase_analysis(n1, n2, config.phasing_factor)
-    bh = analysis.bh_planes if (mode is IslMode.OPTIMIZED and analysis.bh_planes) else frozenset()
-    directions = tuple(HDirection.BH if h in bh else HDirection.FH for h in range(1, n1))
-    return rows, h_pairs, directions
+    sats = np.arange(n1 * n2).reshape(n1, n2)
+    v_pairs = np.stack([sats.ravel(), np.roll(sats, -1, axis=1).ravel()], axis=1)
+    h_pairs = np.stack([rows[:, :-1].ravel(), rows[:, 1:].ravel()], axis=1)
+    pairs = np.concatenate([v_pairs, h_pairs])
+    kind = np.repeat([IslKind.V_ISL, IslKind.H_ISL], [len(v_pairs), len(h_pairs)])
+    for array in (pairs, kind):
+        array.flags.writeable = False
+    boundaries = tuple(HDirection.BH if bh else HDirection.FH
+                       for bh in _backward_boundaries(config, mode))
+    return pairs, kind, (HDirection.NONE,) * len(v_pairs) + boundaries * n2
 
 
 def row_activity(config: ConstellationConfig, mode: IslMode, division: DivisionConfig,
@@ -279,13 +266,13 @@ def row_activity(config: ConstellationConfig, mode: IslMode, division: DivisionC
     member.  Per-satellite rule: a boundary is on iff neither endpoint's
     instantaneous latitude is strictly beyond the threshold.
     """
-    rows, h_pairs, _ = _static_pairs(config, mode)
+    rows = row_chains(config, mode)
     n1, n2 = config.num_planes, config.sats_per_plane
     phases = np.mod(phases_deg(config, t), 360.0)
     if shutoff is ShutoffRule.ROW_SYNCHRONIZED:
         active = active_row_set(config, mode, division)
         origin = float(division.row_start_deg(1, 1))
-        base = phases[[row[0].slot - 1 for row in rows]]
+        base = phases[rows[:, 0]]
         dwell = 1 + (np.floor((base - origin) % 360.0 / (360.0 / n2)
                               + CELL_SNAP).astype(int) % n2)
         flags = np.array([v in active for v in dwell])
@@ -293,37 +280,25 @@ def row_activity(config: ConstellationConfig, mode: IslMode, division: DivisionC
     limit = math.sin(config.polar_threshold)
     polar = np.abs(math.sin(config.inclination)
                    * np.sin(np.radians(phases))) > limit
-    return ~(polar[h_pairs[:, :, 0]] | polar[h_pairs[:, :, 1]])
+    return ~(polar[rows[:, :-1]] | polar[rows[:, 1:]])
 
 
 def snapshot_edges(config: ConstellationConfig, mode: IslMode, division: DivisionConfig,
-                   t: float, shutoff: ShutoffRule = ShutoffRule.ROW_SYNCHRONIZED) -> list[IslEdge]:
+                   t: float, shutoff: ShutoffRule = ShutoffRule.ROW_SYNCHRONIZED) -> IslSnapshot:
     """Physical edge set at time t: V-ISLs always active, H-ISLs per shutoff rule.
 
     Under the row rule a row's state is anchored to the dwell of its plane-1
     member and is constant between handovers; under the per-satellite rule
     each link follows its endpoints' instantaneous latitudes.
     """
-    n1, n2 = config.num_planes, config.sats_per_plane
-    rows, _, directions = _static_pairs(config, mode)
-    edges: list[IslEdge] = []
-    for h in range(1, n1 + 1):
-        for j in range(1, n2 + 1):
-            edges.append(IslEdge(
-                a=SatelliteId(plane=h, slot=j),
-                b=SatelliteId(plane=h, slot=j % n2 + 1),
-                kind=IslKind.V_ISL, h_direction=HDirection.NONE, active=True))
+    pairs, kind, direction = _static_pairs(config, mode)
     activity = row_activity(config, mode, division, t, shutoff)
-    for r, row in enumerate(rows):
-        for h in range(n1 - 1):
-            edges.append(IslEdge(
-                a=row[h], b=row[h + 1], kind=IslKind.H_ISL,
-                h_direction=directions[h], active=bool(activity[r, h])))
-    return edges
+    active = np.concatenate([np.ones(config.total_sats, dtype=bool), activity.ravel()])
+    return IslSnapshot(pairs=pairs, kind=kind, direction=direction, active=active)
 
 
-def active_hisl_count(edges: list[IslEdge]) -> int:
-    return sum(1 for e in edges if e.kind is IslKind.H_ISL and e.active)
+def active_hisl_count(snapshot: IslSnapshot) -> int:
+    return int(np.count_nonzero(snapshot.active & (snapshot.kind == IslKind.H_ISL)))
 
 
 def hisl_count_analytic(num_planes: int, sats_per_plane: int,

@@ -306,8 +306,3 @@ SUITES = {
 SUITES["all"] = tuple(itertools.chain.from_iterable(
     SUITES[name] for name in ("division", "counts", "theorem1", "staticness", "flow")))
 
-
-def run_suite(suite: str) -> list[CheckResult]:
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    return [check() for check in SUITES[suite]]

@@ -6,15 +6,20 @@ snapshot through an addressing (celestial or geographic) produces an instance
 edge set over virtual addresses; diffing consecutive instances produces
 topology events, classified by cause so the dynamics of the three methods can
 be compared quantitatively.
+
+Addressings are cell -> satellite arrays shaped (n2, n1); cells are flat
+indices (row-1)*n1 + plane-1 and virtual edges are int64 keys, so graphs and
+instances are sorted key arrays and diffs are set differences of arrays.
 """
 from __future__ import annotations
 
 import enum
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .angles import snapped_floor
 from .constellation import OMEGA_EARTH, ConstellationConfig, phases_deg
@@ -23,10 +28,7 @@ from .division import (
     GrdGrid,
     GrdVariant,
     RegionBoundaries,
-    RegionLabel,
-    VirtualAddress,
     build_grd_grid,
-    classify_region,
     csd_rows_all,
     division_for,
     grd_assignment,
@@ -35,13 +37,11 @@ from .division import (
 from .isl import (
     IslKind,
     IslMode,
+    IslSnapshot,
     ShutoffRule,
     boundaries_for,
     snapshot_edges,
 )
-
-# A virtual edge: address pair in sorted order plus the link kind.
-VEdge = tuple[VirtualAddress, VirtualAddress, IslKind]
 
 
 class VnMethod(enum.Enum):
@@ -50,37 +50,34 @@ class VnMethod(enum.Enum):
     CSD = "csd"     # celestial cells
 
 
-class EventCause(enum.Enum):
-    POLAR = "POLAR"
-    SEAM_DRIFT = "SEAM_DRIFT"
-    ASYNC_SWITCH = "ASYNC_SWITCH"
-    COVERAGE_LOSS = "COVERAGE_LOSS"
+class EventCause(enum.IntEnum):
+    """Cause of a topology event; the value is the code kept in event arrays."""
+    POLAR = 0
+    SEAM_DRIFT = 1
+    ASYNC_SWITCH = 2
+    COVERAGE_LOSS = 3
 
 
-class EventChange(enum.Enum):
-    ADDED = "ADDED"
-    REMOVED = "REMOVED"
+class EventChange(enum.IntEnum):
+    ADDED = 0
+    REMOVED = 1
 
 
-@dataclass(frozen=True)
-class TopologyEvent:
-    t: float
-    edge: VEdge
-    change: EventChange
-    cause: EventCause
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VirtualGraph:
-    nodes: frozenset[VirtualAddress]
-    edges: frozenset[VEdge]
+    """Virtual edges as sorted unique int64 keys (see ``_edge_keys``)."""
+    num_cells: int
+    edges: np.ndarray
 
     def edge_count(self, kind: IslKind) -> int:
-        return sum(1 for e in self.edges if e[2] is kind)
+        return int(np.count_nonzero(self.edges % 2 == kind))
 
 
 @dataclass
 class StaticnessReport:
+    """``events`` is an int64 array (M, 4) with columns: sample index into
+    ``times``, edge key, ``EventChange`` and ``EventCause`` codes, in output
+    order (per sample: ADDED rows then REMOVED rows, each sorted by key)."""
     method: VnMethod
     mode: IslMode
     duration_s: float
@@ -88,94 +85,86 @@ class StaticnessReport:
     event_count: int
     events_by_cause: dict[str, int]
     seam_column_history: list[tuple[float, int]]
-    events: list[TopologyEvent] = field(repr=False, default_factory=list)
+    times: list[float] = field(repr=False)
+    events: np.ndarray = field(repr=False)
     mapping_conflicts: int = 0
 
 
-def _vedge(a: VirtualAddress, b: VirtualAddress, kind: IslKind) -> VEdge:
-    return (a, b, kind) if a <= b else (b, a, kind)
+# -- cell indices and edge keys ------------------------------------------------
+
+def _edge_keys(a, b, kind: IslKind, num_cells: int) -> np.ndarray:
+    """Keys (lo*C + hi)*2 + kind of the undirected cell pairs (a, b), C the
+    cell count: sorting keys sorts by (lower cell, higher cell, kind)."""
+    lo = np.minimum(a, b).astype(np.int64)
+    return (lo * num_cells + np.maximum(a, b)) * 2 + int(kind)
+
+
+def _split_keys(keys: np.ndarray, num_cells: int):
+    """(lower cell, higher cell, kind code) arrays of edge keys."""
+    pair, kind = np.divmod(keys, 2)
+    lo, hi = np.divmod(pair, num_cells)
+    return lo, hi, kind
+
+
+def edge_addresses(keys: np.ndarray, num_planes: int, num_cells: int):
+    """1-based (lo row, lo plane, hi row, hi plane) and kind code of each key."""
+    lo, hi, kind = _split_keys(keys, num_cells)
+    (lo_row, lo_plane), (hi_row, hi_plane) = np.divmod(lo, num_planes), np.divmod(hi, num_planes)
+    return lo_row + 1, lo_plane + 1, hi_row + 1, hi_plane + 1, kind
 
 
 def build_static_graph(num_planes: int, sats_per_plane: int,
                        b: RegionBoundaries) -> VirtualGraph:
     """The static virtual graph: V-link rings plus H-links on R1/R2 rows."""
     n1, n2 = num_planes, sats_per_plane
-    nodes = frozenset(VirtualAddress(row=v, plane=h)
-                      for v in range(1, n2 + 1) for h in range(1, n1 + 1))
-    edges = set()
-    for h in range(1, n1 + 1):
-        for v in range(1, n2 + 1):
-            edges.add(_vedge(VirtualAddress(v, h),
-                             VirtualAddress(v % n2 + 1, h), IslKind.V_ISL))
-    for v in range(1, n2 + 1):
-        if classify_region(v, b) in (RegionLabel.R1, RegionLabel.R2):
-            for h in range(1, n1):
-                edges.add(_vedge(VirtualAddress(v, h),
-                                 VirtualAddress(v, h + 1), IslKind.H_ISL))
-    return VirtualGraph(nodes=nodes, edges=frozenset(edges))
+    cells = np.arange(n1 * n2).reshape(n2, n1)      # flat cell (row-1)*n1 + plane-1
+    h_rows = np.isin(np.arange(1, n2 + 1), sorted(b.active_rows()))
+    edges = np.concatenate([
+        _edge_keys(cells, np.roll(cells, -1, axis=0), IslKind.V_ISL, cells.size).ravel(),
+        _edge_keys(cells[h_rows, :-1], cells[h_rows, 1:], IslKind.H_ISL, cells.size).ravel()])
+    return VirtualGraph(num_cells=cells.size, edges=np.unique(edges))
 
 
 def is_connected(graph: VirtualGraph) -> bool:
-    """BFS reachability over the whole virtual graph."""
-    adj = defaultdict(list)
-    for a, b, _ in graph.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    start = next(iter(graph.nodes))
-    seen = {start}
-    queue = [start]
-    while queue:
-        node = queue.pop()
-        for nxt in adj[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(graph.nodes)
+    """Whether the virtual graph is one connected component."""
+    lo, hi, _ = _split_keys(graph.edges, graph.num_cells)
+    adj = csr_matrix((np.ones(len(lo)), (lo, hi)), shape=(graph.num_cells,) * 2)
+    return connected_components(adj, directed=False, return_labels=False) == 1
 
 
-# -- addressings --------------------------------------------------------------
+# -- addressing and mapping -----------------------------------------------------
 
 def csd_addressing(config: ConstellationConfig, division: DivisionConfig,
-                   t: float) -> dict:
-    """satellite flat index -> [address]; always a bijection for CSD."""
+                   t: float) -> np.ndarray:
+    """Cell -> satellite array (n2, n1) of the celestial division: a permutation
+    of the flat satellite indices."""
     n1, n2 = config.num_planes, config.sats_per_plane
-    rows = csd_rows_all(config, division, t)
-    out = {}
-    for h in range(n1):
-        for j in range(n2):
-            out[h * n2 + j] = [VirtualAddress(row=int(rows[h, j]), plane=h + 1)]
-    return out
+    serving = np.full((n2, n1), -1)
+    rows = csd_rows_all(config, division, t) - 1     # indexed (plane-1, slot-1)
+    serving[rows, np.arange(n1)[:, None]] = np.arange(n1 * n2).reshape(n1, n2)
+    return serving
 
 
-def grd_addressing(serving: np.ndarray) -> tuple[dict, int]:
-    """Invert a cell->satellite assignment; returns (sat -> [addresses], conflicts).
+def map_snapshot(snapshot: IslSnapshot, serving: np.ndarray) -> np.ndarray:
+    """Relabel the active physical edges through a cell -> satellite array.
 
-    ``conflicts`` counts satellites serving more than one cell (a mapping
-    ambiguity of the geographic division, reported, not fatal).
+    Returns the instance as sorted unique edge keys.  With the incidence
+    matrix inc[satellite, cell], each kind's cell adjacency is
+    inc.T @ adj @ inc, so a satellite serving several cells links all of
+    them and an unserved satellite none.  There are as many cells as
+    satellites.
     """
-    out = defaultdict(list)
-    n2, n1 = serving.shape
-    for v in range(n2):
-        for h in range(n1):
-            s = int(serving[v, h])
-            if s >= 0:
-                out[s].append(VirtualAddress(row=v + 1, plane=h + 1))
-    conflicts = sum(1 for addrs in out.values() if len(addrs) > 1)
-    return dict(out), conflicts
-
-
-def map_snapshot(edges, addressing: dict, sats_per_plane: int) -> frozenset[VEdge]:
-    """Relabel active physical edges by an addressing (sat -> addresses)."""
-    out = set()
-    for e in edges:
-        if not e.active:
-            continue
-        ia = (e.a.plane - 1) * sats_per_plane + (e.a.slot - 1)
-        ib = (e.b.plane - 1) * sats_per_plane + (e.b.slot - 1)
-        for addr_a in addressing.get(ia, ()):
-            for addr_b in addressing.get(ib, ()):
-                out.add(_vedge(addr_a, addr_b, e.kind))
-    return frozenset(out)
+    cells = serving.size
+    flat = serving.ravel()
+    served = np.flatnonzero(flat >= 0)
+    inc = csr_matrix((np.ones(len(served)), (flat[served], served)), shape=(cells, cells))
+    keys = []
+    for kind in IslKind:
+        a, b = snapshot.pairs[snapshot.active & (snapshot.kind == kind)].T
+        adj = csr_matrix((np.ones(len(a)), (a, b)), shape=(cells, cells))
+        mapped = (inc.T @ adj @ inc).tocoo()
+        keys.append(_edge_keys(mapped.row, mapped.col, kind, cells))
+    return np.unique(np.concatenate(keys))
 
 
 def seam_columns(config: ConstellationConfig, t: float) -> int:
@@ -197,47 +186,41 @@ def seam_columns(config: ConstellationConfig, t: float) -> int:
 
 def method_instance(config: ConstellationConfig, method: VnMethod, mode: IslMode,
                     t: float, division: DivisionConfig, grid: GrdGrid | None):
-    """(instance edges, servers by address, conflicts) at one sample time.
+    """(instance keys, cell -> satellite array, conflicts) at one sample time.
 
     CSD uses the row-synchronized shut-off and its own (bijective)
     addressing; the geographic variants use per-satellite shut-off and the
-    elevation-based serving assignment over the frozen grid.
+    elevation-based serving assignment over the frozen grid.  ``conflicts``
+    counts satellites serving more than one cell (a mapping ambiguity of the
+    geographic division, reported, not fatal).
     """
     if method is VnMethod.CSD:
-        edges = snapshot_edges(config, mode, division, t, ShutoffRule.ROW_SYNCHRONIZED)
-        addressing = csd_addressing(config, division, t)
-        conflicts = 0
+        snapshot = snapshot_edges(config, mode, division, t, ShutoffRule.ROW_SYNCHRONIZED)
+        serving = csd_addressing(config, division, t)
     else:
         variant = GrdVariant.INTRA_ONLY if method is VnMethod.GRD1 else GrdVariant.INTER_PLANE
         serving = grd_assignment(config, grid, t, variant)
-        addressing, conflicts = grd_addressing(serving)
-        edges = snapshot_edges(config, mode, division, t, ShutoffRule.PER_SATELLITE)
-    instance = map_snapshot(edges, addressing, config.sats_per_plane)
-    servers = {}
-    for sat, addrs in addressing.items():
-        for addr in addrs:
-            servers[addr] = sat
-    return instance, servers, conflicts
+        snapshot = snapshot_edges(config, mode, division, t, ShutoffRule.PER_SATELLITE)
+    cells_per_sat = np.bincount(serving[serving >= 0], minlength=serving.size)
+    conflicts = int(np.count_nonzero(cells_per_sat > 1))
+    return map_snapshot(snapshot, serving), serving, conflicts
 
 
-def _classify(edge: VEdge, servers_absent: dict, lats_absent: np.ndarray,
-              config: ConstellationConfig, method: VnMethod,
-              t_absent: float) -> EventCause:
-    """Cause of one edge change, judged at the sample where the edge is absent."""
-    a, b, _kind = edge
-    sa = servers_absent.get(a)
-    sb = servers_absent.get(b)
-    if sa is None or sb is None:
-        return EventCause.COVERAGE_LOSS
-    plane_a, plane_b = sa // config.sats_per_plane + 1, sb // config.sats_per_plane + 1
-    if method is VnMethod.GRD2 and {plane_a, plane_b} == {1, config.num_planes}:
-        return EventCause.SEAM_DRIFT
-    limit = config.polar_threshold
-    in_a = abs(float(lats_absent[sa])) > limit
-    in_b = abs(float(lats_absent[sb])) > limit
-    if in_a != in_b:
-        return EventCause.ASYNC_SWITCH
-    return EventCause.POLAR
+def event_causes(keys: np.ndarray, serving: np.ndarray, lats: np.ndarray,
+                 config: ConstellationConfig, method: VnMethod) -> np.ndarray:
+    """``EventCause`` code of each changed edge, judged at the sample where
+    the edge is absent (its serving array and satellite latitudes)."""
+    lo, hi, _ = _split_keys(keys, serving.size)
+    flat = serving.ravel()
+    sat_a, sat_b = flat[lo], flat[hi]
+    plane_a, plane_b = sat_a // config.sats_per_plane, sat_b // config.sats_per_plane
+    seam = ((method is VnMethod.GRD2) & (np.minimum(plane_a, plane_b) == 0)
+            & (np.maximum(plane_a, plane_b) == config.num_planes - 1))
+    polar = np.abs(lats) > config.polar_threshold
+    return np.select(
+        [(sat_a < 0) | (sat_b < 0), seam, polar[sat_a] != polar[sat_b]],
+        [EventCause.COVERAGE_LOSS, EventCause.SEAM_DRIFT, EventCause.ASYNC_SWITCH],
+        default=EventCause.POLAR)
 
 
 def _lats_all(config: ConstellationConfig, t: float) -> np.ndarray:
@@ -277,38 +260,40 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
     grid = build_grd_grid(config, division) if method is not VnMethod.CSD else None
     times = sample_times(config, division, duration_s, samples)
 
-    events: list[TopologyEvent] = []
-    causes: Counter = Counter()
+    events = [np.empty((0, 4), dtype=np.int64)]
     seam_history: list[tuple[float, int]] = []
     conflicts_total = 0
 
-    prev_instance = prev_servers = None
-    prev_lats = None
-    prev_t = None
-    for t in times:
-        instance, servers, conflicts = method_instance(
+    prev = None
+    for i, t in enumerate(times):
+        instance, serving, conflicts = method_instance(
             config, method, mode, t, division, grid)
         conflicts_total += conflicts
         lats = _lats_all(config, t)
         if method is VnMethod.GRD2:
             seam_history.append((t, seam_columns(config, t)))
-        if prev_instance is not None:
-            for edge in sorted(instance - prev_instance):
-                cause = _classify(edge, prev_servers, prev_lats, config, method, prev_t)
-                events.append(TopologyEvent(t=t, edge=edge,
-                                            change=EventChange.ADDED, cause=cause))
-                causes[cause.value] += 1
-            for edge in sorted(prev_instance - instance):
-                cause = _classify(edge, servers, lats, config, method, t)
-                events.append(TopologyEvent(t=t, edge=edge,
-                                            change=EventChange.REMOVED, cause=cause))
-                causes[cause.value] += 1
-        prev_instance, prev_servers, prev_lats, prev_t = instance, servers, lats, t
+        if prev is not None:
+            prev_instance, prev_serving, prev_lats = prev
+            added = np.setdiff1d(instance, prev_instance, assume_unique=True)
+            removed = np.setdiff1d(prev_instance, instance, assume_unique=True)
+            causes = np.concatenate([
+                event_causes(added, prev_serving, prev_lats, config, method),
+                event_causes(removed, serving, lats, config, method)])
+            changes = np.repeat([EventChange.ADDED, EventChange.REMOVED],
+                                [len(added), len(removed)])
+            keys = np.concatenate([added, removed])
+            events.append(np.stack([np.full(len(keys), i), keys, changes, causes], axis=1))
+        prev = instance, serving, lats
 
+    events = np.concatenate(events)
+    codes, first, counts = np.unique(events[:, 3], return_index=True, return_counts=True)
+    order = np.argsort(first)       # causes in order of first appearance
+    by_cause = {EventCause(c).name: n
+                for c, n in zip(codes[order].tolist(), counts[order].tolist())}
     return StaticnessReport(
         method=method, mode=mode, duration_s=duration_s, samples=len(times),
-        event_count=len(events), events_by_cause=dict(causes),
-        seam_column_history=seam_history, events=events,
+        event_count=len(events), events_by_cause=by_cause,
+        seam_column_history=seam_history, times=times, events=events,
         mapping_conflicts=conflicts_total)
 
 

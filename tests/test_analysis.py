@@ -34,7 +34,8 @@ class TestWeightSnapshot:
         cfg = make_config()
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
         expect = 2 * 7000e3 * math.sin(math.pi / 36)   # 1220.18 km
-        v_lengths = {e.length_m for e in snap.edges if e.kind is IslKind.V_ISL}
+        v_lengths = snap.length_m[snap.kind == IslKind.V_ISL]
+        assert len(v_lengths) == 648
         assert all(length == pytest.approx(expect, rel=1e-9) for length in v_lengths)
         assert expect == pytest.approx(1220.18e3, rel=1e-4)
 
@@ -43,34 +44,43 @@ class TestWeightSnapshot:
         cfg = make_config()
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
         expect = 2 * 7000e3 * math.sin(math.radians(5.0))
-        eq_edges = [e for e in snap.edges
-                    if e.kind is IslKind.H_ISL and e.a_index % 36 == 7]
-        assert eq_edges
-        for e in eq_edges:
-            assert e.length_m == pytest.approx(expect, rel=1e-9)
+        eq_edges = (snap.kind == IslKind.H_ISL) & (snap.edges[:, 0] % 36 == 7)
+        assert eq_edges.any()
+        for length in snap.length_m[eq_edges]:
+            assert length == pytest.approx(expect, rel=1e-9)
 
     def test_h_isl_shrinks_toward_polar_threshold(self):
         cfg = make_config()
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
         by_slot = {}
-        for e in snap.edges:
-            if e.kind is IslKind.H_ISL and e.a_index // 36 == 0:
-                by_slot[e.a_index % 36] = e.length_m
+        for (a, _), kind, length in zip(snap.edges.tolist(), snap.kind, snap.length_m):
+            if kind == IslKind.H_ISL and a // 36 == 0:
+                by_slot[a % 36] = length
         assert by_slot[13] < by_slot[9] < by_slot[7]  # lat 60 < lat 20 < equator
 
     def test_delay_is_length_over_c(self):
         cfg = make_config()
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 100.0)
-        for e in snap.edges[:20]:
-            assert e.delay_s == pytest.approx(e.length_m / SPEED_OF_LIGHT)
-        assert all(e.delay_s > 0 for e in snap.edges)
+        for delay, length in zip(snap.delay_s[:20], snap.length_m[:20]):
+            assert delay == pytest.approx(length / SPEED_OF_LIGHT)
+        assert (snap.delay_s > 0).all()
+
+    def test_lengths_equal_per_edge_norm_bitwise(self):
+        # reference loop: one np.linalg.norm per edge, as CLI outputs expect
+        cfg = make_config(F=2, altitude_km=780.0)
+        snap = snapshot_at(cfg, IslMode.OPTIMIZED, 1234.5)
+        want = [float(np.linalg.norm(snap.positions[a] - snap.positions[b]))
+                for a, b in snap.edges.tolist()]
+        assert snap.length_m.tolist() == want
+        assert snap.delay_s.tolist() == [length / SPEED_OF_LIGHT for length in want]
 
     def test_only_active_edges_kept(self):
         cfg = make_config()
         division = division_for(cfg)
         edges = snapshot_edges(cfg, IslMode.CONVENTIONAL, division, 0.0)
         snap = weight_snapshot(cfg, edges, 0.0)
-        assert len(snap.edges) == sum(1 for e in edges if e.active) == 648 + 476
+        assert len(snap.edges) == edges.active.sum() == 648 + 476
+        assert snap.edges.tolist() == edges.pairs[edges.active].tolist()
 
 
 class TestFlowScenario:
@@ -153,6 +163,10 @@ class TestLatency:
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 50.0)
         mat = delay_matrix(snap)
         assert (mat != mat.T).nnz == 0
+        want = np.zeros((cfg.total_sats,) * 2)
+        for (a, b), delay in zip(snap.edges.tolist(), snap.delay_s.tolist()):
+            want[a, b] = want[b, a] = delay
+        assert np.array_equal(mat.toarray(), want)
 
 
 class TestSweep:

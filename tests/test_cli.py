@@ -1,4 +1,6 @@
+import csv
 import json
+from collections import Counter
 
 import pytest
 
@@ -92,6 +94,26 @@ class TestStaticnessCommand:
         assert report["event_count"] == 0
         assert (tmp_path / "static.events.csv").exists()
 
+    def test_grd2_event_rows(self, tmp_path):
+        out = tmp_path / "grd2.json"
+        assert main(["staticness", "--n1", "6", "--n2", "12", "--f", "1",
+                     "--method", "grd2", "--mode", "conventional",
+                     "--duration-s", "20000", "--samples", "40",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        with open(tmp_path / "grd2.events.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == report["event_count"] > 0
+        assert Counter(r["cause"] for r in rows) == report["events_by_cause"]
+        for row in rows:
+            a = int(row["a_v"]), int(row["a_h"])
+            b = int(row["b_v"]), int(row["b_h"])
+            assert (1, 1) <= a < b <= (12, 6) and row["kind"] in ("V", "H")
+        # per sample: ADDED rows first, then REMOVED rows
+        for t in {row["t"] for row in rows}:
+            changes = [row["change"] for row in rows if row["t"] == t]
+            assert changes == sorted(changes)
+
 
 class TestSweepCommands:
     def test_sweep_hisl_columns(self, tmp_path):
@@ -132,6 +154,7 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "division"]) == 0
         line = json.loads(capsys.readouterr().out.splitlines()[0])
         assert line["passed"] is True
+        assert line["elapsed_s"] >= 0
 
     def test_corrupted_count_formula_fails_with_name(self, monkeypatch, capsys):
         real = leovn.isl.hisl_count_analytic
@@ -166,6 +189,13 @@ class TestErrorPaths:
     def test_invalid_bound_names_field(self, capsys):
         assert main(["divide", "--n1", "1", "--n2", "12"]) == 2
         assert "num_planes" in capsys.readouterr().err
+
+    def test_zero_period_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "snap.csv"
+        assert main(["snapshot", "--n1", "6", "--n2", "12", "--period-s", "0",
+                     "--out", str(out)]) == 2
+        assert "period_s" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LEOVN_OUTPUT_DIR", str(tmp_path / "outputs"))

@@ -12,7 +12,6 @@ from leovn.constellation import (
     SIDEREAL_DAY,
     ConfigError,
     ConstellationConfig,
-    SatelliteId,
     load_config,
     orbital_period,
     phases_deg,
@@ -45,11 +44,11 @@ def circular_gap(a, b):
     return np.minimum(d, 2 * math.pi - d)
 
 
-def rotation_oracle(cfg, sat, t):
+def rotation_oracle(cfg, plane, slot, t):
     """(phase, position, lat, lon) of one satellite from explicit rotations:
     R3(raan) R1(inclination) applied to the in-plane vector at phase u."""
-    u = math.radians(float(cfg.initial_phase_deg(sat))) + 2 * math.pi * t / cfg.period
-    raan = math.radians(float(cfg.raan_deg(sat.plane)))
+    u = math.radians(float(cfg.initial_phase_deg(plane, slot))) + 2 * math.pi * t / cfg.period
+    raan = math.radians(float(cfg.raan_deg(plane)))
     inc = cfg.inclination
     x, y = math.cos(u), math.sin(u)
     y, z = y * math.cos(inc), y * math.sin(inc)
@@ -97,6 +96,9 @@ class TestBuildConstellation:
         (dict(altitude_km=0), "altitude_km"),
         (dict(polar_threshold_deg=0), "polar_threshold_deg"),
         (dict(polar_threshold_deg=95), "polar_threshold_deg"),
+        (dict(period_s=0.0), "period_s"),
+        (dict(period_s=-6000.0), "period_s"),
+        (dict(period_s=float("nan")), "period_s"),
     ])
     def test_invalid_config_names_field(self, kw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -108,7 +110,7 @@ class TestPropagate:
         cfg = make_config()
         u, _, _, _ = propagate_all(cfg, 0.0)
         for slot in range(1, 6):
-            phase0 = math.radians(float(cfg.initial_phase_deg(SatelliteId(1, slot))))
+            phase0 = math.radians(float(cfg.initial_phase_deg(1, slot)))
             assert u[flat(cfg, 1, slot)] == pytest.approx(phase0 % (2 * math.pi))
 
     def test_periodicity(self):
@@ -157,8 +159,7 @@ class TestPropagate:
         t = 777.0
         phases, pos, lats, lons = propagate_all(cfg, t)
         for idx in (0, 100, 647):
-            sat = SatelliteId(idx // 36 + 1, idx % 36 + 1)
-            u, p, lat, lon = rotation_oracle(cfg, sat, t)
+            u, p, lat, lon = rotation_oracle(cfg, idx // 36 + 1, idx % 36 + 1, t)
             assert circular_gap(phases[idx], u) <= 1e-9
             assert np.allclose(pos[idx], p, atol=1e-3)
             assert lats[idx] == pytest.approx(lat, abs=1e-12)
@@ -203,7 +204,7 @@ class TestKinematicsProperties:
         advance = 360 * Fraction(t) / Fraction(cfg.period)
         for plane in range(1, n1 + 1):
             for slot in range(1, n2 + 1):
-                phase = cfg.initial_phase_deg(SatelliteId(plane, slot)) + advance
+                phase = cfg.initial_phase_deg(plane, slot) + advance
                 rel = (phase - div.row_start_deg(1, plane)) % 360
                 if min(rel % step, step - rel % step) < Fraction(1, 10**6):
                     continue  # within float reach of a cell boundary

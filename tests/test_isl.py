@@ -1,11 +1,13 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
-from leovn.constellation import ConfigError, ConstellationConfig, SatelliteId
+from leovn.constellation import ConfigError, ConstellationConfig
 from leovn.division import division_for, switching_epochs
 from leovn.isl import (
+    HDirection,
     IslKind,
     IslMode,
     ShutoffRule,
@@ -13,7 +15,6 @@ from leovn.isl import (
     active_row_set,
     bh_isl_planes,
     boundaries_for,
-    h_neighbor,
     hisl_count_analytic,
     phase_analysis,
     row_chains,
@@ -26,6 +27,17 @@ from leovn.isl import (
 def make_config(n1=18, n2=36, F=0, polar=70.0):
     return ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=F,
                                altitude_km=780.0, polar_threshold_deg=polar)
+
+
+def sat_id(index, n2=36):
+    """(plane, slot) of a flat satellite index."""
+    return int(index) // n2 + 1, int(index) % n2 + 1
+
+
+def east_neighbor(rows, plane, slot, n2=36):
+    """(plane, slot) after a satellite in its row chain, None at the last plane."""
+    r = int(np.flatnonzero(rows[:, plane - 1] == (plane - 1) * n2 + slot - 1)[0])
+    return sat_id(rows[r, plane], n2) if plane < rows.shape[1] else None
 
 
 class TestPhaseAnalysis:
@@ -90,41 +102,50 @@ class TestBhPlanes:
 
 
 class TestHNeighbor:
+    """Inter-plane neighbors as laid out by ``row_chains``."""
+
     def test_seam_has_no_link(self):
-        pa = phase_analysis(18, 36, 0)
-        assert h_neighbor(SatelliteId(1, 5), "west", IslMode.CONVENTIONAL, pa) is None
-        assert h_neighbor(SatelliteId(18, 5), "east", IslMode.OPTIMIZED, pa) is None
+        # every row runs plane 1 -> plane n1 once, so no link wraps the seam
+        for f, mode in ((0, IslMode.CONVENTIONAL), (6, IslMode.OPTIMIZED)):
+            rows = row_chains(make_config(F=f), mode)
+            assert (rows // 36 == np.arange(18)).all()
+        rows = row_chains(make_config(), IslMode.OPTIMIZED)
+        assert east_neighbor(rows, 18, 5) is None
 
     def test_conventional_same_slot(self):
-        pa = phase_analysis(18, 36, 2)
-        assert h_neighbor(SatelliteId(5, 7), "east", IslMode.CONVENTIONAL, pa) \
-            == SatelliteId(6, 7)
+        rows = row_chains(make_config(F=2), IslMode.CONVENTIONAL)
+        assert east_neighbor(rows, 5, 7) == (6, 7)
 
     def test_backward_boundary_steps_one_slot_down(self):
         # K=3 (F=6): boundary 3 is backward; the partner one slot down is the
         # neighbor sitting step - delta_f behind, which zeroes the row spread
         cfg = make_config(F=6)
         pa = phase_analysis(18, 36, 6)
-        partner = h_neighbor(SatelliteId(3, 7), "east", IslMode.OPTIMIZED, pa)
-        assert partner == SatelliteId(4, 6)
-        u3 = cfg.initial_phase_deg(SatelliteId(3, 7))
-        u4 = cfg.initial_phase_deg(partner)
-        u1 = cfg.initial_phase_deg(SatelliteId(1, 7))
+        partner = east_neighbor(row_chains(cfg, IslMode.OPTIMIZED), 3, 7)
+        assert partner == (4, 6)
+        u3 = cfg.initial_phase_deg(3, 7)
+        u4 = cfg.initial_phase_deg(*partner)
+        u1 = cfg.initial_phase_deg(1, 7)
         assert u4 - u3 == pa.delta_f_deg - Fraction(10)   # behind by step - delta_f
         assert u4 - u1 == 0                               # row spread resets to zero
 
     def test_west_mirrors_east(self):
-        pa = phase_analysis(18, 36, 6)
-        for sat in (SatelliteId(3, 7), SatelliteId(9, 1), SatelliteId(10, 36)):
-            east = h_neighbor(sat, "east", IslMode.OPTIMIZED, pa)
-            assert h_neighbor(east, "west", IslMode.OPTIMIZED, pa) == sat
+        # each plane column is a permutation of its plane, so the east link
+        # of a boundary is a bijection and its inverse is the west link
+        rows = row_chains(make_config(F=6), IslMode.OPTIMIZED)
+        for h in range(18):
+            assert sorted(rows[:, h]) == list(range(h * 36, (h + 1) * 36))
+        for plane, slot in ((3, 7), (9, 1), (10, 36)):
+            east_plane, east_slot = east_neighbor(rows, plane, slot)
+            r = np.flatnonzero(rows[:, east_plane - 1] == (east_plane - 1) * 36 + east_slot - 1)
+            assert sat_id(rows[r[0], plane - 1]) == (plane, slot)
 
 
 class TestRowChains:
     def test_rows_partition_all_satellites(self):
         cfg = make_config(F=6)
         rows = row_chains(cfg, IslMode.OPTIMIZED)
-        seen = [sat for row in rows for sat in row]
+        seen = rows.ravel().tolist()
         assert len(seen) == len(set(seen)) == 648
 
     def test_spreads_match_chain_phases(self):
@@ -132,9 +153,9 @@ class TestRowChains:
         for mode in (IslMode.CONVENTIONAL, IslMode.OPTIMIZED):
             rows = row_chains(cfg, mode)
             spreads = row_spreads_deg(cfg, mode)
-            base = cfg.initial_phase_deg(rows[0][0])
+            base = cfg.initial_phase_deg(*sat_id(rows[0][0]))
             for h, member in enumerate(rows[0]):
-                assert (cfg.initial_phase_deg(member) - base) % 360 == spreads[h] % 360
+                assert (cfg.initial_phase_deg(*sat_id(member)) - base) % 360 == spreads[h] % 360
 
     def test_optimized_spread_caps_at_analysis_value(self):
         cfg = make_config(F=5)
@@ -145,27 +166,40 @@ class TestRowChains:
 class TestSnapshotEdges:
     def test_visl_count_and_always_active(self):
         cfg = make_config()
-        edges = snapshot_edges(cfg, IslMode.CONVENTIONAL, division_for(cfg), 500.0)
-        v_edges = [e for e in edges if e.kind is IslKind.V_ISL]
-        assert len(v_edges) == 648
-        assert all(e.active for e in v_edges)
+        snap = snapshot_edges(cfg, IslMode.CONVENTIONAL, division_for(cfg), 500.0)
+        v_edges = snap.kind == IslKind.V_ISL
+        assert np.count_nonzero(v_edges) == 648
+        assert snap.active[v_edges].all()
+        assert len(snap) == 648 + 17 * 36
+
+    def test_edge_order_v_plane_major_then_h_row_major(self):
+        cfg = make_config(F=2)
+        snap = snapshot_edges(cfg, IslMode.OPTIMIZED, division_for(cfg), 0.0)
+        assert snap.pairs[:2].tolist() == [[0, 1], [1, 2]]
+        assert snap.pairs[35].tolist() == [35, 0]              # ring closes in plane 1
+        rows = row_chains(cfg, IslMode.OPTIMIZED)
+        assert snap.pairs[648:648 + 17].tolist() == np.stack(
+            [rows[0, :-1], rows[0, 1:]], axis=1).tolist()
+        # K=9: boundary 9 of every row carries the backward link
+        assert set(snap.direction[:648]) == {HDirection.NONE}
+        assert [d.value for d in snap.direction[648:648 + 17]] == ["FH"] * 8 + ["BH"] + ["FH"] * 8
 
     def test_no_edge_crosses_the_seam(self):
         cfg = make_config(F=3)
         for mode in (IslMode.CONVENTIONAL, IslMode.OPTIMIZED):
-            for e in snapshot_edges(cfg, mode, division_for(cfg), 123.0):
-                if e.kind is IslKind.H_ISL:
-                    assert {e.a.plane, e.b.plane} != {1, 18}
-                    assert abs(e.a.plane - e.b.plane) == 1
+            snap = snapshot_edges(cfg, mode, division_for(cfg), 123.0)
+            planes = snap.pairs[snap.kind == IslKind.H_ISL] // 36 + 1
+            for a_plane, b_plane in planes.tolist():
+                assert {a_plane, b_plane} != {1, 18}
+                assert abs(a_plane - b_plane) == 1
 
     def test_equator_row_active(self):
         cfg = make_config()
         div = division_for(cfg)
-        edges = snapshot_edges(cfg, IslMode.CONVENTIONAL, div, 0.0)
+        snap = snapshot_edges(cfg, IslMode.CONVENTIONAL, div, 0.0)
         # slot 8 starts at phase 0 (the equator) at t=0: its row must be on
-        row8 = [e for e in edges
-                if e.kind is IslKind.H_ISL and e.a.slot == 8 and e.a.plane == 1]
-        assert row8 and all(e.active for e in row8)
+        row8 = (snap.kind == IslKind.H_ISL) & (snap.pairs[:, 0] == 7)   # a = (1, 8)
+        assert row8.any() and snap.active[row8].all()
 
     def test_epoch_counts_f0(self):
         cfg = make_config()
@@ -190,7 +224,9 @@ class TestSnapshotEdges:
         for t in (0.0, 333.0, cfg.period * 0.71):
             conv = snapshot_edges(cfg, IslMode.CONVENTIONAL, div, t)
             opt = snapshot_edges(cfg, IslMode.OPTIMIZED, div, t)
-            assert conv == opt
+            assert conv.direction == opt.direction
+            for field in ("pairs", "kind", "active"):
+                assert np.array_equal(getattr(conv, field), getattr(opt, field))
 
     def test_per_satellite_rule_differs_mid_dwell(self):
         # per-satellite switching flips links inside a dwell when phased
@@ -198,10 +234,11 @@ class TestSnapshotEdges:
         div = division_for(cfg)
         epochs = switching_epochs(cfg, div, 2)
         mid = (epochs[0] + epochs[1]) / 2
-        row_rule = {e for e in snapshot_edges(cfg, IslMode.CONVENTIONAL, div, mid) if e.active}
-        per_sat = {e for e in snapshot_edges(cfg, IslMode.CONVENTIONAL, div, mid,
-                                             ShutoffRule.PER_SATELLITE) if e.active}
-        assert row_rule != per_sat
+        row_rule = snapshot_edges(cfg, IslMode.CONVENTIONAL, div, mid)
+        per_sat = snapshot_edges(cfg, IslMode.CONVENTIONAL, div, mid,
+                                 ShutoffRule.PER_SATELLITE)
+        assert np.array_equal(row_rule.pairs, per_sat.pairs)
+        assert not np.array_equal(row_rule.active, per_sat.active)
 
     def test_active_rows_match_region_table(self):
         for f, mode in ((0, IslMode.CONVENTIONAL), (2, IslMode.OPTIMIZED),

@@ -1,4 +1,8 @@
+from collections import defaultdict
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from leovn.constellation import SIDEREAL_DAY, ConstellationConfig
 from leovn.division import (
@@ -11,10 +15,13 @@ from leovn.division import (
 )
 from leovn.isl import IslKind, IslMode, ShutoffRule, snapshot_edges
 from leovn.virtualgraph import (
+    EventCause,
     VnMethod,
+    _lats_all,
     build_static_graph,
     csd_addressing,
-    grd_addressing,
+    edge_addresses,
+    event_causes,
     is_connected,
     map_snapshot,
     method_instance,
@@ -34,7 +41,7 @@ class TestStaticGraph:
         g = build_static_graph(18, 36, RegionBoundaries(14, 19, 32))
         assert g.edge_count(IslKind.V_ISL) == 648
         assert g.edge_count(IslKind.H_ISL) == 476
-        assert len(g.nodes) == 648
+        assert g.num_cells == 648
 
     def test_tiny_graph_without_equatorial_rows(self):
         g = build_static_graph(2, 4, RegionBoundaries(0, 3, 2))
@@ -59,34 +66,105 @@ class TestMapping:
             static = static_graph_for(cfg, mode)
             for t in switching_epochs(cfg, div, 2) + [137.0, cfg.period * 0.4]:
                 instance, _, _ = method_instance(cfg, VnMethod.CSD, mode, t, div, None)
-                assert instance == static.edges
+                assert np.array_equal(instance, static.edges)
 
     def test_csd_addressing_is_bijective(self):
         cfg = make_config(F=2)
-        addressing = csd_addressing(cfg, division_for(cfg), 512.0)
-        addrs = [a for lst in addressing.values() for a in lst]
-        assert len(addrs) == len(set(addrs)) == 648
+        serving = csd_addressing(cfg, division_for(cfg), 512.0)
+        assert serving.shape == (36, 18)
+        assert sorted(serving.ravel().tolist()) == list(range(648))
 
     def test_grd2_frozen_epoch_matches_csd(self):
         cfg = make_config()
         div = division_for(cfg)
         grid = build_grd_grid(cfg, div)
         serving = grd_assignment(cfg, grid, 0.0, GrdVariant.INTER_PLANE)
-        grd_addr, conflicts = grd_addressing(serving)
+        _, _, conflicts = method_instance(cfg, VnMethod.GRD2, IslMode.CONVENTIONAL,
+                                          0.0, div, grid)
         assert conflicts == 0
-        assert grd_addr == csd_addressing(cfg, div, 0.0)
+        assert np.array_equal(serving, csd_addressing(cfg, div, 0.0))
         # with a common shut-off rule the mapped instances coincide too
         edges = snapshot_edges(cfg, IslMode.CONVENTIONAL, div, 0.0,
                                ShutoffRule.PER_SATELLITE)
-        assert map_snapshot(edges, grd_addr, 36) == map_snapshot(
-            edges, csd_addressing(cfg, div, 0.0), 36)
+        assert np.array_equal(map_snapshot(edges, serving),
+                              map_snapshot(edges, csd_addressing(cfg, div, 0.0)))
 
     def test_grd_mapping_conflicts_counted(self):
         cfg = make_config()
-        grid = build_grd_grid(cfg, division_for(cfg))
-        serving = grd_assignment(cfg, grid, SIDEREAL_DAY / 5, GrdVariant.INTER_PLANE)
-        _, conflicts = grd_addressing(serving)
+        div = division_for(cfg)
+        _, _, conflicts = method_instance(cfg, VnMethod.GRD2, IslMode.CONVENTIONAL,
+                                          SIDEREAL_DAY / 5, div, build_grd_grid(cfg, div))
         assert conflicts > 0  # drifted geometry doubles some satellites up
+
+
+def oracle_instance(snapshot, serving):
+    """Per-edge reference: invert cell -> satellite, relabel each active edge."""
+    n2, n1 = serving.shape
+    cells_of = defaultdict(list)
+    for v in range(n2):
+        for h in range(n1):
+            if serving[v, h] >= 0:
+                cells_of[int(serving[v, h])].append((v + 1, h + 1))
+    out = set()
+    for (a, b), kind, active in zip(snapshot.pairs.tolist(), snapshot.kind.tolist(),
+                                    snapshot.active.tolist()):
+        for addr_a in cells_of[a] if active else ():
+            for addr_b in cells_of[b]:
+                out.add((min(addr_a, addr_b), max(addr_a, addr_b), kind))
+    conflicts = sum(1 for cells in cells_of.values() if len(cells) > 1)
+    return out, conflicts
+
+
+def oracle_cause(edge, serving, lats, cfg, method):
+    """Per-edge reference for the cause of an edge absent at this sample."""
+    (va, ha), (vb, hb), _ = edge
+    sa, sb = int(serving[va - 1, ha - 1]), int(serving[vb - 1, hb - 1])
+    if sa < 0 or sb < 0:
+        return EventCause.COVERAGE_LOSS
+    planes = {sa // cfg.sats_per_plane + 1, sb // cfg.sats_per_plane + 1}
+    if method is VnMethod.GRD2 and planes == {1, cfg.num_planes}:
+        return EventCause.SEAM_DRIFT
+    in_a, in_b = (abs(float(lats[s])) > cfg.polar_threshold for s in (sa, sb))
+    return EventCause.ASYNC_SWITCH if in_a != in_b else EventCause.POLAR
+
+
+class TestMappingOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(n1=st.integers(2, 8), n2=st.integers(3, 12), f=st.integers(0, 11),
+           polar=st.sampled_from([55.0, 63.5, 70.0, 85.0]),
+           method=st.sampled_from(VnMethod), mode=st.sampled_from(IslMode),
+           t1=st.floats(0.0, SIDEREAL_DAY), t2=st.floats(0.0, SIDEREAL_DAY))
+    @example(n1=18, n2=36, f=0, polar=70.0, method=VnMethod.GRD2,
+             mode=IslMode.CONVENTIONAL, t1=SIDEREAL_DAY / 5, t2=0.0)
+    def test_keys_and_causes_match_per_edge_oracle(self, n1, n2, f, polar, method,
+                                                   mode, t1, t2):
+        f %= n2
+        if mode is IslMode.OPTIMIZED and f > n1:
+            mode = IslMode.CONVENTIONAL
+        cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
+                                  polar_threshold_deg=polar)
+        div = division_for(cfg)
+        grid = None if method is VnMethod.CSD else build_grd_grid(cfg, div)
+        rule = (ShutoffRule.ROW_SYNCHRONIZED if method is VnMethod.CSD
+                else ShutoffRule.PER_SATELLITE)
+        states = []
+        for t in (t1, t2):
+            keys, serving, conflicts = method_instance(cfg, method, mode, t, div, grid)
+            want, want_conflicts = oracle_instance(
+                snapshot_edges(cfg, mode, div, t, rule), serving)
+            a_v, a_h, b_v, b_h, kind = edge_addresses(keys, n1, n1 * n2)
+            got = list(zip(zip(a_v.tolist(), a_h.tolist()),
+                           zip(b_v.tolist(), b_h.tolist()), kind.tolist()))
+            assert got == sorted(want)          # key order is tuple order
+            assert conflicts == want_conflicts
+            states.append((keys, serving, _lats_all(cfg, t)))
+        union = np.union1d(states[0][0], states[1][0])
+        a_v, a_h, b_v, b_h, kind = edge_addresses(union, n1, n1 * n2)
+        edges = list(zip(zip(a_v.tolist(), a_h.tolist()),
+                         zip(b_v.tolist(), b_h.tolist()), kind.tolist()))
+        for _, serving, lats in states:
+            got = event_causes(union, serving, lats, cfg, method).tolist()
+            assert got == [oracle_cause(e, serving, lats, cfg, method) for e in edges]
 
 
 class TestSeam:
@@ -124,7 +202,7 @@ class TestStaticnessReport:
         div = division_for(cfg)
         instance, _, _ = method_instance(cfg, VnMethod.CSD, IslMode.CONVENTIONAL,
                                          0.0, div, None)
-        assert instance != static_graph_for(cfg, IslMode.CONVENTIONAL).edges
+        assert not np.array_equal(instance, static_graph_for(cfg, IslMode.CONVENTIONAL).edges)
 
     def test_grd2_seam_history_and_drift_events(self):
         cfg = make_config()
