@@ -3,9 +3,11 @@
 Throughput: satellites over a source box feed a super-source, satellites
 over a sink box drain to a super-sink, every active ISL carries the
 configured capacity at a cost equal to its propagation delay, and the
-min-cost max-flow value is the system throughput.  Latency: mean shortest
-propagation delay over seeded random satellite pairs.  Sweeps tabulate both,
-plus the analytic H-ISL counts, across phasing factors and polar thresholds.
+min-cost max-flow value is the system throughput (``flow.MinCostMaxFlow``:
+successive shortest paths, each found by scipy's compiled Dijkstra).
+Latency: mean shortest propagation delay over seeded random satellite pairs.
+Sweeps tabulate both, plus the analytic H-ISL counts, across phasing factors
+and polar thresholds.
 """
 from __future__ import annotations
 
@@ -149,9 +151,11 @@ def shortest_path_delays(snapshot: WeightedNetSnapshot,
                          sources: np.ndarray) -> np.ndarray:
     """Min propagation delay from each source to every satellite (seconds).
 
-    Unreachable entries are +inf.
+    Unreachable entries are +inf.  ``delay_matrix`` holds both directions
+    of every edge, so the directed search is exact and skips the
+    symmetrisation an undirected one does.
     """
-    return csgraph_dijkstra(delay_matrix(snapshot), directed=False,
+    return csgraph_dijkstra(delay_matrix(snapshot), directed=True,
                             indices=sources)
 
 
@@ -185,9 +189,7 @@ def avg_latency(config: ConstellationConfig, mode: IslMode, pairs: int,
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     pair_arr = draw_pairs(config.total_sats, pairs, seed)
-    sources = np.unique(pair_arr[:, 0])
-    source_pos = {int(s): k for k, s in enumerate(sources)}
-    src_rows = np.array([source_pos[int(s)] for s in pair_arr[:, 0]])
+    sources, src_rows = np.unique(pair_arr[:, 0], return_inverse=True)
     total, count, unreachable = 0.0, 0, 0
     times = [k * config.period / snapshots for k in range(snapshots)]
     for t in times:

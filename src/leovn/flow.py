@@ -1,45 +1,46 @@
 """Min-cost max-flow on small directed graphs.
 
 Successive shortest augmenting paths with Johnson potentials: every
-augmentation runs Dijkstra on reduced costs, pushes the bottleneck residual
-capacity, and updates potentials.  Capacities are integers (flow arrives in
-whole units); costs are non-negative floats.  Sized for the constellation
-graphs used here (hundreds of nodes, thousands of arcs).
+augmentation runs scipy's compiled Dijkstra on the reduced costs of the
+residual arcs, pushes the bottleneck residual capacity along the path, and
+updates potentials.  Capacities are integers (flow arrives in whole units);
+costs are non-negative floats.  Sized for the constellation graphs used here
+(hundreds of nodes, thousands of arcs).
 """
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 INF_CAPACITY = 10 ** 9
 
 
-@dataclass
-class _Arc:
-    dst: int
-    cap: int
-    cost: float
-    flow: int = 0
-
-
 class MinCostMaxFlow:
-    """Directed flow network; add arcs, then solve(source, sink)."""
+    """Directed flow network; add arcs, then solve(source, sink).
+
+    Arc k (numbered in ``add_arc`` order) runs ``tail[k] -> head[k]`` with
+    capacity ``cap[k]``, cost ``cost[k]`` and current flow ``flow[k]``.
+    """
 
     def __init__(self, num_nodes: int):
         self.num_nodes = num_nodes
-        self.arcs: list[_Arc] = []
-        self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
+        self.tail: list[int] = []
+        self.head: list[int] = []
+        self.cap: list[int] = []
+        self.cost: list[float] = []
+        self.flow: list[int] = []
 
     def add_arc(self, src: int, dst: int, cap: int, cost: float = 0.0) -> int:
-        """Add a directed arc and its zero-capacity reverse; returns arc index."""
+        """Add a directed arc; returns its index."""
         if cost < 0:
             raise ValueError("arc costs must be non-negative")
-        idx = len(self.arcs)
-        self.arcs.append(_Arc(dst=dst, cap=cap, cost=cost))
-        self.arcs.append(_Arc(dst=src, cap=0, cost=-cost))
-        self.adj[src].append(idx)
-        self.adj[dst].append(idx + 1)
-        return idx
+        self.tail.append(src)
+        self.head.append(dst)
+        self.cap.append(cap)
+        self.cost.append(cost)
+        self.flow.append(0)
+        return len(self.cap) - 1
 
     def add_edge(self, a: int, b: int, cap: int, cost: float = 0.0) -> None:
         """Undirected capacity: antiparallel arcs of ``cap`` each."""
@@ -50,61 +51,57 @@ class MinCostMaxFlow:
         """Return (max flow value, cost of the min-cost max flow)."""
         if source == sink:
             raise ValueError("source and sink must differ")
-        n = self.num_nodes
-        potential = [0.0] * n
+        n, m = self.num_nodes, len(self.cap)
+        flow = np.array(self.flow, dtype=np.int64)
+        cost = np.array(self.cost, dtype=float)
+        # residual arc k < m is arc k; residual arc m + k is its reverse
+        tail = np.array(self.tail + self.head, dtype=np.int64)
+        head = np.array(self.head + self.tail, dtype=np.int64)
+        cost = np.concatenate([cost, -cost])
+        resid = np.concatenate([np.array(self.cap, dtype=np.int64) - flow, flow])
+        # within a (tail, head) pair every arc's reduced cost differs from its
+        # cost by the same potential difference, so the cheapest live arc of a
+        # pair is the first live one in (tail, head, cost) order
+        order = np.lexsort((cost, head, tail))
+        position = np.empty_like(order)
+        position[order] = np.arange(2 * m)
+        mate = position[np.where(order < m, order + m, order - m)]
+        tail, head, cost, resid = tail[order], head[order], cost[order], resid[order]
+        key = tail * n + head
+        pair = np.cumsum(np.diff(key, prepend=-1) != 0)
+        potential = np.zeros(n)
         total_flow, total_cost = 0, 0.0
         while True:
-            dist = [float("inf")] * n
-            dist[source] = 0.0
-            parent_arc = [-1] * n
-            heap = [(0.0, source)]
-            while heap:
-                d, node = heapq.heappop(heap)
-                if d > dist[node] + 1e-12:
-                    continue
-                for ai in self.adj[node]:
-                    arc = self.arcs[ai]
-                    if arc.flow >= arc.cap:
-                        continue
-                    reduced = arc.cost + potential[node] - potential[arc.dst]
-                    if reduced < 0.0:  # float dust only; exact costs are >= 0
-                        reduced = 0.0
-                    nd = d + reduced
-                    if nd < dist[arc.dst] - 1e-12:
-                        dist[arc.dst] = nd
-                        parent_arc[arc.dst] = ai
-                        heapq.heappush(heap, (nd, arc.dst))
-            if dist[sink] == float("inf"):
-                return total_flow, total_cost
-            for i in range(n):
-                if dist[i] < float("inf"):
-                    potential[i] += dist[i]
-            bottleneck = INF_CAPACITY
-            node = sink
-            while node != source:
-                arc = self.arcs[parent_arc[node]]
-                bottleneck = min(bottleneck, arc.cap - arc.flow)
-                node = self.arcs[parent_arc[node] ^ 1].dst
-            node = sink
-            while node != source:
-                ai = parent_arc[node]
-                self.arcs[ai].flow += bottleneck
-                self.arcs[ai ^ 1].flow -= bottleneck
-                total_cost += bottleneck * self.arcs[ai].cost
-                node = self.arcs[ai ^ 1].dst
+            live = np.flatnonzero(resid > 0)
+            best = live[np.diff(pair[live], prepend=0) != 0]
+            # exact reduced costs are >= 0; clamp the float dust
+            reduced = np.maximum(cost[best] + potential[tail[best]] - potential[head[best]], 0.0)
+            indptr = np.searchsorted(tail[best], np.arange(n + 1))
+            graph = csr_matrix((reduced, head[best], indptr), shape=(n, n))
+            dist, pred = dijkstra(graph, indices=source, return_predecessors=True)
+            if dist[sink] == np.inf:
+                break
+            reached = dist < np.inf
+            potential[reached] += dist[reached]
+            nodes = [sink]
+            while nodes[-1] != source:
+                nodes.append(int(pred[nodes[-1]]))
+            nodes = np.array(nodes)  # sink back to source
+            path = best[np.searchsorted(key[best], nodes[1:] * n + nodes[:-1])]
+            bottleneck = min(INF_CAPACITY, int(resid[path].min()))
+            resid[path] -= bottleneck
+            resid[mate[path]] += bottleneck
+            total_cost += bottleneck * float(cost[path].sum())
             total_flow += bottleneck
+        self.flow = resid[position[m:]].tolist()
+        return total_flow, total_cost
 
     def check_feasible(self, source: int, sink: int) -> bool:
         """Capacity bounds and per-node conservation of the current flow."""
-        for arc in self.arcs[::2]:
-            if not 0 <= arc.flow <= arc.cap:
-                return False
-        net = [0] * self.num_nodes
-        for src in range(self.num_nodes):
-            for ai in self.adj[src]:
-                if ai % 2 == 0:
-                    arc = self.arcs[ai]
-                    net[src] -= arc.flow
-                    net[arc.dst] += arc.flow
-        return all(net[i] == 0 for i in range(self.num_nodes)
-                   if i not in (source, sink))
+        flow = np.array(self.flow, dtype=np.int64)
+        if ((flow < 0) | (flow > np.array(self.cap, dtype=np.int64))).any():
+            return False
+        net = (np.bincount(np.array(self.head, dtype=np.intp), flow, self.num_nodes)
+               - np.bincount(np.array(self.tail, dtype=np.intp), flow, self.num_nodes))
+        net[[source, sink]] = 0
+        return not net.any()

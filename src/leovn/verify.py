@@ -4,8 +4,8 @@ Each check returns a CheckResult with the parameter grid it ran; the CLI
 ``verify`` subcommand prints them as JSON lines and exits non-zero when any
 check fails.  Oracles here are deliberately brute force: inequality scans for
 the closed-form region rows, exhaustive link-layout enumeration, snapshot
-edge counting, exhaustive cuts for max-flow, and full path enumeration for
-shortest paths.
+edge counting, exhaustive cuts for max-flow, a HiGHS linear program for the
+min cost of that flow, and full path enumeration for shortest paths.
 """
 from __future__ import annotations
 
@@ -236,6 +236,26 @@ def min_cut_exhaustive(n: int, arcs, source: int, sink: int) -> int:
     return best
 
 
+def min_cost_lp(n: int, arcs, source: int, sink: int, value: int) -> float:
+    """Minimum cost of a ``value``-unit source->sink flow, solved as an LP.
+
+    Variables are the arc flows within ``[0, cap]``; every node other than
+    source and sink conserves flow and the sink takes in ``value``.
+    """
+    from scipy.optimize import linprog  # slow import; keep it off CLI start-up
+    balance = [[0.0] * len(arcs) for _ in range(n)]
+    for k, (a, b, _, _) in enumerate(arcs):
+        balance[a][k] -= 1.0
+        balance[b][k] += 1.0
+    inner = [balance[v] for v in range(n) if v not in (source, sink)]
+    res = linprog([cost for *_, cost in arcs], A_eq=inner + [balance[sink]],
+                  b_eq=[0.0] * len(inner) + [float(value)],
+                  bounds=[(0, cap) for _, _, cap, _ in arcs], method="highs-ds")
+    if res.status != 0:
+        raise RuntimeError(f"min-cost LP failed: {res.message}")
+    return float(res.fun)
+
+
 def all_paths_min_delay(n: int, edges, src: int, dst: int) -> float:
     """Exhaustive simple-path enumeration over an undirected weighted graph."""
     adj = [[] for _ in range(n)]
@@ -257,10 +277,12 @@ def all_paths_min_delay(n: int, edges, src: int, dst: int) -> float:
 
 
 def check_flow() -> CheckResult:
-    """Flow kernel equals exhaustive min-cut; Dijkstra equals path enumeration."""
+    """Flow kernel equals exhaustive min-cut and the min-cost LP; Dijkstra
+    equals path enumeration."""
     result = CheckResult(
         name="flow",
-        grid="20 seeded digraphs <= 12 nodes (max flow vs min cut); "
+        grid="20 seeded digraphs <= 12 nodes (max flow vs min cut, "
+             "cost vs HiGHS LP at rel 1e-9); "
              "20 seeded graphs <= 10 nodes (shortest path vs enumeration)",
         passed=True)
     for seed in range(20):
@@ -268,10 +290,13 @@ def check_flow() -> CheckResult:
         net = MinCostMaxFlow(n)
         for a, b, cap, cost in arcs:
             net.add_arc(a, b, cap, cost)
-        flow_value, _ = net.solve(0, n - 1)
+        flow_value, cost = net.solve(0, n - 1)
         cut = min_cut_exhaustive(n, arcs, 0, n - 1)
         if flow_value != cut:
             result.fail(f"graph seed={seed}: max flow {flow_value} != min cut {cut}")
+        lp_cost = min_cost_lp(n, arcs, 0, n - 1, cut)
+        if not math.isclose(cost, lp_cost, rel_tol=1e-9):
+            result.fail(f"graph seed={seed}: min cost {cost} != LP {lp_cost}")
         if not net.check_feasible(0, n - 1):
             result.fail(f"graph seed={seed}: infeasible flow")
     for seed in range(100, 120):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra, maximum_flow
 
 import leovn.analysis
 from leovn.analysis import (
@@ -20,6 +22,7 @@ from leovn.analysis import (
 )
 from leovn.constellation import ConfigError, ConstellationConfig
 from leovn.division import division_for
+from leovn.flow import INF_CAPACITY
 from leovn.isl import IslKind, IslMode, snapshot_edges
 
 
@@ -116,6 +119,27 @@ class TestThroughput:
         assert max_flow_throughput(snap, FlowScenario(isl_capacity_gbps=2.5)) \
             == pytest.approx(2.5 * max_flow_throughput(snap, FlowScenario()))
 
+    @pytest.mark.parametrize("f", [0, 2, 6, 14])
+    @pytest.mark.parametrize("mode", list(IslMode))
+    def test_equals_scipy_maximum_flow(self, f, mode):
+        # t=0 puts satellites exactly on the closed edges of both boxes
+        cfg = make_config(F=f)
+        scenario = FlowScenario()
+        for t in (0.0, cfg.period / 3, 0.71 * cfg.period):
+            snap = snapshot_at(cfg, mode, t)
+            lat, lon = np.degrees(snap.lats), np.degrees(snap.lons)
+            src = np.flatnonzero(scenario.source_region.contains(lat, lon))
+            dst = np.flatnonzero(scenario.sink_region.contains(lat, lon))
+            n = snap.num_sats
+            a, b = snap.edges.T
+            rows = np.concatenate([np.full(len(src), n), dst, a, b])
+            cols = np.concatenate([src, np.full(len(dst), n + 1), b, a])
+            caps = np.concatenate([np.full(len(src) + len(dst), INF_CAPACITY),
+                                   np.ones(2 * len(a), dtype=np.int64)])
+            graph = csr_matrix((caps.astype(np.int32), (rows, cols)), shape=(n + 2, n + 2))
+            want = maximum_flow(graph, n, n + 1).flow_value
+            assert max_flow_throughput(snap, scenario) == want * scenario.isl_capacity_gbps, t
+
     def test_optimized_not_worse_than_conventional(self):
         for f in (2, 5, 9):
             cfg = make_config(F=f)
@@ -167,6 +191,14 @@ class TestLatency:
         for (a, b), delay in zip(snap.edges.tolist(), snap.delay_s.tolist()):
             want[a, b] = want[b, a] = delay
         assert np.array_equal(mat.toarray(), want)
+
+    @pytest.mark.parametrize("f, mode", [(0, IslMode.CONVENTIONAL), (2, IslMode.OPTIMIZED)])
+    def test_directed_search_equals_undirected(self, f, mode):
+        cfg = make_config(F=f)
+        snap = snapshot_at(cfg, mode, 0.3 * cfg.period)
+        sources = np.arange(cfg.total_sats)
+        undirected = dijkstra(delay_matrix(snap), directed=False, indices=sources)
+        assert np.array_equal(shortest_path_delays(snap, sources), undirected)
 
 
 class TestSweep:

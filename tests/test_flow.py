@@ -6,6 +6,7 @@ import pytest
 from leovn.flow import INF_CAPACITY, MinCostMaxFlow
 from leovn.verify import (
     all_paths_min_delay,
+    min_cost_lp,
     min_cut_exhaustive,
     random_flow_graph,
 )
@@ -66,8 +67,31 @@ class TestMinCostMaxFlow:
     def test_matches_exhaustive_min_cut_on_20_graphs(self):
         for seed in range(20):
             n, arcs = random_flow_graph(seed)
-            value, _ = solve(n, arcs, 0, n - 1)
+            value, cost = solve(n, arcs, 0, n - 1)
             assert value == min_cut_exhaustive(n, arcs, 0, n - 1), seed
+            assert cost == pytest.approx(min_cost_lp(n, arcs, 0, n - 1, value), rel=1e-9), seed
+
+    def test_tampered_flow_is_infeasible(self):
+        n, arcs = random_flow_graph(0)
+        k = next(i for i, (a, b, _, _) in enumerate(arcs) if {a, b}.isdisjoint({0, n - 1}))
+        for delta in (1, -1):
+            net = MinCostMaxFlow(n)
+            for arc in arcs:
+                net.add_arc(*arc)
+            net.solve(0, n - 1)
+            assert net.check_feasible(0, n - 1)
+            net.flow[k] += delta
+            assert not net.check_feasible(0, n - 1)
+
+    def test_arc_flows_carry_the_flow_value(self):
+        n, arcs = random_flow_graph(3)
+        net = MinCostMaxFlow(n)
+        for arc in arcs:
+            net.add_arc(*arc)
+        value, cost = net.solve(0, n - 1)
+        assert sum(f for f, (a, _, _, _) in zip(net.flow, arcs) if a == 0) \
+            - sum(f for f, (_, b, _, _) in zip(net.flow, arcs) if b == 0) == value
+        assert sum(f * c for f, (*_, c) in zip(net.flow, arcs)) == pytest.approx(cost, rel=1e-12)
 
     def test_unbounded_arcs_do_not_overflow(self):
         arcs = [(0, 1, INF_CAPACITY, 0.0), (1, 2, 7, 0.25), (2, 3, INF_CAPACITY, 0.0)]
