@@ -42,27 +42,3 @@ def snapped_floor(x: float, snap: float = CELL_SNAP) -> int:
     round up, not down.
     """
     return math.floor(x + snap)
-
-
-def interval_hits_open(start: Fraction, end: Fraction, lo: Fraction, hi: Fraction) -> bool:
-    """True when the half-open interval [start, end) meets the open (lo, hi)."""
-    if lo >= hi:
-        return False
-    return start < hi and end > lo
-
-
-def circular_interval_hits_open(start: Fraction, width: Fraction,
-                                spans: list[tuple[Fraction, Fraction]]) -> bool:
-    """True when [start, start+width) mod 360 meets any open (lo, hi) span.
-
-    Spans must already be normalized to [0, 360) and non-wrapping.
-    """
-    s = start % 360
-    pieces = [(s, min(s + width, Fraction(360)))]
-    if s + width > 360:
-        pieces.append((Fraction(0), s + width - 360))
-    for a, b in pieces:
-        for lo, hi in spans:
-            if interval_hits_open(a, b, lo, hi):
-                return True
-    return False

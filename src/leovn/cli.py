@@ -19,6 +19,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, verify as verify_mod
 from .analysis import avg_latency, sweep
 from .constellation import ConfigError, ConstellationConfig, load_config
@@ -223,14 +225,16 @@ def cmd_staticness(args: argparse.Namespace) -> int:
     out.write_text(json.dumps(payload, indent=2) + "\n")
     events_path = out.with_suffix(".events.csv")
     sample, keys, change, cause = report.events.T
-    columns = edge_addresses(keys, config.num_planes, config.total_sats)
+    a_v, a_h, b_v, b_h, kind = edge_addresses(keys, config.num_planes, config.total_sats)
+    # format each sample time and code name once; rows index into the tables
+    times, kinds, changes, causes = (np.array(names, dtype=object) for names in (
+        [repr(t) for t in report.times], KIND_LETTERS,
+        [c.name for c in EventChange], [x.name for x in EventCause]))
     _write_csv(events_path,
                ["t", "a_v", "a_h", "b_v", "b_h", "kind", "change", "cause"],
-               [[repr(report.times[i]), a_v, a_h, b_v, b_h, KIND_LETTERS[k],
-                 EventChange(c).name, EventCause(x).name]
-                for i, a_v, a_h, b_v, b_h, k, c, x in zip(
-                    sample.tolist(), *(col.tolist() for col in columns),
-                    change.tolist(), cause.tolist())])
+               list(zip(*(col.tolist() for col in (
+                   times[sample], a_v, a_h, b_v, b_h,
+                   kinds[kind], changes[change], causes[cause])))))
     _write_manifest(out, config, args, started)
     print(f"{report.event_count} events ({report.events_by_cause}) -> {out}")
     return 0

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angles import CELL_SNAP, circular_interval_hits_open
+from .angles import CELL_SNAP
 from .constellation import ConfigError, ConstellationConfig, phases_deg
 from .division import (
     DivisionConfig,
@@ -211,8 +211,8 @@ def polar_cap_phase_spans(config: ConstellationConfig) -> list[tuple[Fraction, F
     if config.inclination_deg == 90.0:
         p = Fraction(config.polar_threshold_deg)
     else:
-        q = math.sin(config.polar_threshold) / math.sin(config.inclination)
-        if q >= 1.0:
+        sin_i = math.sin(config.inclination)      # 0 once tiny degrees underflow
+        if sin_i == 0 or (q := math.sin(config.polar_threshold) / sin_i) >= 1.0:
             return []
         p = Fraction(math.degrees(math.asin(q)))
     if p >= 90:
@@ -228,17 +228,31 @@ def active_row_set(config: ConstellationConfig, mode: IslMode,
 
     Member h of a row anchored at dwell row v sweeps the half-open window
     [origin + (v-1)*step + spread_h, ... + step) of along-track phase during
-    the dwell; the row is active for that dwell iff no window meets a cap.
+    the dwell; the row is active for that dwell iff no window, wrapped past
+    360, meets an open cap span.  The exact degrees are scaled by the lcm of
+    their denominators, so the test runs on Python ints.
     """
     spans = polar_cap_phase_spans(config)
-    spreads = row_spreads_deg(config, mode)
     step = division.phase_step_deg
-    active = set()
-    for v in range(1, config.sats_per_plane + 1):
-        base = division.lat_origin_deg + (v - 1) * step
-        if not any(circular_interval_hits_open(base + s, step, spans) for s in spreads):
-            active.add(v)
-    return frozenset(active)
+    offsets = {division.lat_origin_deg + s for s in row_spreads_deg(config, mode)}
+    exact = [step, *offsets, *(x for span in spans for x in span)]
+    scale = math.lcm(*(x.denominator for x in exact))
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    full, width = 360 * scale, scaled(step)
+    caps = [(scaled(lo), scaled(hi)) for lo, hi in spans]
+
+    def hits(start: int) -> bool:
+        start %= full
+        end = start + width
+        pieces = [(start, min(end, full))] + ([(0, end - full)] if end > full else [])
+        return any(a < hi and b > lo for a, b in pieces for lo, hi in caps)
+
+    starts = [scaled(x) for x in offsets]
+    return frozenset(v for v in range(1, config.sats_per_plane + 1)
+                     if not any(hits(s + (v - 1) * width) for s in starts))
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .angles import snapped_floor
-from .constellation import OMEGA_EARTH, ConstellationConfig, phases_deg
+from .constellation import OMEGA_EARTH, ConfigError, ConstellationConfig, phases_deg
 from .division import (
     DivisionConfig,
     GrdGrid,
@@ -92,11 +92,12 @@ class StaticnessReport:
 
 # -- cell indices and edge keys ------------------------------------------------
 
-def _edge_keys(a, b, kind: IslKind, num_cells: int) -> np.ndarray:
+def _edge_keys(a, b, kind, num_cells: int) -> np.ndarray:
     """Keys (lo*C + hi)*2 + kind of the undirected cell pairs (a, b), C the
-    cell count: sorting keys sorts by (lower cell, higher cell, kind)."""
+    cell count and ``kind`` an ``IslKind`` or an array of codes: sorting keys
+    sorts by (lower cell, higher cell, kind)."""
     lo = np.minimum(a, b).astype(np.int64)
-    return (lo * num_cells + np.maximum(a, b)) * 2 + int(kind)
+    return (lo * num_cells + np.maximum(a, b)) * 2 + kind
 
 
 def _split_keys(keys: np.ndarray, num_cells: int):
@@ -148,23 +149,26 @@ def csd_addressing(config: ConstellationConfig, division: DivisionConfig,
 def map_snapshot(snapshot: IslSnapshot, serving: np.ndarray) -> np.ndarray:
     """Relabel the active physical edges through a cell -> satellite array.
 
-    Returns the instance as sorted unique edge keys.  With the incidence
-    matrix inc[satellite, cell], each kind's cell adjacency is
-    inc.T @ adj @ inc, so a satellite serving several cells links all of
-    them and an unserved satellite none.  There are as many cells as
-    satellites.
+    Returns the instance as sorted unique edge keys.  Served cells are
+    grouped by satellite, and each active edge (a, b) expands to all
+    count[a] * count[b] pairs of their cells, so a satellite serving several
+    cells links all of them and an unserved satellite none.  There are as
+    many cells as satellites.
     """
     cells = serving.size
     flat = serving.ravel()
-    served = np.flatnonzero(flat >= 0)
-    inc = csr_matrix((np.ones(len(served)), (flat[served], served)), shape=(cells, cells))
-    keys = []
-    for kind in IslKind:
-        a, b = snapshot.pairs[snapshot.active & (snapshot.kind == kind)].T
-        adj = csr_matrix((np.ones(len(a)), (a, b)), shape=(cells, cells))
-        mapped = (inc.T @ adj @ inc).tocoo()
-        keys.append(_edge_keys(mapped.row, mapped.col, kind, cells))
-    return np.unique(np.concatenate(keys))
+    by_sat = np.argsort(flat, kind="stable")[np.count_nonzero(flat < 0):]
+    count = np.bincount(flat[by_sat], minlength=cells)
+    start = np.cumsum(count) - count            # first cell of each satellite in by_sat
+    a, b = snapshot.pairs[snapshot.active].T
+    pairs = count[a] * count[b]                 # cell pairs per active edge
+    edge = np.repeat(np.arange(len(pairs)), pairs)
+    offset = np.arange(len(edge)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    i, j = np.divmod(offset, count[b][edge])
+    keys = np.sort(_edge_keys(by_sat[start[a][edge] + i], by_sat[start[b][edge] + j],
+                              snapshot.kind[snapshot.active][edge], cells))
+    # keys are >= 0; this sorted unique is ~10x faster than np.unique at this size
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def seam_columns(config: ConstellationConfig, t: float) -> int:
@@ -255,7 +259,9 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
     offset is non-zero.
     """
     if samples < 2:
-        raise ValueError("samples must be >= 2")
+        raise ConfigError(f"samples must be >= 2, got {samples}")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ConfigError(f"duration_s must be finite and > 0, got {duration_s}")
     division = division_for(config)
     grid = build_grd_grid(config, division) if method is not VnMethod.CSD else None
     times = sample_times(config, division, duration_s, samples)

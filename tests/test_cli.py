@@ -114,6 +114,18 @@ class TestStaticnessCommand:
             changes = [row["change"] for row in rows if row["t"] == t]
             assert changes == sorted(changes)
 
+    @pytest.mark.parametrize("window,fragment", [
+        (["--duration-s", "1000", "--samples", "1"], "samples"),
+        (["--duration-s", "nan", "--samples", "10"], "duration_s"),
+        (["--duration-s", "-5", "--samples", "10"], "duration_s"),
+    ])
+    def test_invalid_window_exits_2(self, tmp_path, capsys, window, fragment):
+        out = tmp_path / "static.json"
+        assert main(["staticness", "--n1", "6", "--n2", "12", "--method", "grd2",
+                     *window, "--out", str(out)]) == 2
+        assert fragment in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepCommands:
     def test_sweep_hisl_columns(self, tmp_path):

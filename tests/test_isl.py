@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from leovn.constellation import ConfigError, ConstellationConfig
 from leovn.division import division_for, switching_epochs
@@ -17,6 +18,7 @@ from leovn.isl import (
     boundaries_for,
     hisl_count_analytic,
     phase_analysis,
+    polar_cap_phase_spans,
     row_chains,
     row_spreads_deg,
     snapshot_edges,
@@ -246,6 +248,51 @@ class TestSnapshotEdges:
             cfg = make_config(F=f)
             b = boundaries_for(cfg, mode)
             assert active_row_set(cfg, mode, division_for(cfg)) == b.active_rows()
+
+
+def fraction_active_rows(config, mode, division):
+    """Reference for ``active_row_set``: every member window of every dwell
+    row, tested in exact Fraction degrees against the open cap spans."""
+    spans = polar_cap_phase_spans(config)
+    step = division.phase_step_deg
+
+    def hits(start):
+        s = start % 360
+        pieces = [(s, min(s + step, Fraction(360)))]
+        if s + step > 360:
+            pieces.append((Fraction(0), s + step - 360))
+        return any(lo < hi and a < hi and b > lo for a, b in pieces for lo, hi in spans)
+
+    return frozenset(
+        v for v in range(1, config.sats_per_plane + 1)
+        if not any(hits(division.lat_origin_deg + (v - 1) * step + s)
+                   for s in row_spreads_deg(config, mode)))
+
+
+class TestActiveRowOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(n1=st.integers(2, 20), n2=st.integers(3, 40), f=st.integers(0, 39),
+           polar=st.one_of(st.sampled_from([1.0, 45.0, 55.0, 63.5, 70.0, 70.3, 85.0,
+                                            89.99, 90.0]),
+                           st.floats(0.0, 90.0, exclude_min=True), st.none()),
+           inclination=st.one_of(st.sampled_from([90.0, 86.4, 53.0]),
+                                 st.floats(0.0, 180.0, exclude_min=True)),
+           mode=st.sampled_from(IslMode))
+    # a wrapped window ending on a cap edge; a row straddling a narrow cap;
+    # F > n1 on a tilted orbit
+    @example(n1=2, n2=4, f=0, polar=45.0, inclination=90.0, mode=IslMode.CONVENTIONAL)
+    @example(n1=3, n2=20, f=6, polar=85.0, inclination=90.0, mode=IslMode.CONVENTIONAL)
+    @example(n1=5, n2=9, f=7, polar=70.0, inclination=86.4, mode=IslMode.OPTIMIZED)
+    def test_matches_fraction_windows(self, n1, n2, f, polar, inclination, mode):
+        # None: cap edge at half a row step, where wrapped windows end on it
+        polar = 180 / n2 if polar is None else polar
+        f %= n2
+        if mode is IslMode.OPTIMIZED and f > n1:
+            mode = IslMode.CONVENTIONAL
+        cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
+                                  polar_threshold_deg=polar, inclination_deg=inclination)
+        div = division_for(cfg)
+        assert active_row_set(cfg, mode, div) == fraction_active_rows(cfg, mode, div)
 
 
 class TestAnalyticCounts:

@@ -13,7 +13,7 @@ from leovn.division import (
     grd_assignment,
     switching_epochs,
 )
-from leovn.isl import IslKind, IslMode, ShutoffRule, snapshot_edges
+from leovn.isl import HDirection, IslKind, IslMode, IslSnapshot, ShutoffRule, snapshot_edges
 from leovn.virtualgraph import (
     EventCause,
     VnMethod,
@@ -126,6 +126,40 @@ def oracle_cause(edge, serving, lats, cfg, method):
         return EventCause.SEAM_DRIFT
     in_a, in_b = (abs(float(lats[s])) > cfg.polar_threshold for s in (sa, sb))
     return EventCause.ASYNC_SWITCH if in_a != in_b else EventCause.POLAR
+
+
+class TestHandBuiltMapping:
+    # 2 rows x 4 planes = 8 cells and 8 satellites: satellite 0 serves cells
+    # 0, 3 and 5, satellite 1 cells 1 and 6, satellites 2 and 3 one cell each,
+    # cell 7 is unserved and satellites 4..7 serve nothing
+    SERVING = np.array([[0, 1, 2, 0], [3, 0, 1, -1]])
+    PAIRS = np.array([[0, 1], [0, 1], [1, 2], [2, 4], [3, 5], [2, 3]])
+    KIND = np.array([IslKind.V_ISL, IslKind.H_ISL, IslKind.V_ISL, IslKind.H_ISL,
+                     IslKind.V_ISL, IslKind.H_ISL])
+    ACTIVE = np.array([True, True, True, True, True, False])
+
+    def snapshot(self):
+        return IslSnapshot(pairs=self.PAIRS, kind=self.KIND,
+                           direction=(HDirection.NONE,) * len(self.PAIRS), active=self.ACTIVE)
+
+    def test_multi_cell_satellites_link_every_cell_pair(self):
+        keys = map_snapshot(self.snapshot(), self.SERVING)
+        assert keys.dtype == np.int64 and np.all(np.diff(keys) > 0)
+        a_v, a_h, b_v, b_h, kind = edge_addresses(keys, 4, 8)
+        got = list(zip(zip(a_v.tolist(), a_h.tolist()), zip(b_v.tolist(), b_h.tolist()),
+                       kind.tolist()))
+        want, conflicts = oracle_instance(self.snapshot(), self.SERVING)
+        assert got == sorted(want) and conflicts == 2
+        # edge (0, 1) of each kind: 3 x 2 cell pairs; (1, 2): 2; to unserved: none
+        cells_0, cells_1 = [(1, 1), (1, 4), (2, 2)], [(1, 2), (2, 3)]
+        for k in IslKind:
+            assert {(min(a, b), max(a, b), k) for a in cells_0 for b in cells_1} <= set(got)
+        assert len(got) == 6 + 6 + 2
+
+    def test_unserved_satellites_link_nothing(self):
+        keys = map_snapshot(self.snapshot(), np.full((2, 4), -1))
+        assert keys.dtype == np.int64 and keys.size == 0
+        assert oracle_instance(self.snapshot(), np.full((2, 4), -1)) == (set(), 0)
 
 
 class TestMappingOracle:
