@@ -172,22 +172,6 @@ def cmd_divide(args: argparse.Namespace) -> int:
     return 0
 
 
-def read_division_csv(path: str | Path):
-    """Re-ingest a divide CSV; returns rows of parsed python values."""
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append({
-                "v": int(row["v"]), "h": int(row["h"]), "region": row["region"],
-                "lat_low_deg": float(row["lat_low_deg"]),
-                "lat_high_deg": float(row["lat_high_deg"]),
-                "lon_low_deg": float(row["lon_low_deg"]),
-                "lon_high_deg": float(row["lon_high_deg"]),
-                "pole_wrap": row["pole_wrap"] == "True",
-            })
-    return out
-
-
 def cmd_snapshot(args: argparse.Namespace) -> int:
     started = _now()
     config = _build_config(args)
@@ -207,6 +191,9 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def cmd_staticness(args: argparse.Namespace) -> int:
+    """Write the report JSON and its events CSV.  CSV lines join text made once
+    per distinct edge, sample time and (change, cause) pair; no field holds a
+    comma, quote or newline, so they are the bytes csv.writer would write."""
     started = _now()
     config = _build_config(args)
     report = staticness_report(config, VnMethod(args.method), IslMode(args.mode),
@@ -223,18 +210,16 @@ def cmd_staticness(args: argparse.Namespace) -> int:
         "mapping_conflicts": report.mapping_conflicts,
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
-    events_path = out.with_suffix(".events.csv")
     sample, keys, change, cause = report.events.T
-    a_v, a_h, b_v, b_h, kind = edge_addresses(keys, config.num_planes, config.total_sats)
-    # format each sample time and code name once; rows index into the tables
-    times, kinds, changes, causes = (np.array(names, dtype=object) for names in (
-        [repr(t) for t in report.times], KIND_LETTERS,
-        [c.name for c in EventChange], [x.name for x in EventCause]))
-    _write_csv(events_path,
-               ["t", "a_v", "a_h", "b_v", "b_h", "kind", "change", "cause"],
-               list(zip(*(col.tolist() for col in (
-                   times[sample], a_v, a_h, b_v, b_h,
-                   kinds[kind], changes[change], causes[cause])))))
+    edges, edge_of = np.unique(keys, return_inverse=True)
+    edge_text = [f"{av},{ah},{bv},{bh},{KIND_LETTERS[k]}" for av, ah, bv, bh, k in zip(
+        *(col.tolist() for col in edge_addresses(edges, config.num_planes, config.total_sats)))]
+    times = [repr(t) for t in report.times]
+    tails = [[f"{ch.name},{ca.name}" for ca in EventCause] for ch in EventChange]
+    with open(out.with_suffix(".events.csv"), "w", newline="\n") as fh:
+        fh.write("t,a_v,a_h,b_v,b_h,kind,change,cause\n")
+        fh.writelines(f"{times[s]},{edge_text[e]},{tails[c][x]}\n" for s, e, c, x in zip(
+            sample.tolist(), edge_of.tolist(), change.tolist(), cause.tolist()))
     _write_manifest(out, config, args, started)
     print(f"{report.event_count} events ({report.events_by_cause}) -> {out}")
     return 0

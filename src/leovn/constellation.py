@@ -80,11 +80,6 @@ class ConstellationConfig:
         return Fraction(180, self.num_planes)
 
     @property
-    def phase_step_deg(self) -> Fraction:
-        """In-plane spacing: exactly 360/n2 deg."""
-        return Fraction(360, self.sats_per_plane)
-
-    @property
     def phase_offset_deg(self) -> Fraction:
         """Adjacent-plane phase offset: exactly 360*F/(n1*n2) deg."""
         return Fraction(360 * self.phasing_factor, self.total_sats)
@@ -128,13 +123,6 @@ class ConstellationConfig:
     # -- initial angles ----------------------------------------------------
     def raan_deg(self, plane: int) -> Fraction:
         return Fraction(self.raan0_deg) + (plane - 1) * self.raan_step_deg
-
-    def initial_phase_deg(self, plane: int, slot: int) -> Fraction:
-        """Epoch phase of satellite (plane 1..n1, slot 1..n2), exact degrees
-        (not wrapped)."""
-        return (Fraction(self.phase0_deg)
-                + (slot - 1) * self.phase_step_deg
-                + (plane - 1) * self.phase_offset_deg)
 
 
 def orbital_period(altitude_m: float) -> float:

@@ -16,6 +16,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,11 @@ class DivisionConfig:
         k = self.k_ratio
         r = (plane - 1) - math.floor((plane - 1) / k) * k
         return r * self.phase_offset_deg
+
+    @cached_property
+    def _plane_shifts(self) -> np.ndarray:
+        """(n1, 1) column of the plane shifts in float degrees, built once."""
+        return np.array([[float(self.plane_shift_deg(h))] for h in range(1, self.num_planes + 1)])
 
     def row_start_deg(self, row: int, plane: int) -> Fraction:
         """Unfolded start angle of cell (row, plane), exact degrees."""
@@ -266,8 +272,7 @@ def csd_rows_all(config: ConstellationConfig, division: DivisionConfig, t: float
     n1, n2 = config.num_planes, config.sats_per_plane
     step = 360.0 / n2
     phase = phases_deg(config, t).reshape(n1, n2)
-    shifts = np.array([float(division.plane_shift_deg(h)) for h in range(1, n1 + 1)])
-    rel = np.mod(phase - float(division.lat_origin_deg) - shifts[:, None], 360.0)
+    rel = np.mod(phase - float(division.lat_origin_deg) - division._plane_shifts, 360.0)
     rows = 1 + np.floor(rel / step + CELL_SNAP).astype(int) % n2
     return rows
 
@@ -339,17 +344,25 @@ def grd_assignment(config: ConstellationConfig, grid: GrdGrid, t: float,
     Returns an int array (n2, n1): flat satellite index (plane-1)*n2 +
     (slot-1), or -1 where no eligible satellite is above the horizon.
     Serving = maximum elevation, which for a single shell is the minimum
-    central angle between sub-point and anchor.
+    central angle (largest unit-vector dot product).  The inter-plane variant
+    scores every cell against every satellite in one gemm; the intra-plane
+    variant only each column against its own plane, in one stacked gemm
+    (see README "Conventions" for when the two agree bit for bit).
     """
     n1, n2 = config.num_planes, config.sats_per_plane
     _, _, lats, lons = propagate_all(config, t)
     sub = np.stack([np.cos(lats) * np.cos(lons),
                     np.cos(lats) * np.sin(lons),
                     np.sin(lats)], axis=1)          # (N, 3) Earth-fixed units
-    score = grid.anchors.reshape(-1, 3) @ sub.T    # (cells, sats), cells row-major (v, h)
-    cells = np.arange(len(score))
+    cells = np.arange(n1 * n2)                       # row-major (v, h)
     cell_planes = cells % n1
-    own = score.reshape(-1, n1, n2)[cells, cell_planes]   # the cell's own column
+    if variant is GrdVariant.INTRA_ONLY:
+        # (column, row, slot) blocks: each column's anchors against its own plane
+        blocks = np.matmul(grid.anchors.transpose(1, 0, 2), sub.reshape(n1, n2, 3).transpose(0, 2, 1))
+        own = blocks.transpose(1, 0, 2).reshape(-1, n2)
+    else:
+        score = grid.anchors.reshape(-1, 3) @ sub.T    # (cells, sats)
+        own = score.reshape(-1, n1, n2)[cells, cell_planes]   # the cell's own column
     own_slot = np.argmax(own, axis=1)
     own_top = own[cells, own_slot]
     own_best = np.ravel_multi_index((cell_planes, own_slot), (n1, n2))

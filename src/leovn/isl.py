@@ -170,10 +170,15 @@ def _backward_boundaries(config: ConstellationConfig, mode: IslMode) -> np.ndarr
     n1 = config.num_planes
     if mode is IslMode.CONVENTIONAL or config.phasing_factor == 0:
         return np.zeros(n1 - 1, dtype=bool)
-    analysis = phase_analysis(n1, config.sats_per_plane, config.phasing_factor)
-    if analysis.bh_planes is None:
+    return np.isin(np.arange(1, n1), sorted(_layout_analysis(config, mode).bh_planes))
+
+
+def _layout_analysis(config: ConstellationConfig, mode: IslMode) -> PhaseAnalysis:
+    """``phase_analysis`` of a config, rejecting an undefined optimized layout."""
+    analysis = phase_analysis(config.num_planes, config.sats_per_plane, config.phasing_factor)
+    if mode is IslMode.OPTIMIZED and analysis.bh_planes is None:
         raise ConfigError("optimized layout requires F <= n1")
-    return np.isin(np.arange(1, n1), sorted(analysis.bh_planes))
+    return analysis
 
 
 @lru_cache(maxsize=None)
@@ -328,13 +333,13 @@ def boundaries_for(config: ConstellationConfig, mode: IslMode) -> RegionBoundari
     phased closed form (integer K) or the constraint form with the realized
     spread; the conventional mode uses the constraint form with the full
     (n1-1)*delta_f spread.  Assumes non-empty polar caps whenever the spread
-    is non-zero (threshold below 90 deg).
+    is non-zero (threshold below 90 deg).  Optimized F > n1 is a ConfigError.
     """
     n2 = config.sats_per_plane
     polar = Fraction(config.polar_threshold_deg)
     if config.phasing_factor == 0:
         return region_boundaries(n2, polar)
-    analysis = phase_analysis(config.num_planes, n2, config.phasing_factor)
+    analysis = _layout_analysis(config, mode)
     if mode is IslMode.OPTIMIZED:
         return region_boundaries_phased(n2, polar, analysis.k_ratio,
                                         analysis.max_spread_optimized_deg)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -249,6 +250,11 @@ def sample_times(config: ConstellationConfig, division: DivisionConfig,
     return out
 
 
+def _missing(keys: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Sorted unique keys (>= 0) absent from sorted unique ``other``: a merge."""
+    return keys[np.append(other, -1)[np.searchsorted(other, keys)] != keys]
+
+
 def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMode,
                       duration_s: float, samples: int) -> StaticnessReport:
     """Diff mapped snapshots over a time window and tally events by cause.
@@ -256,7 +262,8 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
     A celestial division matched to the connecting mode must report zero
     events; the geographic variants exhibit seam drift (variant 2), coverage
     loss (variant 1), and asynchronous switching when the inter-plane phase
-    offset is non-zero.
+    offset is non-zero.  Only changed instances are diffed, and satellite
+    latitudes are computed once, only at samples whose events are classified.
     """
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
@@ -265,6 +272,11 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
     division = division_for(config)
     grid = build_grd_grid(config, division) if method is not VnMethod.CSD else None
     times = sample_times(config, division, duration_s, samples)
+
+    lats_at = lru_cache(maxsize=1)(lambda i: _lats_all(config, times[i]))
+
+    def classify(keys, serving, i):
+        return event_causes(keys, serving, lats_at(i), config, method) if len(keys) else keys
 
     events = [np.empty((0, 4), dtype=np.int64)]
     seam_history: list[tuple[float, int]] = []
@@ -275,21 +287,18 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
         instance, serving, conflicts = method_instance(
             config, method, mode, t, division, grid)
         conflicts_total += conflicts
-        lats = _lats_all(config, t)
         if method is VnMethod.GRD2:
             seam_history.append((t, seam_columns(config, t)))
-        if prev is not None:
-            prev_instance, prev_serving, prev_lats = prev
-            added = np.setdiff1d(instance, prev_instance, assume_unique=True)
-            removed = np.setdiff1d(prev_instance, instance, assume_unique=True)
-            causes = np.concatenate([
-                event_causes(added, prev_serving, prev_lats, config, method),
-                event_causes(removed, serving, lats, config, method)])
+        if prev is not None and not np.array_equal(instance, prev[0]):
+            prev_instance, prev_serving = prev
+            added, removed = _missing(instance, prev_instance), _missing(prev_instance, instance)
+            causes = np.concatenate([classify(added, prev_serving, i - 1),
+                                     classify(removed, serving, i)])
             changes = np.repeat([EventChange.ADDED, EventChange.REMOVED],
                                 [len(added), len(removed)])
             keys = np.concatenate([added, removed])
             events.append(np.stack([np.full(len(keys), i), keys, changes, causes], axis=1))
-        prev = instance, serving, lats
+        prev = instance, serving
 
     events = np.concatenate(events)
     codes, first, counts = np.unique(events[:, 3], return_index=True, return_counts=True)

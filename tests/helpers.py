@@ -1,0 +1,32 @@
+"""Exact-angle helpers and Hypothesis strategies shared by the test modules."""
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from leovn.constellation import SIDEREAL_DAY, ConstellationConfig
+
+
+def initial_phase_deg(cfg, plane: int, slot: int) -> Fraction:
+    """Epoch phase of satellite (plane 1..n1, slot 1..n2) of a
+    ``ConstellationConfig``, exact degrees (not wrapped)."""
+    return (Fraction(cfg.phase0_deg)
+            + (slot - 1) * Fraction(360, cfg.sats_per_plane)
+            + (plane - 1) * cfg.phase_offset_deg)
+
+
+@st.composite
+def configs(draw):
+    """Any constellation ConstellationConfig accepts, with a sample time."""
+    n1 = draw(st.integers(2, 24))
+    n2 = draw(st.integers(3, 48))
+    cfg = ConstellationConfig(
+        num_planes=n1, sats_per_plane=n2,
+        phasing_factor=draw(st.integers(0, n2 - 1)),
+        altitude_km=draw(st.floats(200.0, 36000.0)),
+        inclination_deg=draw(st.floats(0.5, 180.0)),
+        polar_threshold_deg=draw(st.floats(1.0, 90.0)),
+        raan0_deg=draw(st.floats(-360.0, 360.0)),
+        phase0_deg=draw(st.none() | st.floats(-360.0, 360.0)),
+        period_s=draw(st.none() | st.floats(600.0, 90000.0)),
+    )
+    return cfg, draw(st.floats(0.0, 2 * SIDEREAL_DAY))

@@ -1,11 +1,37 @@
 import csv
+import io
 import json
 from collections import Counter
 
 import pytest
 
 import leovn.isl
-from leovn.cli import main, read_division_csv
+from leovn.cli import KIND_LETTERS, main
+from leovn.constellation import ConstellationConfig
+from leovn.isl import IslMode
+from leovn.virtualgraph import (
+    EventCause,
+    EventChange,
+    VnMethod,
+    edge_addresses,
+    staticness_report,
+)
+
+
+def read_division_csv(path):
+    """Re-ingest a divide CSV; returns rows of parsed python values."""
+    out = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            out.append({
+                "v": int(row["v"]), "h": int(row["h"]), "region": row["region"],
+                "lat_low_deg": float(row["lat_low_deg"]),
+                "lat_high_deg": float(row["lat_high_deg"]),
+                "lon_low_deg": float(row["lon_low_deg"]),
+                "lon_high_deg": float(row["lon_high_deg"]),
+                "pole_wrap": row["pole_wrap"] == "True",
+            })
+    return out
 
 
 def run(args, capsys=None):
@@ -83,7 +109,44 @@ class TestSnapshot:
         assert {"a_plane", "kind", "active"} <= set(records[0])
 
 
+def csv_writer_events(report, config) -> bytes:
+    """The events CSV as csv.writer writes it, one row per event from the
+    event's own edge addresses (the earlier implementation)."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "a_v", "a_h", "b_v", "b_h", "kind", "change", "cause"])
+    sample, keys, change, cause = report.events.T
+    a_v, a_h, b_v, b_h, kind = edge_addresses(keys, config.num_planes, config.total_sats)
+    for s, av, ah, bv, bh, k, c, x in zip(sample.tolist(), a_v.tolist(), a_h.tolist(),
+                                           b_v.tolist(), b_h.tolist(), kind.tolist(),
+                                           change.tolist(), cause.tolist()):
+        writer.writerow([repr(report.times[s]), av, ah, bv, bh, KIND_LETTERS[k],
+                         EventChange(c).name, EventCause(x).name])
+    return buf.getvalue().encode()
+
+
 class TestStaticnessCommand:
+    @pytest.mark.parametrize("n1,n2,f,method,mode,duration", [
+        (6, 12, 1, "grd2", "conventional", 20000.0),
+        (18, 36, 2, "csd", "optimized", 1000.0),
+    ])
+    def test_events_csv_bytes_match_csv_writer(self, tmp_path, n1, n2, f, method,
+                                               mode, duration):
+        out = tmp_path / "report.json"
+        assert main(["staticness", "--n1", str(n1), "--n2", str(n2), "--f", str(f),
+                     "--method", method, "--mode", mode, "--duration-s", str(duration),
+                     "--samples", "40", "--out", str(out)]) == 0
+        cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f)
+        report = staticness_report(cfg, VnMethod(method), IslMode(mode), duration, 40)
+        got = (tmp_path / "report.events.csv").read_bytes()
+        assert got == csv_writer_events(report, cfg)
+        if method == "csd":
+            assert got == b"t,a_v,a_h,b_v,b_h,kind,change,cause\n"
+        else:   # mapping conflicts and both kinds of sample-time object
+            assert report.mapping_conflicts > 0 and report.event_count > 0
+            lines = got.splitlines()[1:]
+            assert {line.startswith(b"np.float64(") for line in lines} == {True, False}
+
     def test_csd_report(self, tmp_path):
         out = tmp_path / "static.json"
         assert main(["staticness", "--n1", "18", "--n2", "36", "--f", "2",
@@ -136,6 +199,18 @@ class TestSweepCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "F,polar_threshold_deg,mode,n_hisl,throughput_gbps,avg_latency_ms,error"
         assert len(lines) == 1 + 4 * 2
+
+    def test_optimized_layout_above_n1_is_an_error_row_everywhere(self, tmp_path):
+        # the optimized layout is undefined for F > n1: every sweep subcommand
+        # records the same error row instead of an analytic H-ISL count
+        for sub in ("sweep-hisl", "throughput", "latency"):
+            out = tmp_path / f"{sub}.csv"
+            seed = ["--seed", "1"] if sub == "latency" else []
+            assert main([sub, "--n1", "3", "--n2", "12", "--f-min", "5", "--f-max", "5",
+                         "--mode", "optimized", *seed, "--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                rows = [(r["n_hisl"], r["error"]) for r in csv.DictReader(fh)]
+            assert rows == [("-1", "optimized layout requires F <= n1")], sub
 
     def test_latency_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from leovn.constellation import (
     OMEGA_EARTH,
@@ -27,6 +26,8 @@ from leovn.division import (
 )
 from leovn.isl import IslMode, ShutoffRule, row_activity
 
+from helpers import configs, initial_phase_deg
+
 
 def make_config(**kw):
     base = dict(num_planes=18, sats_per_plane=36, phasing_factor=0,
@@ -47,7 +48,7 @@ def circular_gap(a, b):
 def rotation_oracle(cfg, plane, slot, t):
     """(phase, position, lat, lon) of one satellite from explicit rotations:
     R3(raan) R1(inclination) applied to the in-plane vector at phase u."""
-    u = math.radians(float(cfg.initial_phase_deg(plane, slot))) + 2 * math.pi * t / cfg.period
+    u = math.radians(float(initial_phase_deg(cfg, plane, slot))) + 2 * math.pi * t / cfg.period
     raan = math.radians(float(cfg.raan_deg(plane)))
     inc = cfg.inclination
     x, y = math.cos(u), math.sin(u)
@@ -110,7 +111,7 @@ class TestPropagate:
         cfg = make_config()
         u, _, _, _ = propagate_all(cfg, 0.0)
         for slot in range(1, 6):
-            phase0 = math.radians(float(cfg.initial_phase_deg(1, slot)))
+            phase0 = math.radians(float(initial_phase_deg(cfg, 1, slot)))
             assert u[flat(cfg, 1, slot)] == pytest.approx(phase0 % (2 * math.pi))
 
     def test_periodicity(self):
@@ -166,24 +167,6 @@ class TestPropagate:
             assert circular_gap(lons[idx], lon) <= 1e-12
 
 
-@st.composite
-def configs(draw):
-    """Any constellation ConstellationConfig accepts, with a sample time."""
-    n1 = draw(st.integers(2, 24))
-    n2 = draw(st.integers(3, 48))
-    cfg = ConstellationConfig(
-        num_planes=n1, sats_per_plane=n2,
-        phasing_factor=draw(st.integers(0, n2 - 1)),
-        altitude_km=draw(st.floats(200.0, 36000.0)),
-        inclination_deg=draw(st.floats(0.5, 180.0)),
-        polar_threshold_deg=draw(st.floats(1.0, 90.0)),
-        raan0_deg=draw(st.floats(-360.0, 360.0)),
-        phase0_deg=draw(st.none() | st.floats(-360.0, 360.0)),
-        period_s=draw(st.none() | st.floats(600.0, 90000.0)),
-    )
-    return cfg, draw(st.floats(0.0, 2 * SIDEREAL_DAY))
-
-
 class TestKinematicsProperties:
     @settings(max_examples=100, deadline=None)
     @given(case=configs())
@@ -204,7 +187,7 @@ class TestKinematicsProperties:
         advance = 360 * Fraction(t) / Fraction(cfg.period)
         for plane in range(1, n1 + 1):
             for slot in range(1, n2 + 1):
-                phase = cfg.initial_phase_deg(plane, slot) + advance
+                phase = initial_phase_deg(cfg, plane, slot) + advance
                 rel = (phase - div.row_start_deg(1, plane)) % 360
                 if min(rel % step, step - rel % step) < Fraction(1, 10**6):
                     continue  # within float reach of a cell boundary

@@ -1,12 +1,19 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leovn.angles import fold_lat_deg
-from leovn.constellation import SIDEREAL_DAY, ConfigError, ConstellationConfig
+from leovn.constellation import (
+    R_EARTH,
+    SIDEREAL_DAY,
+    ConfigError,
+    ConstellationConfig,
+    propagate_all,
+)
 from leovn.division import (
     DivisionConfig,
     GrdVariant,
@@ -25,6 +32,8 @@ from leovn.division import (
     vn_latitude_range,
     vn_longitude_range,
 )
+
+from helpers import configs
 
 
 def make_config(**kw):
@@ -254,6 +263,74 @@ class TestSwitchInterval:
         assert epochs[0] == pytest.approx(0.0, abs=1e-9)
         steps = np.diff(epochs)
         assert np.allclose(steps, cfg.period / 36)
+
+
+def sub_points(config, t):
+    """(N, 3) Earth-fixed unit vectors of the satellites' sub-points."""
+    _, _, lats, lons = propagate_all(config, t)
+    return np.stack([np.cos(lats) * np.cos(lons),
+                     np.cos(lats) * np.sin(lons),
+                     np.sin(lats)], axis=1)
+
+
+def grd_assignment_oracle(config, grid, t, variant):
+    """Serving arrays from the full cells x satellites score matrix, the
+    own-plane scores read back out of it (the earlier implementation)."""
+    n1, n2 = config.num_planes, config.sats_per_plane
+    score = grid.anchors.reshape(-1, 3) @ sub_points(config, t).T
+    cells = np.arange(len(score))
+    cell_planes = cells % n1
+    own = score.reshape(-1, n1, n2)[cells, cell_planes]
+    own_slot = np.argmax(own, axis=1)
+    own_top = own[cells, own_slot]
+    own_best = np.ravel_multi_index((cell_planes, own_slot), (n1, n2))
+    if variant is GrdVariant.INTER_PLANE:
+        best = np.argmax(score, axis=1)
+        top = score[cells, best]
+        tie = np.isclose(top, 1.0, atol=1e-12) & (own_top >= top - 1e-12)
+        best = np.where(tie, own_best, best)
+    else:
+        best, top = own_best, own_top
+    horizon = math.cos(math.acos(R_EARTH / config.orbit_radius))
+    return np.where(top >= horizon, best, -1).reshape(n2, n1)
+
+
+class TestGrdAssignmentOracle:
+    """Own-plane stacked scores must pick exactly what the full score matrix
+    picks, ties and horizon cut-offs included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=configs(), variant=st.sampled_from(GrdVariant))
+    def test_matches_full_score_matrix(self, case, variant):
+        cfg, t = case
+        grid = build_grd_grid(cfg, division_for(cfg))
+        assert np.array_equal(grd_assignment(cfg, grid, t, variant),
+                              grd_assignment_oracle(cfg, grid, t, variant))
+
+    @settings(max_examples=50, deadline=None)
+    @given(t=st.floats(0.0, 2 * SIDEREAL_DAY), inclination=st.floats(0.5, 180.0))
+    def test_own_plane_blocks_equal_full_gemm_bits_at_paper_scale(self, t, inclination):
+        # README "Conventions": at 18x36 the stacked own-plane gemm and the
+        # full gemm round alike (other shapes may differ in the last bit)
+        cfg = make_config(inclination_deg=inclination)
+        n1, n2 = cfg.num_planes, cfg.sats_per_plane
+        grid = build_grd_grid(cfg, division_for(cfg))
+        sub = sub_points(cfg, t)
+        blocks = np.matmul(grid.anchors.transpose(1, 0, 2),
+                           sub.reshape(n1, n2, 3).transpose(0, 2, 1))
+        full = (grid.anchors.reshape(-1, 3) @ sub.T).reshape(n2, n1, n1, n2)
+        planes = np.arange(n1)
+        assert np.array_equal(blocks, full[:, planes, planes].transpose(1, 0, 2))
+
+    def test_matches_full_score_matrix_at_paper_scale_epochs(self):
+        # handover epochs put satellites exactly on cell boundaries
+        cfg = make_config()
+        div = division_for(cfg)
+        grid = build_grd_grid(cfg, div)
+        for t in switching_epochs(cfg, div, 130):
+            for variant in GrdVariant:
+                assert np.array_equal(grd_assignment(cfg, grid, t, variant),
+                                      grd_assignment_oracle(cfg, grid, t, variant))
 
 
 class TestGrdGrid:

@@ -25,6 +25,8 @@ from leovn.isl import (
     theorem1_bruteforce,
 )
 
+from helpers import initial_phase_deg
+
 
 def make_config(n1=18, n2=36, F=0, polar=70.0):
     return ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=F,
@@ -125,9 +127,9 @@ class TestHNeighbor:
         pa = phase_analysis(18, 36, 6)
         partner = east_neighbor(row_chains(cfg, IslMode.OPTIMIZED), 3, 7)
         assert partner == (4, 6)
-        u3 = cfg.initial_phase_deg(3, 7)
-        u4 = cfg.initial_phase_deg(*partner)
-        u1 = cfg.initial_phase_deg(1, 7)
+        u3 = initial_phase_deg(cfg, 3, 7)
+        u4 = initial_phase_deg(cfg, *partner)
+        u1 = initial_phase_deg(cfg, 1, 7)
         assert u4 - u3 == pa.delta_f_deg - Fraction(10)   # behind by step - delta_f
         assert u4 - u1 == 0                               # row spread resets to zero
 
@@ -155,9 +157,9 @@ class TestRowChains:
         for mode in (IslMode.CONVENTIONAL, IslMode.OPTIMIZED):
             rows = row_chains(cfg, mode)
             spreads = row_spreads_deg(cfg, mode)
-            base = cfg.initial_phase_deg(*sat_id(rows[0][0]))
+            base = initial_phase_deg(cfg, *sat_id(rows[0][0]))
             for h, member in enumerate(rows[0]):
-                assert (cfg.initial_phase_deg(*sat_id(member)) - base) % 360 == spreads[h] % 360
+                assert (initial_phase_deg(cfg, *sat_id(member)) - base) % 360 == spreads[h] % 360
 
     def test_optimized_spread_caps_at_analysis_value(self):
         cfg = make_config(F=5)

@@ -16,8 +16,10 @@ from leovn.division import (
 from leovn.isl import HDirection, IslKind, IslMode, IslSnapshot, ShutoffRule, snapshot_edges
 from leovn.virtualgraph import (
     EventCause,
+    EventChange,
     VnMethod,
     _lats_all,
+    _missing,
     build_static_graph,
     csd_addressing,
     edge_addresses,
@@ -25,6 +27,7 @@ from leovn.virtualgraph import (
     is_connected,
     map_snapshot,
     method_instance,
+    sample_times,
     seam_columns,
     static_graph_for,
     staticness_report,
@@ -215,7 +218,53 @@ class TestSeam:
         assert seam_columns(cfg, SIDEREAL_DAY) == 1
 
 
+def oracle_events(cfg, method, mode, duration_s, samples):
+    """Report event rows from diffing every consecutive pair of samples with
+    setdiff1d and latitudes at every sample (the earlier loop)."""
+    div = division_for(cfg)
+    grid = None if method is VnMethod.CSD else build_grd_grid(cfg, div)
+    rows = [np.empty((0, 4), dtype=np.int64)]
+    prev = None
+    for i, t in enumerate(sample_times(cfg, div, duration_s, samples)):
+        instance, serving, _ = method_instance(cfg, method, mode, t, div, grid)
+        lats = _lats_all(cfg, t)
+        if prev is not None:
+            added = np.setdiff1d(instance, prev[0], assume_unique=True)
+            removed = np.setdiff1d(prev[0], instance, assume_unique=True)
+            causes = np.concatenate([event_causes(added, prev[1], prev[2], cfg, method),
+                                     event_causes(removed, serving, lats, cfg, method)])
+            changes = np.repeat([EventChange.ADDED, EventChange.REMOVED],
+                                [len(added), len(removed)])
+            keys = np.concatenate([added, removed])
+            rows.append(np.stack([np.full(len(keys), i), keys, changes, causes], axis=1))
+        prev = instance, serving, lats
+    return np.concatenate(rows)
+
+
 class TestStaticnessReport:
+    @pytest.mark.parametrize("method", VnMethod)
+    @pytest.mark.parametrize("n1,n2,f,mode,inclination", [
+        (6, 12, 1, IslMode.CONVENTIONAL, 90.0),
+        (5, 9, 3, IslMode.OPTIMIZED, 90.0),
+        (7, 11, 0, IslMode.CONVENTIONAL, 86.4),
+        (9, 18, 2, IslMode.CONVENTIONAL, 90.0),    # serving moves under equal instances
+    ])
+    def test_events_match_every_pair_setdiff_oracle(self, method, n1, n2, f, mode,
+                                                    inclination):
+        cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
+                                  inclination_deg=inclination)
+        rep = staticness_report(cfg, method, mode, 15000.0, 40)
+        want = oracle_events(cfg, method, mode, 15000.0, 40)
+        assert rep.events.dtype == want.dtype
+        assert np.array_equal(rep.events, want)
+
+    @given(a=st.sets(st.integers(0, 300)), b=st.sets(st.integers(0, 300)))
+    def test_missing_keys_equal_setdiff(self, a, b):
+        keys, other = (np.array(sorted(x), dtype=np.int64) for x in (a, b))
+        got = _missing(keys, other)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.setdiff1d(keys, other, assume_unique=True))
+
     def test_csd_matched_division_is_event_free(self):
         for f in (0, 2):
             cfg = make_config(F=f)
