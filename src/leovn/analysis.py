@@ -5,7 +5,8 @@ over a sink box drain to a super-sink, every active ISL carries the
 configured capacity at a cost equal to its propagation delay, and the
 min-cost max-flow value is the system throughput (``flow.MinCostMaxFlow``:
 successive shortest paths, each found by scipy's compiled Dijkstra).
-Latency: mean shortest propagation delay over seeded random satellite pairs.
+Latency: mean shortest propagation delay over seeded random satellite pairs,
+from an exact all-sources sweep over the V-ISL rings and H-ISL boundaries.
 Sweeps tabulate both, plus the analytic H-ISL counts, across phasing factors
 and polar thresholds.
 """
@@ -15,12 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from .constellation import ConfigError, ConstellationConfig, propagate_all
 from .division import division_for
 from .flow import INF_CAPACITY, MinCostMaxFlow
-from .isl import IslMode, IslSnapshot, boundaries_for, hisl_count_analytic, snapshot_edges
+from .isl import (
+    IslKind,
+    IslMode,
+    IslSnapshot,
+    boundaries_for,
+    hisl_count_analytic,
+    snapshot_edges,
+)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -31,9 +38,11 @@ class WeightedNetSnapshot:
 
     ``edges`` holds the (E, 2) flat satellite indices of the active edges in
     snapshot order; ``kind``, ``length_m`` and ``delay_s`` are per edge.
+    ``sats_per_plane`` gives the grid of the flat index (plane-1)*n2 + slot-1.
     """
     t: float
     num_sats: int
+    sats_per_plane: int
     edges: np.ndarray = field(repr=False)
     kind: np.ndarray = field(repr=False)
     length_m: np.ndarray = field(repr=False)
@@ -87,7 +96,8 @@ def weight_snapshot(config: ConstellationConfig, snapshot: IslSnapshot,
     d = positions[edges[:, 0]] - positions[edges[:, 1]]
     # vecdot rounds like the per-edge norm of a 3-vector; (d*d).sum(1) does not
     length = np.sqrt(np.vecdot(d, d))
-    return WeightedNetSnapshot(t=t, num_sats=config.total_sats, edges=edges,
+    return WeightedNetSnapshot(t=t, num_sats=config.total_sats,
+                               sats_per_plane=config.sats_per_plane, edges=edges,
                                kind=snapshot.kind[snapshot.active], length_m=length,
                                delay_s=length / SPEED_OF_LIGHT, positions=positions,
                                lats=lats, lons=lons)
@@ -127,10 +137,16 @@ def max_flow_throughput(snapshot: WeightedNetSnapshot,
     return flow_units * scenario.isl_capacity_gbps
 
 
+def _require_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 def mean_throughput(config: ConstellationConfig, mode: IslMode,
                     scenario: FlowScenario | None = None,
                     snapshots: int = 16) -> float:
     """Mean throughput over evenly spaced snapshot times across one period."""
+    _require_count("snapshots", snapshots)
     scenario = scenario or FlowScenario()
     times = [k * config.period / snapshots for k in range(snapshots)]
     values = [max_flow_throughput(snapshot_at(config, mode, t), scenario) for t in times]
@@ -140,7 +156,10 @@ def mean_throughput(config: ConstellationConfig, mode: IslMode,
 # -- shortest-path latency ----------------------------------------------------
 
 def delay_matrix(snapshot: WeightedNetSnapshot) -> csr_matrix:
-    """Symmetric sparse matrix of per-edge propagation delays (seconds)."""
+    """Symmetric sparse matrix of per-edge propagation delays (seconds).
+
+    The graph that the shortest-path oracles search with scipy's Dijkstra.
+    """
     a, b = snapshot.edges.T
     return csr_matrix((np.tile(snapshot.delay_s, 2), (np.concatenate([a, b]),
                                                       np.concatenate([b, a]))),
@@ -151,12 +170,93 @@ def shortest_path_delays(snapshot: WeightedNetSnapshot,
                          sources: np.ndarray) -> np.ndarray:
     """Min propagation delay from each source to every satellite (seconds).
 
-    Unreachable entries are +inf.  ``delay_matrix`` holds both directions
-    of every edge, so the directed search is exact and skips the
-    symmetrisation an undirected one does.
+    Returns (len(sources), N), a transposed view of the (N, sources) working
+    array; unreachable entries are +inf.  Label correcting over all sources
+    at once on the constellation grid: a ring pass relaxes every V-ISL ring
+    and a row pass every H-ISL boundary, and rounds repeat until a row pass
+    lowers nothing.  Every relaxation adds an edge's ``delay_s`` to a
+    distance, as Dijkstra on ``delay_matrix`` does, so the result is that
+    search's bit for bit (README "Conventions").  The first ring pass from
+    the sources is read from the same pass run once from every slot.
     """
-    return csgraph_dijkstra(delay_matrix(snapshot), directed=True,
-                            indices=sources)
+    planes, slots = np.divmod(np.asarray(sources), snapshot.sats_per_plane)
+    n, n2, k = snapshot.num_sats, snapshot.sats_per_plane, len(planes)
+    ring_w, boundaries = _grid_weights(snapshot)
+    from_slot = np.full((n // n2, n2, n2), np.inf)
+    from_slot[:, np.arange(n2), np.arange(n2)] = 0.0
+    _ring_pass(from_slot, ring_w)
+    dist = np.full((n // n2, n2, k), np.inf)
+    dist[planes, :, np.arange(k)] = from_slot[planes, :, slots]
+    flat = dist.reshape(n, k)
+    while _row_pass(flat, boundaries):
+        _ring_pass(dist, ring_w)
+    return flat.T
+
+
+def _grid_weights(snapshot: WeightedNetSnapshot):
+    """Edge delays laid out for the latency sweep.
+
+    Returns the V-ISL delays (n1, n2, 1), where [p, s] links slot s to slot
+    s+1 of plane p and is +inf while the link is off, and one
+    ``(from, to, delays)`` triple per plane boundary with active H-ISLs:
+    satellites of plane h, their partners in plane h+1, and (k, 1) delays.
+    """
+    n2 = snapshot.sats_per_plane
+    v = snapshot.kind == IslKind.V_ISL
+    ring_w = np.full((snapshot.num_sats // n2, n2, 1), np.inf)
+    plane, slot = np.divmod(snapshot.edges[v, 0], n2)
+    ring_w[plane, slot, 0] = snapshot.delay_s[v]
+    h = ~v
+    pairs, delay = snapshot.edges[h], snapshot.delay_s[h, None]
+    boundary = pairs[:, 0] // n2
+    boundaries = []
+    for b in np.unique(boundary):
+        on = boundary == b
+        boundaries.append((pairs[on, 0], pairs[on, 1], delay[on]))
+    return ring_w, boundaries
+
+
+def _ring_pass(dist: np.ndarray, ring_w: np.ndarray) -> None:
+    """Relax every V-ISL ring of ``dist`` (n1, n2, columns) in place: two
+    laps up the slots, then two laps down.
+
+    A shortest path along a ring runs one way over at most n2-1 links, so it
+    is relaxed in order within one lap from any start plus the first n2-2
+    steps of the next.  A downward step lowers d[s] only to d[s+1] + w, and
+    then d[s] + w >= d[s+1] still holds (weights are >= 0), so the pass
+    leaves every V-ISL relaxed.
+    """
+    n2 = dist.shape[1]
+    step = np.empty_like(dist[:, 0])
+    laps = [*range(n2), *range(n2 - 2)]
+    for s in laps:                      # slot s -> s+1
+        up = dist[:, (s + 1) % n2]
+        np.add(dist[:, s], ring_w[:, s], out=step)
+        np.minimum(up, step, out=up)
+    for s in laps:                      # slot s+1 -> s, from the top down
+        s = n2 - 1 - s
+        down = dist[:, s]
+        np.add(dist[:, (s + 1) % n2], ring_w[:, s], out=step)
+        np.minimum(down, step, out=down)
+
+
+def _row_pass(flat: np.ndarray, boundaries) -> bool:
+    """Relax the active H-ISLs of ``flat`` (N, columns) in place, boundary by
+    boundary toward the last plane and then back; returns whether any
+    distance dropped.
+
+    The active links of one boundary form a matching, so each step is one
+    gather and one scatter without repeated targets.
+    """
+    changed = False
+    for src, dst, delay in [*boundaries, *((b, a, w) for a, b, w in reversed(boundaries))]:
+        reach = flat[src]
+        reach += delay
+        held = flat[dst]
+        if (reach < held).any():
+            flat[dst] = np.minimum(held, reach, out=reach)
+            changed = True
+    return changed
 
 
 def draw_pairs(total_sats: int, pairs: int, seed: int) -> np.ndarray:
@@ -186,16 +286,15 @@ def avg_latency(config: ConstellationConfig, mode: IslMode, pairs: int,
     the mean and reported as a fraction.  Pair draws depend only on the seed,
     so runs across modes or phasing factors compare identical pair sets.
     """
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
+    _require_count("pairs", pairs)
+    _require_count("snapshots", snapshots)
     pair_arr = draw_pairs(config.total_sats, pairs, seed)
     sources, src_rows = np.unique(pair_arr[:, 0], return_inverse=True)
     total, count, unreachable = 0.0, 0, 0
     times = [k * config.period / snapshots for k in range(snapshots)]
     for t in times:
         snap = snapshot_at(config, mode, t)
-        dist = shortest_path_delays(snap, sources)
-        delays = dist[src_rows, pair_arr[:, 1]]
+        delays = shortest_path_delays(snap, sources)[src_rows, pair_arr[:, 1]]
         finite = np.isfinite(delays)
         total += float(delays[finite].sum())
         count += int(finite.sum())
@@ -231,10 +330,9 @@ def sweep(config_template: ConstellationConfig, f_values, polar_values, modes,
     """
     if include_latency and seed is None:
         raise ConfigError("latency sweeps require an explicit seed")
-    if pairs < 1:
-        raise ConfigError(f"pairs must be >= 1, got {pairs}")
-    if snapshots < 1:
-        raise ConfigError(f"snapshots must be >= 1, got {snapshots}")
+    # checked here too, so that a bad count fails the call, not every grid point
+    _require_count("pairs", pairs)
+    _require_count("snapshots", snapshots)
     rows = []
     for polar in polar_values:
         for f in f_values:

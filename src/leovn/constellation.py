@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -181,10 +182,14 @@ def _orbit_unit_vectors(u, raan, inclination: float) -> np.ndarray:
                      su * si], axis=-1)
 
 
+@lru_cache(maxsize=None)
 def _plane_slot_index(config: ConstellationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """0-based plane and slot of every flat satellite index."""
+    """0-based plane and slot of every flat satellite index (read-only)."""
     n1, n2 = config.num_planes, config.sats_per_plane
-    return np.repeat(np.arange(n1), n2), np.tile(np.arange(n2), n1)
+    planes, slots = np.repeat(np.arange(n1), n2), np.tile(np.arange(n2), n1)
+    for array in (planes, slots):
+        array.flags.writeable = False
+    return planes, slots
 
 
 # -- configuration file ingestion ------------------------------------------

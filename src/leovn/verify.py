@@ -5,7 +5,8 @@ Each check returns a CheckResult with the parameter grid it ran; the CLI
 check fails.  Oracles here are deliberately brute force: inequality scans for
 the closed-form region rows, exhaustive link-layout enumeration, snapshot
 edge counting, exhaustive cuts for max-flow, a HiGHS linear program for the
-min cost of that flow, and full path enumeration for shortest paths.
+min cost of that flow, full path enumeration for shortest paths, and scipy's
+Dijkstra for the latency kernel.
 """
 from __future__ import annotations
 
@@ -15,10 +16,11 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from . import division, isl, virtualgraph
+from . import analysis, division, isl, virtualgraph
 from .constellation import SIDEREAL_DAY, ConstellationConfig
 from .division import RegionBoundaries, division_for, grd_switch_interval
 from .flow import MinCostMaxFlow
@@ -278,12 +280,14 @@ def all_paths_min_delay(n: int, edges, src: int, dst: int) -> float:
 
 def check_flow() -> CheckResult:
     """Flow kernel equals exhaustive min-cut and the min-cost LP; Dijkstra
-    equals path enumeration."""
+    equals path enumeration; the latency kernel equals Dijkstra bit for bit."""
     result = CheckResult(
         name="flow",
         grid="20 seeded digraphs <= 12 nodes (max flow vs min cut, "
              "cost vs HiGHS LP at rel 1e-9); "
-             "20 seeded graphs <= 10 nodes (shortest path vs enumeration)",
+             "20 seeded graphs <= 10 nodes (shortest path vs enumeration); "
+             "6 seeded constellations <= 6x12, both modes and shutoff rules "
+             "(latency kernel vs Dijkstra, exact)",
         passed=True)
     for seed in range(20):
         n, arcs = random_flow_graph(seed)
@@ -318,6 +322,21 @@ def check_flow() -> CheckResult:
             got = float(dist[dst])
             if not (math.isinf(want) and math.isinf(got)) and abs(got - want) > 1e-9:
                 result.fail(f"paths seed={seed} dst={dst}: {got} != {want}")
+    for seed in range(200, 206):
+        rng = random.Random(seed)
+        n1, n2 = rng.randrange(2, 7), rng.randrange(3, 13)
+        cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2,
+                                  phasing_factor=rng.randrange(min(n1, n2 - 1) + 1),
+                                  polar_threshold_deg=rng.uniform(50.0, 85.0))
+        t = rng.uniform(0.0, cfg.period)
+        for mode, rule in itertools.product(IslMode, isl.ShutoffRule):
+            edges = isl.snapshot_edges(cfg, mode, division_for(cfg), t, rule)
+            snap = analysis.weight_snapshot(cfg, edges, t)
+            want = csgraph_dijkstra(analysis.delay_matrix(snap), directed=False)
+            got = analysis.shortest_path_delays(snap, np.arange(cfg.total_sats))
+            if not np.array_equal(got, want):
+                result.fail(f"latency seed={seed} {n1}x{n2} F={cfg.phasing_factor} "
+                            f"{mode.value}/{rule.value}: kernel != Dijkstra")
     return result
 
 

@@ -189,6 +189,6 @@ def test_criterion_10_flow_and_path_kernels():
     start = time.time()
     res = check_flow()
     label = ("flow kernel equals exhaustive min-cut; Dijkstra equals path "
-             "enumeration (exact)")
+             "enumeration; latency kernel equals Dijkstra (exact)")
     report(10, label if res.passed else f"{label}: {res.failures}",
            res.passed, time.time() - start, 60.0)

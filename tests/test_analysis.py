@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra, maximum_flow
 
@@ -23,7 +24,9 @@ from leovn.analysis import (
 from leovn.constellation import ConfigError, ConstellationConfig
 from leovn.division import division_for
 from leovn.flow import INF_CAPACITY
-from leovn.isl import IslKind, IslMode, snapshot_edges
+from leovn.isl import IslKind, IslMode, ShutoffRule, snapshot_edges
+
+from helpers import configs
 
 
 def make_config(F=0, n1=18, n2=36, altitude_km=629.0):
@@ -140,6 +143,10 @@ class TestThroughput:
             want = maximum_flow(graph, n, n + 1).flow_value
             assert max_flow_throughput(snap, scenario) == want * scenario.isl_capacity_gbps, t
 
+    def test_zero_snapshots_rejected(self):
+        with pytest.raises(ConfigError, match="snapshots"):
+            mean_throughput(make_config(), IslMode.CONVENTIONAL, snapshots=0)
+
     def test_optimized_not_worse_than_conventional(self):
         for f in (2, 5, 9):
             cfg = make_config(F=f)
@@ -192,13 +199,46 @@ class TestLatency:
             want[a, b] = want[b, a] = delay
         assert np.array_equal(mat.toarray(), want)
 
-    @pytest.mark.parametrize("f, mode", [(0, IslMode.CONVENTIONAL), (2, IslMode.OPTIMIZED)])
-    def test_directed_search_equals_undirected(self, f, mode):
+    @pytest.mark.parametrize("pairs, snapshots, field", [(0, 2, "pairs"), (10, 0, "snapshots")])
+    def test_empty_sample_counts_rejected(self, pairs, snapshots, field):
+        with pytest.raises(ConfigError, match=field):
+            avg_latency(make_config(), IslMode.CONVENTIONAL, pairs=pairs, seed=1,
+                        snapshots=snapshots)
+
+
+class TestLatencyKernel:
+    """The ring/row sweep must return scipy's Dijkstra distances bit for bit,
+    unreachable (+inf) entries included."""
+
+    @staticmethod
+    def dijkstra_reference(snap, sources):
+        return dijkstra(delay_matrix(snap), directed=False, indices=sources)
+
+    @pytest.mark.parametrize("f", [0, 2, 6, 14])
+    @pytest.mark.parametrize("mode", list(IslMode))
+    def test_equals_dijkstra_at_paper_scale(self, f, mode):
         cfg = make_config(F=f)
-        snap = snapshot_at(cfg, mode, 0.3 * cfg.period)
         sources = np.arange(cfg.total_sats)
-        undirected = dijkstra(delay_matrix(snap), directed=False, indices=sources)
-        assert np.array_equal(shortest_path_delays(snap, sources), undirected)
+        for t in (0.0, 0.3 * cfg.period):
+            snap = snapshot_at(cfg, mode, t)
+            assert np.array_equal(shortest_path_delays(snap, sources),
+                                  self.dijkstra_reference(snap, sources)), t
+        if (f, mode) == (14, IslMode.CONVENTIONAL):   # no H links: planes split
+            assert not (snap.kind == IslKind.H_ISL).any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=configs(), mode=st.sampled_from(IslMode),
+           shutoff=st.sampled_from(ShutoffRule), data=st.data())
+    def test_equals_dijkstra_over_config_domain(self, case, mode, shutoff, data):
+        cfg, t = case
+        if mode is IslMode.OPTIMIZED and cfg.phasing_factor > cfg.num_planes:
+            mode = IslMode.CONVENTIONAL   # optimized layout requires F <= n1
+        edges = snapshot_edges(cfg, mode, division_for(cfg), t, shutoff)
+        snap = weight_snapshot(cfg, edges, t)
+        sources = np.array(data.draw(st.lists(st.integers(0, cfg.total_sats - 1),
+                                              min_size=1, max_size=40)))
+        assert np.array_equal(shortest_path_delays(snap, sources),
+                              self.dijkstra_reference(snap, sources))
 
 
 class TestSweep:

@@ -11,6 +11,7 @@ from leovn.constellation import (
     SIDEREAL_DAY,
     ConfigError,
     ConstellationConfig,
+    _plane_slot_index,
     load_config,
     orbital_period,
     phases_deg,
@@ -165,6 +166,16 @@ class TestPropagate:
             assert np.allclose(pos[idx], p, atol=1e-3)
             assert lats[idx] == pytest.approx(lat, abs=1e-12)
             assert circular_gap(lons[idx], lon) <= 1e-12
+
+
+    def test_plane_slot_index_is_cached_read_only(self):
+        # every phases_deg / propagate_all call of an equal config shares it
+        planes, slots = _plane_slot_index(make_config())
+        again = _plane_slot_index(make_config())
+        assert again[0] is planes and again[1] is slots
+        assert planes[36] == 1 and slots[36] == 0
+        with pytest.raises(ValueError):
+            slots[0] = 5
 
 
 class TestKinematicsProperties:
