@@ -7,18 +7,17 @@ min-cost max-flow value is the system throughput (``flow.MinCostMaxFlow``:
 successive shortest paths, each found by scipy's compiled Dijkstra).
 Latency: mean shortest propagation delay over seeded random satellite pairs,
 from an exact all-sources sweep over the V-ISL rings and H-ISL boundaries.
-Sweeps tabulate both, plus the analytic H-ISL counts, across phasing factors
-and polar thresholds.
+Sweeps tabulate both, plus the analytic H-ISL counts, across phasing
+factors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .constellation import ConfigError, ConstellationConfig, propagate_all
-from .division import division_for
 from .flow import INF_CAPACITY, MinCostMaxFlow
 from .isl import (
     IslKind,
@@ -104,8 +103,7 @@ def weight_snapshot(config: ConstellationConfig, snapshot: IslSnapshot,
 
 
 def snapshot_at(config: ConstellationConfig, mode: IslMode, t: float) -> WeightedNetSnapshot:
-    division = division_for(config)
-    return weight_snapshot(config, snapshot_edges(config, mode, division, t), t)
+    return weight_snapshot(config, snapshot_edges(config, mode, t), t)
 
 
 def max_flow_throughput(snapshot: WeightedNetSnapshot,
@@ -318,11 +316,12 @@ class SweepRow:
     error: str = ""
 
 
-def sweep(config_template: ConstellationConfig, f_values, polar_values, modes,
+def sweep(config_template: ConstellationConfig, f_values, modes,
           include_throughput: bool = False, include_latency: bool = False,
           pairs: int = 10_000, seed: int | None = None,
           snapshots: int = 16) -> list[SweepRow]:
-    """One row per (F, polar threshold, mode) with the chosen metrics.
+    """One row per (F, mode) with the chosen metrics; each grid point is
+    ``config_template`` with its phasing factor replaced.
 
     Grid points whose configuration is rejected (ConfigError) are recorded
     as error rows and the sweep continues; any other exception is a program
@@ -333,35 +332,25 @@ def sweep(config_template: ConstellationConfig, f_values, polar_values, modes,
     # checked here too, so that a bad count fails the call, not every grid point
     _require_count("pairs", pairs)
     _require_count("snapshots", snapshots)
+    polar = float(config_template.polar_threshold_deg)
     rows = []
-    for polar in polar_values:
-        for f in f_values:
-            for mode in modes:
-                try:
-                    cfg = ConstellationConfig(
-                        num_planes=config_template.num_planes,
-                        sats_per_plane=config_template.sats_per_plane,
-                        phasing_factor=int(f),
-                        altitude_km=config_template.altitude_km,
-                        inclination_deg=config_template.inclination_deg,
-                        polar_threshold_deg=float(polar),
-                        raan0_deg=config_template.raan0_deg,
-                        period_s=config_template.period_s,
-                    )
-                    n_hisl = hisl_count_analytic(
-                        cfg.num_planes, cfg.sats_per_plane,
-                        boundaries_for(cfg, mode))[0]
-                    throughput = (mean_throughput(cfg, mode, snapshots=snapshots)
-                                  if include_throughput else None)
-                    latency = (avg_latency(cfg, mode, pairs, seed, snapshots).mean_ms
-                               if include_latency else None)
-                    rows.append(SweepRow(
-                        phasing_factor=int(f), polar_threshold_deg=float(polar),
-                        mode=mode.value, n_hisl=n_hisl,
-                        throughput_gbps=throughput, avg_latency_ms=latency))
-                except ConfigError as exc:  # keep sweeping, record the point
-                    rows.append(SweepRow(
-                        phasing_factor=int(f), polar_threshold_deg=float(polar),
-                        mode=mode.value, n_hisl=-1, throughput_gbps=None,
-                        avg_latency_ms=None, error=str(exc)))
+    for f in f_values:
+        for mode in modes:
+            try:
+                cfg = replace(config_template, phasing_factor=int(f))
+                n_hisl = hisl_count_analytic(
+                    cfg.num_planes, cfg.sats_per_plane, boundaries_for(cfg, mode))[0]
+                throughput = (mean_throughput(cfg, mode, snapshots=snapshots)
+                              if include_throughput else None)
+                latency = (avg_latency(cfg, mode, pairs, seed, snapshots).mean_ms
+                           if include_latency else None)
+                rows.append(SweepRow(
+                    phasing_factor=int(f), polar_threshold_deg=polar,
+                    mode=mode.value, n_hisl=n_hisl,
+                    throughput_gbps=throughput, avg_latency_ms=latency))
+            except ConfigError as exc:  # keep sweeping, record the point
+                rows.append(SweepRow(
+                    phasing_factor=int(f), polar_threshold_deg=polar,
+                    mode=mode.value, n_hisl=-1, throughput_gbps=None,
+                    avg_latency_ms=None, error=str(exc)))
     return rows

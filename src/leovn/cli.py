@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, verify as verify_mod
-from .analysis import avg_latency, sweep
-from .constellation import ConfigError, ConstellationConfig, load_config
-from .division import cell_bounds, classify_region, division_for
+from .analysis import sweep
+from .constellation import ConfigError, ConstellationConfig, read_config_file
+from .division import cell_bounds, classify_region
 from .isl import (
     IslMode,
     boundaries_for,
@@ -116,12 +116,13 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace, f_override: int | None = None) -> ConstellationConfig:
+    """The file's values (if any) overlaid with the flags, built once, so that
+    defaults such as ``phase0_deg = -polar`` resolve after the overrides."""
     if args.config:
-        base = load_config(args.config)
-        fields = dataclasses.asdict(base)
+        fields = read_config_file(args.config)
+    elif args.n1 is None or args.n2 is None:
+        raise ConfigError("either --config or both --n1 and --n2 are required")
     else:
-        if args.n1 is None or args.n2 is None:
-            raise ConfigError("either --config or both --n1 and --n2 are required")
         fields = {}
     overrides = {
         "num_planes": args.n1,
@@ -134,12 +135,7 @@ def _build_config(args: argparse.Namespace, f_override: int | None = None) -> Co
         "phase0_deg": args.phase0_deg,
         "period_s": args.period_s,
     }
-    for key, value in overrides.items():
-        if value is not None:
-            fields[key] = value
-    fields.setdefault("phasing_factor", 0)
-    fields.setdefault("altitude_km", 780.0)
-    fields.setdefault("polar_threshold_deg", 70.0)
+    fields.update((key, value) for key, value in overrides.items() if value is not None)
     return ConstellationConfig(**fields)
 
 
@@ -154,7 +150,6 @@ def _parse_mode(value: str) -> list[IslMode]:
 def cmd_divide(args: argparse.Namespace) -> int:
     started = _now()
     config = _build_config(args)
-    div = division_for(config)
     b = boundaries_for(config, IslMode(args.mode))
     header = ["v", "h", "region", "lat_low_deg", "lat_high_deg",
               "lon_low_deg", "lon_high_deg", "pole_wrap"]
@@ -162,7 +157,7 @@ def cmd_divide(args: argparse.Namespace) -> int:
     for v in range(1, config.sats_per_plane + 1):
         region = classify_region(v, b).value
         for h in range(1, config.num_planes + 1):
-            cell = cell_bounds(v, h, div)
+            cell = cell_bounds(config, v, h)
             rows.append([v, h, region, repr(cell.lat_low), repr(cell.lat_high),
                          repr(cell.lon_low), repr(cell.lon_high), cell.pole_wrap])
     out = _out_path(args, "division.csv")
@@ -175,8 +170,7 @@ def cmd_divide(args: argparse.Namespace) -> int:
 def cmd_snapshot(args: argparse.Namespace) -> int:
     started = _now()
     config = _build_config(args)
-    division = division_for(config)
-    snapshot = snapshot_edges(config, IslMode(args.mode), division, args.t_seconds)
+    snapshot = snapshot_edges(config, IslMode(args.mode), args.t_seconds)
     header = ["a_plane", "a_slot", "b_plane", "b_slot", "kind", "direction", "active"]
     plane, slot = divmod(snapshot.pairs, config.sats_per_plane)
     rows = [[ap + 1, aslot + 1, bp + 1, bslot + 1, KIND_LETTERS[k], d.value, act]
@@ -230,8 +224,7 @@ def _sweep_command(args: argparse.Namespace, include_throughput: bool,
     started = _now()
     config = _build_config(args, f_override=0)
     f_values = range(args.f_min, args.f_max + 1)
-    polar_values = [args.polar_deg if args.polar_deg is not None else 70.0]
-    rows = sweep(config, f_values, polar_values, _parse_mode(args.mode),
+    rows = sweep(config, f_values, _parse_mode(args.mode),
                  include_throughput=include_throughput,
                  include_latency=include_latency,
                  pairs=getattr(args, "pairs", 10_000),

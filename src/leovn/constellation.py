@@ -207,12 +207,14 @@ _CONFIG_KEYS = {
 }
 
 
-def load_config(path: str | Path) -> ConstellationConfig:
-    """Read a key/value config file (``key = value``, ``#`` comments).
+def read_config_file(path: str | Path) -> dict[str, int | float]:
+    """Read a key/value config file (``key = value``, ``#`` comments) into
+    ``ConstellationConfig`` keyword arguments, unresolved, so that values
+    laid over them still resolve the defaults (``phase0_deg`` included).
 
     Recognized keys: n1, n2, F, altitude_km, inclination_deg,
-    polar_threshold_deg, raan0_deg, phase0_deg, period_s.  Unknown keys and
-    malformed values raise ConfigError naming the offending key.
+    polar_threshold_deg, raan0_deg, phase0_deg, period_s.  Unknown keys,
+    malformed values and a missing n1 or n2 raise ConfigError naming the key.
     """
     kwargs = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -233,4 +235,4 @@ def load_config(path: str | Path) -> ConstellationConfig:
     for required in ("num_planes", "sats_per_plane"):
         if required not in kwargs:
             raise ConfigError(f"{path}: missing required key for {required}")
-    return ConstellationConfig(**kwargs)
+    return kwargs

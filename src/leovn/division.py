@@ -1,11 +1,15 @@
 """Virtual-node division: celestial-sphere cells and the geographic baseline.
 
-The celestial division (CSD) assigns each satellite a virtual address (v, h):
-h is its plane, v the index of the along-track phase band it currently
-occupies.  Bands are half-open [start, start + 360/n2) so a satellite exactly
-on a boundary belongs to the upper cell.  The geographic division (GRD)
-freezes the t=0 ground projection of those cells and serves each frozen cell
-with whichever satellite covers it, either from the original plane only
+The celestial division (CSD) follows from the constellation alone: row 1
+starts at -polar threshold of along-track phase, column 1 at raan0, rows are
+360/n2 tall and the cells of plane h are shifted along track by
+mod(h-1, K) * delta_f (K = n1/F), the in-row phase spread of the optimized
+link layout.  It assigns each satellite a virtual address (v, h): h is its
+plane, v the index of the along-track phase band it currently occupies.
+Bands are half-open [start, start + 360/n2) so a satellite exactly on a
+boundary belongs to the upper cell.  The geographic division (GRD) freezes
+the t=0 ground projection of those cells and serves each frozen cell with
+whichever satellite covers it, either from the original plane only
 (variant 1) or from any plane (variant 2).
 
 Row-boundary arithmetic is exact (Fraction degrees); see angles.py.
@@ -16,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,67 +77,44 @@ class VnCellBounds:
     pole_wrap: bool
 
 
-@dataclass(frozen=True)
-class DivisionConfig:
-    """Division descriptor: origin of cell (1,1) plus the phased-offset rule.
+# -- the celestial division of a constellation ---------------------------------
 
-    When ``phased`` is set, the cell grid of plane h is shifted along track
-    by mod(h-1, K) * delta_f, which cancels the in-row phase spread of the
-    optimized link layout (K = n1/F, kept as an exact rational).
+def row_origin_deg(config: ConstellationConfig) -> Fraction:
+    """Along-track phase where row 1 of plane 1 starts: -polar threshold."""
+    return -Fraction(config.polar_threshold_deg)
+
+
+def phase_step_deg(config: ConstellationConfig) -> Fraction:
+    """Along-track height of a cell: 360/n2 deg."""
+    return Fraction(360, config.sats_per_plane)
+
+
+def plane_shift_deg(num_planes: int, sats_per_plane: int, phasing_factor: int,
+                    plane: int) -> Fraction:
+    """Along-track shift of plane h's cells, exact degrees.
+
+    mod(h-1, K) * delta_f with K = n1/F and delta_f = 360F/(n1 n2), which is
+    ((h-1)F mod n1) * 360/(n1 n2); 0 when F = 0.  This is also the phase
+    spread of plane h's member in an optimized row (``isl.phase_analysis``).
     """
-    num_planes: int
-    sats_per_plane: int
-    lat_origin_deg: Fraction      # along-track start of row 1 (phase angle)
-    lon_origin_deg: Fraction      # inertial longitude of column 1's west edge
-    phase_offset_deg: Fraction    # adjacent-plane phase offset (360F/(n1 n2))
-    phased: bool = False
-    k_ratio: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if self.phased and (self.k_ratio is None or self.phase_offset_deg == 0):
-            raise ConfigError("phased division requires F > 0 (K = n1/F undefined at F = 0)")
-
-    @property
-    def phase_step_deg(self) -> Fraction:
-        return Fraction(360, self.sats_per_plane)
-
-    @property
-    def raan_step_deg(self) -> Fraction:
-        return Fraction(180, self.num_planes)
-
-    def plane_shift_deg(self, plane: int) -> Fraction:
-        """Along-track grid shift of a plane: mod(h-1, K) * delta_f (phased)."""
-        if not self.phased:
-            return Fraction(0)
-        k = self.k_ratio
-        r = (plane - 1) - math.floor((plane - 1) / k) * k
-        return r * self.phase_offset_deg
-
-    @cached_property
-    def _plane_shifts(self) -> np.ndarray:
-        """(n1, 1) column of the plane shifts in float degrees, built once."""
-        return np.array([[float(self.plane_shift_deg(h))] for h in range(1, self.num_planes + 1)])
-
-    def row_start_deg(self, row: int, plane: int) -> Fraction:
-        """Unfolded start angle of cell (row, plane), exact degrees."""
-        return (self.lat_origin_deg + self.plane_shift_deg(plane)
-                + (row - 1) * self.phase_step_deg)
+    return Fraction(360 * ((plane - 1) * phasing_factor % num_planes),
+                    num_planes * sats_per_plane)
 
 
-def division_for(config: ConstellationConfig) -> DivisionConfig:
-    """Division matching a constellation: row 1 starts at -polar threshold,
-    column 1 at raan0, and the grid is phased whenever F > 0.
-    """
-    phased = config.phasing_factor > 0
-    return DivisionConfig(
-        num_planes=config.num_planes,
-        sats_per_plane=config.sats_per_plane,
-        lat_origin_deg=-Fraction(config.polar_threshold_deg),
-        lon_origin_deg=Fraction(config.raan0_deg),
-        phase_offset_deg=config.phase_offset_deg,
-        phased=phased,
-        k_ratio=Fraction(config.num_planes, config.phasing_factor) if phased else None,
-    )
+@lru_cache(maxsize=None)
+def _plane_shifts(config: ConstellationConfig) -> np.ndarray:
+    """(n1, 1) read-only column of the plane shifts in float degrees."""
+    n1, n2, f = config.num_planes, config.sats_per_plane, config.phasing_factor
+    shifts = np.array([[float(plane_shift_deg(n1, n2, f, h))] for h in range(1, n1 + 1)])
+    shifts.flags.writeable = False
+    return shifts
+
+
+def row_start_deg(config: ConstellationConfig, row: int, plane: int) -> Fraction:
+    """Unfolded start angle of cell (row, plane), exact degrees."""
+    shift = plane_shift_deg(config.num_planes, config.sats_per_plane,
+                            config.phasing_factor, plane)
+    return row_origin_deg(config) + shift + (row - 1) * phase_step_deg(config)
 
 
 # -- cell bounds -------------------------------------------------------------
@@ -145,7 +126,8 @@ def vn_longitude_range(plane: int, lon_origin_deg, raan_step_deg) -> tuple[float
     return float(lo), float(hi)
 
 
-def vn_latitude_range(row: int, plane: int, division: DivisionConfig) -> tuple[float, float, bool]:
+def vn_latitude_range(config: ConstellationConfig, row: int,
+                      plane: int) -> tuple[float, float, bool]:
     """Latitude bounds of cell (row, plane) plus the pole_wrap flag.
 
     Bounds are the folds of the band's start and end angle; on descending
@@ -153,8 +135,8 @@ def vn_latitude_range(row: int, plane: int, division: DivisionConfig) -> tuple[f
     half-open band [start, start + step) contains +90 or 270 deg of unfolded
     phase (i.e. the cell rides over a pole).
     """
-    start = division.row_start_deg(row, plane)
-    step = division.phase_step_deg
+    start = row_start_deg(config, row, plane)
+    step = phase_step_deg(config)
     low = fold_lat_deg(start)
     high = fold_lat_deg(start + step)
     rel_north = (90 - start) % 360
@@ -163,10 +145,9 @@ def vn_latitude_range(row: int, plane: int, division: DivisionConfig) -> tuple[f
     return float(low), float(high), pole_wrap
 
 
-def cell_bounds(row: int, plane: int, division: DivisionConfig) -> VnCellBounds:
-    lon_low, lon_high = vn_longitude_range(
-        plane, division.lon_origin_deg, division.raan_step_deg)
-    lat_low, lat_high, pole_wrap = vn_latitude_range(row, plane, division)
+def cell_bounds(config: ConstellationConfig, row: int, plane: int) -> VnCellBounds:
+    lon_low, lon_high = vn_longitude_range(plane, config.raan0_deg, config.raan_step_deg)
+    lat_low, lat_high, pole_wrap = vn_latitude_range(config, row, plane)
     return VnCellBounds(lon_low=lon_low, lon_high=lon_high,
                         lat_low=lat_low, lat_high=lat_high, pole_wrap=pole_wrap)
 
@@ -262,7 +243,7 @@ def classify_region(row: int, b: RegionBoundaries) -> RegionLabel:
 
 # -- satellite -> address mapping ---------------------------------------------
 
-def csd_rows_all(config: ConstellationConfig, division: DivisionConfig, t: float) -> np.ndarray:
+def csd_rows_all(config: ConstellationConfig, t: float) -> np.ndarray:
     """Vectorized CSD row index for every satellite at time t.
 
     Returns an int array shaped (n1, n2) indexed by (plane-1, slot-1).  The
@@ -272,13 +253,13 @@ def csd_rows_all(config: ConstellationConfig, division: DivisionConfig, t: float
     n1, n2 = config.num_planes, config.sats_per_plane
     step = 360.0 / n2
     phase = phases_deg(config, t).reshape(n1, n2)
-    rel = np.mod(phase - float(division.lat_origin_deg) - division._plane_shifts, 360.0)
+    rel = np.mod(phase - float(row_origin_deg(config)) - _plane_shifts(config), 360.0)
     rows = 1 + np.floor(rel / step + CELL_SNAP).astype(int) % n2
     return rows
 
 
-def switching_epochs(config: ConstellationConfig, division: DivisionConfig,
-                     count: int, t_start: float = 0.0) -> list[float]:
+def switching_epochs(config: ConstellationConfig, count: int,
+                     t_start: float = 0.0) -> list[float]:
     """First ``count`` cell-handover instants at or after ``t_start``.
 
     Handovers happen when plane 1 sits exactly on its cell boundaries, every
@@ -287,8 +268,8 @@ def switching_epochs(config: ConstellationConfig, division: DivisionConfig,
     period = config.period
     step_t = period / config.sats_per_plane
     # offset of the first epoch: phase0 + 360 t/T == lat origin (mod step)
-    lag_deg = float((division.lat_origin_deg - Fraction(config.phase0_deg)) %
-                    division.phase_step_deg)
+    lag_deg = float((row_origin_deg(config) - Fraction(config.phase0_deg)) %
+                    phase_step_deg(config))
     t0 = lag_deg / 360.0 * period
     k0 = math.ceil((t_start - t0) / step_t - 1e-12)
     return [t0 + k * step_t for k in range(k0, k0 + count)]
@@ -317,18 +298,15 @@ class GrdGrid:
     (n2, n1, 3).  At t=0 with the default epoch phase the satellite addressed
     (v, h) sits at the zenith of anchor (v, h).
     """
-    num_planes: int
-    sats_per_plane: int
     anchors: np.ndarray
 
 
-def build_grd_grid(config: ConstellationConfig, division: DivisionConfig) -> GrdGrid:
+def build_grd_grid(config: ConstellationConfig) -> GrdGrid:
     n1, n2 = config.num_planes, config.sats_per_plane
-    u = np.radians([[float(division.row_start_deg(v, h)) for h in range(1, n1 + 1)]
+    u = np.radians([[float(row_start_deg(config, v, h)) for h in range(1, n1 + 1)]
                     for v in range(1, n2 + 1)])
     raan = np.radians([float(config.raan_deg(h)) for h in range(1, n1 + 1)])
-    return GrdGrid(num_planes=n1, sats_per_plane=n2,
-                   anchors=_orbit_unit_vectors(u, raan, config.inclination))
+    return GrdGrid(anchors=_orbit_unit_vectors(u, raan, config.inclination))
 
 
 def _coverage_cos_limit(config: ConstellationConfig) -> float:

@@ -21,11 +21,13 @@ import numpy as np
 from .angles import CELL_SNAP
 from .constellation import ConfigError, ConstellationConfig, phases_deg
 from .division import (
-    DivisionConfig,
     RegionBoundaries,
+    phase_step_deg,
+    plane_shift_deg,
     region_boundaries,
     region_boundaries_phased,
     region_boundaries_spread,
+    row_origin_deg,
 )
 
 
@@ -102,10 +104,6 @@ class PhaseAnalysis:
     bh_planes: frozenset[int] | None   # BH boundaries; None when F > n1
 
 
-def _mod_fraction(value: int, modulus: Fraction) -> Fraction:
-    return value - math.floor(value / modulus) * modulus
-
-
 def phase_analysis(num_planes: int, sats_per_plane: int, phasing_factor: int) -> PhaseAnalysis:
     """Phase spread of conventional vs optimized rows for a Walker layout."""
     n1, n2, f = num_planes, sats_per_plane, phasing_factor
@@ -128,7 +126,7 @@ def phase_analysis(num_planes: int, sats_per_plane: int, phasing_factor: int) ->
     k = Fraction(n1, f)
     bh_count = tuple(((h - 1) * f) // n1 for h in range(1, n1 + 1))
     fh_count = tuple((h - 1) - bh_count[h - 1] for h in range(1, n1 + 1))
-    spread = tuple(_mod_fraction(h - 1, k) * delta_f for h in range(1, n1 + 1))
+    spread = tuple(plane_shift_deg(n1, n2, f, h) for h in range(1, n1 + 1))
     conventional = (n1 - 1) * delta_f
     # circular span of the conventional row: 360 minus the largest gap
     phases = sorted(((h - 1) * delta_f) % 360 for h in range(1, n1 + 1))
@@ -226,8 +224,7 @@ def polar_cap_phase_spans(config: ConstellationConfig) -> list[tuple[Fraction, F
 
 
 @lru_cache(maxsize=None)
-def active_row_set(config: ConstellationConfig, mode: IslMode,
-                   division: DivisionConfig) -> frozenset[int]:
+def active_row_set(config: ConstellationConfig, mode: IslMode) -> frozenset[int]:
     """Dwell rows v whose full handover interval keeps every member clear of
     the polar caps.
 
@@ -238,8 +235,8 @@ def active_row_set(config: ConstellationConfig, mode: IslMode,
     their denominators, so the test runs on Python ints.
     """
     spans = polar_cap_phase_spans(config)
-    step = division.phase_step_deg
-    offsets = {division.lat_origin_deg + s for s in row_spreads_deg(config, mode)}
+    step = phase_step_deg(config)
+    offsets = {row_origin_deg(config) + s for s in row_spreads_deg(config, mode)}
     exact = [step, *offsets, *(x for span in spans for x in span)]
     scale = math.lcm(*(x.denominator for x in exact))
 
@@ -277,8 +274,8 @@ def _static_pairs(config: ConstellationConfig, mode: IslMode):
     return pairs, kind, (HDirection.NONE,) * len(v_pairs) + boundaries * n2
 
 
-def row_activity(config: ConstellationConfig, mode: IslMode, division: DivisionConfig,
-                 t: float, shutoff: ShutoffRule) -> np.ndarray:
+def row_activity(config: ConstellationConfig, mode: IslMode, t: float,
+                 shutoff: ShutoffRule) -> np.ndarray:
     """Active flag of every H boundary, shaped (n2 rows, n1-1).
 
     Row rule: one flag per row, held for the whole dwell of its plane-1
@@ -289,8 +286,8 @@ def row_activity(config: ConstellationConfig, mode: IslMode, division: DivisionC
     n1, n2 = config.num_planes, config.sats_per_plane
     phases = np.mod(phases_deg(config, t), 360.0)
     if shutoff is ShutoffRule.ROW_SYNCHRONIZED:
-        active = active_row_set(config, mode, division)
-        origin = float(division.row_start_deg(1, 1))
+        active = active_row_set(config, mode)
+        origin = float(row_origin_deg(config))
         base = phases[rows[:, 0]]
         dwell = 1 + (np.floor((base - origin) % 360.0 / (360.0 / n2)
                               + CELL_SNAP).astype(int) % n2)
@@ -302,8 +299,8 @@ def row_activity(config: ConstellationConfig, mode: IslMode, division: DivisionC
     return ~(polar[rows[:, :-1]] | polar[rows[:, 1:]])
 
 
-def snapshot_edges(config: ConstellationConfig, mode: IslMode, division: DivisionConfig,
-                   t: float, shutoff: ShutoffRule = ShutoffRule.ROW_SYNCHRONIZED) -> IslSnapshot:
+def snapshot_edges(config: ConstellationConfig, mode: IslMode, t: float,
+                   shutoff: ShutoffRule = ShutoffRule.ROW_SYNCHRONIZED) -> IslSnapshot:
     """Physical edge set at time t: V-ISLs always active, H-ISLs per shutoff rule.
 
     Under the row rule a row's state is anchored to the dwell of its plane-1
@@ -311,7 +308,7 @@ def snapshot_edges(config: ConstellationConfig, mode: IslMode, division: Divisio
     each link follows its endpoints' instantaneous latitudes.
     """
     pairs, kind, direction = _static_pairs(config, mode)
-    activity = row_activity(config, mode, division, t, shutoff)
+    activity = row_activity(config, mode, t, shutoff)
     active = np.concatenate([np.ones(config.total_sats, dtype=bool), activity.ravel()])
     return IslSnapshot(pairs=pairs, kind=kind, direction=direction, active=active)
 

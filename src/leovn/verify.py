@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from . import analysis, division, isl, virtualgraph
 from .constellation import SIDEREAL_DAY, ConstellationConfig
-from .division import RegionBoundaries, division_for, grd_switch_interval
+from .division import RegionBoundaries, grd_switch_interval
 from .flow import MinCostMaxFlow
 from .isl import IslMode
 
@@ -115,10 +115,9 @@ def check_counts() -> CheckResult:
             n1_grid, n2_grid, polar_grid, f_grid, modes):
         cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
                                   altitude_km=780, polar_threshold_deg=polar)
-        div = division_for(cfg)
         want = isl.hisl_count_analytic(n1, n2, isl.boundaries_for(cfg, mode))[0]
-        for t in division.switching_epochs(cfg, div, 3):
-            got = isl.active_hisl_count(isl.snapshot_edges(cfg, mode, div, t))
+        for t in division.switching_epochs(cfg, 3):
+            got = isl.active_hisl_count(isl.snapshot_edges(cfg, mode, t))
             if got != want:
                 result.fail(f"n1={n1} n2={n2} polar={polar} F={f} {mode.value} "
                             f"t={t:.3f}: snapshot {got} != analytic {want}")
@@ -178,10 +177,12 @@ def check_theorem1() -> CheckResult:
 
 
 def check_staticness() -> CheckResult:
-    """Celestial division is event-free; geographic variants are not."""
+    """Celestial division is event-free and its instance is the connected
+    static virtual graph; geographic variants are not event-free."""
     result = CheckResult(
         name="staticness",
-        grid="CSD optimized F in (0,2,6) over one period at 720 samples; "
+        grid="CSD optimized F in (0,2,6) over one period at 720 samples, and its "
+             "instance vs the static graph at every handover epoch and mid-dwell; "
              "GRD1/GRD2 over one sidereal day",
         passed=True)
     for f in (0, 2, 6):
@@ -191,6 +192,17 @@ def check_staticness() -> CheckResult:
             cfg, virtualgraph.VnMethod.CSD, IslMode.OPTIMIZED, cfg.period, 720)
         if rep.event_count != 0:
             result.fail(f"CSD F={f}: {rep.event_count} events, expected 0")
+        static = virtualgraph.static_graph_for(cfg, IslMode.OPTIMIZED)
+        if not virtualgraph.is_connected(static):
+            result.fail(f"CSD F={f}: static virtual graph is not connected")
+        epochs = division.switching_epochs(cfg, cfg.sats_per_plane + 1)
+        mids = [(a + b) / 2 for a, b in itertools.pairwise(epochs)]
+        for t in epochs[:-1] + mids:
+            instance, _, _ = virtualgraph.method_instance(
+                cfg, virtualgraph.VnMethod.CSD, IslMode.OPTIMIZED, t, None)
+            if not np.array_equal(instance, static.edges):
+                result.fail(f"CSD F={f} t={t:.3f}: instance != static virtual graph")
+                break
     cfg = ConstellationConfig(num_planes=18, sats_per_plane=36, phasing_factor=0,
                               altitude_km=780, polar_threshold_deg=70)
     rep2 = virtualgraph.staticness_report(
@@ -330,7 +342,7 @@ def check_flow() -> CheckResult:
                                   polar_threshold_deg=rng.uniform(50.0, 85.0))
         t = rng.uniform(0.0, cfg.period)
         for mode, rule in itertools.product(IslMode, isl.ShutoffRule):
-            edges = isl.snapshot_edges(cfg, mode, division_for(cfg), t, rule)
+            edges = isl.snapshot_edges(cfg, mode, t, rule)
             snap = analysis.weight_snapshot(cfg, edges, t)
             want = csgraph_dijkstra(analysis.delay_matrix(snap), directed=False)
             got = analysis.shortest_path_delays(snap, np.arange(cfg.total_sats))

@@ -25,13 +25,11 @@ from scipy.sparse.csgraph import connected_components
 from .angles import snapped_floor
 from .constellation import OMEGA_EARTH, ConfigError, ConstellationConfig, phases_deg
 from .division import (
-    DivisionConfig,
     GrdGrid,
     GrdVariant,
     RegionBoundaries,
     build_grd_grid,
     csd_rows_all,
-    division_for,
     grd_assignment,
     switching_epochs,
 )
@@ -136,13 +134,12 @@ def is_connected(graph: VirtualGraph) -> bool:
 
 # -- addressing and mapping -----------------------------------------------------
 
-def csd_addressing(config: ConstellationConfig, division: DivisionConfig,
-                   t: float) -> np.ndarray:
+def csd_addressing(config: ConstellationConfig, t: float) -> np.ndarray:
     """Cell -> satellite array (n2, n1) of the celestial division: a permutation
     of the flat satellite indices."""
     n1, n2 = config.num_planes, config.sats_per_plane
     serving = np.full((n2, n1), -1)
-    rows = csd_rows_all(config, division, t) - 1     # indexed (plane-1, slot-1)
+    rows = csd_rows_all(config, t) - 1     # indexed (plane-1, slot-1)
     serving[rows, np.arange(n1)[:, None]] = np.arange(n1 * n2).reshape(n1, n2)
     return serving
 
@@ -190,7 +187,7 @@ def seam_columns(config: ConstellationConfig, t: float) -> int:
 # -- instances per method ------------------------------------------------------
 
 def method_instance(config: ConstellationConfig, method: VnMethod, mode: IslMode,
-                    t: float, division: DivisionConfig, grid: GrdGrid | None):
+                    t: float, grid: GrdGrid | None):
     """(instance keys, cell -> satellite array, conflicts) at one sample time.
 
     CSD uses the row-synchronized shut-off and its own (bijective)
@@ -200,12 +197,12 @@ def method_instance(config: ConstellationConfig, method: VnMethod, mode: IslMode
     geographic division, reported, not fatal).
     """
     if method is VnMethod.CSD:
-        snapshot = snapshot_edges(config, mode, division, t, ShutoffRule.ROW_SYNCHRONIZED)
-        serving = csd_addressing(config, division, t)
+        snapshot = snapshot_edges(config, mode, t, ShutoffRule.ROW_SYNCHRONIZED)
+        serving = csd_addressing(config, t)
     else:
         variant = GrdVariant.INTRA_ONLY if method is VnMethod.GRD1 else GrdVariant.INTER_PLANE
         serving = grd_assignment(config, grid, t, variant)
-        snapshot = snapshot_edges(config, mode, division, t, ShutoffRule.PER_SATELLITE)
+        snapshot = snapshot_edges(config, mode, t, ShutoffRule.PER_SATELLITE)
     cells_per_sat = np.bincount(serving[serving >= 0], minlength=serving.size)
     conflicts = int(np.count_nonzero(cells_per_sat > 1))
     return map_snapshot(snapshot, serving), serving, conflicts
@@ -234,12 +231,12 @@ def _lats_all(config: ConstellationConfig, t: float) -> np.ndarray:
     return np.arcsin(np.clip(math.sin(config.inclination) * np.sin(u), -1.0, 1.0))
 
 
-def sample_times(config: ConstellationConfig, division: DivisionConfig,
-                 duration_s: float, samples: int) -> list[float]:
+def sample_times(config: ConstellationConfig, duration_s: float,
+                 samples: int) -> list[float]:
     """Evenly spaced samples over [0, duration] plus exact handover epochs."""
     times = list(np.linspace(0.0, duration_s, samples))
     n_epochs = int(duration_s / (config.period / config.sats_per_plane)) + 1
-    for t in switching_epochs(config, division, n_epochs):
+    for t in switching_epochs(config, n_epochs):
         if 0.0 <= t <= duration_s:
             times.append(t)
     times.sort()
@@ -269,9 +266,8 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
         raise ConfigError(f"samples must be >= 2, got {samples}")
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ConfigError(f"duration_s must be finite and > 0, got {duration_s}")
-    division = division_for(config)
-    grid = build_grd_grid(config, division) if method is not VnMethod.CSD else None
-    times = sample_times(config, division, duration_s, samples)
+    grid = build_grd_grid(config) if method is not VnMethod.CSD else None
+    times = sample_times(config, duration_s, samples)
 
     lats_at = lru_cache(maxsize=1)(lambda i: _lats_all(config, times[i]))
 
@@ -284,8 +280,7 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
 
     prev = None
     for i, t in enumerate(times):
-        instance, serving, conflicts = method_instance(
-            config, method, mode, t, division, grid)
+        instance, serving, conflicts = method_instance(config, method, mode, t, grid)
         conflicts_total += conflicts
         if method is VnMethod.GRD2:
             seam_history.append((t, seam_columns(config, t)))

@@ -15,7 +15,6 @@ import pytest
 from leovn.analysis import avg_latency, mean_throughput
 from leovn.constellation import SIDEREAL_DAY, ConstellationConfig
 from leovn.division import (
-    division_for,
     grd_switch_interval,
     region_boundaries,
     region_boundaries_phased,
@@ -73,10 +72,9 @@ def test_criterion_02_analytic_vs_geometric_counts():
             (6, 12, 18), (12, 24, 36), (60, 64, 70, 80), range(6),
             (IslMode.CONVENTIONAL, IslMode.OPTIMIZED)):
         cfg = make_config(F=f, n1=n1, n2=n2, polar=polar)
-        div = division_for(cfg)
         want = hisl_count_analytic(n1, n2, boundaries_for(cfg, mode))[0]
-        for t in switching_epochs(cfg, div, 2):
-            got = active_hisl_count(snapshot_edges(cfg, mode, div, t))
+        for t in switching_epochs(cfg, 2):
+            got = active_hisl_count(snapshot_edges(cfg, mode, t))
             if got != want:
                 ok = False
     report(2, "snapshot H-ISL counts equal closed forms over the full grid (exact)",

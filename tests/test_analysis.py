@@ -22,7 +22,6 @@ from leovn.analysis import (
     weight_snapshot,
 )
 from leovn.constellation import ConfigError, ConstellationConfig
-from leovn.division import division_for
 from leovn.flow import INF_CAPACITY
 from leovn.isl import IslKind, IslMode, ShutoffRule, snapshot_edges
 
@@ -82,8 +81,7 @@ class TestWeightSnapshot:
 
     def test_only_active_edges_kept(self):
         cfg = make_config()
-        division = division_for(cfg)
-        edges = snapshot_edges(cfg, IslMode.CONVENTIONAL, division, 0.0)
+        edges = snapshot_edges(cfg, IslMode.CONVENTIONAL, 0.0)
         snap = weight_snapshot(cfg, edges, 0.0)
         assert len(snap.edges) == edges.active.sum() == 648 + 476
         assert snap.edges.tolist() == edges.pairs[edges.active].tolist()
@@ -233,7 +231,7 @@ class TestLatencyKernel:
         cfg, t = case
         if mode is IslMode.OPTIMIZED and cfg.phasing_factor > cfg.num_planes:
             mode = IslMode.CONVENTIONAL   # optimized layout requires F <= n1
-        edges = snapshot_edges(cfg, mode, division_for(cfg), t, shutoff)
+        edges = snapshot_edges(cfg, mode, t, shutoff)
         snap = weight_snapshot(cfg, edges, t)
         sources = np.array(data.draw(st.lists(st.integers(0, cfg.total_sats - 1),
                                               min_size=1, max_size=40)))
@@ -244,37 +242,48 @@ class TestLatencyKernel:
 class TestSweep:
     def test_hisl_columns_match_reference_counts(self):
         cfg = make_config(altitude_km=780.0)
-        rows = sweep(cfg, f_values=(0, 2, 14), polar_values=(70.0,),
-                     modes=(IslMode.CONVENTIONAL,))
+        rows = sweep(cfg, f_values=(0, 2, 14), modes=(IslMode.CONVENTIONAL,))
         by_f = {r.phasing_factor: r.n_hisl for r in rows}
         assert by_f == {0: 476, 2: 408, 14: 0}
 
     def test_optimized_flat_at_442(self):
         cfg = make_config(altitude_km=780.0)
-        rows = sweep(cfg, f_values=range(1, 18), polar_values=(70.0,),
-                     modes=(IslMode.OPTIMIZED,))
+        rows = sweep(cfg, f_values=range(1, 18), modes=(IslMode.OPTIMIZED,))
         assert {r.n_hisl for r in rows} == {442}
 
     def test_optimized_count_never_below_conventional(self):
-        cfg = make_config(altitude_km=780.0)
         for polar in (60.0, 64.0, 70.0, 80.0):
-            rows = sweep(cfg, f_values=range(1, 18), polar_values=(polar,),
+            cfg = ConstellationConfig(num_planes=18, sats_per_plane=36,
+                                      polar_threshold_deg=polar)
+            rows = sweep(cfg, f_values=range(1, 18),
                          modes=(IslMode.CONVENTIONAL, IslMode.OPTIMIZED))
+            assert {r.polar_threshold_deg for r in rows} == {polar}
             by_mode = {}
             for r in rows:
                 by_mode.setdefault(r.phasing_factor, {})[r.mode] = r.n_hisl
             for f, counts in by_mode.items():
                 assert counts["optimized"] >= counts["conventional"], (polar, f)
 
+    def test_grid_point_keeps_every_other_field(self):
+        # a point is the template with F replaced: the epoch phase and the
+        # polar threshold are the template's, not their defaults
+        cfg = ConstellationConfig(num_planes=6, sats_per_plane=12, phasing_factor=3,
+                                  polar_threshold_deg=64.0, phase0_deg=7.0)
+        point = ConstellationConfig(num_planes=6, sats_per_plane=12, phasing_factor=1,
+                                    polar_threshold_deg=64.0, phase0_deg=7.0)
+        [row] = sweep(cfg, (1,), (IslMode.CONVENTIONAL,), include_latency=True,
+                      pairs=500, seed=3, snapshots=3)
+        assert row.polar_threshold_deg == 64.0
+        assert row.avg_latency_ms == avg_latency(point, IslMode.CONVENTIONAL, 500, 3, 3).mean_ms
+
     def test_latency_requires_seed(self):
         cfg = make_config()
         with pytest.raises(ConfigError):
-            sweep(cfg, (0,), (70.0,), (IslMode.CONVENTIONAL,), include_latency=True)
+            sweep(cfg, (0,), (IslMode.CONVENTIONAL,), include_latency=True)
 
     def test_failing_point_becomes_error_row(self):
         cfg = make_config()
-        rows = sweep(cfg, f_values=(0, 99), polar_values=(70.0,),
-                     modes=(IslMode.CONVENTIONAL,))
+        rows = sweep(cfg, f_values=(0, 99), modes=(IslMode.CONVENTIONAL,))
         errors = [r for r in rows if r.error]
         assert len(errors) == 1 and errors[0].phasing_factor == 99
         assert len(rows) == 2
@@ -285,7 +294,7 @@ class TestSweep:
     ])
     def test_empty_sample_counts_rejected(self, kw, fragment):
         with pytest.raises(ConfigError, match=fragment):
-            sweep(make_config(), (0,), (70.0,), (IslMode.CONVENTIONAL,), **kw)
+            sweep(make_config(), (0,), (IslMode.CONVENTIONAL,), **kw)
 
     def test_program_fault_is_not_an_error_row(self, monkeypatch):
         def broken(*args):
@@ -293,4 +302,4 @@ class TestSweep:
 
         monkeypatch.setattr(leovn.analysis, "hisl_count_analytic", broken)
         with pytest.raises(IndexError, match="kernel bug"):
-            sweep(make_config(), (0,), (70.0,), (IslMode.CONVENTIONAL,))
+            sweep(make_config(), (0,), (IslMode.CONVENTIONAL,))

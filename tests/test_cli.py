@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from collections import Counter
@@ -6,7 +7,7 @@ from collections import Counter
 import pytest
 
 import leovn.isl
-from leovn.cli import KIND_LETTERS, main
+from leovn.cli import KIND_LETTERS, _build_config, build_parser, main
 from leovn.constellation import ConstellationConfig
 from leovn.isl import IslMode
 from leovn.virtualgraph import (
@@ -54,13 +55,11 @@ class TestDivide:
         out = tmp_path / "division.csv"
         main(["divide", "--n1", "7", "--n2", "11", "--polar-deg", "66.5",
               "--out", str(out)])
-        from leovn.constellation import ConstellationConfig
-        from leovn.division import cell_bounds, division_for
+        from leovn.division import cell_bounds
         cfg = ConstellationConfig(num_planes=7, sats_per_plane=11,
                                   altitude_km=780.0, polar_threshold_deg=66.5)
-        div = division_for(cfg)
         for row in read_division_csv(out):
-            cell = cell_bounds(row["v"], row["h"], div)
+            cell = cell_bounds(cfg, row["v"], row["h"])
             assert row["lat_low_deg"] == cell.lat_low
             assert row["lat_high_deg"] == cell.lat_high
             assert row["lon_low_deg"] == cell.lon_low
@@ -227,6 +226,77 @@ class TestSweepCommands:
                             "--out", str(out)]) == 2
         assert fragment in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestConfigAssembly:
+    def write_file(self, tmp_path, text="n1 = 6\nn2 = 12\nF = 1\n"):
+        path = tmp_path / "walker.cfg"
+        path.write_text(text)
+        return str(path)
+
+    def test_file_and_flags_resolve_like_flags_alone(self, tmp_path):
+        # the file's defaults resolve after the flags: phase0 follows --polar-deg
+        argv = ["snapshot", "--polar-deg", "64", "--t-seconds", "1234"]
+        from_file = _build_config(build_parser().parse_args(
+            argv + ["--config", self.write_file(tmp_path)]))
+        from_flags = _build_config(build_parser().parse_args(
+            argv + ["--n1", "6", "--n2", "12", "--f", "1"]))
+        assert from_file == from_flags
+        assert from_file.phase0_deg == -64.0
+        out_file, out_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert main(argv + ["--config", self.write_file(tmp_path), "--out", str(out_file)]) == 0
+        assert main(argv + ["--n1", "6", "--n2", "12", "--f", "1", "--out", str(out_flags)]) == 0
+        assert out_file.read_bytes() == out_flags.read_bytes()
+
+    def test_explicit_file_phase0_kept(self, tmp_path):
+        path = self.write_file(tmp_path, "n1 = 6\nn2 = 12\nphase0_deg = 7\n")
+        cfg = _build_config(build_parser().parse_args(
+            ["divide", "--config", path, "--polar-deg", "64"]))
+        assert (cfg.polar_threshold_deg, cfg.phase0_deg) == (64.0, 7.0)
+
+    def test_sweep_uses_the_file_polar_threshold(self, tmp_path):
+        path = self.write_file(tmp_path, "n1 = 18\nn2 = 36\npolar_threshold_deg = 64\n")
+        out_file, out_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        argv = ["sweep-hisl", "--f-max", "7", "--mode", "optimized"]
+        assert main(argv + ["--config", path, "--out", str(out_file)]) == 0
+        assert main(argv + ["--n1", "18", "--n2", "36", "--polar-deg", "64",
+                            "--out", str(out_flags)]) == 0
+        with open(out_file, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["polar_threshold_deg"] for r in rows} == {"64.0"}
+        assert out_file.read_bytes() == out_flags.read_bytes()
+
+
+PAPER_SCALE = ["--n1", "18", "--n2", "36"]
+
+
+class TestPinnedOutputs:
+    """sha256 of paper-scale data files.  Cell bounds are folds of exact
+    rationals and snapshot flags and H-ISL counts come from exact integer
+    tests, so the bytes do not depend on the platform."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["divide", "--mode", "conventional"],
+         "75b7d0c540bb47c1580fcf82c93ca5e34a3d646463b19aff2d60dbf52a1d703a"),
+        (["divide", "--mode", "optimized"],
+         "75b7d0c540bb47c1580fcf82c93ca5e34a3d646463b19aff2d60dbf52a1d703a"),
+        (["divide", "--f", "2", "--mode", "conventional"],
+         "a06c917670d4b2c98eb2265d4f10a639e65b1e61c1d6f3f724934e4fa5c72563"),
+        (["divide", "--f", "2", "--mode", "optimized"],
+         "5b7422049ead07288e104dff9e3265112c0d29cc727d14a530e4be24e680aff1"),
+        (["divide", "--f", "5", "--mode", "conventional"],
+         "f0769ec09a881b2953d091051b073b7f3d69716626e5885d98bb42da76f62424"),
+        (["divide", "--f", "5", "--mode", "optimized"],
+         "97abffab9c1e1c417ed312d5874a0b4e13837c304cd39a02d55f149fe99649d3"),
+        (["snapshot", "--f", "2", "--mode", "optimized", "--t-seconds", "1000"],
+         "6339b50ed3fce08adea5d87985c7d1b0d37cfc3d3933326db913cf395c107252"),
+        (["sweep-hisl", "--f-min", "0", "--f-max", "17", "--mode", "both"],
+         "b04069251a3c7e8dbfd1553ea61574b599f0e5a96f7ed646b53717b4bea083ef"),
+    ])
+    def test_sha256(self, tmp_path, argv, digest):
+        out = tmp_path / "out.csv"
+        assert main(argv + PAPER_SCALE + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestTheoremCheck:

@@ -12,18 +12,19 @@ from leovn.constellation import (
     ConfigError,
     ConstellationConfig,
     _plane_slot_index,
-    load_config,
     orbital_period,
     phases_deg,
     propagate_all,
+    read_config_file,
 )
 from leovn.division import (
     GrdGrid,
     GrdVariant,
     build_grd_grid,
     csd_rows_all,
-    division_for,
     grd_assignment,
+    phase_step_deg,
+    row_start_deg,
 )
 from leovn.isl import IslMode, ShutoffRule, row_activity
 
@@ -192,14 +193,13 @@ class TestKinematicsProperties:
     def test_csd_rows_match_exact_phase(self, case):
         cfg, t = case
         n1, n2 = cfg.num_planes, cfg.sats_per_plane
-        div = division_for(cfg)
-        rows = csd_rows_all(cfg, div, t)
-        step = div.phase_step_deg
+        rows = csd_rows_all(cfg, t)
+        step = phase_step_deg(cfg)
         advance = 360 * Fraction(t) / Fraction(cfg.period)
         for plane in range(1, n1 + 1):
             for slot in range(1, n2 + 1):
                 phase = initial_phase_deg(cfg, plane, slot) + advance
-                rel = (phase - div.row_start_deg(1, plane)) % 360
+                rel = (phase - row_start_deg(cfg, 1, plane)) % 360
                 if min(rel % step, step - rel % step) < Fraction(1, 10**6):
                     continue  # within float reach of a cell boundary
                 assert rows[plane - 1, slot - 1] == 1 + math.floor(rel / step) % n2
@@ -233,7 +233,7 @@ class TestInPolarRegion:
     @staticmethod
     def row_links(phase0_deg):
         cfg = make_config(num_planes=2, sats_per_plane=3, phase0_deg=phase0_deg)
-        return row_activity(cfg, IslMode.CONVENTIONAL, division_for(cfg), 0.0,
+        return row_activity(cfg, IslMode.CONVENTIONAL, 0.0,
                             ShutoffRule.PER_SATELLITE)[:, 0].tolist()
 
     def test_strictly_above(self):
@@ -256,14 +256,13 @@ class TestElevation:
     @staticmethod
     def column1_servers(anchor):
         cfg = make_config(num_planes=2, sats_per_plane=3, phase0_deg=0.0)
-        grid = GrdGrid(num_planes=2, sats_per_plane=3,
-                       anchors=np.broadcast_to(anchor, (3, 2, 3)))
+        grid = GrdGrid(anchors=np.broadcast_to(anchor, (3, 2, 3)))
         return grd_assignment(cfg, grid, 0.0, GrdVariant.INTRA_ONLY)[:, 0].tolist()
 
     def test_zenith(self):
         # t=0, default epoch: every satellite sits at the zenith of its own anchor
         cfg = make_config()
-        grid = build_grd_grid(cfg, division_for(cfg))
+        grid = build_grd_grid(cfg)
         _, _, lats, lons = propagate_all(cfg, 0.0)
         sub = np.stack([np.cos(lats) * np.cos(lons), np.cos(lats) * np.sin(lons),
                         np.sin(lats)], axis=1)
@@ -295,7 +294,7 @@ F = 2
 altitude_km = 780
 polar_threshold_deg = 70
 """)
-        cfg = load_config(path)
+        cfg = ConstellationConfig(**read_config_file(path))
         assert cfg.num_planes == 18 and cfg.phasing_factor == 2
         assert cfg.inclination_deg == 90.0
         assert cfg.raan0_deg == 0.0
@@ -305,16 +304,16 @@ polar_threshold_deg = 70
         path = tmp_path / "bad.cfg"
         path.write_text("n1 = 18\nn2 = 36\nbogus = 1\n")
         with pytest.raises(ConfigError, match="bogus"):
-            load_config(path)
+            read_config_file(path)
 
     def test_bad_value_is_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("n1 = 18\nn2 = thirty\n")
         with pytest.raises(ConfigError, match="n2"):
-            load_config(path)
+            read_config_file(path)
 
     def test_missing_required(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("n1 = 18\n")
         with pytest.raises(ConfigError):
-            load_config(path)
+            read_config_file(path)

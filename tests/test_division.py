@@ -15,19 +15,20 @@ from leovn.constellation import (
     propagate_all,
 )
 from leovn.division import (
-    DivisionConfig,
     GrdVariant,
     RegionLabel,
     build_grd_grid,
     cell_bounds,
     classify_region,
     csd_rows_all,
-    division_for,
     grd_assignment,
     grd_switch_interval,
+    phase_step_deg,
+    plane_shift_deg,
     region_boundaries,
     region_boundaries_phased,
     region_boundaries_spread,
+    row_start_deg,
     switching_epochs,
     vn_latitude_range,
     vn_longitude_range,
@@ -41,14 +42,6 @@ def make_config(**kw):
                 altitude_km=780.0, polar_threshold_deg=70.0)
     base.update(kw)
     return ConstellationConfig(**base)
-
-
-def make_division(phi0=-70, n1=18, n2=36, F=0, phased=False):
-    k = Fraction(n1, F) if F else None
-    return DivisionConfig(num_planes=n1, sats_per_plane=n2,
-                          lat_origin_deg=Fraction(phi0), lon_origin_deg=Fraction(0),
-                          phase_offset_deg=Fraction(360 * F, n1 * n2),
-                          phased=phased, k_ratio=k if phased else None)
 
 
 class TestLongitudeRange:
@@ -69,32 +62,21 @@ class TestLongitudeRange:
 
 class TestLatitudeRange:
     def test_first_band_ascending(self):
-        div = make_division()
-        assert vn_latitude_range(1, 1, div) == (-70.0, -60.0, False)
+        assert vn_latitude_range(make_config(), 1, 1) == (-70.0, -60.0, False)
 
     def test_band_over_the_pole_descends(self):
-        div = make_division()
-        lo, hi, wrap = vn_latitude_range(17, 1, div)
+        lo, hi, wrap = vn_latitude_range(make_config(), 17, 1)
         assert (lo, hi) == (90.0, 80.0)
         assert wrap  # band [90, 100) holds the pole crossing
 
     def test_band_just_below_pole_not_wrapped(self):
-        div = make_division()
-        assert vn_latitude_range(16, 1, div) == (80.0, 90.0, False)
+        assert vn_latitude_range(make_config(), 16, 1) == (80.0, 90.0, False)
 
     def test_phased_offset_shifts_band(self):
-        # K=2, delta_f=5 deg: plane 2's grid sits 5 deg further along track
-        div = DivisionConfig(num_planes=4, sats_per_plane=36,
-                             lat_origin_deg=Fraction(-70), lon_origin_deg=Fraction(0),
-                             phase_offset_deg=Fraction(5), phased=True,
-                             k_ratio=Fraction(2))
-        assert vn_latitude_range(1, 2, div) == (-65.0, -55.0, False)
-
-    def test_phased_requires_nonzero_offset(self):
-        with pytest.raises(ConfigError):
-            DivisionConfig(num_planes=4, sats_per_plane=8,
-                           lat_origin_deg=Fraction(0), lon_origin_deg=Fraction(0),
-                           phase_offset_deg=Fraction(0), phased=True, k_ratio=None)
+        # n1=4, F=2: K=2, delta_f=5 deg, so plane 2's grid sits 5 deg further
+        # along track
+        cfg = make_config(num_planes=4, phasing_factor=2)
+        assert vn_latitude_range(cfg, 1, 2) == (-65.0, -55.0, False)
 
     @given(theta=st.fractions(min_value=-1000, max_value=1000))
     def test_fold_stays_in_latitude_range(self, theta):
@@ -105,6 +87,18 @@ class TestLatitudeRange:
     def test_fold_mirror_symmetry(self, theta):
         # the fold is symmetric about the pole at 90
         assert fold_lat_deg(theta) == fold_lat_deg(180 - theta)
+
+
+class TestPlaneShift:
+    @given(n1=st.integers(2, 24), n2=st.integers(3, 39), data=st.data())
+    def test_equals_mod_k_times_delta_f(self, n1, n2, data):
+        # the paper's form: mod(h-1, K) * delta_f, K = n1/F, in exact rationals
+        f, h = data.draw(st.integers(0, n2 - 1)), data.draw(st.integers(1, n1))
+        want = Fraction(0)
+        if f:
+            k = Fraction(n1, f)
+            want = ((h - 1) - math.floor((h - 1) / k) * k) * Fraction(360 * f, n1 * n2)
+        assert plane_shift_deg(n1, n2, f, h) == want
 
 
 class TestRegionBoundaries:
@@ -193,14 +187,14 @@ class TestRegionBoundaries:
 class TestCsdMap:
     def test_cell_start_identity(self):
         cfg = make_config()
-        assert csd_rows_all(cfg, division_for(cfg), 0.0)[0, 0] == 1
+        assert csd_rows_all(cfg, 0.0)[0, 0] == 1
 
     def test_half_open_cells(self):
         # satellite (1,1) placed on the boundary between rows 4 and 5
         # (the division's row 1 starts at -70 whatever the epoch phase)
         def row_at(phase0):
             cfg = make_config(phase0_deg=phase0)
-            return csd_rows_all(cfg, division_for(cfg), 0.0)[0, 0]
+            return csd_rows_all(cfg, 0.0)[0, 0]
 
         boundary = -70.0 + 4 * 10.0
         assert row_at(boundary) == 5
@@ -209,42 +203,39 @@ class TestCsdMap:
 
     def test_full_period_sweep_cycles_in_order(self):
         cfg = make_config(sats_per_plane=12, num_planes=6)
-        div = division_for(cfg)
         seen = []
         for t in range(0, int(cfg.period) + 2, 1):
-            row = csd_rows_all(cfg, div, float(t))[0, 0]
+            row = csd_rows_all(cfg, float(t))[0, 0]
             if not seen or seen[-1] != row:
                 seen.append(row)
         assert seen[:13] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1]
 
-    @pytest.mark.parametrize("F,phased", [(0, False), (2, True), (5, True)])
-    def test_bijection_at_sampled_times(self, F, phased):
+    @pytest.mark.parametrize("F", [0, 2, 5])
+    def test_bijection_at_sampled_times(self, F):
         cfg = make_config(phasing_factor=F)
-        div = division_for(cfg)
-        assert div.phased is phased
         full = {(v, h) for v in range(1, 37) for h in range(1, 19)}
         for t in (0.0, 100.0, cfg.period / 3, cfg.period * 0.77):
-            rows = csd_rows_all(cfg, div, t)
+            rows = csd_rows_all(cfg, t)
             got = {(int(rows[h, j]), h + 1) for h in range(18) for j in range(36)}
             assert got == full
 
     def test_address_stable_between_epochs(self):
         cfg = make_config(phasing_factor=2)
-        div = division_for(cfg)
-        epochs = switching_epochs(cfg, div, 3)
+        epochs = switching_epochs(cfg, 3)
         mid_a = (epochs[0] + epochs[1]) / 2
         mid_b = epochs[0] + 0.9 * (epochs[1] - epochs[0])
-        assert np.array_equal(csd_rows_all(cfg, div, mid_a), csd_rows_all(cfg, div, mid_b))
-        assert not np.array_equal(csd_rows_all(cfg, div, mid_a),
-                                  csd_rows_all(cfg, div, epochs[1] + 0.1))
+        assert np.array_equal(csd_rows_all(cfg, mid_a), csd_rows_all(cfg, mid_b))
+        assert not np.array_equal(csd_rows_all(cfg, mid_a),
+                                  csd_rows_all(cfg, epochs[1] + 0.1))
 
     def test_cells_tile_the_phase_circle(self):
-        div = make_division(F=2, n1=18, n2=36, phased=True)
+        cfg = make_config(phasing_factor=2)
+        step = phase_step_deg(cfg)
         for h in (1, 2, 7, 18):
-            spans = [div.row_start_deg(v + 1, h) - div.row_start_deg(v, h)
+            spans = [row_start_deg(cfg, v + 1, h) - row_start_deg(cfg, v, h)
                      for v in range(1, 36)]
-            assert sum(spans) + div.phase_step_deg == 360
-            assert all(s == div.phase_step_deg for s in spans)
+            assert sum(spans) + step == 360
+            assert all(s == step for s in spans)
 
 
 class TestSwitchInterval:
@@ -258,8 +249,7 @@ class TestSwitchInterval:
 
     def test_epochs_are_uniform(self):
         cfg = make_config()
-        div = division_for(cfg)
-        epochs = switching_epochs(cfg, div, 5)
+        epochs = switching_epochs(cfg, 5)
         assert epochs[0] == pytest.approx(0.0, abs=1e-9)
         steps = np.diff(epochs)
         assert np.allclose(steps, cfg.period / 36)
@@ -303,7 +293,7 @@ class TestGrdAssignmentOracle:
     @given(case=configs(), variant=st.sampled_from(GrdVariant))
     def test_matches_full_score_matrix(self, case, variant):
         cfg, t = case
-        grid = build_grd_grid(cfg, division_for(cfg))
+        grid = build_grd_grid(cfg)
         assert np.array_equal(grd_assignment(cfg, grid, t, variant),
                               grd_assignment_oracle(cfg, grid, t, variant))
 
@@ -314,7 +304,7 @@ class TestGrdAssignmentOracle:
         # full gemm round alike (other shapes may differ in the last bit)
         cfg = make_config(inclination_deg=inclination)
         n1, n2 = cfg.num_planes, cfg.sats_per_plane
-        grid = build_grd_grid(cfg, division_for(cfg))
+        grid = build_grd_grid(cfg)
         sub = sub_points(cfg, t)
         blocks = np.matmul(grid.anchors.transpose(1, 0, 2),
                            sub.reshape(n1, n2, 3).transpose(0, 2, 1))
@@ -325,9 +315,8 @@ class TestGrdAssignmentOracle:
     def test_matches_full_score_matrix_at_paper_scale_epochs(self):
         # handover epochs put satellites exactly on cell boundaries
         cfg = make_config()
-        div = division_for(cfg)
-        grid = build_grd_grid(cfg, div)
-        for t in switching_epochs(cfg, div, 130):
+        grid = build_grd_grid(cfg)
+        for t in switching_epochs(cfg, 130):
             for variant in GrdVariant:
                 assert np.array_equal(grd_assignment(cfg, grid, t, variant),
                                       grd_assignment_oracle(cfg, grid, t, variant))
@@ -336,10 +325,9 @@ class TestGrdAssignmentOracle:
 class TestGrdGrid:
     def test_frozen_assignment_matches_csd_at_epoch(self):
         cfg = make_config()
-        div = division_for(cfg)
-        grid = build_grd_grid(cfg, div)
+        grid = build_grd_grid(cfg)
         serving = grd_assignment(cfg, grid, 0.0, GrdVariant.INTER_PLANE)
-        rows = csd_rows_all(cfg, div, 0.0)
+        rows = csd_rows_all(cfg, 0.0)
         for h in range(18):
             for j in range(36):
                 v = int(rows[h, j])
@@ -349,8 +337,7 @@ class TestGrdGrid:
 
     def test_intra_only_loses_coverage_eventually(self):
         cfg = make_config()
-        div = division_for(cfg)
-        grid = build_grd_grid(cfg, div)
+        grid = build_grd_grid(cfg)
         # after a ~90 deg Earth rotation the equatorial anchors sit far from
         # their planes' tracks
         serving = grd_assignment(cfg, grid, SIDEREAL_DAY / 4, GrdVariant.INTRA_ONLY)
@@ -358,16 +345,14 @@ class TestGrdGrid:
 
     def test_inter_plane_rarely_uncovered(self):
         cfg = make_config()
-        div = division_for(cfg)
-        grid = build_grd_grid(cfg, div)
+        grid = build_grd_grid(cfg)
         serving = grd_assignment(cfg, grid, SIDEREAL_DAY / 4, GrdVariant.INTER_PLANE)
         assert (serving >= 0).all()
 
     def test_quarter_day_shifts_serving_plane_by_half_fan(self):
         # Earth turns 90 deg = n1/2 columns of the pi-wide fan
         cfg = make_config()
-        div = division_for(cfg)
-        grid = build_grd_grid(cfg, div)
+        grid = build_grd_grid(cfg)
         t = SIDEREAL_DAY / 4
         serving = grd_assignment(cfg, grid, t, GrdVariant.INTER_PLANE)
         shifts = []
@@ -382,7 +367,7 @@ class TestGrdGrid:
 
     def test_assignment_serves_own_cell_or_nothing(self):
         cfg = make_config()
-        grid = build_grd_grid(cfg, division_for(cfg))
+        grid = build_grd_grid(cfg)
         # at the frozen epoch satellite (1,1) serves exactly cell (1,1)
         serving = grd_assignment(cfg, grid, 0.0, GrdVariant.INTER_PLANE)
         assert np.argwhere(serving == 0).tolist() == [[0, 0]]
@@ -393,8 +378,7 @@ class TestGrdGrid:
 
 class TestCellBounds:
     def test_bounds_assemble_lat_and_lon(self):
-        div = make_division()
-        cell = cell_bounds(1, 1, div)
+        cell = cell_bounds(make_config(), 1, 1)
         assert (cell.lat_low, cell.lat_high) == (-70.0, -60.0)
         assert (cell.lon_low, cell.lon_high) == (0.0, 10.0)
         assert not cell.pole_wrap
@@ -402,7 +386,7 @@ class TestCellBounds:
     def test_pole_wrap_off_grid_origin(self):
         # origin not aligned with the pole: exactly one band strictly
         # contains +90
-        div = make_division(phi0=-64)
-        wraps = [vn_latitude_range(v, 1, div)[2] for v in range(1, 37)]
+        cfg = make_config(polar_threshold_deg=64.0)
+        wraps = [vn_latitude_range(cfg, v, 1)[2] for v in range(1, 37)]
         assert sum(wraps) == 2  # one north, one south crossing
         assert wraps[15]  # band [86, 96) holds the north pole

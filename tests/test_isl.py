@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from leovn.constellation import ConfigError, ConstellationConfig
-from leovn.division import division_for, switching_epochs
+from leovn.division import switching_epochs
 from leovn.isl import (
     HDirection,
     IslKind,
@@ -170,7 +170,7 @@ class TestRowChains:
 class TestSnapshotEdges:
     def test_visl_count_and_always_active(self):
         cfg = make_config()
-        snap = snapshot_edges(cfg, IslMode.CONVENTIONAL, division_for(cfg), 500.0)
+        snap = snapshot_edges(cfg, IslMode.CONVENTIONAL, 500.0)
         v_edges = snap.kind == IslKind.V_ISL
         assert np.count_nonzero(v_edges) == 648
         assert snap.active[v_edges].all()
@@ -178,7 +178,7 @@ class TestSnapshotEdges:
 
     def test_edge_order_v_plane_major_then_h_row_major(self):
         cfg = make_config(F=2)
-        snap = snapshot_edges(cfg, IslMode.OPTIMIZED, division_for(cfg), 0.0)
+        snap = snapshot_edges(cfg, IslMode.OPTIMIZED, 0.0)
         assert snap.pairs[:2].tolist() == [[0, 1], [1, 2]]
         assert snap.pairs[35].tolist() == [35, 0]              # ring closes in plane 1
         rows = row_chains(cfg, IslMode.OPTIMIZED)
@@ -191,7 +191,7 @@ class TestSnapshotEdges:
     def test_no_edge_crosses_the_seam(self):
         cfg = make_config(F=3)
         for mode in (IslMode.CONVENTIONAL, IslMode.OPTIMIZED):
-            snap = snapshot_edges(cfg, mode, division_for(cfg), 123.0)
+            snap = snapshot_edges(cfg, mode, 123.0)
             planes = snap.pairs[snap.kind == IslKind.H_ISL] // 36 + 1
             for a_plane, b_plane in planes.tolist():
                 assert {a_plane, b_plane} != {1, 18}
@@ -199,35 +199,32 @@ class TestSnapshotEdges:
 
     def test_equator_row_active(self):
         cfg = make_config()
-        div = division_for(cfg)
-        snap = snapshot_edges(cfg, IslMode.CONVENTIONAL, div, 0.0)
+        snap = snapshot_edges(cfg, IslMode.CONVENTIONAL, 0.0)
         # slot 8 starts at phase 0 (the equator) at t=0: its row must be on
         row8 = (snap.kind == IslKind.H_ISL) & (snap.pairs[:, 0] == 7)   # a = (1, 8)
         assert row8.any() and snap.active[row8].all()
 
     def test_epoch_counts_f0(self):
         cfg = make_config()
-        edges = snapshot_edges(cfg, IslMode.CONVENTIONAL, division_for(cfg), 0.0)
+        edges = snapshot_edges(cfg, IslMode.CONVENTIONAL, 0.0)
         assert active_hisl_count(edges) == 476
 
     def test_epoch_counts_f2_optimized(self):
         cfg = make_config(F=2)
-        edges = snapshot_edges(cfg, IslMode.OPTIMIZED, division_for(cfg), 0.0)
+        edges = snapshot_edges(cfg, IslMode.OPTIMIZED, 0.0)
         assert active_hisl_count(edges) == 442
 
     def test_counts_constant_between_epochs(self):
         cfg = make_config(F=2)
-        div = division_for(cfg)
-        counts = {active_hisl_count(snapshot_edges(cfg, IslMode.OPTIMIZED, div, t))
+        counts = {active_hisl_count(snapshot_edges(cfg, IslMode.OPTIMIZED, t))
                   for t in (0.0, 37.0, 101.0, cfg.period / 2, cfg.period * 0.93)}
         assert counts == {442}
 
     def test_optimized_with_f0_degenerates_to_conventional(self):
         cfg = make_config(F=0)
-        div = division_for(cfg)
         for t in (0.0, 333.0, cfg.period * 0.71):
-            conv = snapshot_edges(cfg, IslMode.CONVENTIONAL, div, t)
-            opt = snapshot_edges(cfg, IslMode.OPTIMIZED, div, t)
+            conv = snapshot_edges(cfg, IslMode.CONVENTIONAL, t)
+            opt = snapshot_edges(cfg, IslMode.OPTIMIZED, t)
             assert conv.direction == opt.direction
             for field in ("pairs", "kind", "active"):
                 assert np.array_equal(getattr(conv, field), getattr(opt, field))
@@ -235,11 +232,10 @@ class TestSnapshotEdges:
     def test_per_satellite_rule_differs_mid_dwell(self):
         # per-satellite switching flips links inside a dwell when phased
         cfg = make_config(F=2)
-        div = division_for(cfg)
-        epochs = switching_epochs(cfg, div, 2)
+        epochs = switching_epochs(cfg, 2)
         mid = (epochs[0] + epochs[1]) / 2
-        row_rule = snapshot_edges(cfg, IslMode.CONVENTIONAL, div, mid)
-        per_sat = snapshot_edges(cfg, IslMode.CONVENTIONAL, div, mid,
+        row_rule = snapshot_edges(cfg, IslMode.CONVENTIONAL, mid)
+        per_sat = snapshot_edges(cfg, IslMode.CONVENTIONAL, mid,
                                  ShutoffRule.PER_SATELLITE)
         assert np.array_equal(row_rule.pairs, per_sat.pairs)
         assert not np.array_equal(row_rule.active, per_sat.active)
@@ -249,14 +245,16 @@ class TestSnapshotEdges:
                         (5, IslMode.OPTIMIZED), (3, IslMode.CONVENTIONAL)):
             cfg = make_config(F=f)
             b = boundaries_for(cfg, mode)
-            assert active_row_set(cfg, mode, division_for(cfg)) == b.active_rows()
+            assert active_row_set(cfg, mode) == b.active_rows()
 
 
-def fraction_active_rows(config, mode, division):
+def fraction_active_rows(config, mode):
     """Reference for ``active_row_set``: every member window of every dwell
-    row, tested in exact Fraction degrees against the open cap spans."""
+    row, tested in exact Fraction degrees against the open cap spans; row 1
+    starts at -polar and rows are 360/n2 tall."""
     spans = polar_cap_phase_spans(config)
-    step = division.phase_step_deg
+    step = Fraction(360, config.sats_per_plane)
+    origin = -Fraction(config.polar_threshold_deg)
 
     def hits(start):
         s = start % 360
@@ -267,7 +265,7 @@ def fraction_active_rows(config, mode, division):
 
     return frozenset(
         v for v in range(1, config.sats_per_plane + 1)
-        if not any(hits(division.lat_origin_deg + (v - 1) * step + s)
+        if not any(hits(origin + (v - 1) * step + s)
                    for s in row_spreads_deg(config, mode)))
 
 
@@ -293,8 +291,7 @@ class TestActiveRowOracle:
             mode = IslMode.CONVENTIONAL
         cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
                                   polar_threshold_deg=polar, inclination_deg=inclination)
-        div = division_for(cfg)
-        assert active_row_set(cfg, mode, div) == fraction_active_rows(cfg, mode, div)
+        assert active_row_set(cfg, mode) == fraction_active_rows(cfg, mode)
 
 
 class TestAnalyticCounts:
@@ -317,10 +314,9 @@ class TestAnalyticCounts:
                 (6, 12, 18), (12, 24, 36), (60, 64, 70, 80), range(6),
                 (IslMode.CONVENTIONAL, IslMode.OPTIMIZED)):
             cfg = make_config(n1=n1, n2=n2, F=f, polar=polar)
-            div = division_for(cfg)
             want = hisl_count_analytic(n1, n2, boundaries_for(cfg, mode))[0]
-            for t in switching_epochs(cfg, div, 2):
-                got = active_hisl_count(snapshot_edges(cfg, mode, div, t))
+            for t in switching_epochs(cfg, 2):
+                got = active_hisl_count(snapshot_edges(cfg, mode, t))
                 assert got == want, (n1, n2, polar, f, mode, t)
 
 

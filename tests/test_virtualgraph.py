@@ -9,7 +9,6 @@ from leovn.division import (
     GrdVariant,
     RegionBoundaries,
     build_grd_grid,
-    division_for,
     grd_assignment,
     switching_epochs,
 )
@@ -65,38 +64,35 @@ class TestMapping:
         for f, mode in ((0, IslMode.CONVENTIONAL), (2, IslMode.OPTIMIZED),
                         (6, IslMode.OPTIMIZED)):
             cfg = make_config(F=f)
-            div = division_for(cfg)
             static = static_graph_for(cfg, mode)
-            for t in switching_epochs(cfg, div, 2) + [137.0, cfg.period * 0.4]:
-                instance, _, _ = method_instance(cfg, VnMethod.CSD, mode, t, div, None)
+            for t in switching_epochs(cfg, 2) + [137.0, cfg.period * 0.4]:
+                instance, _, _ = method_instance(cfg, VnMethod.CSD, mode, t, None)
                 assert np.array_equal(instance, static.edges)
 
     def test_csd_addressing_is_bijective(self):
         cfg = make_config(F=2)
-        serving = csd_addressing(cfg, division_for(cfg), 512.0)
+        serving = csd_addressing(cfg, 512.0)
         assert serving.shape == (36, 18)
         assert sorted(serving.ravel().tolist()) == list(range(648))
 
     def test_grd2_frozen_epoch_matches_csd(self):
         cfg = make_config()
-        div = division_for(cfg)
-        grid = build_grd_grid(cfg, div)
+        grid = build_grd_grid(cfg)
         serving = grd_assignment(cfg, grid, 0.0, GrdVariant.INTER_PLANE)
         _, _, conflicts = method_instance(cfg, VnMethod.GRD2, IslMode.CONVENTIONAL,
-                                          0.0, div, grid)
+                                          0.0, grid)
         assert conflicts == 0
-        assert np.array_equal(serving, csd_addressing(cfg, div, 0.0))
+        assert np.array_equal(serving, csd_addressing(cfg, 0.0))
         # with a common shut-off rule the mapped instances coincide too
-        edges = snapshot_edges(cfg, IslMode.CONVENTIONAL, div, 0.0,
+        edges = snapshot_edges(cfg, IslMode.CONVENTIONAL, 0.0,
                                ShutoffRule.PER_SATELLITE)
         assert np.array_equal(map_snapshot(edges, serving),
-                              map_snapshot(edges, csd_addressing(cfg, div, 0.0)))
+                              map_snapshot(edges, csd_addressing(cfg, 0.0)))
 
     def test_grd_mapping_conflicts_counted(self):
         cfg = make_config()
-        div = division_for(cfg)
         _, _, conflicts = method_instance(cfg, VnMethod.GRD2, IslMode.CONVENTIONAL,
-                                          SIDEREAL_DAY / 5, div, build_grd_grid(cfg, div))
+                                          SIDEREAL_DAY / 5, build_grd_grid(cfg))
         assert conflicts > 0  # drifted geometry doubles some satellites up
 
 
@@ -180,15 +176,14 @@ class TestMappingOracle:
             mode = IslMode.CONVENTIONAL
         cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
                                   polar_threshold_deg=polar)
-        div = division_for(cfg)
-        grid = None if method is VnMethod.CSD else build_grd_grid(cfg, div)
+        grid = None if method is VnMethod.CSD else build_grd_grid(cfg)
         rule = (ShutoffRule.ROW_SYNCHRONIZED if method is VnMethod.CSD
                 else ShutoffRule.PER_SATELLITE)
         states = []
         for t in (t1, t2):
-            keys, serving, conflicts = method_instance(cfg, method, mode, t, div, grid)
+            keys, serving, conflicts = method_instance(cfg, method, mode, t, grid)
             want, want_conflicts = oracle_instance(
-                snapshot_edges(cfg, mode, div, t, rule), serving)
+                snapshot_edges(cfg, mode, t, rule), serving)
             a_v, a_h, b_v, b_h, kind = edge_addresses(keys, n1, n1 * n2)
             got = list(zip(zip(a_v.tolist(), a_h.tolist()),
                            zip(b_v.tolist(), b_h.tolist()), kind.tolist()))
@@ -221,12 +216,11 @@ class TestSeam:
 def oracle_events(cfg, method, mode, duration_s, samples):
     """Report event rows from diffing every consecutive pair of samples with
     setdiff1d and latitudes at every sample (the earlier loop)."""
-    div = division_for(cfg)
-    grid = None if method is VnMethod.CSD else build_grd_grid(cfg, div)
+    grid = None if method is VnMethod.CSD else build_grd_grid(cfg)
     rows = [np.empty((0, 4), dtype=np.int64)]
     prev = None
-    for i, t in enumerate(sample_times(cfg, div, duration_s, samples)):
-        instance, serving, _ = method_instance(cfg, method, mode, t, div, grid)
+    for i, t in enumerate(sample_times(cfg, duration_s, samples)):
+        instance, serving, _ = method_instance(cfg, method, mode, t, grid)
         lats = _lats_all(cfg, t)
         if prev is not None:
             added = np.setdiff1d(instance, prev[0], assume_unique=True)
@@ -282,9 +276,8 @@ class TestStaticnessReport:
         rep = staticness_report(cfg, VnMethod.CSD, IslMode.CONVENTIONAL,
                                 cfg.period / 4, 120)
         assert rep.event_count == 0
-        div = division_for(cfg)
         instance, _, _ = method_instance(cfg, VnMethod.CSD, IslMode.CONVENTIONAL,
-                                         0.0, div, None)
+                                         0.0, None)
         assert not np.array_equal(instance, static_graph_for(cfg, IslMode.CONVENTIONAL).edges)
 
     def test_grd2_seam_history_and_drift_events(self):
