@@ -117,13 +117,9 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 def _build_config(args: argparse.Namespace, f_override: int | None = None) -> ConstellationConfig:
     """The file's values (if any) overlaid with the flags, built once, so that
-    defaults such as ``phase0_deg = -polar`` resolve after the overrides."""
-    if args.config:
-        fields = read_config_file(args.config)
-    elif args.n1 is None or args.n2 is None:
-        raise ConfigError("either --config or both --n1 and --n2 are required")
-    else:
-        fields = {}
+    defaults such as ``phase0_deg = -polar`` resolve after the overrides.
+    n1 and n2 may come from either source but must come from one."""
+    fields = read_config_file(args.config) if args.config else {}
     overrides = {
         "num_planes": args.n1,
         "sats_per_plane": args.n2,
@@ -136,6 +132,10 @@ def _build_config(args: argparse.Namespace, f_override: int | None = None) -> Co
         "period_s": args.period_s,
     }
     fields.update((key, value) for key, value in overrides.items() if value is not None)
+    for required, flag in (("num_planes", "n1"), ("sats_per_plane", "n2")):
+        if required not in fields:
+            raise ConfigError(f"missing required field {required}: set {flag} in "
+                              f"the --config file or pass --{flag}")
     return ConstellationConfig(**fields)
 
 

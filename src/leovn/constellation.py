@@ -213,8 +213,9 @@ def read_config_file(path: str | Path) -> dict[str, int | float]:
     laid over them still resolve the defaults (``phase0_deg`` included).
 
     Recognized keys: n1, n2, F, altitude_km, inclination_deg,
-    polar_threshold_deg, raan0_deg, phase0_deg, period_s.  Unknown keys,
-    malformed values and a missing n1 or n2 raise ConfigError naming the key.
+    polar_threshold_deg, raan0_deg, phase0_deg, period_s.  Unknown keys and
+    malformed values raise ConfigError naming the key; n1 and n2 may be left
+    to command-line flags.
     """
     kwargs = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -232,7 +233,4 @@ def read_config_file(path: str | Path) -> dict[str, int | float]:
             kwargs[field_name] = cast(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    for required in ("num_planes", "sats_per_plane"):
-        if required not in kwargs:
-            raise ConfigError(f"{path}: missing required key for {required}")
     return kwargs

@@ -154,40 +154,21 @@ def cell_bounds(config: ConstellationConfig, row: int, plane: int) -> VnCellBoun
 
 # -- region boundaries -------------------------------------------------------
 
-def _as_deg_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+def region_boundaries(sats_per_plane: int, polar_deg, spread_deg) -> RegionBoundaries:
+    """Region rows of a division whose rows spread ``spread_deg`` in phase.
 
-
-def region_boundaries(sats_per_plane: int, polar_deg) -> RegionBoundaries:
-    """Closed-form region rows for the zero-spread division.
-
-    r1_end = floor(n2 * polar / 180), r2_start = ceil(n2/2 + 1),
-    r2_end = floor(n2 * polar / 180 + n2 / 2).  ``polar_deg`` may be an int,
-    float or Fraction; the arithmetic is exact.
+    Largest v with v*step + spread <= 2*polar (R1 end), smallest v with
+    (v-1)*step >= 180 (R2 start), largest v with v*step + spread <= 180 +
+    2*polar (R2 end), step = 360/n2.  Degenerate spreads clamp R1 to empty
+    and R2 to r2_start - 1.  At spread 0 this is floor(n2*polar/180) and
+    floor(n2*polar/180 + n2/2); at the integer-K optimized spread
+    (K-1)*delta_f it is the paper's floor(n2*polar/180 - (K-1)/K) form.
+    Angles may be int, float or Fraction; the arithmetic is exact.
     """
     n2 = sats_per_plane
-    polar = _as_deg_fraction(polar_deg)
+    polar, spread = Fraction(polar_deg), Fraction(spread_deg)
     if not 0 < polar <= 90:
         raise ConfigError(f"polar threshold must be in (0, 90] deg, got {polar}")
-    r1_end = math.floor(Fraction(n2) * polar / 180)
-    r2_start = math.ceil(Fraction(n2, 2) + 1)
-    r2_end = math.floor(Fraction(n2) * polar / 180 + Fraction(n2, 2))
-    return RegionBoundaries(r1_end=r1_end, r2_start=r2_start, r2_end=min(r2_end, n2))
-
-
-def region_boundaries_spread(sats_per_plane: int, polar_deg, max_spread_deg) -> RegionBoundaries:
-    """Constraint-form region rows for a row phase spread ``max_spread_deg``.
-
-    Largest v with v*step + spread <= 2*polar (R1), smallest v with
-    (v-1)*step >= 180 (R2 start), largest v with v*step + spread <= 180 +
-    2*polar (R2 end).  Degenerate spreads clamp R1 to empty and R2 to
-    r2_start - 1.
-    """
-    n2 = sats_per_plane
-    polar = _as_deg_fraction(polar_deg)
-    spread = _as_deg_fraction(max_spread_deg)
     if spread < 0:
         raise ConfigError(f"phase spread must be >= 0, got {spread}")
     step = Fraction(360, n2)
@@ -199,35 +180,6 @@ def region_boundaries_spread(sats_per_plane: int, polar_deg, max_spread_deg) -> 
         r2_start=r2_start,
         r2_end=min(max(r2_end, r2_start - 1), n2),
     )
-
-
-def region_boundaries_phased(sats_per_plane: int, polar_deg, k_ratio: Fraction,
-                             max_spread_deg=None) -> RegionBoundaries:
-    """Region rows for the phased division.
-
-    For integer K the closed form floor(n2*polar/180 - (K-1)/K) applies (and
-    equals the constraint form with spread (K-1)*delta_f).  For fractional K
-    the caller must supply the realized row spread ``max_spread_deg``
-    (max over planes of mod(h-1, K) * delta_f).
-    """
-    n2 = sats_per_plane
-    polar = _as_deg_fraction(polar_deg)
-    k = Fraction(k_ratio)
-    if k <= 0:
-        raise ConfigError(f"K = n1/F must be positive, got {k}")
-    if k.denominator == 1:
-        off = Fraction(k - 1, k)
-        r1_end = math.floor(Fraction(n2) * polar / 180 - off)
-        r2_start = math.ceil(Fraction(n2, 2) + 1)
-        r2_end = math.floor(Fraction(n2) * polar / 180 + Fraction(n2, 2) - off)
-        return RegionBoundaries(
-            r1_end=max(0, r1_end),
-            r2_start=r2_start,
-            r2_end=min(max(r2_end, r2_start - 1), n2),
-        )
-    if max_spread_deg is None:
-        raise ConfigError("fractional K requires the realized max row spread")
-    return region_boundaries_spread(n2, polar, max_spread_deg)
 
 
 def classify_region(row: int, b: RegionBoundaries) -> RegionLabel:

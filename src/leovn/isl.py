@@ -4,9 +4,11 @@ A satellite carries two intra-plane links (V-ISLs, always on) and two
 inter-plane links (H-ISLs).  H-ISLs never cross the seam between the first
 and last plane, and a whole row of H-ISL-chained satellites shuts off while
 any member rides through a polar cap.  The conventional mode chains
-same-slot satellites; the optimized mode inserts backward links (to the
-trailing neighbor, one slot down) at every K-th plane boundary, which caps
-the in-row phase spread at mod(h-1, K) * delta_f instead of (n1-1) * delta_f.
+same-slot satellites; in the optimized mode a row has crossed
+c(h) = floor((h-1)F/n1) backward links (to the trailing neighbor, one slot
+down) before plane h, one at every boundary where c steps (about every K-th,
+K = n1/F), which caps the in-row phase spread at mod(h-1, K) * delta_f
+instead of (n1-1) * delta_f.
 """
 from __future__ import annotations
 
@@ -20,15 +22,7 @@ import numpy as np
 
 from .angles import CELL_SNAP
 from .constellation import ConfigError, ConstellationConfig, phases_deg
-from .division import (
-    RegionBoundaries,
-    phase_step_deg,
-    plane_shift_deg,
-    region_boundaries,
-    region_boundaries_phased,
-    region_boundaries_spread,
-    row_origin_deg,
-)
+from .division import RegionBoundaries, phase_step_deg, region_boundaries, row_origin_deg
 
 
 class IslMode(enum.Enum):
@@ -83,100 +77,68 @@ class IslSnapshot:
 class PhaseAnalysis:
     """Phase-difference quantities of a Walker layout, exact degrees.
 
-    ``bh_count[h]``/``fh_count[h]`` are the backward/forward link counts
-    between plane 1 and plane h along a row under the optimized mode;
-    ``spread_deg[h]`` the resulting phase difference mod(h-1, K) * delta_f.
-    ``max_spread_conventional_wrapped_deg`` is a diagnostic: the circular
-    span of the conventional row phases, which differs from the literal
-    (n1-1)*delta_f once the row wraps most of the circle.
+    ``spread_deg[h-1]`` is the optimized row's phase difference at plane h,
+    (h-1)*delta_f - c(h)*360/n2 = mod(h-1, K)*delta_f; ``bh_planes`` the
+    boundaries where c(h) steps, None when F > n1 (see ``_backward_links``).
     """
-    num_planes: int
-    sats_per_plane: int
-    phasing_factor: int
     delta_f_deg: Fraction
     k_ratio: Fraction | None
     max_spread_conventional_deg: Fraction
     max_spread_optimized_deg: Fraction
-    max_spread_conventional_wrapped_deg: Fraction
-    bh_count: tuple[int, ...]          # index h-1 -> N(h)
-    fh_count: tuple[int, ...]          # index h-1 -> M(h)
     spread_deg: tuple[Fraction, ...]   # index h-1 -> optimized-row spread
     bh_planes: frozenset[int] | None   # BH boundaries; None when F > n1
 
 
 def phase_analysis(num_planes: int, sats_per_plane: int, phasing_factor: int) -> PhaseAnalysis:
-    """Phase spread of conventional vs optimized rows for a Walker layout."""
+    """Phase spread of conventional vs optimized rows for a Walker layout.
+
+    Both the optimized spreads and the backward boundaries follow from the
+    integer count c(h) = floor((h-1)F/n1) of ``_backward_links``.
+    """
     n1, n2, f = num_planes, sats_per_plane, phasing_factor
     if f < 0:
         raise ConfigError(f"phasing factor must be >= 0, got {f}")
+    crossed = _backward_links(n1, f)
+    spread = _spreads_deg(n1, n2, f, crossed)
     delta_f = Fraction(360 * f, n1 * n2)
-    if f == 0:
-        zero = Fraction(0)
-        return PhaseAnalysis(
-            num_planes=n1, sats_per_plane=n2, phasing_factor=0,
-            delta_f_deg=zero, k_ratio=None,
-            max_spread_conventional_deg=zero,
-            max_spread_optimized_deg=zero,
-            max_spread_conventional_wrapped_deg=zero,
-            bh_count=tuple(0 for _ in range(n1)),
-            fh_count=tuple(h for h in range(n1)),
-            spread_deg=tuple(zero for _ in range(n1)),
-            bh_planes=frozenset(),
-        )
-    k = Fraction(n1, f)
-    bh_count = tuple(((h - 1) * f) // n1 for h in range(1, n1 + 1))
-    fh_count = tuple((h - 1) - bh_count[h - 1] for h in range(1, n1 + 1))
-    spread = tuple(plane_shift_deg(n1, n2, f, h) for h in range(1, n1 + 1))
-    conventional = (n1 - 1) * delta_f
-    # circular span of the conventional row: 360 minus the largest gap
-    phases = sorted(((h - 1) * delta_f) % 360 for h in range(1, n1 + 1))
-    gaps = [phases[i + 1] - phases[i] for i in range(len(phases) - 1)]
-    gaps.append(phases[0] + 360 - phases[-1])
-    wrapped = min(conventional, 360 - max(gaps))
-    bh_planes = bh_isl_planes(n1, k) if k >= 1 else None
     return PhaseAnalysis(
-        num_planes=n1, sats_per_plane=n2, phasing_factor=f,
-        delta_f_deg=delta_f, k_ratio=k,
-        max_spread_conventional_deg=conventional,
+        delta_f_deg=delta_f,
+        k_ratio=Fraction(n1, f) if f else None,
+        max_spread_conventional_deg=(n1 - 1) * delta_f,
         max_spread_optimized_deg=max(spread),
-        max_spread_conventional_wrapped_deg=wrapped,
-        bh_count=bh_count, fh_count=fh_count, spread_deg=spread,
-        bh_planes=bh_planes,
+        spread_deg=spread,
+        bh_planes=(frozenset((np.flatnonzero(np.diff(crossed)) + 1).tolist())
+                   if f <= n1 else None),
     )
 
 
-def bh_isl_planes(num_planes: int, k_ratio: Fraction) -> frozenset[int]:
-    """Plane boundaries h (1..n1-1) that carry backward links.
+def _backward_links(num_planes: int, phasing_factor: int) -> np.ndarray:
+    """c(h) = floor((h-1)F/n1) for h = 1..n1: the backward links an
+    optimized row crosses before plane h.
 
-    These are the boundaries where floor(h/K) - floor((h-1)/K) = 1; for
-    integer K that is exactly the multiples of K up to n1-1.  Requires
-    K >= 1 (F <= n1): below that a single backward link per boundary can no
-    longer absorb the phase step and the layout is undefined.
+    Theorem 1 puts a backward link on each boundary where c steps, which
+    holds the in-row spread to mod(h-1, K) * delta_f.  For F > n1 (K < 1) c
+    steps by more than one, which one link per boundary cannot absorb.
     """
-    k = Fraction(k_ratio)
-    if k < 1:
-        raise ConfigError(f"backward-link layout requires K >= 1, got K = {k}")
-    out = set()
-    for h in range(1, num_planes):
-        if math.floor(h / k) - math.floor((h - 1) / k) == 1:
-            out.add(h)
-    return frozenset(out)
+    return np.arange(num_planes) * phasing_factor // num_planes
 
 
-def _backward_boundaries(config: ConstellationConfig, mode: IslMode) -> np.ndarray:
-    """Per plane boundary h = 1..n1-1: whether it carries backward links."""
-    n1 = config.num_planes
-    if mode is IslMode.CONVENTIONAL or config.phasing_factor == 0:
-        return np.zeros(n1 - 1, dtype=bool)
-    return np.isin(np.arange(1, n1), sorted(_layout_analysis(config, mode).bh_planes))
+def _spreads_deg(n1: int, n2: int, f: int, crossed: np.ndarray) -> tuple[Fraction, ...]:
+    """(h-1)*delta_f - c(h)*360/n2 per plane h: the phase of a row's plane-h
+    member relative to its plane-1 member, exact degrees."""
+    return tuple(Fraction(360 * (h * f - c * n1), n1 * n2)
+                 for h, c in enumerate(crossed.tolist()))
 
 
-def _layout_analysis(config: ConstellationConfig, mode: IslMode) -> PhaseAnalysis:
-    """``phase_analysis`` of a config, rejecting an undefined optimized layout."""
-    analysis = phase_analysis(config.num_planes, config.sats_per_plane, config.phasing_factor)
-    if mode is IslMode.OPTIMIZED and analysis.bh_planes is None:
+def _crossed(config: ConstellationConfig, mode: IslMode) -> np.ndarray:
+    """c(h) of a mode's layout: zero in conventional mode; optimized F > n1
+    is a ConfigError."""
+    n1, f = config.num_planes, config.phasing_factor
+    if mode is IslMode.CONVENTIONAL:
+        return np.zeros(n1, dtype=int)
+    if f > n1:
         raise ConfigError("optimized layout requires F <= n1")
-    return analysis
+    return _backward_links(n1, f)
 
 
 @lru_cache(maxsize=None)
@@ -185,12 +147,11 @@ def row_chains(config: ConstellationConfig, mode: IslMode) -> np.ndarray:
 
     Returns a read-only int array (n2 rows, n1 planes) of flat satellite
     indices (plane-1)*n2 + slot-1.  Row r (0-based) starts at (plane 1,
-    slot r+1); its member in plane h is slot r+1 minus the number of
-    backward boundaries crossed, so no row crosses the seam.
+    slot r+1); its member in plane h is slot r+1 - c(h), so no row crosses
+    the seam.
     """
     n1, n2 = config.num_planes, config.sats_per_plane
-    crossed = np.concatenate([[0], np.cumsum(_backward_boundaries(config, mode))])
-    slots = (np.arange(n2)[:, None] - crossed) % n2
+    slots = (np.arange(n2)[:, None] - _crossed(config, mode)) % n2
     rows = np.arange(n1) * n2 + slots
     rows.flags.writeable = False
     return rows
@@ -198,10 +159,8 @@ def row_chains(config: ConstellationConfig, mode: IslMode) -> np.ndarray:
 
 def row_spreads_deg(config: ConstellationConfig, mode: IslMode) -> tuple[Fraction, ...]:
     """Exact phase offset of each row member relative to the plane-1 member."""
-    analysis = phase_analysis(config.num_planes, config.sats_per_plane, config.phasing_factor)
-    if mode is IslMode.OPTIMIZED:
-        return analysis.spread_deg
-    return tuple((h - 1) * analysis.delta_f_deg for h in range(1, config.num_planes + 1))
+    return _spreads_deg(config.num_planes, config.sats_per_plane,
+                        config.phasing_factor, _crossed(config, mode))
 
 
 def polar_cap_phase_spans(config: ConstellationConfig) -> list[tuple[Fraction, Fraction]]:
@@ -269,8 +228,8 @@ def _static_pairs(config: ConstellationConfig, mode: IslMode):
     kind = np.repeat([IslKind.V_ISL, IslKind.H_ISL], [len(v_pairs), len(h_pairs)])
     for array in (pairs, kind):
         array.flags.writeable = False
-    boundaries = tuple(HDirection.BH if bh else HDirection.FH
-                       for bh in _backward_boundaries(config, mode))
+    boundaries = tuple(HDirection.BH if step else HDirection.FH
+                       for step in np.diff(_crossed(config, mode)))
     return pairs, kind, (HDirection.NONE,) * len(v_pairs) + boundaries * n2
 
 
@@ -326,21 +285,13 @@ def hisl_count_analytic(num_planes: int, sats_per_plane: int,
 def boundaries_for(config: ConstellationConfig, mode: IslMode) -> RegionBoundaries:
     """Region rows matching a connecting mode's realized row spread.
 
-    F = 0 uses the spread-free closed form; the optimized mode uses the
-    phased closed form (integer K) or the constraint form with the realized
-    spread; the conventional mode uses the constraint form with the full
-    (n1-1)*delta_f spread.  Assumes non-empty polar caps whenever the spread
-    is non-zero (threshold below 90 deg).  Optimized F > n1 is a ConfigError.
+    ``region_boundaries`` at the largest of ``row_spreads_deg``: 0 at F = 0,
+    (n1-1)*delta_f in conventional mode, max mod(h-1, K)*delta_f in optimized
+    mode.  Assumes non-empty polar caps whenever the spread is non-zero
+    (threshold below 90 deg).  Optimized F > n1 is a ConfigError.
     """
-    n2 = config.sats_per_plane
-    polar = Fraction(config.polar_threshold_deg)
-    if config.phasing_factor == 0:
-        return region_boundaries(n2, polar)
-    analysis = _layout_analysis(config, mode)
-    if mode is IslMode.OPTIMIZED:
-        return region_boundaries_phased(n2, polar, analysis.k_ratio,
-                                        analysis.max_spread_optimized_deg)
-    return region_boundaries_spread(n2, polar, analysis.max_spread_conventional_deg)
+    return region_boundaries(config.sats_per_plane, config.polar_threshold_deg,
+                             max(row_spreads_deg(config, mode)))
 
 
 def theorem1_bruteforce(num_planes: int, sats_per_plane: int,

@@ -65,16 +65,19 @@ def boundaries_by_scan(sats_per_plane: int, polar_deg, spread_deg=0) -> RegionBo
 
 
 def check_division() -> CheckResult:
-    """Closed-form region rows equal the constraint-scan solutions; handover
-    interval identity."""
+    """Region rows equal the constraint-scan solutions at the zero, integer-K,
+    fractional-K and conventional row spreads, and the paper's literal
+    integer-K forms; handover interval identity."""
     n2_grid = (12, 24, 36, 66)
     polar_grid = (60, 64, 70, 80, 90)
     result = CheckResult(
         name="division",
-        grid=f"n2 in {n2_grid} x polar in {polar_grid}; phased: n1 in (6,12,18), F | n1",
+        grid=f"n2 in {n2_grid} x polar in {polar_grid}; phased: n1 in (6,12,18), F | n1; "
+             "realized spreads: n1 in (6,12,18) x n2 in (12,24,36) x polar in "
+             "(60,64,70,80) x F in 0..5 x both modes",
         passed=True)
     for n2, polar in itertools.product(n2_grid, polar_grid):
-        closed = division.region_boundaries(n2, polar)
+        closed = division.region_boundaries(n2, polar, 0)
         scanned = boundaries_by_scan(n2, polar)
         if closed != scanned:
             result.fail(f"zero-spread rows n2={n2} polar={polar}: {closed} != {scanned}")
@@ -86,13 +89,32 @@ def check_division() -> CheckResult:
             for n2, polar in itertools.product(n2_grid, polar_grid):
                 if f > n2 - 1:
                     continue
-                delta_f = Fraction(360 * f, n1 * n2)
-                closed = division.region_boundaries_phased(n2, polar, k)
-                scanned = boundaries_by_scan(n2, polar, (k - 1) * delta_f)
-                if closed != scanned:
+                spread = (k - 1) * Fraction(360 * f, n1 * n2)
+                closed = division.region_boundaries(n2, polar, spread)
+                scanned = boundaries_by_scan(n2, polar, spread)
+                # the paper's forms floor(n2*polar/180 [+ n2/2] - (K-1)/K)
+                rows = Fraction(n2 * polar, 180) - (k - 1) / k
+                literal = (math.floor(rows), math.floor(rows + Fraction(n2, 2)))
+                if closed != scanned or (closed.r1_end, closed.r2_end) != literal:
                     result.fail(
                         f"phased rows n1={n1} F={f} n2={n2} polar={polar}: "
-                        f"{closed} != {scanned}")
+                        f"{closed} != {scanned} or literal {literal}")
+    for n1, n2, polar, f, mode in itertools.product(
+            (6, 12, 18), (12, 24, 36), (60, 64, 70, 80), range(6), IslMode):
+        cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
+                                  altitude_km=780, polar_threshold_deg=polar)
+        delta_f = Fraction(360 * f, n1 * n2)
+        if mode is IslMode.CONVENTIONAL or f == 0:
+            spread = (n1 - 1) * delta_f
+        else:   # max over planes of mod(h-1, K) * delta_f
+            k = Fraction(n1, f)
+            spread = max((h - math.floor(h / k) * k) * delta_f for h in range(n1))
+        realized = max(isl.row_spreads_deg(cfg, mode))
+        closed = isl.boundaries_for(cfg, mode)
+        scanned = boundaries_by_scan(n2, polar, spread)
+        if realized != spread or closed != scanned:
+            result.fail(f"{mode.value} rows n1={n1} F={f} n2={n2} polar={polar}: "
+                        f"spread {realized} != {spread} or {closed} != {scanned}")
     rng = random.Random(2024)
     for _ in range(10):
         period = rng.uniform(5000.0, 8000.0)

@@ -68,9 +68,6 @@ class VirtualGraph:
     num_cells: int
     edges: np.ndarray
 
-    def edge_count(self, kind: IslKind) -> int:
-        return int(np.count_nonzero(self.edges % 2 == kind))
-
 
 @dataclass
 class StaticnessReport:

@@ -1,6 +1,8 @@
-"""Exact-angle helpers and Hypothesis strategies shared by the test modules."""
+"""Exact-angle helpers, graph counts and Hypothesis strategies shared by the
+test modules."""
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import strategies as st
 
 from leovn.constellation import SIDEREAL_DAY, ConstellationConfig
@@ -12,6 +14,12 @@ def initial_phase_deg(cfg, plane: int, slot: int) -> Fraction:
     return (Fraction(cfg.phase0_deg)
             + (slot - 1) * Fraction(360, cfg.sats_per_plane)
             + (plane - 1) * cfg.phase_offset_deg)
+
+
+def edge_count(graph, kind) -> int:
+    """Virtual edges of one ``IslKind`` in a ``VirtualGraph`` (the kind is the
+    low bit of each edge key)."""
+    return int(np.count_nonzero(graph.edges % 2 == kind))
 
 
 @st.composite

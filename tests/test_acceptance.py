@@ -7,29 +7,14 @@ use the stated percentage bands.
 """
 import random
 import time
-from fractions import Fraction
-from itertools import product
 
 import pytest
 
 from leovn.analysis import avg_latency, mean_throughput
 from leovn.constellation import SIDEREAL_DAY, ConstellationConfig
-from leovn.division import (
-    grd_switch_interval,
-    region_boundaries,
-    region_boundaries_phased,
-    switching_epochs,
-)
-from leovn.isl import (
-    IslMode,
-    active_hisl_count,
-    boundaries_for,
-    hisl_count_analytic,
-    phase_analysis,
-    snapshot_edges,
-    theorem1_bruteforce,
-)
-from leovn.verify import boundaries_by_scan, check_flow
+from leovn.division import grd_switch_interval
+from leovn.isl import IslMode, boundaries_for, hisl_count_analytic
+from leovn.verify import check_counts, check_division, check_flow, check_theorem1
 from leovn.virtualgraph import VnMethod, staticness_report
 
 
@@ -47,55 +32,26 @@ def make_config(F=0, n1=18, n2=36, polar=70.0):
 
 def test_criterion_01_region_boundary_closed_forms():
     start = time.time()
-    ok = True
-    for n2, polar in product((12, 24, 36, 66), (60, 64, 70, 80, 90)):
-        ok &= region_boundaries(n2, polar) == boundaries_by_scan(n2, polar)
-    for n1 in (6, 12, 18):
-        for f in range(1, n1 + 1):
-            if n1 % f:
-                continue
-            k = Fraction(n1, f)
-            for n2, polar in product((12, 24, 36, 66), (60, 64, 70, 80, 90)):
-                if f > n2 - 1:
-                    continue
-                delta_f = Fraction(360 * f, n1 * n2)
-                ok &= region_boundaries_phased(n2, polar, k) == \
-                    boundaries_by_scan(n2, polar, (k - 1) * delta_f)
-    report(1, "closed-form region rows equal constraint solutions (exact)",
-           ok, time.time() - start, 5.0)
+    res = check_division()
+    label = "closed-form region rows equal constraint solutions (exact)"
+    report(1, label if res.passed else f"{label}: {res.failures}",
+           res.passed, time.time() - start, 5.0)
 
 
 def test_criterion_02_analytic_vs_geometric_counts():
     start = time.time()
-    ok = True
-    for n1, n2, polar, f, mode in product(
-            (6, 12, 18), (12, 24, 36), (60, 64, 70, 80), range(6),
-            (IslMode.CONVENTIONAL, IslMode.OPTIMIZED)):
-        cfg = make_config(F=f, n1=n1, n2=n2, polar=polar)
-        want = hisl_count_analytic(n1, n2, boundaries_for(cfg, mode))[0]
-        for t in switching_epochs(cfg, 2):
-            got = active_hisl_count(snapshot_edges(cfg, mode, t))
-            if got != want:
-                ok = False
-    report(2, "snapshot H-ISL counts equal closed forms over the full grid (exact)",
-           ok, time.time() - start, 60.0)
+    res = check_counts()
+    label = "snapshot H-ISL counts equal closed forms over the full grid (exact)"
+    report(2, label if res.passed else f"{label}: {res.failures}",
+           res.passed, time.time() - start, 60.0)
 
 
 def test_criterion_03_theorem1_oracle():
     start = time.time()
-    ok = True
-    for n1 in (4, 6, 9, 12):
-        for n2 in (24, 36):
-            for f in range(1, min(n1, n2 - 1) + 1):
-                pa = phase_analysis(n1, n2, f)
-                brute_min, brute_set = theorem1_bruteforce(n1, n2, f)
-                ok &= brute_min == pa.max_spread_optimized_deg
-                ok &= brute_set == pa.bh_planes
-                ok &= pa.max_spread_optimized_deg <= pa.max_spread_conventional_deg
-                if pa.k_ratio.denominator == 1:
-                    ok &= brute_min == (pa.k_ratio - 1) * pa.delta_f_deg
-    report(3, "brute-force layouts equal the analytic optimum (exact rational)",
-           ok, time.time() - start, 60.0)
+    res = check_theorem1()
+    label = "brute-force layouts equal the analytic optimum (exact rational)"
+    report(3, label if res.passed else f"{label}: {res.failures}",
+           res.passed, time.time() - start, 60.0)
 
 
 @pytest.mark.parametrize("f", [0, 2, 6])

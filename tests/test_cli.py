@@ -248,6 +248,12 @@ class TestConfigAssembly:
         assert main(argv + ["--n1", "6", "--n2", "12", "--f", "1", "--out", str(out_flags)]) == 0
         assert out_file.read_bytes() == out_flags.read_bytes()
 
+    def test_flag_completes_the_file(self, tmp_path):
+        path = self.write_file(tmp_path, "n2 = 12\nF = 1\n")
+        out = tmp_path / "division.csv"
+        assert main(["divide", "--config", path, "--n1", "6", "--out", str(out)]) == 0
+        assert len(read_division_csv(out)) == 72
+
     def test_explicit_file_phase0_kept(self, tmp_path):
         path = self.write_file(tmp_path, "n1 = 6\nn2 = 12\nphase0_deg = 7\n")
         cfg = _build_config(build_parser().parse_args(
@@ -267,35 +273,56 @@ class TestConfigAssembly:
         assert out_file.read_bytes() == out_flags.read_bytes()
 
 
-PAPER_SCALE = ["--n1", "18", "--n2", "36"]
+PAPER = ["--n1", "18", "--n2", "36"]
 
 
 class TestPinnedOutputs:
-    """sha256 of paper-scale data files.  Cell bounds are folds of exact
-    rationals and snapshot flags and H-ISL counts come from exact integer
-    tests, so the bytes do not depend on the platform."""
+    """sha256 of data files at paper scale and off the paper grid: F = 0 with
+    n2 = 3 at polar 20, fractional K (7x11, polar 55) and optimized F > n1
+    error rows (3x12).  Cell bounds are folds of exact rationals and snapshot
+    flags and H-ISL counts come from exact integer tests, so the bytes do not
+    depend on the platform."""
 
     @pytest.mark.parametrize("argv,digest", [
-        (["divide", "--mode", "conventional"],
+        (["divide", *PAPER, "--mode", "conventional"],
          "75b7d0c540bb47c1580fcf82c93ca5e34a3d646463b19aff2d60dbf52a1d703a"),
-        (["divide", "--mode", "optimized"],
+        (["divide", *PAPER, "--mode", "optimized"],
          "75b7d0c540bb47c1580fcf82c93ca5e34a3d646463b19aff2d60dbf52a1d703a"),
-        (["divide", "--f", "2", "--mode", "conventional"],
+        (["divide", *PAPER, "--f", "2", "--mode", "conventional"],
          "a06c917670d4b2c98eb2265d4f10a639e65b1e61c1d6f3f724934e4fa5c72563"),
-        (["divide", "--f", "2", "--mode", "optimized"],
+        (["divide", *PAPER, "--f", "2", "--mode", "optimized"],
          "5b7422049ead07288e104dff9e3265112c0d29cc727d14a530e4be24e680aff1"),
-        (["divide", "--f", "5", "--mode", "conventional"],
+        (["divide", *PAPER, "--f", "5", "--mode", "conventional"],
          "f0769ec09a881b2953d091051b073b7f3d69716626e5885d98bb42da76f62424"),
-        (["divide", "--f", "5", "--mode", "optimized"],
+        (["divide", *PAPER, "--f", "5", "--mode", "optimized"],
          "97abffab9c1e1c417ed312d5874a0b4e13837c304cd39a02d55f149fe99649d3"),
-        (["snapshot", "--f", "2", "--mode", "optimized", "--t-seconds", "1000"],
+        (["snapshot", *PAPER, "--f", "2", "--mode", "optimized", "--t-seconds", "1000"],
          "6339b50ed3fce08adea5d87985c7d1b0d37cfc3d3933326db913cf395c107252"),
-        (["sweep-hisl", "--f-min", "0", "--f-max", "17", "--mode", "both"],
+        (["sweep-hisl", *PAPER, "--f-min", "0", "--f-max", "17", "--mode", "both"],
          "b04069251a3c7e8dbfd1553ea61574b599f0e5a96f7ed646b53717b4bea083ef"),
+        (["divide", "--n1", "4", "--n2", "3", "--polar-deg", "20", "--mode", "conventional"],
+         "e14aafc1f5492a717806d7939aa92ec5740d6b765b57aca8729e5c7aa75855a5"),
+        (["divide", "--n1", "4", "--n2", "3", "--polar-deg", "20", "--mode", "optimized"],
+         "e14aafc1f5492a717806d7939aa92ec5740d6b765b57aca8729e5c7aa75855a5"),
+        (["sweep-hisl", "--n1", "4", "--n2", "3", "--polar-deg", "20",
+          "--f-min", "0", "--f-max", "2", "--mode", "both"],
+         "f3c03ac2d3d6c2d95d95d60ea88c401eeb84d97f9f3cd52c8d0466b9ebd03cf0"),
+        (["divide", "--n1", "7", "--n2", "11", "--polar-deg", "55", "--f", "3",
+          "--mode", "conventional"],
+         "f23c5032f1c3dabf20509b7ca3957f98c6aa5e2fdee28968d10b1289769015fa"),
+        (["divide", "--n1", "7", "--n2", "11", "--polar-deg", "55", "--f", "3",
+          "--mode", "optimized"],
+         "24c3bbd98a0f512eab0dee8a618f3b8ec652c1e5fcd25d9f449a778c0867527f"),
+        (["sweep-hisl", "--n1", "7", "--n2", "11", "--polar-deg", "55",
+          "--f-min", "0", "--f-max", "10", "--mode", "both"],
+         "414f61774c9b4a07bb45752e87890f03cfec0ce8c3aad9531d1831783d6c7916"),
+        (["sweep-hisl", "--n1", "3", "--n2", "12", "--f-min", "0", "--f-max", "11",
+          "--mode", "both"],
+         "f991e1599d79bd7c46a49b2e2370e1342d387d40897693542cd9fd919519ab35"),
     ])
     def test_sha256(self, tmp_path, argv, digest):
         out = tmp_path / "out.csv"
-        assert main(argv + PAPER_SCALE + ["--out", str(out)]) == 0
+        assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

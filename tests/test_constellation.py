@@ -17,6 +17,7 @@ from leovn.constellation import (
     propagate_all,
     read_config_file,
 )
+from leovn.cli import _build_config, build_parser
 from leovn.division import (
     GrdGrid,
     GrdVariant,
@@ -313,7 +314,8 @@ polar_threshold_deg = 70
             read_config_file(path)
 
     def test_missing_required(self, tmp_path):
+        # the file may leave n1/n2 to flags; the CLI names what neither gave
         path = tmp_path / "bad.cfg"
         path.write_text("n1 = 18\n")
-        with pytest.raises(ConfigError):
-            read_config_file(path)
+        with pytest.raises(ConfigError, match="sats_per_plane"):
+            _build_config(build_parser().parse_args(["divide", "--config", str(path)]))

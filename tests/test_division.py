@@ -10,7 +10,6 @@ from leovn.angles import fold_lat_deg
 from leovn.constellation import (
     R_EARTH,
     SIDEREAL_DAY,
-    ConfigError,
     ConstellationConfig,
     propagate_all,
 )
@@ -26,8 +25,6 @@ from leovn.division import (
     phase_step_deg,
     plane_shift_deg,
     region_boundaries,
-    region_boundaries_phased,
-    region_boundaries_spread,
     row_start_deg,
     switching_epochs,
     vn_latitude_range,
@@ -108,13 +105,18 @@ class TestRegionBoundaries:
         (36, 64, (12, 19, 30)),
     ])
     def test_known_values(self, n2, polar, expect):
-        b = region_boundaries(n2, polar)
+        b = region_boundaries(n2, polar, 0)
         assert (b.r1_end, b.r2_start, b.r2_end) == expect
 
     def test_threshold_90_leaves_no_polar_rows(self):
-        b = region_boundaries(36, 90)
+        b = region_boundaries(36, 90, 0)
         labels = {classify_region(v, b) for v in range(1, 37)}
         assert labels == {RegionLabel.R1, RegionLabel.R2}
+
+    @staticmethod
+    def integer_k_spread(n2, k):
+        """(K-1) * delta_f, the optimized row spread at integer K."""
+        return (k - 1) / k * Fraction(360, n2)
 
     @pytest.mark.parametrize("n2,polar,k,expect_r1_end", [
         (36, 70, Fraction(9), 13),    # F=2, n1=18
@@ -122,40 +124,24 @@ class TestRegionBoundaries:
         (36, 64, Fraction(3), 12),    # F=6, n1=18
     ])
     def test_phased_closed_form(self, n2, polar, k, expect_r1_end):
-        assert region_boundaries_phased(n2, polar, k).r1_end == expect_r1_end
+        assert region_boundaries(n2, polar, self.integer_k_spread(n2, k)).r1_end == expect_r1_end
 
     def test_phased_k9_full_boundaries(self):
-        b = region_boundaries_phased(36, 70, Fraction(9))
+        b = region_boundaries(36, 70, self.integer_k_spread(36, Fraction(9)))
         assert (b.r1_end, b.r2_start, b.r2_end) == (13, 19, 31)
 
     def test_fractional_k_uses_realized_spread(self):
         # F=5, n1=18: K=3.6, max spread = 3.4 * delta_f
         delta_f = Fraction(360 * 5, 18 * 36)
         spread = Fraction(17, 5) * delta_f
-        b = region_boundaries_phased(36, 64, Fraction(18, 5), spread)
+        b = region_boundaries(36, 64, spread)
         assert b.r1_end == 11
-
-    def test_fractional_k_without_spread_raises(self):
-        with pytest.raises(ConfigError):
-            region_boundaries_phased(36, 64, Fraction(18, 5))
-
-    def test_closed_form_equals_spread_form_for_integer_k(self):
-        for n1 in (6, 12, 18):
-            for f in (1, 2, 3, 6):
-                if n1 % f:
-                    continue
-                k = Fraction(n1, f)
-                for n2 in (12, 24, 36, 66):
-                    for polar in (60, 64, 70, 80, 90):
-                        delta_f = Fraction(360 * f, n1 * n2)
-                        assert region_boundaries_phased(n2, polar, k) == \
-                            region_boundaries_spread(n2, polar, (k - 1) * delta_f)
 
     def test_r1_end_monotone_in_spread(self):
         step = Fraction(360, 36)
         prev = None
         for spread in (Fraction(0), step / 4, step / 2, step, 2 * step):
-            r1 = region_boundaries_spread(36, 70, spread).r1_end
+            r1 = region_boundaries(36, 70, spread).r1_end
             if prev is not None:
                 assert r1 <= prev
             prev = r1
@@ -163,12 +149,12 @@ class TestRegionBoundaries:
     def test_degenerate_spread_clamps_to_empty(self):
         # n1=6, n2=12, F=5 conventional: spread exceeds the safe arc entirely
         spread = 5 * Fraction(360 * 5, 6 * 12)
-        b = region_boundaries_spread(12, 60, spread)
+        b = region_boundaries(12, 60, spread)
         assert b.r1_end == 0 and b.active_row_count() == 0
 
     def test_classify_partitions_every_row(self):
         for n2, polar in ((12, 60), (24, 64), (36, 70), (66, 80)):
-            b = region_boundaries(n2, polar)
+            b = region_boundaries(n2, polar, 0)
             counts = {label: 0 for label in RegionLabel}
             for v in range(1, n2 + 1):
                 counts[classify_region(v, b)] += 1

@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from leovn.constellation import ConfigError, ConstellationConfig
 from leovn.division import switching_epochs
@@ -14,7 +14,6 @@ from leovn.isl import (
     ShutoffRule,
     active_hisl_count,
     active_row_set,
-    bh_isl_planes,
     boundaries_for,
     hisl_count_analytic,
     phase_analysis,
@@ -24,8 +23,9 @@ from leovn.isl import (
     snapshot_edges,
     theorem1_bruteforce,
 )
+from leovn.verify import boundaries_by_scan
 
-from helpers import initial_phase_deg
+from helpers import configs, initial_phase_deg
 
 
 def make_config(n1=18, n2=36, F=0, polar=70.0):
@@ -67,42 +67,53 @@ class TestPhaseAnalysis:
         assert pa.max_spread_optimized_deg == Fraction(17, 5) * pa.delta_f_deg
 
     @pytest.mark.parametrize("n1,n2,f", [(18, 36, 2), (18, 36, 5), (12, 24, 7), (6, 12, 4)])
-    def test_link_counts_sum(self, n1, n2, f):
-        pa = phase_analysis(n1, n2, f)
+    def test_backward_links_before_each_plane(self, n1, n2, f):
+        # c(h) = floor((h-1)F/n1) backward links lie before plane h
+        bh = phase_analysis(n1, n2, f).bh_planes
         for h in range(1, n1 + 1):
-            assert pa.fh_count[h - 1] + pa.bh_count[h - 1] == h - 1
-            assert pa.bh_count[h - 1] == ((h - 1) * f) // n1
-
-    def test_backward_count_telescopes(self):
-        pa = phase_analysis(18, 36, 6)
-        total = sum(pa.bh_count[h] - pa.bh_count[h - 1] for h in range(1, 18))
-        assert total == pa.bh_count[17] == (17 * 6) // 18
-
-    def test_wrapped_diagnostic_caps_at_circle_span(self):
-        pa = phase_analysis(18, 36, 20)  # delta_f > step: row wraps widely
-        assert pa.max_spread_conventional_wrapped_deg <= pa.max_spread_conventional_deg
-        assert pa.max_spread_conventional_wrapped_deg < 360
+            assert len([b for b in bh if b < h]) == ((h - 1) * f) // n1
 
 
 class TestBhPlanes:
-    def test_k3(self):
-        assert sorted(bh_isl_planes(18, Fraction(3))) == [3, 6, 9, 12, 15]
-
-    def test_k9(self):
-        assert sorted(bh_isl_planes(18, Fraction(9))) == [9]
-
-    def test_k18_pure_conventional(self):
-        assert bh_isl_planes(18, Fraction(18)) == frozenset()
-
-    def test_k1_every_boundary(self):
-        assert bh_isl_planes(6, Fraction(1)) == frozenset({1, 2, 3, 4, 5})
-
-    def test_fractional_k(self):
-        assert sorted(bh_isl_planes(6, Fraction(3, 2))) == [2, 3, 5]
+    @pytest.mark.parametrize("n1,f,expect", [
+        (18, 6, {3, 6, 9, 12, 15}),    # K = 3
+        (18, 2, {9}),                  # K = 9
+        (18, 1, set()),                # K = 18: purely conventional
+        (6, 6, {1, 2, 3, 4, 5}),       # K = 1: every boundary
+        (6, 4, {2, 3, 5}),             # K = 3/2
+    ])
+    def test_expected_bh_sets(self, n1, f, expect):
+        assert phase_analysis(n1, 36, f).bh_planes == expect
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(ConfigError):
-            bh_isl_planes(6, Fraction(1, 2))
+        assert phase_analysis(6, 36, 12).bh_planes is None
+        with pytest.raises(ConfigError, match="optimized layout requires F <= n1"):
+            snapshot_edges(make_config(n1=6, F=12), IslMode.OPTIMIZED, 0.0)
+
+
+class TestLayoutProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(configs())
+    def test_rows_follow_the_backward_link_count(self, drawn):
+        cfg, t = drawn
+        n1, n2 = cfg.num_planes, cfg.sats_per_plane
+        assume(cfg.phasing_factor <= n1)
+        rows = row_chains(cfg, IslMode.OPTIMIZED)
+        spreads = row_spreads_deg(cfg, IslMode.OPTIMIZED)
+        assert all(0 <= s < Fraction(360, n2) for s in spreads)
+        for row in rows:
+            base = initial_phase_deg(cfg, *sat_id(row[0], n2))
+            for h, member in enumerate(row):
+                assert (initial_phase_deg(cfg, *sat_id(member, n2)) - base) % 360 == spreads[h]
+        # BH exactly where the chain steps one slot down, FH where it keeps its slot
+        slot_step = (rows[:, 1:] - rows[:, :-1] - n2) % n2
+        assert set(slot_step.ravel().tolist()) <= {0, n2 - 1}
+        direction = snapshot_edges(cfg, IslMode.OPTIMIZED, t).direction[n1 * n2:]
+        assert [d is HDirection.BH for d in direction] == (slot_step == n2 - 1).ravel().tolist()
+        for mode in IslMode:
+            spread = max(row_spreads_deg(cfg, mode))
+            assert boundaries_for(cfg, mode) == boundaries_by_scan(
+                n2, cfg.polar_threshold_deg, spread)
 
 
 class TestHNeighbor:
