@@ -1,9 +1,9 @@
 """Network performance metrics over physical snapshots.
 
-Throughput: satellites over a source box feed a super-source, satellites
-over a sink box drain to a super-sink, every active ISL carries the
-configured capacity at a cost equal to its propagation delay, and the
-min-cost max-flow value is the system throughput (``flow.MinCostMaxFlow``:
+Throughput: satellites over the source box feed a super-source, satellites
+over the sink box drain to a super-sink, every active ISL carries 1 Gbps per
+direction at a cost equal to its propagation delay, and the min-cost
+max-flow value is the system throughput (``flow.MinCostMaxFlow``:
 successive shortest paths, each found by scipy's compiled Dijkstra).
 Latency: mean shortest propagation delay over seeded random satellite pairs,
 from an exact all-sources sweep over the V-ISL rings and H-ISL boundaries.
@@ -33,20 +33,17 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 @dataclass(frozen=True, eq=False)
 class WeightedNetSnapshot:
-    """Active edges at one instant, annotated with length and delay.
+    """Active edges at one instant, annotated with propagation delay.
 
     ``edges`` holds the (E, 2) flat satellite indices of the active edges in
-    snapshot order; ``kind``, ``length_m`` and ``delay_s`` are per edge.
-    ``sats_per_plane`` gives the grid of the flat index (plane-1)*n2 + slot-1.
+    snapshot order; ``kind`` and ``delay_s`` are per edge.  ``sats_per_plane``
+    gives the grid of the flat index (plane-1)*n2 + slot-1.
     """
-    t: float
     num_sats: int
     sats_per_plane: int
     edges: np.ndarray = field(repr=False)
     kind: np.ndarray = field(repr=False)
-    length_m: np.ndarray = field(repr=False)
     delay_s: np.ndarray = field(repr=False)
-    positions: np.ndarray = field(repr=False)       # (N, 3) inertial, m
     lats: np.ndarray = field(repr=False)            # rad
     lons: np.ndarray = field(repr=False)            # rad, rotating frame
 
@@ -63,28 +60,13 @@ class LatLonBox:
         return ((lat_deg >= self.lat_min) & (lat_deg <= self.lat_max)
                 & (lon_deg >= self.lon_min) & (lon_deg <= self.lon_max))
 
-    def overlaps(self, other: "LatLonBox") -> bool:
-        return not (self.lat_max < other.lat_min or other.lat_max < self.lat_min
-                    or self.lon_max < other.lon_min or other.lon_max < self.lon_min)
 
-
-@dataclass(frozen=True)
-class FlowScenario:
-    """Ground regions and capacities for the throughput experiment.
-
-    Default boxes: an east-west hemispheric pair (roughly North America to
-    Europe/Africa).  ISLs carry ``isl_capacity_gbps`` per direction; the
-    satellite-ground hops are uncapacitated.
-    """
-    source_region: LatLonBox = LatLonBox(20.0, 50.0, -130.0, -60.0)
-    sink_region: LatLonBox = LatLonBox(20.0, 50.0, 0.0, 70.0)
-    isl_capacity_gbps: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.source_region.overlaps(self.sink_region):
-            raise ConfigError("source and sink regions must be disjoint")
-        if self.isl_capacity_gbps <= 0:
-            raise ConfigError("ISL capacity must be positive")
+# The throughput experiment: an east-west hemispheric pair of disjoint boxes
+# (roughly North America to Europe/Africa); ISLs carry ISL_CAPACITY_GBPS per
+# direction and the satellite-ground hops are uncapacitated.
+SOURCE_BOX = LatLonBox(20.0, 50.0, -130.0, -60.0)
+SINK_BOX = LatLonBox(20.0, 50.0, 0.0, 70.0)
+ISL_CAPACITY_GBPS = 1.0
 
 
 def weight_snapshot(config: ConstellationConfig, snapshot: IslSnapshot,
@@ -95,30 +77,26 @@ def weight_snapshot(config: ConstellationConfig, snapshot: IslSnapshot,
     d = positions[edges[:, 0]] - positions[edges[:, 1]]
     # vecdot rounds like the per-edge norm of a 3-vector; (d*d).sum(1) does not
     length = np.sqrt(np.vecdot(d, d))
-    return WeightedNetSnapshot(t=t, num_sats=config.total_sats,
+    return WeightedNetSnapshot(num_sats=config.total_sats,
                                sats_per_plane=config.sats_per_plane, edges=edges,
-                               kind=snapshot.kind[snapshot.active], length_m=length,
-                               delay_s=length / SPEED_OF_LIGHT, positions=positions,
-                               lats=lats, lons=lons)
+                               kind=snapshot.kind[snapshot.active],
+                               delay_s=length / SPEED_OF_LIGHT, lats=lats, lons=lons)
 
 
 def snapshot_at(config: ConstellationConfig, mode: IslMode, t: float) -> WeightedNetSnapshot:
     return weight_snapshot(config, snapshot_edges(config, mode, t), t)
 
 
-def max_flow_throughput(snapshot: WeightedNetSnapshot,
-                        scenario: FlowScenario) -> float:
+def max_flow_throughput(snapshot: WeightedNetSnapshot) -> float:
     """System throughput in Gbps for one snapshot.
 
-    Coverage is sub-point membership in a region box.  A satellite whose
-    sub-point fell in both boxes would attach to the source only, but the
-    boxes are disjoint so this cannot occur.  Returns 0 when either region
-    is uncovered.
+    Coverage is sub-point membership in ``SOURCE_BOX`` or ``SINK_BOX``.
+    Returns 0 when either box is uncovered.
     """
     lat_deg = np.degrees(snapshot.lats)
     lon_deg = np.degrees(snapshot.lons)
-    over_source = scenario.source_region.contains(lat_deg, lon_deg)
-    over_sink = scenario.sink_region.contains(lat_deg, lon_deg) & ~over_source
+    over_source = SOURCE_BOX.contains(lat_deg, lon_deg)
+    over_sink = SINK_BOX.contains(lat_deg, lon_deg)
     if not over_source.any() or not over_sink.any():
         return 0.0
     n = snapshot.num_sats
@@ -132,7 +110,7 @@ def max_flow_throughput(snapshot: WeightedNetSnapshot,
     for (a, b), delay in zip(snapshot.edges.tolist(), snapshot.delay_s.tolist()):
         net.add_edge(a, b, 1, delay)
     flow_units, _cost = net.solve(source, sink)
-    return flow_units * scenario.isl_capacity_gbps
+    return flow_units * ISL_CAPACITY_GBPS
 
 
 def _require_count(name: str, value: int) -> None:
@@ -141,13 +119,11 @@ def _require_count(name: str, value: int) -> None:
 
 
 def mean_throughput(config: ConstellationConfig, mode: IslMode,
-                    scenario: FlowScenario | None = None,
                     snapshots: int = 16) -> float:
     """Mean throughput over evenly spaced snapshot times across one period."""
     _require_count("snapshots", snapshots)
-    scenario = scenario or FlowScenario()
     times = [k * config.period / snapshots for k in range(snapshots)]
-    values = [max_flow_throughput(snapshot_at(config, mode, t), scenario) for t in times]
+    values = [max_flow_throughput(snapshot_at(config, mode, t)) for t in times]
     return float(np.mean(values))
 
 
@@ -272,8 +248,6 @@ def draw_pairs(total_sats: int, pairs: int, seed: int) -> np.ndarray:
 class LatencyResult:
     mean_ms: float
     unreachable_fraction: float
-    pairs: int
-    snapshots: int
 
 
 def avg_latency(config: ConstellationConfig, mode: IslMode, pairs: int,
@@ -299,8 +273,7 @@ def avg_latency(config: ConstellationConfig, mode: IslMode, pairs: int,
         unreachable += int((~finite).sum())
     mean_ms = (total / count) * 1e3 if count else float("inf")
     return LatencyResult(mean_ms=mean_ms,
-                         unreachable_fraction=unreachable / (len(times) * pairs),
-                         pairs=pairs, snapshots=snapshots)
+                         unreachable_fraction=unreachable / (len(times) * pairs))
 
 
 # -- sweeps --------------------------------------------------------------------

@@ -34,11 +34,11 @@ def fold_lat_deg(value) -> Fraction:
     return 90 - abs(180 - (v + 90) % 360)
 
 
-def snapped_floor(x: float, snap: float = CELL_SNAP) -> int:
-    """floor(x), treating values within ``snap`` below an integer as on it.
+def snapped_floor(x: float) -> int:
+    """floor(x), treating values within ``CELL_SNAP`` below an integer as on it.
 
     Cells are half-open [start, start+width): a point exactly on a boundary
     belongs to the upper cell, so float noise just below the boundary must
     round up, not down.
     """
-    return math.floor(x + snap)
+    return math.floor(x + CELL_SNAP)

@@ -26,6 +26,7 @@ from .analysis import sweep
 from .constellation import ConfigError, ConstellationConfig, read_config_file
 from .division import cell_bounds, classify_region
 from .isl import (
+    IslKind,
     IslMode,
     boundaries_for,
     phase_analysis,
@@ -172,11 +173,15 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     config = _build_config(args)
     snapshot = snapshot_edges(config, IslMode(args.mode), args.t_seconds)
     header = ["a_plane", "a_slot", "b_plane", "b_slot", "kind", "direction", "active"]
-    plane, slot = divmod(snapshot.pairs, config.sats_per_plane)
-    rows = [[ap + 1, aslot + 1, bp + 1, bslot + 1, KIND_LETTERS[k], d.value, act]
-            for (ap, bp), (aslot, bslot), k, d, act in zip(
+    n2 = config.sats_per_plane
+    plane, slot = divmod(snapshot.pairs, n2)
+    # V links have no direction; an H link is backward iff it steps one slot down
+    rows = [[ap + 1, aslot + 1, bp + 1, bslot + 1, KIND_LETTERS[k],
+             "NONE" if k == IslKind.V_ISL else "BH" if (aslot - bslot) % n2 == 1 else "FH",
+             act]
+            for (ap, bp), (aslot, bslot), k, act in zip(
                 plane.tolist(), slot.tolist(), snapshot.kind.tolist(),
-                snapshot.direction, snapshot.active.tolist())]
+                snapshot.active.tolist())]
     out = _out_path(args, "snapshot.csv" if args.format == "csv" else "snapshot.json")
     _write_rows(out, args.format, header, rows)
     _write_manifest(out, config, args, started)
@@ -256,7 +261,8 @@ def cmd_latency(args: argparse.Namespace) -> int:
 
 
 def cmd_theorem1_check(args: argparse.Namespace) -> int:
-    analysis = phase_analysis(args.n1, args.n2, args.f)
+    analysis = phase_analysis(ConstellationConfig(
+        num_planes=args.n1, sats_per_plane=args.n2, phasing_factor=args.f))
     brute_min, brute_set = theorem1_bruteforce(args.n1, args.n2, args.f)
     ok = (brute_min == analysis.max_spread_optimized_deg
           and brute_set == analysis.bh_planes)

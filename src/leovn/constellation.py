@@ -33,8 +33,9 @@ class ConstellationConfig:
     ``sats_per_plane`` (n2) satellites per plane separated by exactly
     360/n2 deg of phase, and inter-plane phase offset set by the integer
     ``phasing_factor`` (F).  Angular inputs are degrees; radian values are
-    exposed as properties.  ``phase0_deg`` defaults to ``-polar_threshold_deg``
-    so that satellite (1,1) starts at the foot of virtual row 1.
+    exposed as properties and every float field must be finite.
+    ``phase0_deg`` defaults to ``-polar_threshold_deg`` so that satellite
+    (1,1) starts at the foot of virtual row 1.
     """
     num_planes: int
     sats_per_plane: int
@@ -47,6 +48,11 @@ class ConstellationConfig:
     period_s: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("altitude_km", "inclination_deg", "polar_threshold_deg",
+                     "raan0_deg", "phase0_deg", "period_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.num_planes < 2:
             raise ConfigError(f"num_planes must be >= 2, got {self.num_planes}")
         if self.sats_per_plane < 3:

@@ -4,13 +4,14 @@ The celestial division (CSD) follows from the constellation alone: row 1
 starts at -polar threshold of along-track phase, column 1 at raan0, rows are
 360/n2 tall and the cells of plane h are shifted along track by
 mod(h-1, K) * delta_f (K = n1/F), the in-row phase spread of the optimized
-link layout.  It assigns each satellite a virtual address (v, h): h is its
-plane, v the index of the along-track phase band it currently occupies.
-Bands are half-open [start, start + 360/n2) so a satellite exactly on a
-boundary belongs to the upper cell.  The geographic division (GRD) freezes
-the t=0 ground projection of those cells and serves each frozen cell with
-whichever satellite covers it, either from the original plane only
-(variant 1) or from any plane (variant 2).
+link layout; the backward-link count c(h) and the spread it leaves are
+defined here once and read by ``isl``.  The division assigns each satellite
+a virtual address (v, h): h is its plane, v the index of the along-track
+phase band it currently occupies.  Bands are half-open [start, start +
+360/n2) so a satellite exactly on a boundary belongs to the upper cell.
+The geographic division (GRD) freezes the t=0 ground projection of those
+cells and serves each frozen cell with whichever satellite covers it, either
+from the original plane only (variant 1) or from any plane (variant 2).
 
 Row-boundary arithmetic is exact (Fraction degrees); see angles.py.
 """
@@ -89,32 +90,48 @@ def phase_step_deg(config: ConstellationConfig) -> Fraction:
     return Fraction(360, config.sats_per_plane)
 
 
-def plane_shift_deg(num_planes: int, sats_per_plane: int, phasing_factor: int,
-                    plane: int) -> Fraction:
-    """Along-track shift of plane h's cells, exact degrees.
+def backward_links(num_planes: int, phasing_factor: int) -> np.ndarray:
+    """c(h) = floor((h-1)F/n1) for h = 1..n1: the backward links an
+    optimized row crosses before plane h.
 
-    mod(h-1, K) * delta_f with K = n1/F and delta_f = 360F/(n1 n2), which is
-    ((h-1)F mod n1) * 360/(n1 n2); 0 when F = 0.  This is also the phase
-    spread of plane h's member in an optimized row (``isl.phase_analysis``).
+    Theorem 1 puts a backward link on each boundary where c steps, which
+    holds the in-row spread to mod(h-1, K) * delta_f.  For F > n1 (K < 1) c
+    steps by more than one, which one link per boundary cannot absorb.
     """
-    return Fraction(360 * ((plane - 1) * phasing_factor % num_planes),
-                    num_planes * sats_per_plane)
+    return np.arange(num_planes) * phasing_factor // num_planes
+
+
+def spreads_deg(config: ConstellationConfig, crossed: np.ndarray) -> tuple[Fraction, ...]:
+    """(h-1)*delta_f - c(h)*360/n2 per plane h, exact degrees: the phase of a
+    row's plane-h member relative to its plane-1 member when the row has
+    crossed c(h) backward links before plane h."""
+    n1, n2, f = config.num_planes, config.sats_per_plane, config.phasing_factor
+    return tuple(Fraction(360 * (h * f - c * n1), n1 * n2)
+                 for h, c in enumerate(crossed.tolist()))
+
+
+@lru_cache(maxsize=None)
+def cell_shifts_deg(config: ConstellationConfig) -> tuple[Fraction, ...]:
+    """Along-track shift of each plane's cells, exact degrees.
+
+    The spread of the backward-link layout, mod(h-1, K) * delta_f with
+    K = n1/F and delta_f = 360F/(n1 n2), for every F (0 when F = 0).
+    """
+    return spreads_deg(config, backward_links(config.num_planes, config.phasing_factor))
 
 
 @lru_cache(maxsize=None)
 def _plane_shifts(config: ConstellationConfig) -> np.ndarray:
-    """(n1, 1) read-only column of the plane shifts in float degrees."""
-    n1, n2, f = config.num_planes, config.sats_per_plane, config.phasing_factor
-    shifts = np.array([[float(plane_shift_deg(n1, n2, f, h))] for h in range(1, n1 + 1)])
+    """(n1, 1) read-only column of the cell shifts in float degrees."""
+    shifts = np.array(cell_shifts_deg(config), dtype=float)[:, None]
     shifts.flags.writeable = False
     return shifts
 
 
 def row_start_deg(config: ConstellationConfig, row: int, plane: int) -> Fraction:
     """Unfolded start angle of cell (row, plane), exact degrees."""
-    shift = plane_shift_deg(config.num_planes, config.sats_per_plane,
-                            config.phasing_factor, plane)
-    return row_origin_deg(config) + shift + (row - 1) * phase_step_deg(config)
+    return (row_origin_deg(config) + cell_shifts_deg(config)[plane - 1]
+            + (row - 1) * phase_step_deg(config))
 
 
 # -- cell bounds -------------------------------------------------------------
@@ -210,20 +227,18 @@ def csd_rows_all(config: ConstellationConfig, t: float) -> np.ndarray:
     return rows
 
 
-def switching_epochs(config: ConstellationConfig, count: int,
-                     t_start: float = 0.0) -> list[float]:
-    """First ``count`` cell-handover instants at or after ``t_start``.
+def switching_epochs(config: ConstellationConfig, count: int) -> list[float]:
+    """First ``count`` cell-handover instants at or after t = 0.
 
-    Handovers happen when plane 1 sits exactly on its cell boundaries, every
-    T/n2 seconds.
+    Handovers happen when plane 1 sits exactly on its cell boundaries, one
+    ``grd_switch_interval`` apart.
     """
-    period = config.period
-    step_t = period / config.sats_per_plane
+    step_t = grd_switch_interval(config.period, config.sats_per_plane)
     # offset of the first epoch: phase0 + 360 t/T == lat origin (mod step)
     lag_deg = float((row_origin_deg(config) - Fraction(config.phase0_deg)) %
                     phase_step_deg(config))
-    t0 = lag_deg / 360.0 * period
-    k0 = math.ceil((t_start - t0) / step_t - 1e-12)
+    t0 = lag_deg / 360.0 * config.period
+    k0 = math.ceil(-t0 / step_t - 1e-12)
     return [t0 + k * step_t for k in range(k0, k0 + count)]
 
 

@@ -8,7 +8,8 @@ same-slot satellites; in the optimized mode a row has crossed
 c(h) = floor((h-1)F/n1) backward links (to the trailing neighbor, one slot
 down) before plane h, one at every boundary where c steps (about every K-th,
 K = n1/F), which caps the in-row phase spread at mod(h-1, K) * delta_f
-instead of (n1-1) * delta_f.
+instead of (n1-1) * delta_f.  c(h) and the spread are
+``division.backward_links`` and ``division.spreads_deg``.
 """
 from __future__ import annotations
 
@@ -20,9 +21,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angles import CELL_SNAP
 from .constellation import ConfigError, ConstellationConfig, phases_deg
-from .division import RegionBoundaries, phase_step_deg, region_boundaries, row_origin_deg
+from .division import (
+    RegionBoundaries,
+    backward_links,
+    csd_rows_all,
+    phase_step_deg,
+    region_boundaries,
+    row_origin_deg,
+    spreads_deg,
+)
 
 
 class IslMode(enum.Enum):
@@ -34,12 +42,6 @@ class IslKind(enum.IntEnum):
     """Link kind; the value is the code stored in edge arrays and virtual-edge keys."""
     V_ISL = 0
     H_ISL = 1
-
-
-class HDirection(enum.Enum):
-    FH = "FH"       # forward: smallest positive phase offset (same slot)
-    BH = "BH"       # backward: nearest trailing neighbor (slot - 1)
-    NONE = "NONE"   # intra-plane links
 
 
 class ShutoffRule(enum.Enum):
@@ -60,13 +62,13 @@ class IslSnapshot:
     """Physical edge set at one instant.
 
     ``pairs`` holds flat satellite indices (E, 2), V edges plane-major then H
-    edges row-major; ``pairs``, ``kind`` and ``direction`` are the cached,
-    read-only layout shared by every snapshot of a (config, mode), and only
-    the boolean ``active`` mask depends on time.
+    edges row-major; ``pairs`` and ``kind`` are the cached, read-only layout
+    shared by every snapshot of a (config, mode), and only the boolean
+    ``active`` mask depends on time.  An H edge is backward (BH) iff its
+    second satellite sits one slot below its first.
     """
     pairs: np.ndarray
     kind: np.ndarray
-    direction: tuple[HDirection, ...]
     active: np.ndarray
 
     def __len__(self) -> int:
@@ -78,8 +80,8 @@ class PhaseAnalysis:
     """Phase-difference quantities of a Walker layout, exact degrees.
 
     ``spread_deg[h-1]`` is the optimized row's phase difference at plane h,
-    (h-1)*delta_f - c(h)*360/n2 = mod(h-1, K)*delta_f; ``bh_planes`` the
-    boundaries where c(h) steps, None when F > n1 (see ``_backward_links``).
+    mod(h-1, K)*delta_f (``division.spreads_deg``); ``bh_planes`` the
+    boundaries where c(h) steps, None when F > n1.
     """
     delta_f_deg: Fraction
     k_ratio: Fraction | None
@@ -89,18 +91,16 @@ class PhaseAnalysis:
     bh_planes: frozenset[int] | None   # BH boundaries; None when F > n1
 
 
-def phase_analysis(num_planes: int, sats_per_plane: int, phasing_factor: int) -> PhaseAnalysis:
+def phase_analysis(config: ConstellationConfig) -> PhaseAnalysis:
     """Phase spread of conventional vs optimized rows for a Walker layout.
 
     Both the optimized spreads and the backward boundaries follow from the
-    integer count c(h) = floor((h-1)F/n1) of ``_backward_links``.
+    integer count c(h) = floor((h-1)F/n1) of ``division.backward_links``.
     """
-    n1, n2, f = num_planes, sats_per_plane, phasing_factor
-    if f < 0:
-        raise ConfigError(f"phasing factor must be >= 0, got {f}")
-    crossed = _backward_links(n1, f)
-    spread = _spreads_deg(n1, n2, f, crossed)
-    delta_f = Fraction(360 * f, n1 * n2)
+    n1, f = config.num_planes, config.phasing_factor
+    crossed = backward_links(n1, f)
+    spread = spreads_deg(config, crossed)
+    delta_f = config.phase_offset_deg
     return PhaseAnalysis(
         delta_f_deg=delta_f,
         k_ratio=Fraction(n1, f) if f else None,
@@ -112,24 +112,6 @@ def phase_analysis(num_planes: int, sats_per_plane: int, phasing_factor: int) ->
     )
 
 
-def _backward_links(num_planes: int, phasing_factor: int) -> np.ndarray:
-    """c(h) = floor((h-1)F/n1) for h = 1..n1: the backward links an
-    optimized row crosses before plane h.
-
-    Theorem 1 puts a backward link on each boundary where c steps, which
-    holds the in-row spread to mod(h-1, K) * delta_f.  For F > n1 (K < 1) c
-    steps by more than one, which one link per boundary cannot absorb.
-    """
-    return np.arange(num_planes) * phasing_factor // num_planes
-
-
-def _spreads_deg(n1: int, n2: int, f: int, crossed: np.ndarray) -> tuple[Fraction, ...]:
-    """(h-1)*delta_f - c(h)*360/n2 per plane h: the phase of a row's plane-h
-    member relative to its plane-1 member, exact degrees."""
-    return tuple(Fraction(360 * (h * f - c * n1), n1 * n2)
-                 for h, c in enumerate(crossed.tolist()))
-
-
 def _crossed(config: ConstellationConfig, mode: IslMode) -> np.ndarray:
     """c(h) of a mode's layout: zero in conventional mode; optimized F > n1
     is a ConfigError."""
@@ -138,7 +120,7 @@ def _crossed(config: ConstellationConfig, mode: IslMode) -> np.ndarray:
         return np.zeros(n1, dtype=int)
     if f > n1:
         raise ConfigError("optimized layout requires F <= n1")
-    return _backward_links(n1, f)
+    return backward_links(n1, f)
 
 
 @lru_cache(maxsize=None)
@@ -159,8 +141,7 @@ def row_chains(config: ConstellationConfig, mode: IslMode) -> np.ndarray:
 
 def row_spreads_deg(config: ConstellationConfig, mode: IslMode) -> tuple[Fraction, ...]:
     """Exact phase offset of each row member relative to the plane-1 member."""
-    return _spreads_deg(config.num_planes, config.sats_per_plane,
-                        config.phasing_factor, _crossed(config, mode))
+    return spreads_deg(config, _crossed(config, mode))
 
 
 def polar_cap_phase_spans(config: ConstellationConfig) -> list[tuple[Fraction, Fraction]]:
@@ -218,7 +199,7 @@ def active_row_set(config: ConstellationConfig, mode: IslMode) -> frozenset[int]
 
 @lru_cache(maxsize=None)
 def _static_pairs(config: ConstellationConfig, mode: IslMode):
-    """Time-invariant layout: (pairs, kind, direction) of every edge."""
+    """Time-invariant layout: (pairs, kind) of every edge."""
     n1, n2 = config.num_planes, config.sats_per_plane
     rows = row_chains(config, mode)
     sats = np.arange(n1 * n2).reshape(n1, n2)
@@ -228,9 +209,7 @@ def _static_pairs(config: ConstellationConfig, mode: IslMode):
     kind = np.repeat([IslKind.V_ISL, IslKind.H_ISL], [len(v_pairs), len(h_pairs)])
     for array in (pairs, kind):
         array.flags.writeable = False
-    boundaries = tuple(HDirection.BH if step else HDirection.FH
-                       for step in np.diff(_crossed(config, mode)))
-    return pairs, kind, (HDirection.NONE,) * len(v_pairs) + boundaries * n2
+    return pairs, kind
 
 
 def row_activity(config: ConstellationConfig, mode: IslMode, t: float,
@@ -238,20 +217,17 @@ def row_activity(config: ConstellationConfig, mode: IslMode, t: float,
     """Active flag of every H boundary, shaped (n2 rows, n1-1).
 
     Row rule: one flag per row, held for the whole dwell of its plane-1
-    member.  Per-satellite rule: a boundary is on iff neither endpoint's
-    instantaneous latitude is strictly beyond the threshold.
+    member; the plane-1 members head the rows in slot order, so their CSD
+    rows are the dwell rows.  Per-satellite rule: a boundary is on iff
+    neither endpoint's instantaneous latitude is strictly beyond the
+    threshold.
     """
-    rows = row_chains(config, mode)
-    n1, n2 = config.num_planes, config.sats_per_plane
-    phases = np.mod(phases_deg(config, t), 360.0)
     if shutoff is ShutoffRule.ROW_SYNCHRONIZED:
         active = active_row_set(config, mode)
-        origin = float(row_origin_deg(config))
-        base = phases[rows[:, 0]]
-        dwell = 1 + (np.floor((base - origin) % 360.0 / (360.0 / n2)
-                              + CELL_SNAP).astype(int) % n2)
-        flags = np.array([v in active for v in dwell])
-        return np.repeat(flags[:, None], n1 - 1, axis=1)
+        flags = np.array([v in active for v in csd_rows_all(config, t)[0].tolist()])
+        return np.repeat(flags[:, None], config.num_planes - 1, axis=1)
+    rows = row_chains(config, mode)
+    phases = np.mod(phases_deg(config, t), 360.0)
     limit = math.sin(config.polar_threshold)
     polar = np.abs(math.sin(config.inclination)
                    * np.sin(np.radians(phases))) > limit
@@ -266,10 +242,10 @@ def snapshot_edges(config: ConstellationConfig, mode: IslMode, t: float,
     member and is constant between handovers; under the per-satellite rule
     each link follows its endpoints' instantaneous latitudes.
     """
-    pairs, kind, direction = _static_pairs(config, mode)
+    pairs, kind = _static_pairs(config, mode)
     activity = row_activity(config, mode, t, shutoff)
     active = np.concatenate([np.ones(config.total_sats, dtype=bool), activity.ravel()])
-    return IslSnapshot(pairs=pairs, kind=kind, direction=direction, active=active)
+    return IslSnapshot(pairs=pairs, kind=kind, active=active)
 
 
 def active_hisl_count(snapshot: IslSnapshot) -> int:

@@ -31,6 +31,7 @@ from .division import (
     build_grd_grid,
     csd_rows_all,
     grd_assignment,
+    grd_switch_interval,
     switching_epochs,
 )
 from .isl import (
@@ -232,7 +233,7 @@ def sample_times(config: ConstellationConfig, duration_s: float,
                  samples: int) -> list[float]:
     """Evenly spaced samples over [0, duration] plus exact handover epochs."""
     times = list(np.linspace(0.0, duration_s, samples))
-    n_epochs = int(duration_s / (config.period / config.sats_per_plane)) + 1
+    n_epochs = int(duration_s / grd_switch_interval(config.period, config.sats_per_plane)) + 1
     for t in switching_epochs(config, n_epochs):
         if 0.0 <= t <= duration_s:
             times.append(t)

@@ -8,9 +8,10 @@ from scipy.sparse.csgraph import dijkstra, maximum_flow
 
 import leovn.analysis
 from leovn.analysis import (
+    ISL_CAPACITY_GBPS,
+    SINK_BOX,
+    SOURCE_BOX,
     SPEED_OF_LIGHT,
-    FlowScenario,
-    LatLonBox,
     avg_latency,
     delay_matrix,
     draw_pairs,
@@ -21,7 +22,7 @@ from leovn.analysis import (
     sweep,
     weight_snapshot,
 )
-from leovn.constellation import ConfigError, ConstellationConfig
+from leovn.constellation import ConfigError, ConstellationConfig, propagate_all
 from leovn.flow import INF_CAPACITY
 from leovn.isl import IslKind, IslMode, ShutoffRule, snapshot_edges
 
@@ -39,7 +40,7 @@ class TestWeightSnapshot:
         cfg = make_config()
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
         expect = 2 * 7000e3 * math.sin(math.pi / 36)   # 1220.18 km
-        v_lengths = snap.length_m[snap.kind == IslKind.V_ISL]
+        v_lengths = snap.delay_s[snap.kind == IslKind.V_ISL] * SPEED_OF_LIGHT
         assert len(v_lengths) == 648
         assert all(length == pytest.approx(expect, rel=1e-9) for length in v_lengths)
         assert expect == pytest.approx(1220.18e3, rel=1e-4)
@@ -51,22 +52,24 @@ class TestWeightSnapshot:
         expect = 2 * 7000e3 * math.sin(math.radians(5.0))
         eq_edges = (snap.kind == IslKind.H_ISL) & (snap.edges[:, 0] % 36 == 7)
         assert eq_edges.any()
-        for length in snap.length_m[eq_edges]:
+        for length in snap.delay_s[eq_edges] * SPEED_OF_LIGHT:
             assert length == pytest.approx(expect, rel=1e-9)
 
     def test_h_isl_shrinks_toward_polar_threshold(self):
         cfg = make_config()
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
         by_slot = {}
-        for (a, _), kind, length in zip(snap.edges.tolist(), snap.kind, snap.length_m):
+        for (a, _), kind, delay in zip(snap.edges.tolist(), snap.kind, snap.delay_s):
             if kind == IslKind.H_ISL and a // 36 == 0:
-                by_slot[a % 36] = length
+                by_slot[a % 36] = delay
         assert by_slot[13] < by_slot[9] < by_slot[7]  # lat 60 < lat 20 < equator
 
     def test_delay_is_length_over_c(self):
         cfg = make_config()
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 100.0)
-        for delay, length in zip(snap.delay_s[:20], snap.length_m[:20]):
+        positions = propagate_all(cfg, 100.0)[1]
+        for (a, b), delay in zip(snap.edges[:20].tolist(), snap.delay_s[:20]):
+            length = np.linalg.norm(positions[a] - positions[b])
             assert delay == pytest.approx(length / SPEED_OF_LIGHT)
         assert (snap.delay_s > 0).all()
 
@@ -74,9 +77,9 @@ class TestWeightSnapshot:
         # reference loop: one np.linalg.norm per edge, as CLI outputs expect
         cfg = make_config(F=2, altitude_km=780.0)
         snap = snapshot_at(cfg, IslMode.OPTIMIZED, 1234.5)
-        want = [float(np.linalg.norm(snap.positions[a] - snap.positions[b]))
+        positions = propagate_all(cfg, 1234.5)[1]
+        want = [float(np.linalg.norm(positions[a] - positions[b]))
                 for a, b in snap.edges.tolist()]
-        assert snap.length_m.tolist() == want
         assert snap.delay_s.tolist() == [length / SPEED_OF_LIGHT for length in want]
 
     def test_only_active_edges_kept(self):
@@ -89,48 +92,40 @@ class TestWeightSnapshot:
 
 class TestFlowScenario:
     def test_default_regions_disjoint(self):
-        FlowScenario()  # must not raise
-
-    def test_overlapping_regions_rejected(self):
-        with pytest.raises(ConfigError):
-            FlowScenario(source_region=LatLonBox(10, 40, -30, 30),
-                         sink_region=LatLonBox(20, 50, 0, 70))
-
-    def test_nonpositive_capacity_rejected(self):
-        with pytest.raises(ConfigError):
-            FlowScenario(isl_capacity_gbps=0.0)
+        # the source and sink boxes share latitudes, so their longitudes must not meet
+        assert (SOURCE_BOX.lat_min, SOURCE_BOX.lat_max) == (SINK_BOX.lat_min, SINK_BOX.lat_max)
+        assert SOURCE_BOX.lon_max < SINK_BOX.lon_min
 
 
 class TestThroughput:
     def test_uncovered_region_yields_zero(self):
-        cfg = make_config()
-        snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
-        empty = FlowScenario(source_region=LatLonBox(-2, 2, -2, 2),
-                             sink_region=LatLonBox(85, 90, -180, -179))
-        assert max_flow_throughput(snap, empty) == 0.0
+        # a 2x6 constellation leaves the source box empty while the sink box is
+        # covered at some sample of one period
+        cfg = make_config(n1=2, n2=6)
+        for t in np.linspace(0.0, cfg.period, 60):
+            snap = snapshot_at(cfg, IslMode.CONVENTIONAL, t)
+            lat, lon = np.degrees(snap.lats), np.degrees(snap.lons)
+            if not SOURCE_BOX.contains(lat, lon).any() and SINK_BOX.contains(lat, lon).any():
+                break
+        else:
+            pytest.fail("no sample with an empty source box and a covered sink box")
+        assert max_flow_throughput(snap) == 0.0
 
     def test_positive_for_default_scenario(self):
         cfg = make_config()
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
-        assert max_flow_throughput(snap, FlowScenario()) > 0
-
-    def test_capacity_scales_linearly(self):
-        cfg = make_config()
-        snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
-        assert max_flow_throughput(snap, FlowScenario(isl_capacity_gbps=2.5)) \
-            == pytest.approx(2.5 * max_flow_throughput(snap, FlowScenario()))
+        assert max_flow_throughput(snap) > 0
 
     @pytest.mark.parametrize("f", [0, 2, 6, 14])
     @pytest.mark.parametrize("mode", list(IslMode))
     def test_equals_scipy_maximum_flow(self, f, mode):
         # t=0 puts satellites exactly on the closed edges of both boxes
         cfg = make_config(F=f)
-        scenario = FlowScenario()
         for t in (0.0, cfg.period / 3, 0.71 * cfg.period):
             snap = snapshot_at(cfg, mode, t)
             lat, lon = np.degrees(snap.lats), np.degrees(snap.lons)
-            src = np.flatnonzero(scenario.source_region.contains(lat, lon))
-            dst = np.flatnonzero(scenario.sink_region.contains(lat, lon))
+            src = np.flatnonzero(SOURCE_BOX.contains(lat, lon))
+            dst = np.flatnonzero(SINK_BOX.contains(lat, lon))
             n = snap.num_sats
             a, b = snap.edges.T
             rows = np.concatenate([np.full(len(src), n), dst, a, b])
@@ -139,7 +134,7 @@ class TestThroughput:
                                    np.ones(2 * len(a), dtype=np.int64)])
             graph = csr_matrix((caps.astype(np.int32), (rows, cols)), shape=(n + 2, n + 2))
             want = maximum_flow(graph, n, n + 1).flow_value
-            assert max_flow_throughput(snap, scenario) == want * scenario.isl_capacity_gbps, t
+            assert max_flow_throughput(snap) == want * ISL_CAPACITY_GBPS, t
 
     def test_zero_snapshots_rejected(self):
         with pytest.raises(ConfigError, match="snapshots"):

@@ -9,7 +9,7 @@ import pytest
 import leovn.isl
 from leovn.cli import KIND_LETTERS, _build_config, build_parser, main
 from leovn.constellation import ConstellationConfig
-from leovn.isl import IslMode
+from leovn.isl import IslMode, phase_analysis
 from leovn.virtualgraph import (
     EventCause,
     EventChange,
@@ -98,6 +98,24 @@ class TestSnapshot:
         lines = out.read_text().splitlines()
         assert lines[0] == "a_plane,a_slot,b_plane,b_slot,kind,direction,active"
         assert len(lines) == 1 + 72 + 60  # header + V + H
+
+    @pytest.mark.parametrize("n1,n2,f,mode", [(18, 36, 2, "optimized"), (6, 12, 4, "optimized"),
+                                              (7, 11, 3, "optimized"), (6, 12, 4, "conventional")])
+    def test_direction_column(self, tmp_path, n1, n2, f, mode):
+        # V links have no direction; H links are BH exactly at the backward
+        # boundaries of the layout and FH elsewhere
+        out = tmp_path / "snap.csv"
+        assert main(["snapshot", "--n1", str(n1), "--n2", str(n2), "--f", str(f),
+                     "--mode", mode, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f)
+        bh = phase_analysis(cfg).bh_planes if mode == "optimized" else frozenset()
+        assert {r["direction"] for r in rows if r["kind"] == "V"} == {"NONE"}
+        h_rows = [r for r in rows if r["kind"] == "H"]
+        assert len(h_rows) == (n1 - 1) * n2
+        for r in h_rows:
+            assert r["direction"] == ("BH" if int(r["a_plane"]) in bh else "FH"), r
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "snap.json"
@@ -332,6 +350,14 @@ class TestTheoremCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["agreement"] is True
 
+    @pytest.mark.parametrize("n1,n2,field", [("0", "12", "num_planes"),
+                                             ("6", "0", "sats_per_plane"),
+                                             ("1", "12", "num_planes")])
+    def test_invalid_constellation_exits_2(self, capsys, n1, n2, field):
+        assert main(["theorem1-check", "--n1", n1, "--n2", n2, "--f", "0"]) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err and not captured.out
+
 
 class TestVerifyCommand:
     def test_division_suite_passes(self, capsys):
@@ -373,6 +399,19 @@ class TestErrorPaths:
     def test_invalid_bound_names_field(self, capsys):
         assert main(["divide", "--n1", "1", "--n2", "12"]) == 2
         assert "num_planes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,field", [
+        (["throughput", "--altitude-km", "nan"], "altitude_km"),
+        (["throughput", "--period-s", "inf"], "period_s"),
+        (["divide", "--raan0-deg", "nan"], "raan0_deg"),
+        (["staticness", "--method", "csd", "--duration-s", "100", "--phase0-deg", "inf"],
+         "phase0_deg"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--n1", "6", "--n2", "12", "--out", str(out)]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_period_exits_2(self, tmp_path, capsys):
         out = tmp_path / "snap.csv"

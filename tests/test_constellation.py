@@ -108,6 +108,13 @@ class TestBuildConstellation:
         with pytest.raises(ConfigError, match=fragment):
             make_config(**kw)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["altitude_km", "inclination_deg", "polar_threshold_deg",
+                                       "raan0_deg", "phase0_deg", "period_s"])
+    def test_non_finite_float_names_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            make_config(**{field: value})
+
 
 class TestPropagate:
     def test_epoch_identity(self):

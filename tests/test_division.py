@@ -18,12 +18,12 @@ from leovn.division import (
     RegionLabel,
     build_grd_grid,
     cell_bounds,
+    cell_shifts_deg,
     classify_region,
     csd_rows_all,
     grd_assignment,
     grd_switch_interval,
     phase_step_deg,
-    plane_shift_deg,
     region_boundaries,
     row_start_deg,
     switching_epochs,
@@ -95,7 +95,8 @@ class TestPlaneShift:
         if f:
             k = Fraction(n1, f)
             want = ((h - 1) - math.floor((h - 1) / k) * k) * Fraction(360 * f, n1 * n2)
-        assert plane_shift_deg(n1, n2, f, h) == want
+        cfg = make_config(num_planes=n1, sats_per_plane=n2, phasing_factor=f)
+        assert cell_shifts_deg(cfg)[h - 1] == want
 
 
 class TestRegionBoundaries:

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from leovn.constellation import ConfigError, ConstellationConfig
 from leovn.division import switching_epochs
 from leovn.isl import (
-    HDirection,
     IslKind,
     IslMode,
     ShutoffRule,
@@ -46,7 +44,7 @@ def east_neighbor(rows, plane, slot, n2=36):
 
 class TestPhaseAnalysis:
     def test_zero_phasing_all_quantities_zero(self):
-        pa = phase_analysis(18, 36, 0)
+        pa = phase_analysis(make_config(F=0))
         assert pa.delta_f_deg == 0
         assert pa.max_spread_conventional_deg == 0
         assert pa.max_spread_optimized_deg == 0
@@ -54,7 +52,7 @@ class TestPhaseAnalysis:
         assert pa.bh_planes == frozenset()
 
     def test_f2_k9(self):
-        pa = phase_analysis(18, 36, 2)
+        pa = phase_analysis(make_config(F=2))
         assert pa.k_ratio == 9
         assert pa.delta_f_deg == Fraction(360 * 2, 648)
         assert pa.max_spread_optimized_deg == 8 * pa.delta_f_deg
@@ -62,14 +60,14 @@ class TestPhaseAnalysis:
 
     def test_fractional_k_spread(self):
         # F=5: K=3.6, max of mod(h-1, 3.6) over h-1 in 0..17 is 3.4
-        pa = phase_analysis(18, 36, 5)
+        pa = phase_analysis(make_config(F=5))
         assert pa.k_ratio == Fraction(18, 5)
         assert pa.max_spread_optimized_deg == Fraction(17, 5) * pa.delta_f_deg
 
     @pytest.mark.parametrize("n1,n2,f", [(18, 36, 2), (18, 36, 5), (12, 24, 7), (6, 12, 4)])
     def test_backward_links_before_each_plane(self, n1, n2, f):
         # c(h) = floor((h-1)F/n1) backward links lie before plane h
-        bh = phase_analysis(n1, n2, f).bh_planes
+        bh = phase_analysis(make_config(n1=n1, n2=n2, F=f)).bh_planes
         for h in range(1, n1 + 1):
             assert len([b for b in bh if b < h]) == ((h - 1) * f) // n1
 
@@ -83,10 +81,10 @@ class TestBhPlanes:
         (6, 4, {2, 3, 5}),             # K = 3/2
     ])
     def test_expected_bh_sets(self, n1, f, expect):
-        assert phase_analysis(n1, 36, f).bh_planes == expect
+        assert phase_analysis(make_config(n1=n1, F=f)).bh_planes == expect
 
     def test_k_below_one_rejected(self):
-        assert phase_analysis(6, 36, 12).bh_planes is None
+        assert phase_analysis(make_config(n1=6, F=12)).bh_planes is None
         with pytest.raises(ConfigError, match="optimized layout requires F <= n1"):
             snapshot_edges(make_config(n1=6, F=12), IslMode.OPTIMIZED, 0.0)
 
@@ -95,7 +93,7 @@ class TestLayoutProperties:
     @settings(max_examples=100, deadline=None)
     @given(configs())
     def test_rows_follow_the_backward_link_count(self, drawn):
-        cfg, t = drawn
+        cfg, _ = drawn
         n1, n2 = cfg.num_planes, cfg.sats_per_plane
         assume(cfg.phasing_factor <= n1)
         rows = row_chains(cfg, IslMode.OPTIMIZED)
@@ -105,11 +103,12 @@ class TestLayoutProperties:
             base = initial_phase_deg(cfg, *sat_id(row[0], n2))
             for h, member in enumerate(row):
                 assert (initial_phase_deg(cfg, *sat_id(member, n2)) - base) % 360 == spreads[h]
-        # BH exactly where the chain steps one slot down, FH where it keeps its slot
+        # the chain steps one slot down exactly at the backward boundaries
         slot_step = (rows[:, 1:] - rows[:, :-1] - n2) % n2
         assert set(slot_step.ravel().tolist()) <= {0, n2 - 1}
-        direction = snapshot_edges(cfg, IslMode.OPTIMIZED, t).direction[n1 * n2:]
-        assert [d is HDirection.BH for d in direction] == (slot_step == n2 - 1).ravel().tolist()
+        down = np.flatnonzero(slot_step[0] == n2 - 1) + 1
+        assert set(down.tolist()) == phase_analysis(cfg).bh_planes
+        assert (slot_step == slot_step[0]).all()
         for mode in IslMode:
             spread = max(row_spreads_deg(cfg, mode))
             assert boundaries_for(cfg, mode) == boundaries_by_scan(
@@ -135,7 +134,7 @@ class TestHNeighbor:
         # K=3 (F=6): boundary 3 is backward; the partner one slot down is the
         # neighbor sitting step - delta_f behind, which zeroes the row spread
         cfg = make_config(F=6)
-        pa = phase_analysis(18, 36, 6)
+        pa = phase_analysis(cfg)
         partner = east_neighbor(row_chains(cfg, IslMode.OPTIMIZED), 3, 7)
         assert partner == (4, 6)
         u3 = initial_phase_deg(cfg, 3, 7)
@@ -174,7 +173,7 @@ class TestRowChains:
 
     def test_optimized_spread_caps_at_analysis_value(self):
         cfg = make_config(F=5)
-        pa = phase_analysis(18, 36, 5)
+        pa = phase_analysis(cfg)
         assert max(row_spreads_deg(cfg, IslMode.OPTIMIZED)) == pa.max_spread_optimized_deg
 
 
@@ -195,9 +194,9 @@ class TestSnapshotEdges:
         rows = row_chains(cfg, IslMode.OPTIMIZED)
         assert snap.pairs[648:648 + 17].tolist() == np.stack(
             [rows[0, :-1], rows[0, 1:]], axis=1).tolist()
-        # K=9: boundary 9 of every row carries the backward link
-        assert set(snap.direction[:648]) == {HDirection.NONE}
-        assert [d.value for d in snap.direction[648:648 + 17]] == ["FH"] * 8 + ["BH"] + ["FH"] * 8
+        # K=9: boundary 9 of every row carries the backward link (slot - 1)
+        slot_step = (rows[0, 1:] - rows[0, :-1]) % 36
+        assert slot_step.tolist() == [0] * 8 + [35] + [0] * 8
 
     def test_no_edge_crosses_the_seam(self):
         cfg = make_config(F=3)
@@ -236,7 +235,6 @@ class TestSnapshotEdges:
         for t in (0.0, 333.0, cfg.period * 0.71):
             conv = snapshot_edges(cfg, IslMode.CONVENTIONAL, t)
             opt = snapshot_edges(cfg, IslMode.OPTIMIZED, t)
-            assert conv.direction == opt.direction
             for field in ("pairs", "kind", "active"):
                 assert np.array_equal(getattr(conv, field), getattr(opt, field))
 
@@ -319,17 +317,6 @@ class TestAnalyticCounts:
         from leovn.division import RegionBoundaries
         assert hisl_count_analytic(2, 8, RegionBoundaries(0, 5, 4))[0] == 0
 
-    def test_snapshot_equals_analytic_full_grid(self):
-        # exhaustive: every grid point, both modes, two separate epochs
-        for n1, n2, polar, f, mode in product(
-                (6, 12, 18), (12, 24, 36), (60, 64, 70, 80), range(6),
-                (IslMode.CONVENTIONAL, IslMode.OPTIMIZED)):
-            cfg = make_config(n1=n1, n2=n2, F=f, polar=polar)
-            want = hisl_count_analytic(n1, n2, boundaries_for(cfg, mode))[0]
-            for t in switching_epochs(cfg, 2):
-                got = active_hisl_count(snapshot_edges(cfg, mode, t))
-                assert got == want, (n1, n2, polar, f, mode, t)
-
 
 class TestTheorem1:
     def test_small_case_unique_layout(self):
@@ -342,23 +329,13 @@ class TestTheorem1:
 
     def test_integer_k_matches_closed_form(self):
         spread, layout = theorem1_bruteforce(9, 18, 3)
-        pa = phase_analysis(9, 18, 3)
+        pa = phase_analysis(make_config(n1=9, n2=18, F=3))
         assert spread == (pa.k_ratio - 1) * pa.delta_f_deg
         assert layout == pa.bh_planes
 
-    def test_agreement_over_full_domain(self):
-        for n1 in (4, 6, 9, 12):
-            for n2 in (24, 36):
-                for f in range(1, min(n1, n2 - 1) + 1):
-                    pa = phase_analysis(n1, n2, f)
-                    brute_min, brute_set = theorem1_bruteforce(n1, n2, f)
-                    assert brute_min == pa.max_spread_optimized_deg, (n1, n2, f)
-                    assert brute_set == pa.bh_planes, (n1, n2, f)
-                    assert pa.max_spread_optimized_deg <= pa.max_spread_conventional_deg
-
     def test_spreads_are_multiples_of_base_unit(self):
         for n1, n2, f in ((6, 12, 4), (9, 18, 5), (12, 24, 7)):
-            pa = phase_analysis(n1, n2, f)
+            pa = phase_analysis(make_config(n1=n1, n2=n2, F=f))
             unit = pa.delta_f_deg / f
             for s in pa.spread_deg:
                 assert s >= 0 and (s / unit).denominator == 1

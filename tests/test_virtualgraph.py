@@ -12,7 +12,7 @@ from leovn.division import (
     grd_assignment,
     switching_epochs,
 )
-from leovn.isl import HDirection, IslKind, IslMode, IslSnapshot, ShutoffRule, snapshot_edges
+from leovn.isl import IslKind, IslMode, IslSnapshot, ShutoffRule, snapshot_edges
 from leovn.virtualgraph import (
     EventCause,
     EventChange,
@@ -140,8 +140,7 @@ class TestHandBuiltMapping:
     ACTIVE = np.array([True, True, True, True, True, False])
 
     def snapshot(self):
-        return IslSnapshot(pairs=self.PAIRS, kind=self.KIND,
-                           direction=(HDirection.NONE,) * len(self.PAIRS), active=self.ACTIVE)
+        return IslSnapshot(pairs=self.PAIRS, kind=self.KIND, active=self.ACTIVE)
 
     def test_multi_cell_satellites_link_every_cell_pair(self):
         keys = map_snapshot(self.snapshot(), self.SERVING)
