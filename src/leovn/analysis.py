@@ -144,55 +144,61 @@ def shortest_path_delays(snapshot: WeightedNetSnapshot,
                          sources: np.ndarray) -> np.ndarray:
     """Min propagation delay from each source to every satellite (seconds).
 
-    Returns (len(sources), N), a transposed view of the (N, sources) working
-    array; unreachable entries are +inf.  Label correcting over all sources
-    at once on the constellation grid: a ring pass relaxes every V-ISL ring
-    and a row pass every H-ISL boundary, and rounds repeat until a row pass
-    lowers nothing.  Every relaxation adds an edge's ``delay_s`` to a
-    distance, as Dijkstra on ``delay_matrix`` does, so the result is that
-    search's bit for bit (README "Conventions").  The first ring pass from
-    the sources is read from the same pass run once from every slot.
+    Returns (len(sources), n1, n2): [i, p, s] is the delay from source i to
+    slot s of plane p.  It is a strided view of the slot-major (n2, n1,
+    sources) working array, not a copy; unreachable entries are +inf.
+    Label correcting over all sources at once on the constellation grid: a
+    ring pass relaxes every V-ISL ring and a row pass every H-ISL boundary,
+    and rounds repeat until a row pass lowers nothing.  Every relaxation
+    adds an edge's ``delay_s`` to a distance, as Dijkstra on
+    ``delay_matrix`` does, so the result is that search's bit for bit
+    (README "Conventions").  The first ring pass from the sources is read
+    from the same pass run once from every slot.
     """
     planes, slots = np.divmod(np.asarray(sources), snapshot.sats_per_plane)
     n, n2, k = snapshot.num_sats, snapshot.sats_per_plane, len(planes)
     ring_w, boundaries = _grid_weights(snapshot)
-    from_slot = np.full((n // n2, n2, n2), np.inf)
-    from_slot[:, np.arange(n2), np.arange(n2)] = 0.0
+    from_slot = np.full((n2, n // n2, n2), np.inf)
+    from_slot[np.arange(n2), :, np.arange(n2)] = 0.0
     _ring_pass(from_slot, ring_w)
-    dist = np.full((n // n2, n2, k), np.inf)
-    dist[planes, :, np.arange(k)] = from_slot[planes, :, slots]
+    dist = np.full((n2, n // n2, k), np.inf)
+    dist[:, planes, np.arange(k)] = from_slot[:, planes, slots]
+    del from_slot                       # not held through the rounds: peak RSS
     flat = dist.reshape(n, k)
     while _row_pass(flat, boundaries):
         _ring_pass(dist, ring_w)
-    return flat.T
+    return dist.transpose(2, 1, 0)
 
 
 def _grid_weights(snapshot: WeightedNetSnapshot):
-    """Edge delays laid out for the latency sweep.
+    """Edge delays laid out for the slot-major latency sweep.
 
-    Returns the V-ISL delays (n1, n2, 1), where [p, s] links slot s to slot
+    Returns the V-ISL delays (n2, n1, 1), where [s, p] links slot s to slot
     s+1 of plane p and is +inf while the link is off, and one
     ``(from, to, delays)`` triple per plane boundary with active H-ISLs:
-    satellites of plane h, their partners in plane h+1, and (k, 1) delays.
+    the slot-major rows ``slot*n1 + plane`` of the satellites of plane h
+    and of their partners in plane h+1, and (k, 1) delays.
     """
     n2 = snapshot.sats_per_plane
+    n1 = snapshot.num_sats // n2
     v = snapshot.kind == IslKind.V_ISL
-    ring_w = np.full((snapshot.num_sats // n2, n2, 1), np.inf)
+    ring_w = np.full((n2, n1, 1), np.inf)
     plane, slot = np.divmod(snapshot.edges[v, 0], n2)
-    ring_w[plane, slot, 0] = snapshot.delay_s[v]
+    ring_w[slot, plane, 0] = snapshot.delay_s[v]
     h = ~v
-    pairs, delay = snapshot.edges[h], snapshot.delay_s[h, None]
-    boundary = pairs[:, 0] // n2
+    plane, slot = np.divmod(snapshot.edges[h], n2)
+    rows, delay = slot * n1 + plane, snapshot.delay_s[h, None]
     boundaries = []
-    for b in np.unique(boundary):
-        on = boundary == b
-        boundaries.append((pairs[on, 0], pairs[on, 1], delay[on]))
+    for b in np.unique(plane[:, 0]):
+        on = plane[:, 0] == b
+        boundaries.append((rows[on, 0], rows[on, 1], delay[on]))
     return ring_w, boundaries
 
 
 def _ring_pass(dist: np.ndarray, ring_w: np.ndarray) -> None:
-    """Relax every V-ISL ring of ``dist`` (n1, n2, columns) in place: two
-    laps up the slots, then two laps down.
+    """Relax every V-ISL ring of ``dist`` (n2, n1, columns) in place: two
+    laps up the slots, then two laps down; each step works on the
+    contiguous (n1, columns) slab of one slot.
 
     A shortest path along a ring runs one way over at most n2-1 links, so it
     is relaxed in order within one lap from any start plus the first n2-2
@@ -200,24 +206,24 @@ def _ring_pass(dist: np.ndarray, ring_w: np.ndarray) -> None:
     then d[s] + w >= d[s+1] still holds (weights are >= 0), so the pass
     leaves every V-ISL relaxed.
     """
-    n2 = dist.shape[1]
-    step = np.empty_like(dist[:, 0])
+    n2 = len(dist)
+    step = np.empty_like(dist[0])
     laps = [*range(n2), *range(n2 - 2)]
     for s in laps:                      # slot s -> s+1
-        up = dist[:, (s + 1) % n2]
-        np.add(dist[:, s], ring_w[:, s], out=step)
+        up = dist[(s + 1) % n2]
+        np.add(dist[s], ring_w[s], out=step)
         np.minimum(up, step, out=up)
     for s in laps:                      # slot s+1 -> s, from the top down
         s = n2 - 1 - s
-        down = dist[:, s]
-        np.add(dist[:, (s + 1) % n2], ring_w[:, s], out=step)
+        down = dist[s]
+        np.add(dist[(s + 1) % n2], ring_w[s], out=step)
         np.minimum(down, step, out=down)
 
 
 def _row_pass(flat: np.ndarray, boundaries) -> bool:
-    """Relax the active H-ISLs of ``flat`` (N, columns) in place, boundary by
-    boundary toward the last plane and then back; returns whether any
-    distance dropped.
+    """Relax the active H-ISLs of ``flat`` (N, columns), rows slot-major, in
+    place, boundary by boundary toward the last plane and then back; returns
+    whether any distance dropped.
 
     The active links of one boundary form a matching, so each step is one
     gather and one scatter without repeated targets.
@@ -262,11 +268,12 @@ def avg_latency(config: ConstellationConfig, mode: IslMode, pairs: int,
     _require_count("snapshots", snapshots)
     pair_arr = draw_pairs(config.total_sats, pairs, seed)
     sources, src_rows = np.unique(pair_arr[:, 0], return_inverse=True)
+    dst_plane, dst_slot = np.divmod(pair_arr[:, 1], config.sats_per_plane)
     total, count, unreachable = 0.0, 0, 0
     times = [k * config.period / snapshots for k in range(snapshots)]
     for t in times:
         snap = snapshot_at(config, mode, t)
-        delays = shortest_path_delays(snap, sources)[src_rows, pair_arr[:, 1]]
+        delays = shortest_path_delays(snap, sources)[src_rows, dst_plane, dst_slot]
         finite = np.isfinite(delays)
         total += float(delays[finite].sum())
         count += int(finite.sum())
@@ -311,8 +318,7 @@ def sweep(config_template: ConstellationConfig, f_values, modes,
         for mode in modes:
             try:
                 cfg = replace(config_template, phasing_factor=int(f))
-                n_hisl = hisl_count_analytic(
-                    cfg.num_planes, cfg.sats_per_plane, boundaries_for(cfg, mode))[0]
+                n_hisl = hisl_count_analytic(cfg.num_planes, boundaries_for(cfg, mode))
                 throughput = (mean_throughput(cfg, mode, snapshots=snapshots)
                               if include_throughput else None)
                 latency = (avg_latency(cfg, mode, pairs, seed, snapshots).mean_ms

@@ -252,10 +252,9 @@ def active_hisl_count(snapshot: IslSnapshot) -> int:
     return int(np.count_nonzero(snapshot.active & (snapshot.kind == IslKind.H_ISL)))
 
 
-def hisl_count_analytic(num_planes: int, sats_per_plane: int,
-                        b: RegionBoundaries) -> tuple[int, int]:
-    """Closed-form (H-ISL, V-ISL) counts: (n1-1) * active rows, n1 * n2."""
-    return (num_planes - 1) * b.active_row_count(), num_planes * sats_per_plane
+def hisl_count_analytic(num_planes: int, b: RegionBoundaries) -> int:
+    """Closed-form H-ISL count: (n1-1) * active rows."""
+    return (num_planes - 1) * b.active_row_count()
 
 
 def boundaries_for(config: ConstellationConfig, mode: IslMode) -> RegionBoundaries:

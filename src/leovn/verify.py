@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from . import analysis, division, isl, virtualgraph
 from .constellation import SIDEREAL_DAY, ConstellationConfig
-from .division import RegionBoundaries, grd_switch_interval
+from .division import RegionBoundaries
 from .flow import MinCostMaxFlow
 from .isl import IslMode
 
@@ -67,7 +67,7 @@ def boundaries_by_scan(sats_per_plane: int, polar_deg, spread_deg=0) -> RegionBo
 def check_division() -> CheckResult:
     """Region rows equal the constraint-scan solutions at the zero, integer-K,
     fractional-K and conventional row spreads, and the paper's literal
-    integer-K forms; handover interval identity."""
+    integer-K forms."""
     n2_grid = (12, 24, 36, 66)
     polar_grid = (60, 64, 70, 80, 90)
     result = CheckResult(
@@ -115,12 +115,6 @@ def check_division() -> CheckResult:
         if realized != spread or closed != scanned:
             result.fail(f"{mode.value} rows n1={n1} F={f} n2={n2} polar={polar}: "
                         f"spread {realized} != {spread} or {closed} != {scanned}")
-    rng = random.Random(2024)
-    for _ in range(10):
-        period = rng.uniform(5000.0, 8000.0)
-        n2 = rng.randrange(1, 80)
-        if grd_switch_interval(period, n2) != period / n2:
-            result.fail(f"handover interval mismatch for T={period}, n2={n2}")
     return result
 
 
@@ -137,7 +131,7 @@ def check_counts() -> CheckResult:
             n1_grid, n2_grid, polar_grid, f_grid, modes):
         cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
                                   altitude_km=780, polar_threshold_deg=polar)
-        want = isl.hisl_count_analytic(n1, n2, isl.boundaries_for(cfg, mode))[0]
+        want = isl.hisl_count_analytic(n1, isl.boundaries_for(cfg, mode))
         for t in division.switching_epochs(cfg, 3):
             got = isl.active_hisl_count(isl.snapshot_edges(cfg, mode, t))
             if got != want:
@@ -159,7 +153,7 @@ def check_count_trends() -> CheckResult:
     def n_hisl(f, polar, mode):
         cfg = ConstellationConfig(num_planes=18, sats_per_plane=36, phasing_factor=f,
                                   altitude_km=780, polar_threshold_deg=polar)
-        return isl.hisl_count_analytic(18, 36, isl.boundaries_for(cfg, mode))[0]
+        return isl.hisl_count_analytic(18, isl.boundaries_for(cfg, mode))
 
     for f, want in ((0, 476), (2, 408), (14, 0)):
         got = n_hisl(f, 70, IslMode.CONVENTIONAL)
@@ -390,7 +384,7 @@ def check_flow() -> CheckResult:
             snap = analysis.weight_snapshot(cfg, edges, t)
             want = csgraph_dijkstra(analysis.delay_matrix(snap), directed=False)
             got = analysis.shortest_path_delays(snap, np.arange(cfg.total_sats))
-            if not np.array_equal(got, want):
+            if not np.array_equal(got.reshape(cfg.total_sats, -1), want):
                 result.fail(f"latency seed={seed} {n1}x{n2} F={cfg.phasing_factor} "
                             f"{mode.value}/{rule.value}: kernel != Dijkstra")
     return result

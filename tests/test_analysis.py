@@ -160,14 +160,14 @@ class TestLatency:
         cfg = make_config()
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
         dist = shortest_path_delays(snap, np.array([5]))
-        assert dist[0][5] == 0.0
+        assert dist[0, 0, 5] == 0.0
 
     def test_adjacent_same_plane_pair_is_single_hop(self):
         cfg = make_config()
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
         chord = 2 * 7000e3 * math.sin(math.pi / 36)
         dist = shortest_path_delays(snap, np.array([0]))
-        assert dist[0][1] == pytest.approx(chord / SPEED_OF_LIGHT, rel=1e-9)
+        assert dist[0, 0, 1] == pytest.approx(chord / SPEED_OF_LIGHT, rel=1e-9)
 
     def test_deterministic_under_seed(self):
         cfg = make_config()
@@ -214,10 +214,22 @@ class TestLatencyKernel:
         sources = np.arange(cfg.total_sats)
         for t in (0.0, 0.3 * cfg.period):
             snap = snapshot_at(cfg, mode, t)
-            assert np.array_equal(shortest_path_delays(snap, sources),
-                                  self.dijkstra_reference(snap, sources)), t
+            got = shortest_path_delays(snap, sources).reshape(len(sources), -1)
+            assert np.array_equal(got, self.dijkstra_reference(snap, sources)), t
         if (f, mode) == (14, IslMode.CONVENTIONAL):   # no H links: planes split
             assert not (snap.kind == IslKind.H_ISL).any()
+
+    def test_result_is_plane_slot_view(self):
+        # a view, so the sweep never holds a second (sources, N) copy
+        cfg = make_config(F=2)
+        snap = snapshot_at(cfg, IslMode.OPTIMIZED, 0.3 * cfg.period)
+        sources = np.array([400, 7, 7, 123, 0, 647])    # unsorted, duplicated
+        got = shortest_path_delays(snap, sources)
+        assert got.shape == (len(sources), cfg.num_planes, cfg.sats_per_plane)
+        assert got.base is not None
+        i, p, s = np.indices(got.shape)
+        want = self.dijkstra_reference(snap, sources)
+        assert np.array_equal(got[i, p, s], want[i, p * cfg.sats_per_plane + s])
 
     @settings(max_examples=100, deadline=None)
     @given(case=configs(), mode=st.sampled_from(IslMode),
@@ -230,8 +242,8 @@ class TestLatencyKernel:
         snap = weight_snapshot(cfg, edges, t)
         sources = np.array(data.draw(st.lists(st.integers(0, cfg.total_sats - 1),
                                               min_size=1, max_size=40)))
-        assert np.array_equal(shortest_path_delays(snap, sources),
-                              self.dijkstra_reference(snap, sources))
+        got = shortest_path_delays(snap, sources).reshape(len(sources), -1)
+        assert np.array_equal(got, self.dijkstra_reference(snap, sources))
 
 
 class TestSweep:

@@ -369,9 +369,8 @@ class TestVerifyCommand:
     def test_corrupted_count_formula_fails_with_name(self, monkeypatch, capsys):
         real = leovn.isl.hisl_count_analytic
 
-        def corrupted(n1, n2, b):
-            n_h, n_v = real(n1, n2, b)
-            return n_h + 1, n_v
+        def corrupted(n1, b):
+            return real(n1, b) + 1
 
         monkeypatch.setattr(leovn.isl, "hisl_count_analytic", corrupted)
         assert main(["verify", "--suite", "counts"]) == 1
