@@ -4,7 +4,8 @@ Throughput: satellites over the source box feed a super-source, satellites
 over the sink box drain to a super-sink, every active ISL carries 1 Gbps per
 direction at a cost equal to its propagation delay, and the min-cost
 max-flow value is the system throughput (``flow.MinCostMaxFlow``:
-successive shortest paths, each found by scipy's compiled Dijkstra).
+successive shortest paths, each found by scipy's compiled Dijkstra; the
+ISLs go in with one ``add_edges`` call).
 Latency: mean shortest propagation delay over seeded random satellite pairs,
 from an exact all-sources sweep over the V-ISL rings and H-ISL boundaries.
 Sweeps tabulate both, plus the analytic H-ISL counts, across phasing
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .constellation import ConfigError, ConstellationConfig, propagate_all
 from .flow import INF_CAPACITY, MinCostMaxFlow
@@ -107,8 +107,7 @@ def max_flow_throughput(snapshot: WeightedNetSnapshot) -> float:
     for i in np.flatnonzero(over_sink):
         net.add_arc(int(i), sink, INF_CAPACITY)
     # one capacity unit == one ISL; per-direction capacity on each link
-    for (a, b), delay in zip(snapshot.edges.tolist(), snapshot.delay_s.tolist()):
-        net.add_edge(a, b, 1, delay)
+    net.add_edges(snapshot.edges[:, 0], snapshot.edges[:, 1], 1, snapshot.delay_s)
     flow_units, _cost = net.solve(source, sink)
     return flow_units * ISL_CAPACITY_GBPS
 
@@ -129,17 +128,6 @@ def mean_throughput(config: ConstellationConfig, mode: IslMode,
 
 # -- shortest-path latency ----------------------------------------------------
 
-def delay_matrix(snapshot: WeightedNetSnapshot) -> csr_matrix:
-    """Symmetric sparse matrix of per-edge propagation delays (seconds).
-
-    The graph that the shortest-path oracles search with scipy's Dijkstra.
-    """
-    a, b = snapshot.edges.T
-    return csr_matrix((np.tile(snapshot.delay_s, 2), (np.concatenate([a, b]),
-                                                      np.concatenate([b, a]))),
-                      shape=(snapshot.num_sats,) * 2)
-
-
 def shortest_path_delays(snapshot: WeightedNetSnapshot,
                          sources: np.ndarray) -> np.ndarray:
     """Min propagation delay from each source to every satellite (seconds).
@@ -151,7 +139,7 @@ def shortest_path_delays(snapshot: WeightedNetSnapshot,
     ring pass relaxes every V-ISL ring and a row pass every H-ISL boundary,
     and rounds repeat until a row pass lowers nothing.  Every relaxation
     adds an edge's ``delay_s`` to a distance, as Dijkstra on
-    ``delay_matrix`` does, so the result is that search's bit for bit
+    ``verify.delay_matrix`` does, so the result is that search's bit for bit
     (README "Conventions").  The first ring pass from the sources is read
     from the same pass run once from every slot.
     """

@@ -212,10 +212,12 @@ def classify_region(row: int, b: RegionBoundaries) -> RegionLabel:
 
 # -- satellite -> address mapping ---------------------------------------------
 
+@lru_cache(maxsize=1)
 def csd_rows_all(config: ConstellationConfig, t: float) -> np.ndarray:
     """Vectorized CSD row index for every satellite at time t.
 
-    Returns an int array shaped (n1, n2) indexed by (plane-1, slot-1).  The
+    Returns a read-only int array shaped (n1, n2) indexed by (plane-1,
+    slot-1), cached for the row rule and the addressing of one sample.  The
     row comes from the along-track phase, not the geodetic latitude, so
     ascending and descending passes map to distinct rows.
     """
@@ -224,6 +226,7 @@ def csd_rows_all(config: ConstellationConfig, t: float) -> np.ndarray:
     phase = phases_deg(config, t).reshape(n1, n2)
     rel = np.mod(phase - float(row_origin_deg(config)) - _plane_shifts(config), 360.0)
     rows = 1 + np.floor(rel / step + CELL_SNAP).astype(int) % n2
+    rows.flags.writeable = False
     return rows
 
 

@@ -3,9 +3,10 @@
 Successive shortest augmenting paths with Johnson potentials: every
 augmentation runs scipy's compiled Dijkstra on the reduced costs of the
 residual arcs, pushes the bottleneck residual capacity along the path, and
-updates potentials.  Capacities are integers (flow arrives in whole units);
-costs are non-negative floats.  Sized for the constellation graphs used here
-(hundreds of nodes, thousands of arcs).
+updates potentials; a solve builds one CSR graph with an entry per (tail,
+head) pair of residual arcs, and each round rewrites only its weights.
+Capacities are integers (flow arrives in whole units); costs are
+non-negative floats.  Sized for the constellation graphs used here.
 """
 from __future__ import annotations
 
@@ -42,42 +43,57 @@ class MinCostMaxFlow:
         self.flow.append(0)
         return len(self.cap) - 1
 
-    def add_edge(self, a: int, b: int, cap: int, cost: float = 0.0) -> None:
-        """Undirected capacity: antiparallel arcs of ``cap`` each."""
-        self.add_arc(a, b, cap, cost)
-        self.add_arc(b, a, cap, cost)
+    def add_edges(self, a, b, cap, cost) -> None:
+        """Undirected capacity on each edge (a[i], b[i]): antiparallel arcs of
+        ``cap`` each, all a -> b arcs first, then all b -> a.  ``cap`` and
+        ``cost`` broadcast against ``a``."""
+        a, b = np.asarray(a), np.asarray(b)
+        cap, cost = np.broadcast_to(cap, a.shape), np.broadcast_to(cost, a.shape)
+        if (cost < 0).any():
+            raise ValueError("arc costs must be non-negative")
+        self.tail += a.tolist() + b.tolist()
+        self.head += b.tolist() + a.tolist()
+        self.cap += 2 * cap.tolist()
+        self.cost += 2 * cost.tolist()
+        self.flow += [0] * (2 * len(a))
 
     def solve(self, source: int, sink: int) -> tuple[int, float]:
         """Return (max flow value, cost of the min-cost max flow)."""
         if source == sink:
             raise ValueError("source and sink must differ")
         n, m = self.num_nodes, len(self.cap)
-        flow = np.array(self.flow, dtype=np.int64)
+        ends = np.array([self.tail, self.head], dtype=np.int64)
         cost = np.array(self.cost, dtype=float)
+        flow = np.array(self.flow, dtype=np.int64)
         # residual arc k < m is arc k; residual arc m + k is its reverse
-        tail = np.array(self.tail + self.head, dtype=np.int64)
-        head = np.array(self.head + self.tail, dtype=np.int64)
-        cost = np.concatenate([cost, -cost])
+        tail, head, cost = ends.ravel(), ends[::-1].ravel(), np.concatenate([cost, -cost])
         resid = np.concatenate([np.array(self.cap, dtype=np.int64) - flow, flow])
+        key = tail * n + head
         # within a (tail, head) pair every arc's reduced cost differs from its
         # cost by the same potential difference, so the cheapest live arc of a
-        # pair is the first live one in (tail, head, cost) order
-        order = np.lexsort((cost, head, tail))
+        # pair is the first live one in (tail, head, cost) order; two stable
+        # sorts give that order faster than lexsort
+        order = np.argsort(cost, kind="stable")
+        order = order[np.argsort(key[order], kind="stable")]
         position = np.empty_like(order)
         position[order] = np.arange(2 * m)
         mate = position[np.where(order < m, order + m, order - m)]
-        tail, head, cost, resid = tail[order], head[order], cost[order], resid[order]
-        key = tail * n + head
-        pair = np.cumsum(np.diff(key, prepend=-1) != 0)
+        key, cost, resid = key[order], cost[order], resid[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        pair_key, pair_tail, pair_head = key[starts], tail[order[starts]], head[order[starts]]
+        # one entry per pair; a round writes only the weights
+        graph = csr_matrix((np.empty(len(starts)), pair_head.astype(np.int32),
+                            np.searchsorted(pair_tail, np.arange(n + 1)).astype(np.int32)),
+                           shape=(n, n))
+        arc, arc_cost = np.arange(2 * m), np.append(cost, np.inf)   # arc 2m: none live
         potential = np.zeros(n)
         total_flow, total_cost = 0, 0.0
         while True:
-            live = np.flatnonzero(resid > 0)
-            best = live[np.diff(pair[live], prepend=0) != 0]
+            # pair -> its first live arc, or 2m when none is live
+            best = np.minimum.reduceat(np.where(resid > 0, arc, 2 * m), starts)
             # exact reduced costs are >= 0; clamp the float dust
-            reduced = np.maximum(cost[best] + potential[tail[best]] - potential[head[best]], 0.0)
-            indptr = np.searchsorted(tail[best], np.arange(n + 1))
-            graph = csr_matrix((reduced, head[best], indptr), shape=(n, n))
+            np.maximum(arc_cost[best] + potential[pair_tail] - potential[pair_head], 0.0,
+                       out=graph.data)
             dist, pred = dijkstra(graph, indices=source, return_predecessors=True)
             if dist[sink] == np.inf:
                 break
@@ -87,7 +103,7 @@ class MinCostMaxFlow:
             while nodes[-1] != source:
                 nodes.append(int(pred[nodes[-1]]))
             nodes = np.array(nodes)  # sink back to source
-            path = best[np.searchsorted(key[best], nodes[1:] * n + nodes[:-1])]
+            path = best[np.searchsorted(pair_key, nodes[1:] * n + nodes[:-1])]
             bottleneck = min(INF_CAPACITY, int(resid[path].min()))
             resid[path] -= bottleneck
             resid[mate[path]] += bottleneck

@@ -308,6 +308,14 @@ def min_cost_lp(n: int, arcs, source: int, sink: int, value: int) -> float:
     return float(res.fun)
 
 
+def delay_matrix(snapshot: analysis.WeightedNetSnapshot) -> csr_matrix:
+    """Symmetric sparse matrix of per-edge propagation delays (seconds): the
+    graph that the shortest-path oracles search with scipy's Dijkstra."""
+    a, b = snapshot.edges.T
+    return csr_matrix((np.tile(snapshot.delay_s, 2), (np.r_[a, b], np.r_[b, a])),
+                      shape=(snapshot.num_sats,) * 2)
+
+
 def all_paths_min_delay(n: int, edges, src: int, dst: int) -> float:
     """Exhaustive simple-path enumeration over an undirected weighted graph."""
     adj = [[] for _ in range(n)]
@@ -382,7 +390,7 @@ def check_flow() -> CheckResult:
         for mode, rule in itertools.product(IslMode, isl.ShutoffRule):
             edges = isl.snapshot_edges(cfg, mode, t, rule)
             snap = analysis.weight_snapshot(cfg, edges, t)
-            want = csgraph_dijkstra(analysis.delay_matrix(snap), directed=False)
+            want = csgraph_dijkstra(delay_matrix(snap), directed=False)
             got = analysis.shortest_path_delays(snap, np.arange(cfg.total_sats))
             if not np.array_equal(got.reshape(cfg.total_sats, -1), want):
                 result.fail(f"latency seed={seed} {n1}x{n2} F={cfg.phasing_factor} "

@@ -13,7 +13,6 @@ from leovn.analysis import (
     SOURCE_BOX,
     SPEED_OF_LIGHT,
     avg_latency,
-    delay_matrix,
     draw_pairs,
     max_flow_throughput,
     mean_throughput,
@@ -25,6 +24,7 @@ from leovn.analysis import (
 from leovn.constellation import ConfigError, ConstellationConfig, propagate_all
 from leovn.flow import INF_CAPACITY
 from leovn.isl import IslKind, IslMode, ShutoffRule, snapshot_edges
+from leovn.verify import delay_matrix
 
 from helpers import configs
 

@@ -13,7 +13,9 @@ import pytest
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 # deleted with the per-cell addressing loop; its span already reads 0
-DEAD = {("leovn.virtualgraph", "grd_addressing")}
+DEAD = {("leovn.virtualgraph", "grd_addressing"),
+        # moved to leovn.verify with the oracles; the latency path never calls it
+        ("leovn.analysis", "delay_matrix")}
 
 
 def traced_specs():

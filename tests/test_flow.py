@@ -1,9 +1,21 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
+from leovn.analysis import (
+    ISL_CAPACITY_GBPS,
+    SINK_BOX,
+    SOURCE_BOX,
+    max_flow_throughput,
+    snapshot_at,
+)
+from leovn.constellation import ConstellationConfig
 from leovn.flow import INF_CAPACITY, MinCostMaxFlow
+from leovn.isl import IslMode
 from leovn.verify import (
     all_paths_min_delay,
     min_cost_lp,
@@ -51,10 +63,13 @@ class TestMinCostMaxFlow:
 
     def test_undirected_edge_carries_both_directions(self):
         net = MinCostMaxFlow(3)
-        net.add_edge(0, 1, 2, 1.0)
-        net.add_edge(1, 2, 2, 1.0)
+        net.add_edges([0, 1], [1, 2], 2, 1.0)
+        assert (net.tail, net.head) == ([0, 1, 1, 2], [1, 2, 0, 1])
         value, _ = net.solve(0, 2)
         assert value == 2
+        net = MinCostMaxFlow(3)
+        net.add_edges(np.array([0, 1]), np.array([1, 2]), [2, 2], np.array([1.0, 1.0]))
+        assert net.solve(2, 0) == (2, pytest.approx(4.0))
 
     def test_source_equals_sink_rejected(self):
         with pytest.raises(ValueError):
@@ -63,6 +78,12 @@ class TestMinCostMaxFlow:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             MinCostMaxFlow(2).add_arc(0, 1, 1, -1.0)
+
+    def test_negative_edge_cost_rejected(self):
+        net = MinCostMaxFlow(3)
+        with pytest.raises(ValueError):
+            net.add_edges([0, 1], [1, 2], 1, [1.0, -1.0])
+        assert net.tail == net.cost == []
 
     def test_matches_exhaustive_min_cut_on_20_graphs(self):
         for seed in range(20):
@@ -98,6 +119,36 @@ class TestMinCostMaxFlow:
         value, cost = solve(4, arcs, 0, 3)
         assert value == 7
         assert cost == pytest.approx(7 * 0.25)
+
+
+class TestPaperScale:
+    """The throughput network of 18x36 snapshots: thousands of arcs, where the
+    tests above reach at most 12 nodes."""
+
+    @pytest.mark.parametrize("f", [0, 6, 14])
+    @pytest.mark.parametrize("mode", list(IslMode))
+    def test_cost_is_lp_optimum_and_value_is_max_flow(self, f, mode):
+        cfg = ConstellationConfig(num_planes=18, sats_per_plane=36, phasing_factor=f,
+                                  polar_threshold_deg=70.0)
+        snap = snapshot_at(cfg, mode, cfg.period / 3)
+        lat, lon = np.degrees(snap.lats), np.degrees(snap.lons)
+        n = snap.num_sats + 2
+        source, sink = n - 2, n - 1
+        # the network that max_flow_throughput builds
+        net = MinCostMaxFlow(n)
+        for i in np.flatnonzero(SOURCE_BOX.contains(lat, lon)):
+            net.add_arc(source, int(i), INF_CAPACITY)
+        for i in np.flatnonzero(SINK_BOX.contains(lat, lon)):
+            net.add_arc(int(i), sink, INF_CAPACITY)
+        net.add_edges(snap.edges[:, 0], snap.edges[:, 1], 1, snap.delay_s)
+        value, cost = net.solve(source, sink)
+        assert value > 0 and value * ISL_CAPACITY_GBPS == max_flow_throughput(snap)
+        assert net.check_feasible(source, sink)
+        arcs = list(zip(net.tail, net.head, net.cap, net.cost))
+        assert cost == pytest.approx(min_cost_lp(n, arcs, source, sink, value), rel=1e-9)
+        graph = csr_matrix((np.array(net.cap, dtype=np.int32), (net.tail, net.head)),
+                           shape=(n, n))
+        assert value == maximum_flow(graph, source, sink).flow_value
 
 
 class TestShortestPathKernel:
