@@ -8,8 +8,7 @@ successive shortest paths, each found by scipy's compiled Dijkstra; the
 ISLs go in with one ``add_edges`` call).
 Latency: mean shortest propagation delay over seeded random satellite pairs,
 from an exact all-sources sweep over the V-ISL rings and H-ISL boundaries.
-Sweeps tabulate both, plus the analytic H-ISL counts, across phasing
-factors.
+Sweeps tabulate both, plus the H-ISL counts, across phasing factors.
 """
 from __future__ import annotations
 
@@ -23,8 +22,7 @@ from .isl import (
     IslKind,
     IslMode,
     IslSnapshot,
-    boundaries_for,
-    hisl_count_analytic,
+    hisl_count,
     snapshot_edges,
 )
 
@@ -306,7 +304,7 @@ def sweep(config_template: ConstellationConfig, f_values, modes,
         for mode in modes:
             try:
                 cfg = replace(config_template, phasing_factor=int(f))
-                n_hisl = hisl_count_analytic(cfg.num_planes, boundaries_for(cfg, mode))
+                n_hisl = hisl_count(cfg, mode)
                 throughput = (mean_throughput(cfg, mode, snapshots=snapshots)
                               if include_throughput else None)
                 latency = (avg_latency(cfg, mode, pairs, seed, snapshots).mean_ms

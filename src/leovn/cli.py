@@ -24,11 +24,11 @@ import numpy as np
 from . import __version__, verify as verify_mod
 from .analysis import sweep
 from .constellation import ConfigError, ConstellationConfig, read_config_file
-from .division import cell_bounds, classify_region
+from .division import cell_bounds
 from .isl import (
     IslKind,
     IslMode,
-    boundaries_for,
+    active_row_set,
     phase_analysis,
     snapshot_edges,
     theorem1_bruteforce,
@@ -151,12 +151,14 @@ def _parse_mode(value: str) -> list[IslMode]:
 def cmd_divide(args: argparse.Namespace) -> int:
     started = _now()
     config = _build_config(args)
-    b = boundaries_for(config, IslMode(args.mode))
+    active = active_row_set(config, IslMode(args.mode))
     header = ["v", "h", "region", "lat_low_deg", "lat_high_deg",
               "lon_low_deg", "lon_high_deg", "pole_wrap"]
     rows = []
-    for v in range(1, config.sats_per_plane + 1):
-        region = classify_region(v, b).value
+    n2 = config.sats_per_plane
+    for v in range(1, n2 + 1):
+        # R: H-ISLs on, P: off; 1/2: the first or second half of the rows
+        region = ("R" if v in active else "P") + ("1" if 2 * (v - 1) < n2 else "2")
         for h in range(1, config.num_planes + 1):
             cell = cell_bounds(config, v, h)
             rows.append([v, h, region, repr(cell.lat_low), repr(cell.lat_high),
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=720)
     p.set_defaults(func=cmd_staticness)
 
-    p = sub.add_parser("sweep-hisl", help="analytic H-ISL counts over F")
+    p = sub.add_parser("sweep-hisl", help="H-ISL counts over F")
     common(p, mode_default="both")
     p.add_argument("--f-min", type=int, default=0)
     p.add_argument("--f-max", type=int, default=17)

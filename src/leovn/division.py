@@ -36,32 +36,6 @@ from .constellation import (
 )
 
 
-class RegionLabel(enum.Enum):
-    R1 = "R1"   # ascending equatorial band, inter-plane links on
-    P1 = "P1"   # first polar band, inter-plane links off
-    R2 = "R2"   # descending equatorial band, links on
-    P2 = "P2"   # second polar band, links off
-
-
-@dataclass(frozen=True)
-class RegionBoundaries:
-    """Row indices splitting 1..n2 into R1 / P1 / R2 / P2.
-
-    r1_end is the last row of R1, r2_start/r2_end delimit R2.  R2 is empty
-    when r2_end == r2_start - 1; r1_end == 0 means R1 is empty (possible for
-    large row phase spreads).
-    """
-    r1_end: int
-    r2_start: int
-    r2_end: int
-
-    def active_row_count(self) -> int:
-        return self.r1_end + max(0, self.r2_end - self.r2_start + 1)
-
-    def active_rows(self) -> set[int]:
-        return set(range(1, self.r1_end + 1)) | set(range(self.r2_start, self.r2_end + 1))
-
-
 @dataclass(frozen=True)
 class VnCellBounds:
     """Raw cell bounds in degrees.
@@ -167,47 +141,6 @@ def cell_bounds(config: ConstellationConfig, row: int, plane: int) -> VnCellBoun
     lat_low, lat_high, pole_wrap = vn_latitude_range(config, row, plane)
     return VnCellBounds(lon_low=lon_low, lon_high=lon_high,
                         lat_low=lat_low, lat_high=lat_high, pole_wrap=pole_wrap)
-
-
-# -- region boundaries -------------------------------------------------------
-
-def region_boundaries(sats_per_plane: int, polar_deg, spread_deg) -> RegionBoundaries:
-    """Region rows of a division whose rows spread ``spread_deg`` in phase.
-
-    Largest v with v*step + spread <= 2*polar (R1 end), smallest v with
-    (v-1)*step >= 180 (R2 start), largest v with v*step + spread <= 180 +
-    2*polar (R2 end), step = 360/n2.  Degenerate spreads clamp R1 to empty
-    and R2 to r2_start - 1.  At spread 0 this is floor(n2*polar/180) and
-    floor(n2*polar/180 + n2/2); at the integer-K optimized spread
-    (K-1)*delta_f it is the paper's floor(n2*polar/180 - (K-1)/K) form.
-    Angles may be int, float or Fraction; the arithmetic is exact.
-    """
-    n2 = sats_per_plane
-    polar, spread = Fraction(polar_deg), Fraction(spread_deg)
-    if not 0 < polar <= 90:
-        raise ConfigError(f"polar threshold must be in (0, 90] deg, got {polar}")
-    if spread < 0:
-        raise ConfigError(f"phase spread must be >= 0, got {spread}")
-    step = Fraction(360, n2)
-    r1_end = math.floor((2 * polar - spread) / step)
-    r2_start = math.ceil(Fraction(n2, 2) + 1)
-    r2_end = math.floor((180 + 2 * polar - spread) / step)
-    return RegionBoundaries(
-        r1_end=max(0, r1_end),
-        r2_start=r2_start,
-        r2_end=min(max(r2_end, r2_start - 1), n2),
-    )
-
-
-def classify_region(row: int, b: RegionBoundaries) -> RegionLabel:
-    """Region of a row, evaluated in R1, P1, R2, P2 order."""
-    if row <= b.r1_end:
-        return RegionLabel.R1
-    if row < b.r2_start:
-        return RegionLabel.P1
-    if row <= b.r2_end:
-        return RegionLabel.R2
-    return RegionLabel.P2
 
 
 # -- satellite -> address mapping ---------------------------------------------

@@ -23,11 +23,9 @@ import numpy as np
 
 from .constellation import ConfigError, ConstellationConfig, phases_deg
 from .division import (
-    RegionBoundaries,
     backward_links,
     csd_rows_all,
     phase_step_deg,
-    region_boundaries,
     row_origin_deg,
     spreads_deg,
 )
@@ -172,7 +170,9 @@ def active_row_set(config: ConstellationConfig, mode: IslMode) -> frozenset[int]
     [origin + (v-1)*step + spread_h, ... + step) of along-track phase during
     the dwell; the row is active for that dwell iff no window, wrapped past
     360, meets an open cap span.  The exact degrees are scaled by the lcm of
-    their denominators, so the test runs on Python ints.
+    their denominators, so the test runs on Python ints.  Snapshots, sweep
+    counts, the static virtual graph and the ``divide`` regions all read
+    these rows; the paper's closed forms are ``verify``'s oracle for them.
     """
     spans = polar_cap_phase_spans(config)
     step = phase_step_deg(config)
@@ -252,21 +252,9 @@ def active_hisl_count(snapshot: IslSnapshot) -> int:
     return int(np.count_nonzero(snapshot.active & (snapshot.kind == IslKind.H_ISL)))
 
 
-def hisl_count_analytic(num_planes: int, b: RegionBoundaries) -> int:
-    """Closed-form H-ISL count: (n1-1) * active rows."""
-    return (num_planes - 1) * b.active_row_count()
-
-
-def boundaries_for(config: ConstellationConfig, mode: IslMode) -> RegionBoundaries:
-    """Region rows matching a connecting mode's realized row spread.
-
-    ``region_boundaries`` at the largest of ``row_spreads_deg``: 0 at F = 0,
-    (n1-1)*delta_f in conventional mode, max mod(h-1, K)*delta_f in optimized
-    mode.  Assumes non-empty polar caps whenever the spread is non-zero
-    (threshold below 90 deg).  Optimized F > n1 is a ConfigError.
-    """
-    return region_boundaries(config.sats_per_plane, config.polar_threshold_deg,
-                             max(row_spreads_deg(config, mode)))
+def hisl_count(config: ConstellationConfig, mode: IslMode) -> int:
+    """H-ISLs on during any dwell: n1-1 per row of ``active_row_set``."""
+    return (config.num_planes - 1) * len(active_row_set(config, mode))
 
 
 def theorem1_bruteforce(num_planes: int, sats_per_plane: int,

@@ -3,7 +3,7 @@
 Each check returns a CheckResult with the parameter grid it ran; the CLI
 ``verify`` subcommand prints them as JSON lines and exits non-zero when any
 check fails.  Oracles here are deliberately brute force: inequality scans for
-the closed-form region rows, exhaustive link-layout enumeration, snapshot
+the paper's closed-form region rows, exhaustive link-layout enumeration, snapshot
 edge counting, exhaustive cuts for max-flow, a HiGHS linear program for the
 min cost of that flow, full path enumeration for shortest paths, and scipy's
 Dijkstra for the latency kernel.
@@ -18,11 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra as csgraph_dijkstra
 
 from . import analysis, division, isl, virtualgraph
 from .constellation import SIDEREAL_DAY, ConstellationConfig
-from .division import RegionBoundaries
 from .flow import MinCostMaxFlow
 from .isl import IslMode
 
@@ -42,14 +41,17 @@ class CheckResult:
             self.detail = message
 
 
-# -- inequality-scan oracles for the region rows --------------------------------
+# -- the paper's region rows, by inequality scan --------------------------------
 
-def boundaries_by_scan(sats_per_plane: int, polar_deg, spread_deg=0) -> RegionBoundaries:
-    """Solve the row constraints by direct scan instead of the closed forms.
+def boundaries_by_scan(sats_per_plane: int, polar_deg, spread_deg=0) -> tuple[int, int, int]:
+    """The paper's region rows (r1_end, r2_start, r2_end), solved by direct scan.
 
-    Largest v with v*step + spread <= 2*polar, smallest v with (v-1)*step >=
-    180, largest v with v*step + spread <= 180 + 2*polar; exact rational
-    comparisons throughout.
+    Largest v with v*step + spread <= 2*polar (R1 end), smallest v with
+    (v-1)*step >= 180 (R2 start), largest v with v*step + spread <= 180 +
+    2*polar (R2 end); exact rational comparisons throughout.  Degenerate
+    spreads clamp R1 to empty (0) and R2 to r2_start - 1.  The rows are the
+    geometric ones at inclination 90 with the threshold below 90, where no
+    row straddles a cap.
     """
     n2 = sats_per_plane
     step = Fraction(360, n2)
@@ -60,66 +62,82 @@ def boundaries_by_scan(sats_per_plane: int, polar_deg, spread_deg=0) -> RegionBo
     r2_start = min(v for v in range(1, n2 + 2) if (v - 1) * step >= 180)
     r2_end = max((v for v in range(0, n2 + 1) if v * step + spread <= 180 + 2 * polar),
                  default=0)
-    return RegionBoundaries(r1_end=max(0, r1_end), r2_start=r2_start,
-                            r2_end=min(max(r2_end, r2_start - 1), n2))
+    return r1_end, r2_start, min(max(r2_end, r2_start - 1), n2)
+
+
+def rows_by_scan(sats_per_plane: int, polar_deg, spread_deg=0) -> frozenset[int]:
+    """The R1 and R2 rows of ``boundaries_by_scan``."""
+    r1_end, r2_start, r2_end = boundaries_by_scan(sats_per_plane, polar_deg, spread_deg)
+    return frozenset(range(1, r1_end + 1)) | frozenset(range(r2_start, r2_end + 1))
+
+
+def _paper_spread_deg(n1: int, n2: int, f: int, mode: IslMode) -> Fraction:
+    """Largest in-row phase spread by the paper's forms: (n1-1)*delta_f in
+    conventional mode, max over planes of mod(h-1, K)*delta_f optimized."""
+    delta_f = Fraction(360 * f, n1 * n2)
+    if mode is IslMode.CONVENTIONAL or f == 0:
+        return (n1 - 1) * delta_f
+    k = Fraction(n1, f)
+    return max((h - math.floor(h / k) * k) * delta_f for h in range(n1))
+
+
+def _matches_active_rows(cfg: ConstellationConfig, mode: IslMode,
+                         scanned: frozenset[int]) -> bool:
+    """Whether ``isl.active_row_set`` equals the scanned rows; at polar 90
+    there are no caps and every row is active."""
+    n2 = cfg.sats_per_plane
+    want = frozenset(range(1, n2 + 1)) if cfg.polar_threshold_deg == 90 else scanned
+    return isl.active_row_set(cfg, mode) == want
 
 
 def check_division() -> CheckResult:
-    """Region rows equal the constraint-scan solutions at the zero, integer-K,
-    fractional-K and conventional row spreads, and the paper's literal
-    integer-K forms."""
+    """Scanned region rows equal the paper's literal integer-K forms and the
+    geometric active rows at the zero, integer-K, fractional-K and
+    conventional row spreads."""
     n2_grid = (12, 24, 36, 66)
     polar_grid = (60, 64, 70, 80, 90)
     result = CheckResult(
         name="division",
-        grid=f"n2 in {n2_grid} x polar in {polar_grid}; phased: n1 in (6,12,18), F | n1; "
-             "realized spreads: n1 in (6,12,18) x n2 in (12,24,36) x polar in "
-             "(60,64,70,80) x F in 0..5 x both modes",
+        grid=f"phased: n1 in (6,12,18), F | n1 or F=0 x n2 in {n2_grid} x polar in "
+             f"{polar_grid}; realized spreads: n1 in (6,12,18) x n2 in (12,24,36) x "
+             "polar in (60,64,70,80) x F in 0..5 x both modes",
         passed=True)
-    for n2, polar in itertools.product(n2_grid, polar_grid):
-        closed = division.region_boundaries(n2, polar, 0)
-        scanned = boundaries_by_scan(n2, polar)
-        if closed != scanned:
-            result.fail(f"zero-spread rows n2={n2} polar={polar}: {closed} != {scanned}")
     for n1 in (6, 12, 18):
-        for f in range(1, n1 + 1):
-            if n1 % f != 0:
+        for f in range(0, n1 + 1):
+            if f and n1 % f != 0:
                 continue
-            k = Fraction(n1, f)
+            k = Fraction(n1, f) if f else Fraction(1)
             for n2, polar in itertools.product(n2_grid, polar_grid):
                 if f > n2 - 1:
                     continue
                 spread = (k - 1) * Fraction(360 * f, n1 * n2)
-                closed = division.region_boundaries(n2, polar, spread)
                 scanned = boundaries_by_scan(n2, polar, spread)
                 # the paper's forms floor(n2*polar/180 [+ n2/2] - (K-1)/K)
                 rows = Fraction(n2 * polar, 180) - (k - 1) / k
                 literal = (math.floor(rows), math.floor(rows + Fraction(n2, 2)))
-                if closed != scanned or (closed.r1_end, closed.r2_end) != literal:
+                cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
+                                          polar_threshold_deg=polar)
+                if (scanned[0], scanned[2]) != literal or not _matches_active_rows(
+                        cfg, IslMode.OPTIMIZED, rows_by_scan(n2, polar, spread)):
                     result.fail(
                         f"phased rows n1={n1} F={f} n2={n2} polar={polar}: "
-                        f"{closed} != {scanned} or literal {literal}")
+                        f"{scanned} != literal {literal} or active rows")
     for n1, n2, polar, f, mode in itertools.product(
             (6, 12, 18), (12, 24, 36), (60, 64, 70, 80), range(6), IslMode):
         cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
                                   altitude_km=780, polar_threshold_deg=polar)
-        delta_f = Fraction(360 * f, n1 * n2)
-        if mode is IslMode.CONVENTIONAL or f == 0:
-            spread = (n1 - 1) * delta_f
-        else:   # max over planes of mod(h-1, K) * delta_f
-            k = Fraction(n1, f)
-            spread = max((h - math.floor(h / k) * k) * delta_f for h in range(n1))
+        spread = _paper_spread_deg(n1, n2, f, mode)
         realized = max(isl.row_spreads_deg(cfg, mode))
-        closed = isl.boundaries_for(cfg, mode)
-        scanned = boundaries_by_scan(n2, polar, spread)
-        if realized != spread or closed != scanned:
+        if realized != spread or not _matches_active_rows(
+                cfg, mode, rows_by_scan(n2, polar, spread)):
             result.fail(f"{mode.value} rows n1={n1} F={f} n2={n2} polar={polar}: "
-                        f"spread {realized} != {spread} or {closed} != {scanned}")
+                        f"spread {realized} != {spread} or active rows "
+                        f"{sorted(isl.active_row_set(cfg, mode))} != scan")
     return result
 
 
 def check_counts() -> CheckResult:
-    """Analytic link counts equal geometric snapshot counts."""
+    """H-ISL counts equal the scanned region rows and geometric snapshot counts."""
     n1_grid, n2_grid = (6, 12, 18), (12, 24, 36)
     polar_grid, f_grid = (60, 64, 70, 80), range(6)
     modes = (IslMode.CONVENTIONAL, IslMode.OPTIMIZED)
@@ -131,12 +149,16 @@ def check_counts() -> CheckResult:
             n1_grid, n2_grid, polar_grid, f_grid, modes):
         cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
                                   altitude_km=780, polar_threshold_deg=polar)
-        want = isl.hisl_count_analytic(n1, isl.boundaries_for(cfg, mode))
+        want = isl.hisl_count(cfg, mode)
+        scanned = (n1 - 1) * len(rows_by_scan(n2, polar, _paper_spread_deg(n1, n2, f, mode)))
+        if want != scanned:
+            result.fail(f"n1={n1} n2={n2} polar={polar} F={f} {mode.value}: "
+                        f"hisl_count {want} != scanned rows {scanned}")
         for t in division.switching_epochs(cfg, 3):
             got = isl.active_hisl_count(isl.snapshot_edges(cfg, mode, t))
             if got != want:
                 result.fail(f"n1={n1} n2={n2} polar={polar} F={f} {mode.value} "
-                            f"t={t:.3f}: snapshot {got} != analytic {want}")
+                            f"t={t:.3f}: snapshot {got} != hisl_count {want}")
                 break
     return result
 
@@ -153,7 +175,7 @@ def check_count_trends() -> CheckResult:
     def n_hisl(f, polar, mode):
         cfg = ConstellationConfig(num_planes=18, sats_per_plane=36, phasing_factor=f,
                                   altitude_km=780, polar_threshold_deg=polar)
-        return isl.hisl_count_analytic(18, isl.boundaries_for(cfg, mode))
+        return isl.hisl_count(cfg, mode)
 
     for f, want in ((0, 476), (2, 408), (14, 0)):
         got = n_hisl(f, 70, IslMode.CONVENTIONAL)
@@ -204,6 +226,13 @@ def check_theorem1() -> CheckResult:
     return result
 
 
+def is_connected(graph: virtualgraph.VirtualGraph) -> bool:
+    """Whether the virtual graph is one connected component."""
+    lo, hi, _ = virtualgraph._split_keys(graph.edges, graph.num_cells)
+    adj = csr_matrix((np.ones(len(lo)), (lo, hi)), shape=(graph.num_cells,) * 2)
+    return connected_components(adj, directed=False, return_labels=False) == 1
+
+
 def check_csd_staticness() -> CheckResult:
     """Celestial division is event-free and its instance is the connected
     static virtual graph."""
@@ -220,7 +249,7 @@ def check_csd_staticness() -> CheckResult:
         if rep.event_count != 0:
             result.fail(f"CSD F={f}: {rep.event_count} events, expected 0")
         static = virtualgraph.static_graph_for(cfg, IslMode.OPTIMIZED)
-        if not virtualgraph.is_connected(static):
+        if not is_connected(static):
             result.fail(f"CSD F={f}: static virtual graph is not connected")
         epochs = division.switching_epochs(cfg, cfg.sats_per_plane + 1)
         mids = [(a + b) / 2 for a, b in itertools.pairwise(epochs)]

@@ -1,9 +1,9 @@
 """Static virtual graph, snapshot mapping, and topology-change measurement.
 
 The celestial division yields a time-invariant virtual graph: column rings of
-V-links plus H-links on every row classified R1/R2.  Mapping a physical
-snapshot through an addressing (celestial or geographic) produces an instance
-edge set over virtual addresses; diffing consecutive instances produces
+V-links plus H-links on every active row (``isl.active_row_set``).  Mapping a
+physical snapshot through an addressing (celestial or geographic) produces an
+instance edge set over virtual addresses; diffing consecutive instances produces
 topology events, classified by cause so the dynamics of the three methods can
 be compared quantitatively.
 
@@ -19,15 +19,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .angles import snapped_floor
 from .constellation import OMEGA_EARTH, ConfigError, ConstellationConfig, phases_deg
 from .division import (
     GrdGrid,
     GrdVariant,
-    RegionBoundaries,
     build_grd_grid,
     csd_rows_all,
     grd_assignment,
@@ -39,7 +36,7 @@ from .isl import (
     IslMode,
     IslSnapshot,
     ShutoffRule,
-    boundaries_for,
+    active_row_set,
     snapshot_edges,
 )
 
@@ -112,22 +109,16 @@ def edge_addresses(keys: np.ndarray, num_planes: int, num_cells: int):
 
 
 def build_static_graph(num_planes: int, sats_per_plane: int,
-                       b: RegionBoundaries) -> VirtualGraph:
-    """The static virtual graph: V-link rings plus H-links on R1/R2 rows."""
+                       active_rows) -> VirtualGraph:
+    """The static virtual graph: V-link rings plus H-links on the active rows
+    (1-based row indices)."""
     n1, n2 = num_planes, sats_per_plane
     cells = np.arange(n1 * n2).reshape(n2, n1)      # flat cell (row-1)*n1 + plane-1
-    h_rows = np.isin(np.arange(1, n2 + 1), sorted(b.active_rows()))
+    h_rows = np.isin(np.arange(1, n2 + 1), list(active_rows))
     edges = np.concatenate([
         _edge_keys(cells, np.roll(cells, -1, axis=0), IslKind.V_ISL, cells.size).ravel(),
         _edge_keys(cells[h_rows, :-1], cells[h_rows, 1:], IslKind.H_ISL, cells.size).ravel()])
     return VirtualGraph(num_cells=cells.size, edges=np.unique(edges))
-
-
-def is_connected(graph: VirtualGraph) -> bool:
-    """Whether the virtual graph is one connected component."""
-    lo, hi, _ = _split_keys(graph.edges, graph.num_cells)
-    adj = csr_matrix((np.ones(len(lo)), (lo, hi)), shape=(graph.num_cells,) * 2)
-    return connected_components(adj, directed=False, return_labels=False) == 1
 
 
 # -- addressing and mapping -----------------------------------------------------
@@ -306,6 +297,6 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
 
 
 def static_graph_for(config: ConstellationConfig, mode: IslMode) -> VirtualGraph:
-    """Static virtual graph with the mode-matched region boundaries."""
+    """Static virtual graph with the mode's active rows."""
     return build_static_graph(config.num_planes, config.sats_per_plane,
-                              boundaries_for(config, mode))
+                              active_row_set(config, mode))

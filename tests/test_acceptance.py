@@ -38,7 +38,7 @@ def make_config(F=0, n1=18, n2=36, polar=70.0):
 def test_criterion_01_region_boundary_closed_forms():
     start = time.time()
     res = check_division()
-    label = "closed-form region rows equal constraint solutions (exact)"
+    label = "paper's region rows: scan equals closed forms and geometric rows (exact)"
     report(1, label if res.passed else f"{label}: {res.failures}",
            res.passed, time.time() - start, 5.0)
 
@@ -46,7 +46,7 @@ def test_criterion_01_region_boundary_closed_forms():
 def test_criterion_02_analytic_vs_geometric_counts():
     start = time.time()
     res = check_counts()
-    label = "snapshot H-ISL counts equal closed forms over the full grid (exact)"
+    label = "H-ISL counts equal closed forms and snapshots over the full grid (exact)"
     report(2, label if res.passed else f"{label}: {res.failures}",
            res.passed, time.time() - start, 60.0)
 

@@ -23,7 +23,8 @@ from leovn.analysis import (
 )
 from leovn.constellation import ConfigError, ConstellationConfig, propagate_all
 from leovn.flow import INF_CAPACITY
-from leovn.isl import IslKind, IslMode, ShutoffRule, snapshot_edges
+from leovn.division import switching_epochs
+from leovn.isl import IslKind, IslMode, ShutoffRule, active_hisl_count, snapshot_edges
 from leovn.verify import delay_matrix
 
 from helpers import configs
@@ -258,6 +259,19 @@ class TestSweep:
         rows = sweep(cfg, f_values=range(1, 18), modes=(IslMode.OPTIMIZED,))
         assert {r.n_hisl for r in rows} == {442}
 
+    @settings(max_examples=100, deadline=None)
+    @given(configs())
+    def test_hisl_column_equals_snapshot_count(self, drawn):
+        # every inclination, threshold and F: the sweep's count is the
+        # snapshot's, at a handover epoch and in the middle of its dwell
+        cfg, _ = drawn
+        modes = [m for m in IslMode
+                 if m is IslMode.CONVENTIONAL or cfg.phasing_factor <= cfg.num_planes]
+        epoch, next_epoch = switching_epochs(cfg, 2)
+        for row, mode in zip(sweep(cfg, (cfg.phasing_factor,), modes), modes):
+            for t in (epoch, (epoch + next_epoch) / 2):
+                assert row.n_hisl == active_hisl_count(snapshot_edges(cfg, mode, t)), (mode, t)
+
     def test_optimized_count_never_below_conventional(self):
         for polar in (60.0, 64.0, 70.0, 80.0):
             cfg = ConstellationConfig(num_planes=18, sats_per_plane=36,
@@ -307,6 +321,6 @@ class TestSweep:
         def broken(*args):
             raise IndexError("kernel bug")
 
-        monkeypatch.setattr(leovn.analysis, "hisl_count_analytic", broken)
+        monkeypatch.setattr(leovn.analysis, "hisl_count", broken)
         with pytest.raises(IndexError, match="kernel bug"):
             sweep(make_config(), (0,), (IslMode.CONVENTIONAL,))

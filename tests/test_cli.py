@@ -217,9 +217,19 @@ class TestSweepCommands:
         assert lines[0] == "F,polar_threshold_deg,mode,n_hisl,throughput_gbps,avg_latency_ms,error"
         assert len(lines) == 1 + 4 * 2
 
+    def test_sweep_hisl_off_polar_orbit(self, tmp_path):
+        # a 53-deg orbit never reaches a 55-deg threshold: no row shuts off
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-hisl", "--n1", "18", "--n2", "36", "--inclination-deg", "53",
+                     "--polar-deg", "55", "--f-min", "0", "--f-max", "2", "--mode", "both",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6 and {r["n_hisl"] for r in rows} == {"612"}
+
     def test_optimized_layout_above_n1_is_an_error_row_everywhere(self, tmp_path):
         # the optimized layout is undefined for F > n1: every sweep subcommand
-        # records the same error row instead of an analytic H-ISL count
+        # records the same error row instead of an H-ISL count
         for sub in ("sweep-hisl", "throughput", "latency"):
             out = tmp_path / f"{sub}.csv"
             seed = ["--seed", "1"] if sub == "latency" else []
@@ -296,10 +306,10 @@ PAPER = ["--n1", "18", "--n2", "36"]
 
 class TestPinnedOutputs:
     """sha256 of data files at paper scale and off the paper grid: F = 0 with
-    n2 = 3 at polar 20, fractional K (7x11, polar 55) and optimized F > n1
-    error rows (3x12).  Cell bounds are folds of exact rationals and snapshot
-    flags and H-ISL counts come from exact integer tests, so the bytes do not
-    depend on the platform."""
+    n2 = 3 at polar 20, fractional K (7x11, polar 55), and optimized F > n1
+    error rows and conventional rows straddling a cap (3x12).  Cell bounds
+    are folds of exact rationals and snapshot flags and H-ISL counts come
+    from exact integer tests, so the bytes do not depend on the platform."""
 
     @pytest.mark.parametrize("argv,digest", [
         (["divide", *PAPER, "--mode", "conventional"],
@@ -334,9 +344,10 @@ class TestPinnedOutputs:
         (["sweep-hisl", "--n1", "7", "--n2", "11", "--polar-deg", "55",
           "--f-min", "0", "--f-max", "10", "--mode", "both"],
          "414f61774c9b4a07bb45752e87890f03cfec0ce8c3aad9531d1831783d6c7916"),
+        # conventional F=8..11: rows straddling a cap count 4/8/8/4, as snapshots do
         (["sweep-hisl", "--n1", "3", "--n2", "12", "--f-min", "0", "--f-max", "11",
           "--mode", "both"],
-         "f991e1599d79bd7c46a49b2e2370e1342d387d40897693542cd9fd919519ab35"),
+         "b07d7e0fa39501d727231d2fad6bfdff16aa9e0e1bbe2e2a4ba660db81f64f1f"),
     ])
     def test_sha256(self, tmp_path, argv, digest):
         out = tmp_path / "out.csv"
@@ -367,16 +378,16 @@ class TestVerifyCommand:
         assert line["elapsed_s"] >= 0
 
     def test_corrupted_count_formula_fails_with_name(self, monkeypatch, capsys):
-        real = leovn.isl.hisl_count_analytic
+        real = leovn.isl.hisl_count
 
-        def corrupted(n1, b):
-            return real(n1, b) + 1
+        def corrupted(config, mode):
+            return real(config, mode) + 1
 
-        monkeypatch.setattr(leovn.isl, "hisl_count_analytic", corrupted)
+        monkeypatch.setattr(leovn.isl, "hisl_count", corrupted)
         assert main(["verify", "--suite", "counts"]) == 1
         line = json.loads(capsys.readouterr().out.splitlines()[0])
         assert line["passed"] is False
-        assert "analytic" in line["detail"]
+        assert "hisl_count" in line["detail"]
 
 
 class TestErrorPaths:

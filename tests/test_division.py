@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leovn.angles import fold_lat_deg
+from leovn.cli import main
 from leovn.constellation import (
     R_EARTH,
     SIDEREAL_DAY,
@@ -15,21 +17,20 @@ from leovn.constellation import (
 )
 from leovn.division import (
     GrdVariant,
-    RegionLabel,
     build_grd_grid,
     cell_bounds,
     cell_shifts_deg,
-    classify_region,
     csd_rows_all,
     grd_assignment,
     grd_switch_interval,
     phase_step_deg,
-    region_boundaries,
     row_start_deg,
     switching_epochs,
     vn_latitude_range,
     vn_longitude_range,
 )
+from leovn.isl import IslMode, active_row_set
+from leovn.verify import boundaries_by_scan, rows_by_scan
 
 from helpers import configs
 
@@ -99,20 +100,34 @@ class TestPlaneShift:
         assert cell_shifts_deg(cfg)[h - 1] == want
 
 
+def divide_regions(tmp_path, n1, n2, polar, f=0, mode="conventional"):
+    """Row -> region label of a ``divide`` CSV; every cell of a row agrees."""
+    out = tmp_path / f"division-{n1}x{n2}-{polar}-{f}-{mode}.csv"
+    assert main(["divide", "--n1", str(n1), "--n2", str(n2), "--polar-deg", str(polar),
+                 "--f", str(f), "--mode", mode, "--out", str(out)]) == 0
+    labels = {}
+    with open(out, newline="") as fh:
+        for row in csv.DictReader(fh):
+            assert labels.setdefault(int(row["v"]), row["region"]) == row["region"]
+    return labels
+
+
 class TestRegionBoundaries:
+    """The paper's region rows (``verify.boundaries_by_scan``) and the
+    geometric active rows (``isl.active_row_set``) that they describe on a
+    polar orbit."""
+
     @pytest.mark.parametrize("n2,polar,expect", [
         (36, 70, (14, 19, 32)),
         (36, 90, (18, 19, 36)),
         (36, 64, (12, 19, 30)),
     ])
     def test_known_values(self, n2, polar, expect):
-        b = region_boundaries(n2, polar, 0)
-        assert (b.r1_end, b.r2_start, b.r2_end) == expect
+        assert boundaries_by_scan(n2, polar, 0) == expect
 
-    def test_threshold_90_leaves_no_polar_rows(self):
-        b = region_boundaries(36, 90, 0)
-        labels = {classify_region(v, b) for v in range(1, 37)}
-        assert labels == {RegionLabel.R1, RegionLabel.R2}
+    def test_threshold_90_leaves_no_polar_rows(self, tmp_path):
+        assert rows_by_scan(36, 90) == frozenset(range(1, 37))
+        assert set(divide_regions(tmp_path, 2, 36, 90).values()) == {"R1", "R2"}
 
     @staticmethod
     def integer_k_spread(n2, k):
@@ -125,24 +140,36 @@ class TestRegionBoundaries:
         (36, 64, Fraction(3), 12),    # F=6, n1=18
     ])
     def test_phased_closed_form(self, n2, polar, k, expect_r1_end):
-        assert region_boundaries(n2, polar, self.integer_k_spread(n2, k)).r1_end == expect_r1_end
+        assert boundaries_by_scan(n2, polar, self.integer_k_spread(n2, k))[0] == expect_r1_end
 
     def test_phased_k9_full_boundaries(self):
-        b = region_boundaries(36, 70, self.integer_k_spread(36, Fraction(9)))
-        assert (b.r1_end, b.r2_start, b.r2_end) == (13, 19, 31)
+        spread = self.integer_k_spread(36, Fraction(9))
+        assert boundaries_by_scan(36, 70, spread) == (13, 19, 31)
+
+    @pytest.mark.parametrize("f,mode,expect", [
+        (0, IslMode.CONVENTIONAL, (14, 19, 32)),
+        (2, IslMode.OPTIMIZED, (13, 19, 31)),
+    ])
+    def test_paper_scale_active_rows(self, f, mode, expect):
+        r1_end, r2_start, r2_end = expect
+        cfg = make_config(phasing_factor=f)
+        want = set(range(1, r1_end + 1)) | set(range(r2_start, r2_end + 1))
+        assert active_row_set(cfg, mode) == want
+        assert rows_by_scan(36, 70, max(cell_shifts_deg(cfg))) == want
 
     def test_fractional_k_uses_realized_spread(self):
         # F=5, n1=18: K=3.6, max spread = 3.4 * delta_f
         delta_f = Fraction(360 * 5, 18 * 36)
         spread = Fraction(17, 5) * delta_f
-        b = region_boundaries(36, 64, spread)
-        assert b.r1_end == 11
+        assert boundaries_by_scan(36, 64, spread)[0] == 11
+        cfg = make_config(phasing_factor=5, polar_threshold_deg=64.0)
+        assert active_row_set(cfg, IslMode.OPTIMIZED) == rows_by_scan(36, 64, spread)
 
     def test_r1_end_monotone_in_spread(self):
         step = Fraction(360, 36)
         prev = None
         for spread in (Fraction(0), step / 4, step / 2, step, 2 * step):
-            r1 = region_boundaries(36, 70, spread).r1_end
+            r1 = boundaries_by_scan(36, 70, spread)[0]
             if prev is not None:
                 assert r1 <= prev
             prev = r1
@@ -150,25 +177,24 @@ class TestRegionBoundaries:
     def test_degenerate_spread_clamps_to_empty(self):
         # n1=6, n2=12, F=5 conventional: spread exceeds the safe arc entirely
         spread = 5 * Fraction(360 * 5, 6 * 12)
-        b = region_boundaries(12, 60, spread)
-        assert b.r1_end == 0 and b.active_row_count() == 0
+        assert boundaries_by_scan(12, 60, spread)[0] == 0
+        assert rows_by_scan(12, 60, spread) == frozenset()
+        cfg = make_config(num_planes=6, sats_per_plane=12, phasing_factor=5,
+                          polar_threshold_deg=60.0)
+        assert active_row_set(cfg, IslMode.CONVENTIONAL) == frozenset()
 
-    def test_classify_partitions_every_row(self):
+    def test_classify_partitions_every_row(self, tmp_path):
         for n2, polar in ((12, 60), (24, 64), (36, 70), (66, 80)):
-            b = region_boundaries(n2, polar, 0)
-            counts = {label: 0 for label in RegionLabel}
-            for v in range(1, n2 + 1):
-                counts[classify_region(v, b)] += 1
-            assert sum(counts.values()) == n2
-            assert counts[RegionLabel.R1] + counts[RegionLabel.R2] == b.active_row_count()
+            r1_end, r2_start, r2_end = boundaries_by_scan(n2, polar)
+            labels = divide_regions(tmp_path, 2, n2, polar)
+            assert labels == {v: "R1" if v <= r1_end else "P1" if v < r2_start
+                              else "R2" if v <= r2_end else "P2" for v in range(1, n2 + 1)}
 
     @pytest.mark.parametrize("v,expect", [
-        (1, RegionLabel.R1), (14, RegionLabel.R1), (18, RegionLabel.P1),
-        (19, RegionLabel.R2), (32, RegionLabel.R2), (33, RegionLabel.P2),
+        (1, "R1"), (14, "R1"), (18, "P1"), (19, "R2"), (32, "R2"), (33, "P2"),
     ])
-    def test_classify_examples(self, v, expect):
-        from leovn.division import RegionBoundaries
-        assert classify_region(v, RegionBoundaries(14, 19, 32)) is expect
+    def test_classify_examples(self, tmp_path, v, expect):
+        assert divide_regions(tmp_path, 18, 36, 70)[v] == expect
 
 
 class TestCsdMap:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,7 @@ from leovn.isl import (
     ShutoffRule,
     active_hisl_count,
     active_row_set,
-    boundaries_for,
-    hisl_count_analytic,
+    hisl_count,
     phase_analysis,
     polar_cap_phase_spans,
     row_chains,
@@ -21,7 +21,7 @@ from leovn.isl import (
     snapshot_edges,
     theorem1_bruteforce,
 )
-from leovn.verify import boundaries_by_scan
+from leovn.verify import boundaries_by_scan, rows_by_scan
 
 from helpers import configs, initial_phase_deg
 
@@ -109,10 +109,14 @@ class TestLayoutProperties:
         down = np.flatnonzero(slot_step[0] == n2 - 1) + 1
         assert set(down.tolist()) == phase_analysis(cfg).bh_planes
         assert (slot_step == slot_step[0]).all()
-        for mode in IslMode:
-            spread = max(row_spreads_deg(cfg, mode))
-            assert boundaries_for(cfg, mode) == boundaries_by_scan(
-                n2, cfg.polar_threshold_deg, spread)
+        # the scan's domain: a polar orbit whose caps are not empty; with
+        # F <= n1 the member windows of a row leave no gap a cap fits in
+        polar = cfg.polar_threshold_deg
+        if polar < 90:
+            for mode in IslMode:
+                spread = max(row_spreads_deg(cfg, mode))
+                assert active_row_set(replace(cfg, inclination_deg=90.0), mode) == (
+                    rows_by_scan(n2, polar, spread))
 
 
 class TestHNeighbor:
@@ -253,8 +257,8 @@ class TestSnapshotEdges:
         for f, mode in ((0, IslMode.CONVENTIONAL), (2, IslMode.OPTIMIZED),
                         (5, IslMode.OPTIMIZED), (3, IslMode.CONVENTIONAL)):
             cfg = make_config(F=f)
-            b = boundaries_for(cfg, mode)
-            assert active_row_set(cfg, mode) == b.active_rows()
+            spread = max(row_spreads_deg(cfg, mode))
+            assert active_row_set(cfg, mode) == rows_by_scan(36, 70, spread)
 
 
 def fraction_active_rows(config, mode):
@@ -303,18 +307,22 @@ class TestActiveRowOracle:
         assert active_row_set(cfg, mode) == fraction_active_rows(cfg, mode)
 
 
-class TestAnalyticCounts:
-    @pytest.mark.parametrize("boundaries,expect", [
-        ((14, 19, 32), 476),
-        ((13, 19, 31), 442),
+class TestHislCount:
+    @pytest.mark.parametrize("f,mode,expect", [
+        (0, IslMode.CONVENTIONAL, 476),     # rows 1..14 and 19..32
+        (2, IslMode.OPTIMIZED, 442),        # rows 1..13 and 19..31
     ])
-    def test_known_counts(self, boundaries, expect):
-        from leovn.division import RegionBoundaries
-        assert hisl_count_analytic(18, RegionBoundaries(*boundaries)) == expect
+    def test_known_counts(self, f, mode, expect):
+        cfg = make_config(F=f)
+        assert hisl_count(cfg, mode) == expect
+        assert 17 * len(rows_by_scan(36, 70, max(row_spreads_deg(cfg, mode)))) == expect
 
     def test_empty_equatorial_bands(self):
-        from leovn.division import RegionBoundaries
-        assert hisl_count_analytic(2, RegionBoundaries(0, 5, 4)) == 0
+        # n1=2, n2=8, polar 20: every 45-deg row meets a 140-deg cap
+        cfg = make_config(n1=2, n2=8, polar=20.0)
+        assert boundaries_by_scan(8, 20) == (0, 5, 4)
+        assert rows_by_scan(8, 20) == frozenset()
+        assert hisl_count(cfg, IslMode.CONVENTIONAL) == 0
 
 
 class TestTheorem1:

@@ -1,13 +1,17 @@
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import leovn
 from leovn.constellation import SIDEREAL_DAY, ConstellationConfig
 from leovn.division import (
     GrdVariant,
-    RegionBoundaries,
     build_grd_grid,
     grd_assignment,
     switching_epochs,
@@ -23,7 +27,6 @@ from leovn.virtualgraph import (
     csd_addressing,
     edge_addresses,
     event_causes,
-    is_connected,
     map_snapshot,
     method_instance,
     sample_times,
@@ -31,8 +34,12 @@ from leovn.virtualgraph import (
     static_graph_for,
     staticness_report,
 )
+from leovn.verify import is_connected
 
 from helpers import edge_count
+
+# rows 1..14 and 19..32: the active rows at 18x36, polar 70, F=0
+PAPER_ROWS = frozenset(range(1, 15)) | frozenset(range(19, 33))
 
 
 def make_config(F=0, polar=70.0):
@@ -42,23 +49,37 @@ def make_config(F=0, polar=70.0):
 
 class TestStaticGraph:
     def test_reference_edge_counts(self):
-        g = build_static_graph(18, 36, RegionBoundaries(14, 19, 32))
+        g = build_static_graph(18, 36, PAPER_ROWS)
         assert edge_count(g, IslKind.V_ISL) == 648
         assert edge_count(g, IslKind.H_ISL) == 476
         assert g.num_cells == 648
+        assert np.array_equal(static_graph_for(make_config(), IslMode.CONVENTIONAL).edges,
+                              g.edges)
 
     def test_tiny_graph_without_equatorial_rows(self):
-        g = build_static_graph(2, 4, RegionBoundaries(0, 3, 2))
+        g = build_static_graph(2, 4, frozenset())
         assert edge_count(g, IslKind.H_ISL) == 0
         assert edge_count(g, IslKind.V_ISL) == 8
 
     def test_connected_when_h_links_exist(self):
-        g = build_static_graph(18, 36, RegionBoundaries(14, 19, 32))
+        g = build_static_graph(18, 36, PAPER_ROWS)
         assert is_connected(g)
 
     def test_disconnected_without_h_links(self):
-        g = build_static_graph(3, 6, RegionBoundaries(0, 4, 3))
+        g = build_static_graph(3, 6, frozenset())
         assert not is_connected(g)
+
+
+def test_import_loads_no_scipy():
+    # the graph code runs on numpy alone; scipy is for the oracles in verify
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(leovn.__file__).parents[1]), env.get("PYTHONPATH")]))
+    code = ("import sys, leovn.virtualgraph; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestMapping:
