@@ -2,7 +2,7 @@
 
 Subcommands: divide, snapshot, staticness, sweep-hisl, throughput, latency,
 theorem1-check, verify.  Every data output gets a manifest sidecar recording
-the resolved configuration digest, seed, argv and version; identical inputs
+the resolved configuration digest, seed, parsed argv and version; identical inputs
 produce byte-identical data files (timestamps live only in the manifest).
 Exit codes: 0 success, 1 verification mismatch, 2 usage or config error.
 """
@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -23,34 +24,16 @@ import numpy as np
 
 from . import __version__, verify as verify_mod
 from .analysis import sweep
-from .constellation import ConfigError, ConstellationConfig, read_config_file
+from .constellation import CONFIG_FIELDS, ConfigError, ConstellationConfig, read_config_file
 from .division import cell_bounds
-from .isl import (
-    IslKind,
-    IslMode,
-    active_row_set,
-    phase_analysis,
-    snapshot_edges,
-    theorem1_bruteforce,
-)
+from .isl import IslKind, IslMode, active_row_set, snapshot_edges
 from .virtualgraph import EventCause, EventChange, VnMethod, edge_addresses, staticness_report
 
 OUTPUT_DIR_ENV = "LEOVN_OUTPUT_DIR"
 KIND_LETTERS = ("V", "H")       # indexed by IslKind code
 
 
-# -- manifest -------------------------------------------------------------------
-
-@dataclasses.dataclass
-class RunManifest:
-    config_digest: str
-    seed: int | None
-    subcommand: str
-    argv: list[str]
-    version: str
-    started: str
-    finished: str
-
+# -- outputs ----------------------------------------------------------------------
 
 def _config_digest(config: ConstellationConfig) -> str:
     payload = "\n".join(f"{k}={v!r}" for k, v in
@@ -58,19 +41,19 @@ def _config_digest(config: ConstellationConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _write_manifest(out_path: Path, config: ConstellationConfig | None,
-                    args: argparse.Namespace, started: str) -> None:
-    manifest = RunManifest(
-        config_digest=_config_digest(config) if config else "",
-        seed=getattr(args, "seed", None),
-        subcommand=args.subcommand,
-        argv=sys.argv[1:],
-        version=__version__,
-        started=started,
-        finished=datetime.now(timezone.utc).isoformat(),
-    )
+def _write_manifest(out_path: Path, config: ConstellationConfig, args: argparse.Namespace,
+                    argv: list[str], started: str) -> None:
+    manifest = {
+        "config_digest": _config_digest(config),
+        "seed": getattr(args, "seed", None),
+        "subcommand": args.subcommand,
+        "argv": argv,
+        "version": __version__,
+        "started": started,
+        "finished": _now(),
+    }
     path = out_path.with_name(out_path.name + ".manifest.json")
-    path.write_text(json.dumps(dataclasses.asdict(manifest), indent=2) + "\n")
+    path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _now() -> str:
@@ -78,11 +61,11 @@ def _now() -> str:
 
 
 def _out_path(args: argparse.Namespace, default_name: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    base = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-    base.mkdir(parents=True, exist_ok=True)
-    return base / default_name
+    """``--out``, else ``default_name`` in $LEOVN_OUTPUT_DIR or the working
+    directory; either way the file's directory is created."""
+    path = Path(args.out) if args.out else Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / default_name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -102,41 +85,21 @@ def _write_rows(path: Path, fmt: str, header: list[str], rows: list[list]) -> No
 
 # -- config assembly --------------------------------------------------------------
 
-def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key/value config file")
-    parser.add_argument("--n1", type=int, help="number of orbit planes")
-    parser.add_argument("--n2", type=int, help="satellites per plane")
-    parser.add_argument("--f", type=int, default=None, help="phasing factor F")
-    parser.add_argument("--altitude-km", type=float, default=None)
-    parser.add_argument("--inclination-deg", type=float, default=None)
-    parser.add_argument("--polar-deg", type=float, default=None,
-                        help="polar shut-off latitude threshold")
-    parser.add_argument("--raan0-deg", type=float, default=None)
-    parser.add_argument("--phase0-deg", type=float, default=None)
-    parser.add_argument("--period-s", type=float, default=None)
-
-
-def _build_config(args: argparse.Namespace, f_override: int | None = None) -> ConstellationConfig:
-    """The file's values (if any) overlaid with the flags, built once, so that
-    defaults such as ``phase0_deg = -polar`` resolve after the overrides.
-    n1 and n2 may come from either source but must come from one."""
-    fields = read_config_file(args.config) if args.config else {}
-    overrides = {
-        "num_planes": args.n1,
-        "sats_per_plane": args.n2,
-        "phasing_factor": f_override if f_override is not None else args.f,
-        "altitude_km": args.altitude_km,
-        "inclination_deg": args.inclination_deg,
-        "polar_threshold_deg": args.polar_deg,
-        "raan0_deg": args.raan0_deg,
-        "phase0_deg": args.phase0_deg,
-        "period_s": args.period_s,
-    }
-    fields.update((key, value) for key, value in overrides.items() if value is not None)
-    for required, flag in (("num_planes", "n1"), ("sats_per_plane", "n2")):
-        if required not in fields:
-            raise ConfigError(f"missing required field {required}: set {flag} in "
-                              f"the --config file or pass --{flag}")
+def _build_config(args: argparse.Namespace, **fixed) -> ConstellationConfig:
+    """The file's values (if any) overlaid with the subcommand's flags and then
+    ``fixed``, built once, so that defaults such as ``phase0_deg = -polar``
+    resolve after the overrides.  n1 and n2 may come from either source but
+    must come from one."""
+    config_file = getattr(args, "config", None)
+    fields = read_config_file(config_file) if config_file else {}
+    for _, _, name, _, _ in CONFIG_FIELDS:
+        if getattr(args, name, None) is not None:
+            fields[name] = getattr(args, name)
+    fields.update(fixed)
+    for key, flag, name, _, _ in CONFIG_FIELDS[:2]:     # n1 and n2
+        if name not in fields:
+            raise ConfigError(f"missing required field {name}: set {key} in "
+                              f"the --config file or pass {flag}")
     return ConstellationConfig(**fields)
 
 
@@ -148,8 +111,7 @@ def _parse_mode(value: str) -> list[IslMode]:
 
 # -- subcommands -------------------------------------------------------------------
 
-def cmd_divide(args: argparse.Namespace) -> int:
-    started = _now()
+def cmd_divide(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
     config = _build_config(args)
     active = active_row_set(config, IslMode(args.mode))
     header = ["v", "h", "region", "lat_low_deg", "lat_high_deg",
@@ -165,14 +127,14 @@ def cmd_divide(args: argparse.Namespace) -> int:
                          repr(cell.lon_low), repr(cell.lon_high), cell.pole_wrap])
     out = _out_path(args, "division.csv")
     _write_rows(out, args.format, header, rows)
-    _write_manifest(out, config, args, started)
     print(f"wrote {len(rows)} cells to {out}")
-    return 0
+    return out, config
 
 
-def cmd_snapshot(args: argparse.Namespace) -> int:
-    started = _now()
+def cmd_snapshot(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
     config = _build_config(args)
+    if not math.isfinite(args.t_seconds):
+        raise ConfigError(f"t_seconds must be finite, got {args.t_seconds}")
     snapshot = snapshot_edges(config, IslMode(args.mode), args.t_seconds)
     header = ["a_plane", "a_slot", "b_plane", "b_slot", "kind", "direction", "active"]
     n2 = config.sats_per_plane
@@ -186,16 +148,14 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
                 snapshot.active.tolist())]
     out = _out_path(args, "snapshot.csv" if args.format == "csv" else "snapshot.json")
     _write_rows(out, args.format, header, rows)
-    _write_manifest(out, config, args, started)
     print(f"wrote {len(rows)} edges to {out}")
-    return 0
+    return out, config
 
 
-def cmd_staticness(args: argparse.Namespace) -> int:
+def cmd_staticness(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
     """Write the report JSON and its events CSV.  CSV lines join text made once
     per distinct edge, sample time and (change, cause) pair; no field holds a
     comma, quote or newline, so they are the bytes csv.writer would write."""
-    started = _now()
     config = _build_config(args)
     report = staticness_report(config, VnMethod(args.method), IslMode(args.mode),
                                args.duration_s, args.samples)
@@ -221,15 +181,18 @@ def cmd_staticness(args: argparse.Namespace) -> int:
         fh.write("t,a_v,a_h,b_v,b_h,kind,change,cause\n")
         fh.writelines(f"{times[s]},{edge_text[e]},{tails[c][x]}\n" for s, e, c, x in zip(
             sample.tolist(), edge_of.tolist(), change.tolist(), cause.tolist()))
-    _write_manifest(out, config, args, started)
     print(f"{report.event_count} events ({report.events_by_cause}) -> {out}")
-    return 0
+    return out, config
 
 
-def _sweep_command(args: argparse.Namespace, include_throughput: bool,
-                   include_latency: bool, default_name: str) -> int:
-    started = _now()
-    config = _build_config(args, f_override=0)
+def _sweep_command(args: argparse.Namespace, include_throughput: bool, include_latency: bool,
+                   default_name: str) -> tuple[Path, ConstellationConfig]:
+    """One sweep over F = f_min..f_max; its template is the configuration
+    at F = 0."""
+    config = _build_config(args, phasing_factor=0)
+    if args.f_max < args.f_min:
+        raise ConfigError(f"f_max must be >= f_min, got f_min={args.f_min}, "
+                          f"f_max={args.f_max}")
     f_values = range(args.f_min, args.f_max + 1)
     rows = sweep(config, f_values, _parse_mode(args.mode),
                  include_throughput=include_throughput,
@@ -245,38 +208,34 @@ def _sweep_command(args: argparse.Namespace, include_throughput: bool,
               r.error] for r in rows]
     out = _out_path(args, default_name)
     _write_rows(out, args.format, header, table)
-    _write_manifest(out, config, args, started)
     print(f"wrote {len(table)} sweep rows to {out}")
-    return 0
+    return out, config
 
 
-def cmd_sweep_hisl(args: argparse.Namespace) -> int:
+def cmd_sweep_hisl(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
     return _sweep_command(args, False, False, "hisl_sweep.csv")
 
 
-def cmd_throughput(args: argparse.Namespace) -> int:
+def cmd_throughput(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
     return _sweep_command(args, True, False, "throughput.csv")
 
 
-def cmd_latency(args: argparse.Namespace) -> int:
+def cmd_latency(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
     return _sweep_command(args, False, True, "latency.csv")
 
 
 def cmd_theorem1_check(args: argparse.Namespace) -> int:
-    analysis = phase_analysis(ConstellationConfig(
-        num_planes=args.n1, sats_per_plane=args.n2, phasing_factor=args.f))
-    brute_min, brute_set = theorem1_bruteforce(args.n1, args.n2, args.f)
-    ok = (brute_min == analysis.max_spread_optimized_deg
-          and brute_set == analysis.bh_planes)
+    config = _build_config(args)
+    analytic, brute = verify_mod.theorem1_layouts(config)
     print(json.dumps({
-        "n1": args.n1, "n2": args.n2, "F": args.f,
-        "analytic_min_spread_deg": str(analysis.max_spread_optimized_deg),
-        "bruteforce_min_spread_deg": str(brute_min),
-        "analytic_bh_planes": sorted(analysis.bh_planes or ()),
-        "bruteforce_bh_planes": sorted(brute_set),
-        "agreement": ok,
+        "n1": config.num_planes, "n2": config.sats_per_plane, "F": config.phasing_factor,
+        "analytic_min_spread_deg": str(analytic[0]),
+        "bruteforce_min_spread_deg": str(brute[0]),
+        "analytic_bh_planes": sorted(analytic[1]),
+        "bruteforce_bh_planes": sorted(brute[1]),
+        "agreement": analytic == brute,
     }, indent=2))
-    return 0 if ok else 1
+    return 0 if analytic == brute else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -305,57 +264,54 @@ def build_parser() -> argparse.ArgumentParser:
                     "polar LEO constellations")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, mode_default="conventional", allow_both=True):
-        _add_config_args(p)
-        choices = ["conventional", "optimized"] + (["both"] if allow_both else [])
-        p.add_argument("--mode", default=mode_default, choices=choices)
+    def data_command(name, summary, func, f_max=None, formats=True):
+        """A subcommand that writes a data file.  Given ``f_max``, it sweeps
+        F over --f-min..--f-max: it takes no --f and can run both modes."""
+        sweep = f_max is not None
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="key/value config file")
+        for _, flag, field, cast, text in CONFIG_FIELDS:
+            if not (sweep and field == "phasing_factor"):
+                p.add_argument(flag, dest=field, type=cast, help=text)
+        modes = ["conventional", "optimized"] + (["both"] if sweep else [])
+        p.add_argument("--mode", default=modes[-1] if sweep else modes[0], choices=modes)
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", default="csv", choices=["csv", "json"])
+        if formats:
+            p.add_argument("--format", default="csv", choices=["csv", "json"])
+        if sweep:
+            p.add_argument("--f-min", type=int, default=0)
+            p.add_argument("--f-max", type=int, default=f_max)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("divide", help="emit the virtual-node cell table")
-    common(p, allow_both=False)
-    p.set_defaults(func=cmd_divide)
+    data_command("divide", "emit the virtual-node cell table", cmd_divide)
 
-    p = sub.add_parser("snapshot", help="emit the physical edge set at one time")
-    common(p, allow_both=False)
+    p = data_command("snapshot", "emit the physical edge set at one time", cmd_snapshot)
     p.add_argument("--t-seconds", type=float, default=0.0)
-    p.set_defaults(func=cmd_snapshot)
 
-    p = sub.add_parser("staticness", help="topology-event report for one method")
-    common(p, allow_both=False)
+    # always the report JSON plus its events CSV, so no --format
+    p = data_command("staticness", "topology-event report for one method", cmd_staticness,
+                     formats=False)
     p.add_argument("--method", required=True, choices=["grd1", "grd2", "csd"])
     p.add_argument("--duration-s", type=float, required=True)
     p.add_argument("--samples", type=int, default=720)
-    p.set_defaults(func=cmd_staticness)
 
-    p = sub.add_parser("sweep-hisl", help="H-ISL counts over F")
-    common(p, mode_default="both")
-    p.add_argument("--f-min", type=int, default=0)
-    p.add_argument("--f-max", type=int, default=17)
-    p.set_defaults(func=cmd_sweep_hisl)
+    data_command("sweep-hisl", "H-ISL counts over F", cmd_sweep_hisl, f_max=17)
 
-    p = sub.add_parser("throughput", help="min-cost max-flow throughput over F")
-    common(p, mode_default="both")
-    p.add_argument("--f-min", type=int, default=0)
-    p.add_argument("--f-max", type=int, default=14)
+    p = data_command("throughput", "min-cost max-flow throughput over F", cmd_throughput,
+                     f_max=14)
     p.add_argument("--snapshots", type=int, default=16)
-    p.set_defaults(func=cmd_throughput)
 
-    p = sub.add_parser("latency", help="mean shortest-path latency over F")
-    common(p, mode_default="both")
-    p.add_argument("--f-min", type=int, default=0)
-    p.add_argument("--f-max", type=int, default=14)
+    p = data_command("latency", "mean shortest-path latency over F", cmd_latency, f_max=14)
     p.add_argument("--snapshots", type=int, default=16)
     p.add_argument("--pairs", type=int, default=10_000)
     p.add_argument("--seed", type=int, required=True,
                    help="RNG seed (mandatory; no implicit seeding)")
-    p.set_defaults(func=cmd_latency)
 
     p = sub.add_parser("theorem1-check",
                        help="compare the optimized layout with brute force")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--f", type=int, required=True)
+    for _, flag, field, cast, text in CONFIG_FIELDS[:3]:    # n1, n2 and F
+        p.add_argument(flag, dest=field, type=cast, required=True, help=text)
     p.set_defaults(func=cmd_theorem1_check)
 
     p = sub.add_parser("verify", help="run analytic-vs-oracle check suites")
@@ -367,13 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand.  A subcommand that writes a data file returns it
+    with its configuration, and its manifest sidecar is written here."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    started = _now()
     try:
-        return args.func(args)
+        written = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(written, int):        # theorem1-check and verify print an exit code
+        return written
+    _write_manifest(*written, args, argv, started)
+    return 0
 
 
 if __name__ == "__main__":

@@ -200,17 +200,21 @@ def _plane_slot_index(config: ConstellationConfig) -> tuple[np.ndarray, np.ndarr
 
 # -- configuration file ingestion ------------------------------------------
 
-_CONFIG_KEYS = {
-    "n1": ("num_planes", int),
-    "n2": ("sats_per_plane", int),
-    "F": ("phasing_factor", int),
-    "altitude_km": ("altitude_km", float),
-    "inclination_deg": ("inclination_deg", float),
-    "polar_threshold_deg": ("polar_threshold_deg", float),
-    "raan0_deg": ("raan0_deg", float),
-    "phase0_deg": ("phase0_deg", float),
-    "period_s": ("period_s", float),
-}
+# The nine configuration fields, as (config-file key, command-line flag,
+# ConstellationConfig field, type, flag help): the file reader, the CLI
+# parser and its overlay of flags on the file all loop over this table.
+CONFIG_FIELDS = (
+    ("n1", "--n1", "num_planes", int, "number of orbit planes"),
+    ("n2", "--n2", "sats_per_plane", int, "satellites per plane"),
+    ("F", "--f", "phasing_factor", int, "phasing factor F"),
+    ("altitude_km", "--altitude-km", "altitude_km", float, None),
+    ("inclination_deg", "--inclination-deg", "inclination_deg", float, None),
+    ("polar_threshold_deg", "--polar-deg", "polar_threshold_deg", float,
+     "polar shut-off latitude threshold"),
+    ("raan0_deg", "--raan0-deg", "raan0_deg", float, None),
+    ("phase0_deg", "--phase0-deg", "phase0_deg", float, None),
+    ("period_s", "--period-s", "period_s", float, None),
+)
 
 
 def read_config_file(path: str | Path) -> dict[str, int | float]:
@@ -218,11 +222,11 @@ def read_config_file(path: str | Path) -> dict[str, int | float]:
     ``ConstellationConfig`` keyword arguments, unresolved, so that values
     laid over them still resolve the defaults (``phase0_deg`` included).
 
-    Recognized keys: n1, n2, F, altitude_km, inclination_deg,
-    polar_threshold_deg, raan0_deg, phase0_deg, period_s.  Unknown keys and
-    malformed values raise ConfigError naming the key; n1 and n2 may be left
-    to command-line flags.
+    Recognized keys: the first column of ``CONFIG_FIELDS``.  Unknown keys
+    and malformed values raise ConfigError naming the key; n1 and n2 may be
+    left to command-line flags.
     """
+    fields = {key: (name, cast) for key, _, name, cast, _ in CONFIG_FIELDS}
     kwargs = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -232,9 +236,9 @@ def read_config_file(path: str | Path) -> dict[str, int | float]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in fields:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        field_name, cast = _CONFIG_KEYS[key]
+        field_name, cast = fields[key]
         try:
             kwargs[field_name] = cast(value)
         except ValueError as exc:

@@ -13,7 +13,11 @@ The geographic division (GRD) freezes the t=0 ground projection of those
 cells and serves each frozen cell with whichever satellite covers it, either
 from the original plane only (variant 1) or from any plane (variant 2).
 
-Row-boundary arithmetic is exact (Fraction degrees); see angles.py.
+Geometry runs in float radians; cell-boundary bookkeeping runs in exact
+rational degrees (``fractions.Fraction``), so that floor/ceil expressions and
+interval comparisons are bit-reproducible: a threshold like 70 deg does not
+survive the round trip through radians, and the division formulas sit
+exactly on integer boundaries for the configurations of interest.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angles import CELL_SNAP, fold_lat_deg, normalize_lon_deg
 from .constellation import (
     R_EARTH,
     ConfigError,
@@ -34,6 +37,12 @@ from .constellation import (
     phases_deg,
     propagate_all,
 )
+
+
+# Snap tolerance for float phase -> integer cell index.  Satellites that are
+# mathematically on a cell boundary land within ~1e-12 of it in double
+# precision; anything a real sample places inside a cell is >> 1e-9 away.
+CELL_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,37 +119,27 @@ def row_start_deg(config: ConstellationConfig, row: int, plane: int) -> Fraction
 
 # -- cell bounds -------------------------------------------------------------
 
-def vn_longitude_range(plane: int, lon_origin_deg, raan_step_deg) -> tuple[float, float]:
-    """Longitude bounds of column ``plane``: origin + (h-1)/h * step, wrapped."""
-    lo = normalize_lon_deg(Fraction(lon_origin_deg) + (plane - 1) * Fraction(raan_step_deg))
-    hi = normalize_lon_deg(Fraction(lon_origin_deg) + plane * Fraction(raan_step_deg))
-    return float(lo), float(hi)
+def fold_lat_deg(value) -> Fraction:
+    """Fold an unfolded phase-as-latitude angle (degrees) into [-90, 90].
 
-
-def vn_latitude_range(config: ConstellationConfig, row: int,
-                      plane: int) -> tuple[float, float, bool]:
-    """Latitude bounds of cell (row, plane) plus the pole_wrap flag.
-
-    Bounds are the folds of the band's start and end angle; on descending
-    bands the first value exceeds the second.  pole_wrap is set when the
-    half-open band [start, start + step) contains +90 or 270 deg of unfolded
-    phase (i.e. the cell rides over a pole).
+    An along-track angle keeps growing past the pole; the physical latitude
+    folds back.  0 -> 0, 80 -> 80, 100 -> 80, 180 -> 0, 250 -> -70.
     """
-    start = row_start_deg(config, row, plane)
-    step = phase_step_deg(config)
-    low = fold_lat_deg(start)
-    high = fold_lat_deg(start + step)
-    rel_north = (90 - start) % 360
-    rel_south = (270 - start) % 360
-    pole_wrap = rel_north < step or rel_south < step
-    return float(low), float(high), pole_wrap
+    return 90 - abs(180 - (Fraction(value) + 90) % 360)
 
 
 def cell_bounds(config: ConstellationConfig, row: int, plane: int) -> VnCellBounds:
-    lon_low, lon_high = vn_longitude_range(plane, config.raan0_deg, config.raan_step_deg)
-    lat_low, lat_high, pole_wrap = vn_latitude_range(config, row, plane)
+    """Bounds of cell (row, plane).  Column h spans raan0 + (h-1, h) * 180/n1
+    deg of longitude; the band [start, start + step) wraps a pole when it
+    holds +90 or 270 deg of unfolded phase."""
+    lon_low, lon_high = (float((config.raan_deg(h) + 180) % 360 - 180)
+                         for h in (plane, plane + 1))
+    start = row_start_deg(config, row, plane)
+    step = phase_step_deg(config)
+    pole_wrap = (90 - start) % 360 < step or (270 - start) % 360 < step
     return VnCellBounds(lon_low=lon_low, lon_high=lon_high,
-                        lat_low=lat_low, lat_high=lat_high, pole_wrap=pole_wrap)
+                        lat_low=float(fold_lat_deg(start)),
+                        lat_high=float(fold_lat_deg(start + step)), pole_wrap=pole_wrap)
 
 
 # -- satellite -> address mapping ---------------------------------------------
@@ -192,24 +191,19 @@ class GrdVariant(enum.Enum):
     INTER_PLANE = "inter_plane"   # cells served by the best satellite anywhere
 
 
-@dataclass(frozen=True, eq=False)
-class GrdGrid:
+def build_grd_grid(config: ConstellationConfig) -> np.ndarray:
     """Earth-fixed grid frozen from the t=0 ground projection of the cells.
 
-    ``anchors`` holds unit vectors (Earth-fixed frame) of each cell's anchor
-    point, the t=0 sub-point of the cell's along-track start, shaped
-    (n2, n1, 3).  At t=0 with the default epoch phase the satellite addressed
-    (v, h) sits at the zenith of anchor (v, h).
+    Returns the anchors, unit vectors (Earth-fixed frame) of the t=0
+    sub-point of each cell's along-track start, shaped (n2, n1, 3).  At t=0
+    with the default epoch phase the satellite addressed (v, h) sits at the
+    zenith of anchor (v, h).
     """
-    anchors: np.ndarray
-
-
-def build_grd_grid(config: ConstellationConfig) -> GrdGrid:
     n1, n2 = config.num_planes, config.sats_per_plane
     u = np.radians([[float(row_start_deg(config, v, h)) for h in range(1, n1 + 1)]
                     for v in range(1, n2 + 1)])
     raan = np.radians([float(config.raan_deg(h)) for h in range(1, n1 + 1)])
-    return GrdGrid(anchors=_orbit_unit_vectors(u, raan, config.inclination))
+    return _orbit_unit_vectors(u, raan, config.inclination)
 
 
 def _coverage_cos_limit(config: ConstellationConfig) -> float:
@@ -218,9 +212,10 @@ def _coverage_cos_limit(config: ConstellationConfig) -> float:
     return math.cos(math.acos(R_EARTH / config.orbit_radius))
 
 
-def grd_assignment(config: ConstellationConfig, grid: GrdGrid, t: float,
+def grd_assignment(config: ConstellationConfig, anchors: np.ndarray, t: float,
                    variant: GrdVariant) -> np.ndarray:
-    """Serving satellite of every frozen cell at time t.
+    """Serving satellite of every frozen cell (``build_grd_grid`` anchors) at
+    time t.
 
     Returns an int array (n2, n1): flat satellite index (plane-1)*n2 +
     (slot-1), or -1 where no eligible satellite is above the horizon.
@@ -239,10 +234,10 @@ def grd_assignment(config: ConstellationConfig, grid: GrdGrid, t: float,
     cell_planes = cells % n1
     if variant is GrdVariant.INTRA_ONLY:
         # (column, row, slot) blocks: each column's anchors against its own plane
-        blocks = np.matmul(grid.anchors.transpose(1, 0, 2), sub.reshape(n1, n2, 3).transpose(0, 2, 1))
+        blocks = np.matmul(anchors.transpose(1, 0, 2), sub.reshape(n1, n2, 3).transpose(0, 2, 1))
         own = blocks.transpose(1, 0, 2).reshape(-1, n2)
     else:
-        score = grid.anchors.reshape(-1, 3) @ sub.T    # (cells, sats)
+        score = anchors.reshape(-1, 3) @ sub.T    # (cells, sats)
         own = score.reshape(-1, n1, n2)[cells, cell_planes]   # the cell's own column
     own_slot = np.argmax(own, axis=1)
     own_top = own[cells, own_slot]
@@ -260,4 +255,3 @@ def grd_assignment(config: ConstellationConfig, grid: GrdGrid, t: float,
         best, top = own_best, own_top
     serving = np.where(top >= _coverage_cos_limit(config), best, -1)
     return serving.reshape(n2, n1)
-

@@ -73,41 +73,13 @@ class IslSnapshot:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class PhaseAnalysis:
-    """Phase-difference quantities of a Walker layout, exact degrees.
-
-    ``spread_deg[h-1]`` is the optimized row's phase difference at plane h,
-    mod(h-1, K)*delta_f (``division.spreads_deg``); ``bh_planes`` the
-    boundaries where c(h) steps, None when F > n1.
-    """
-    delta_f_deg: Fraction
-    k_ratio: Fraction | None
-    max_spread_conventional_deg: Fraction
-    max_spread_optimized_deg: Fraction
-    spread_deg: tuple[Fraction, ...]   # index h-1 -> optimized-row spread
-    bh_planes: frozenset[int] | None   # BH boundaries; None when F > n1
-
-
-def phase_analysis(config: ConstellationConfig) -> PhaseAnalysis:
-    """Phase spread of conventional vs optimized rows for a Walker layout.
-
-    Both the optimized spreads and the backward boundaries follow from the
-    integer count c(h) = floor((h-1)F/n1) of ``division.backward_links``.
-    """
-    n1, f = config.num_planes, config.phasing_factor
-    crossed = backward_links(n1, f)
-    spread = spreads_deg(config, crossed)
-    delta_f = config.phase_offset_deg
-    return PhaseAnalysis(
-        delta_f_deg=delta_f,
-        k_ratio=Fraction(n1, f) if f else None,
-        max_spread_conventional_deg=(n1 - 1) * delta_f,
-        max_spread_optimized_deg=max(spread),
-        spread_deg=spread,
-        bh_planes=(frozenset((np.flatnonzero(np.diff(crossed)) + 1).tolist())
-                   if f <= n1 else None),
-    )
+def bh_planes(config: ConstellationConfig) -> frozenset[int] | None:
+    """Plane boundaries h (between planes h and h+1) that carry the
+    optimized layout's backward links, where c(h) steps; None when F > n1."""
+    if config.phasing_factor > config.num_planes:
+        return None
+    crossed = backward_links(config.num_planes, config.phasing_factor)
+    return frozenset((np.flatnonzero(np.diff(crossed)) + 1).tolist())
 
 
 def _crossed(config: ConstellationConfig, mode: IslMode) -> np.ndarray:
@@ -255,50 +227,3 @@ def active_hisl_count(snapshot: IslSnapshot) -> int:
 def hisl_count(config: ConstellationConfig, mode: IslMode) -> int:
     """H-ISLs on during any dwell: n1-1 per row of ``active_row_set``."""
     return (config.num_planes - 1) * len(active_row_set(config, mode))
-
-
-def theorem1_bruteforce(num_planes: int, sats_per_plane: int,
-                        phasing_factor: int) -> tuple[Fraction, frozenset[int]]:
-    """Exhaustive minimum of the in-row phase spread over link layouts.
-
-    Tries every forward/backward assignment of the n1-1 plane boundaries,
-    keeps those with non-negative cumulative phase difference at every plane,
-    and returns (min over assignments of max spread, in exact degrees;
-    the backward boundary set achieving it).  Restricted to n1 <= 12 (2^(n1-1)
-    assignments) and F <= n1; the optimum is unique in that domain.
-    """
-    n1, n2, f = num_planes, sats_per_plane, phasing_factor
-    if n1 > 12:
-        raise ConfigError(f"brute-force oracle limited to num_planes <= 12, got {n1}")
-    if f == 0:
-        return Fraction(0), frozenset()
-    if f > n1:
-        raise ConfigError(f"oracle requires F <= n1 (K >= 1), got F = {f}")
-    # integer walk in units of delta_f / F = 360/(n1*n2) degrees
-    fh_step, bh_step = f, f - n1
-    best_max = None
-    best_masks: list[int] = []
-    for mask in range(1 << (n1 - 1)):
-        level = 0
-        peak = 0
-        feasible = True
-        for boundary in range(n1 - 1):
-            level += bh_step if mask >> boundary & 1 else fh_step
-            if level < 0:
-                feasible = False
-                break
-            peak = max(peak, level)
-        if not feasible:
-            continue
-        if best_max is None or peak < best_max:
-            best_max, best_masks = peak, [mask]
-        elif peak == best_max:
-            best_masks.append(mask)
-    assert best_max is not None  # all-forward is always feasible
-    mask = best_masks[0]
-    bh_set = frozenset(b + 1 for b in range(n1 - 1) if mask >> b & 1)
-    if len(best_masks) > 1:
-        raise AssertionError(
-            f"expected a unique optimal layout, found {len(best_masks)} for "
-            f"n1={n1}, F={f}")
-    return Fraction(360 * best_max, n1 * n2), bh_set

@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra as csgraph_dijkstra
 
 from . import analysis, division, isl, virtualgraph
-from .constellation import SIDEREAL_DAY, ConstellationConfig
+from .constellation import SIDEREAL_DAY, ConfigError, ConstellationConfig
 from .flow import MinCostMaxFlow
 from .isl import IslMode
 
@@ -192,6 +192,62 @@ def check_count_trends() -> CheckResult:
     return result
 
 
+def theorem1_bruteforce(num_planes: int, sats_per_plane: int,
+                        phasing_factor: int) -> tuple[Fraction, frozenset[int]]:
+    """Exhaustive minimum of the in-row phase spread over link layouts.
+
+    Tries every forward/backward assignment of the n1-1 plane boundaries,
+    keeps those with non-negative cumulative phase difference at every plane,
+    and returns (min over assignments of max spread, in exact degrees;
+    the backward boundary set achieving it).  Restricted to n1 <= 12 (2^(n1-1)
+    assignments) and F <= n1; the optimum is unique in that domain.
+    """
+    n1, n2, f = num_planes, sats_per_plane, phasing_factor
+    if n1 > 12:
+        raise ConfigError(f"brute-force oracle limited to num_planes <= 12, got {n1}")
+    if f == 0:
+        return Fraction(0), frozenset()
+    if f > n1:
+        raise ConfigError(f"oracle requires F <= n1 (K >= 1), got F = {f}")
+    # integer walk in units of delta_f / F = 360/(n1*n2) degrees
+    fh_step, bh_step = f, f - n1
+    best_max = None
+    best_masks: list[int] = []
+    for mask in range(1 << (n1 - 1)):
+        level = 0
+        peak = 0
+        feasible = True
+        for boundary in range(n1 - 1):
+            level += bh_step if mask >> boundary & 1 else fh_step
+            if level < 0:
+                feasible = False
+                break
+            peak = max(peak, level)
+        if not feasible:
+            continue
+        if best_max is None or peak < best_max:
+            best_max, best_masks = peak, [mask]
+        elif peak == best_max:
+            best_masks.append(mask)
+    assert best_max is not None  # all-forward is always feasible
+    mask = best_masks[0]
+    bh_set = frozenset(b + 1 for b in range(n1 - 1) if mask >> b & 1)
+    if len(best_masks) > 1:
+        raise AssertionError(
+            f"expected a unique optimal layout, found {len(best_masks)} for "
+            f"n1={n1}, F={f}")
+    return Fraction(360 * best_max, n1 * n2), bh_set
+
+
+def theorem1_layouts(config: ConstellationConfig):
+    """Theorem 1's optimized layout and the exhaustive optimum, each as (max
+    in-row spread in exact degrees, backward boundary set): the comparison
+    that ``check_theorem1`` and ``leovn theorem1-check`` report."""
+    analytic = max(division.cell_shifts_deg(config)), isl.bh_planes(config)
+    return analytic, theorem1_bruteforce(config.num_planes, config.sats_per_plane,
+                                         config.phasing_factor)
+
+
 def check_theorem1() -> CheckResult:
     """Brute-force optimal layouts agree with the closed-form analysis."""
     n1_grid = (4, 6, 9, 12)
@@ -202,34 +258,34 @@ def check_theorem1() -> CheckResult:
     for n1 in n1_grid:
         for n2 in (24, 36):
             for f in range(1, min(n1, n2 - 1) + 1):
-                pa = isl.phase_analysis(ConstellationConfig(
-                    num_planes=n1, sats_per_plane=n2, phasing_factor=f))
-                brute_min, brute_set = isl.theorem1_bruteforce(n1, n2, f)
-                if brute_min != pa.max_spread_optimized_deg:
+                cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f)
+                (spread, layout), (brute_min, brute_set) = theorem1_layouts(cfg)
+                if brute_min != spread:
                     result.fail(f"n1={n1} n2={n2} F={f}: brute {brute_min} != "
-                                f"analytic {pa.max_spread_optimized_deg}")
-                if brute_set != pa.bh_planes:
+                                f"analytic {spread}")
+                if brute_set != layout:
                     result.fail(f"n1={n1} n2={n2} F={f}: layout {sorted(brute_set)} != "
-                                f"{sorted(pa.bh_planes)}")
-                if pa.k_ratio.denominator == 1:
-                    expect = (pa.k_ratio - 1) * pa.delta_f_deg
-                    if brute_min != expect:
-                        result.fail(f"n1={n1} n2={n2} F={f}: integer-K minimum "
-                                    f"{brute_min} != {expect}")
-                if pa.max_spread_optimized_deg > pa.max_spread_conventional_deg:
+                                f"{sorted(layout)}")
+                delta_f, k = cfg.phase_offset_deg, Fraction(n1, f)
+                if k.denominator == 1 and brute_min != (k - 1) * delta_f:
+                    result.fail(f"n1={n1} n2={n2} F={f}: integer-K minimum "
+                                f"{brute_min} != {(k - 1) * delta_f}")
+                if spread > (n1 - 1) * delta_f:
                     result.fail(f"n1={n1} n2={n2} F={f}: optimized spread exceeds "
                                 f"conventional")
-                unit = pa.delta_f_deg / f
-                if any((s / unit).denominator != 1 or s < 0 for s in pa.spread_deg):
+                unit = delta_f / f
+                if any((s / unit).denominator != 1 or s < 0
+                       for s in division.cell_shifts_deg(cfg)):
                     result.fail(f"n1={n1} n2={n2} F={f}: spread not a non-negative "
                                 f"multiple of delta_f/F")
     return result
 
 
-def is_connected(graph: virtualgraph.VirtualGraph) -> bool:
-    """Whether the virtual graph is one connected component."""
-    lo, hi, _ = virtualgraph._split_keys(graph.edges, graph.num_cells)
-    adj = csr_matrix((np.ones(len(lo)), (lo, hi)), shape=(graph.num_cells,) * 2)
+def is_connected(keys: np.ndarray, num_cells: int) -> bool:
+    """Whether the virtual graph with these edge keys is one connected
+    component."""
+    lo, hi, _ = virtualgraph._split_keys(keys, num_cells)
+    adj = csr_matrix((np.ones(len(lo)), (lo, hi)), shape=(num_cells,) * 2)
     return connected_components(adj, directed=False, return_labels=False) == 1
 
 
@@ -249,14 +305,14 @@ def check_csd_staticness() -> CheckResult:
         if rep.event_count != 0:
             result.fail(f"CSD F={f}: {rep.event_count} events, expected 0")
         static = virtualgraph.static_graph_for(cfg, IslMode.OPTIMIZED)
-        if not is_connected(static):
+        if not is_connected(static, cfg.total_sats):
             result.fail(f"CSD F={f}: static virtual graph is not connected")
         epochs = division.switching_epochs(cfg, cfg.sats_per_plane + 1)
         mids = [(a + b) / 2 for a, b in itertools.pairwise(epochs)]
         for t in epochs[:-1] + mids:
             instance, _, _ = virtualgraph.method_instance(
                 cfg, virtualgraph.VnMethod.CSD, IslMode.OPTIMIZED, t, None)
-            if not np.array_equal(instance, static.edges):
+            if not np.array_equal(instance, static):
                 result.fail(f"CSD F={f} t={t:.3f}: instance != static virtual graph")
                 break
     return result
@@ -436,4 +492,3 @@ SUITES = {
 }
 SUITES["all"] = tuple(itertools.chain.from_iterable(
     SUITES[name] for name in ("division", "counts", "theorem1", "staticness", "flow")))
-

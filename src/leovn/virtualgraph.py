@@ -20,10 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angles import snapped_floor
 from .constellation import OMEGA_EARTH, ConfigError, ConstellationConfig, phases_deg
 from .division import (
-    GrdGrid,
+    CELL_SNAP,
     GrdVariant,
     build_grd_grid,
     csd_rows_all,
@@ -58,13 +57,6 @@ class EventCause(enum.IntEnum):
 class EventChange(enum.IntEnum):
     ADDED = 0
     REMOVED = 1
-
-
-@dataclass(frozen=True, eq=False)
-class VirtualGraph:
-    """Virtual edges as sorted unique int64 keys (see ``_edge_keys``)."""
-    num_cells: int
-    edges: np.ndarray
 
 
 @dataclass
@@ -108,17 +100,16 @@ def edge_addresses(keys: np.ndarray, num_planes: int, num_cells: int):
     return lo_row + 1, lo_plane + 1, hi_row + 1, hi_plane + 1, kind
 
 
-def build_static_graph(num_planes: int, sats_per_plane: int,
-                       active_rows) -> VirtualGraph:
-    """The static virtual graph: V-link rings plus H-links on the active rows
-    (1-based row indices)."""
-    n1, n2 = num_planes, sats_per_plane
+def static_graph_for(config: ConstellationConfig, mode: IslMode) -> np.ndarray:
+    """The static virtual graph as sorted unique edge keys: V-link rings plus
+    H-links on the mode's active rows (``isl.active_row_set``)."""
+    n1, n2 = config.num_planes, config.sats_per_plane
     cells = np.arange(n1 * n2).reshape(n2, n1)      # flat cell (row-1)*n1 + plane-1
-    h_rows = np.isin(np.arange(1, n2 + 1), list(active_rows))
+    h_rows = np.isin(np.arange(1, n2 + 1), list(active_row_set(config, mode)))
     edges = np.concatenate([
         _edge_keys(cells, np.roll(cells, -1, axis=0), IslKind.V_ISL, cells.size).ravel(),
         _edge_keys(cells[h_rows, :-1], cells[h_rows, 1:], IslKind.H_ISL, cells.size).ravel()])
-    return VirtualGraph(num_cells=cells.size, edges=np.unique(edges))
+    return np.unique(edges)
 
 
 # -- addressing and mapping -----------------------------------------------------
@@ -170,13 +161,14 @@ def seam_columns(config: ConstellationConfig, t: float) -> int:
     col_width = 180.0 / n1
     seam_ground_deg = config.raan0_deg + 180.0 - math.degrees(OMEGA_EARTH * t)
     rel = (seam_ground_deg - config.raan0_deg) % 180.0
-    return 1 + snapped_floor(rel / col_width) % n1
+    # snapped like the CSD rows: a seam exactly on a boundary is in the upper column
+    return 1 + math.floor(rel / col_width + CELL_SNAP) % n1
 
 
 # -- instances per method ------------------------------------------------------
 
 def method_instance(config: ConstellationConfig, method: VnMethod, mode: IslMode,
-                    t: float, grid: GrdGrid | None):
+                    t: float, anchors: np.ndarray | None):
     """(instance keys, cell -> satellite array, conflicts) at one sample time.
 
     CSD uses the row-synchronized shut-off and its own (bijective)
@@ -190,7 +182,7 @@ def method_instance(config: ConstellationConfig, method: VnMethod, mode: IslMode
         serving = csd_addressing(config, t)
     else:
         variant = GrdVariant.INTRA_ONLY if method is VnMethod.GRD1 else GrdVariant.INTER_PLANE
-        serving = grd_assignment(config, grid, t, variant)
+        serving = grd_assignment(config, anchors, t, variant)
         snapshot = snapshot_edges(config, mode, t, ShutoffRule.PER_SATELLITE)
     cells_per_sat = np.bincount(serving[serving >= 0], minlength=serving.size)
     conflicts = int(np.count_nonzero(cells_per_sat > 1))
@@ -255,7 +247,7 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
         raise ConfigError(f"samples must be >= 2, got {samples}")
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ConfigError(f"duration_s must be finite and > 0, got {duration_s}")
-    grid = build_grd_grid(config) if method is not VnMethod.CSD else None
+    anchors = build_grd_grid(config) if method is not VnMethod.CSD else None
     times = sample_times(config, duration_s, samples)
 
     lats_at = lru_cache(maxsize=1)(lambda i: _lats_all(config, times[i]))
@@ -269,7 +261,7 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
 
     prev = None
     for i, t in enumerate(times):
-        instance, serving, conflicts = method_instance(config, method, mode, t, grid)
+        instance, serving, conflicts = method_instance(config, method, mode, t, anchors)
         conflicts_total += conflicts
         if method is VnMethod.GRD2:
             seam_history.append((t, seam_columns(config, t)))
@@ -294,9 +286,3 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
         event_count=len(events), events_by_cause=by_cause,
         seam_column_history=seam_history, times=times, events=events,
         mapping_conflicts=conflicts_total)
-
-
-def static_graph_for(config: ConstellationConfig, mode: IslMode) -> VirtualGraph:
-    """Static virtual graph with the mode's active rows."""
-    return build_static_graph(config.num_planes, config.sats_per_plane,
-                              active_row_set(config, mode))

@@ -16,10 +16,10 @@ def initial_phase_deg(cfg, plane: int, slot: int) -> Fraction:
             + (plane - 1) * cfg.phase_offset_deg)
 
 
-def edge_count(graph, kind) -> int:
-    """Virtual edges of one ``IslKind`` in a ``VirtualGraph`` (the kind is the
-    low bit of each edge key)."""
-    return int(np.count_nonzero(graph.edges % 2 == kind))
+def edge_count(keys, kind) -> int:
+    """Virtual edges of one ``IslKind`` among edge keys (the kind is the low
+    bit of each key)."""
+    return int(np.count_nonzero(keys % 2 == kind))
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -9,7 +10,7 @@ import pytest
 import leovn.isl
 from leovn.cli import KIND_LETTERS, _build_config, build_parser, main
 from leovn.constellation import ConstellationConfig
-from leovn.isl import IslMode, phase_analysis
+from leovn.isl import IslMode, bh_planes
 from leovn.virtualgraph import (
     EventCause,
     EventChange,
@@ -81,6 +82,22 @@ class TestDivide:
         assert len(manifest["config_digest"]) == 64
         assert manifest["version"]
 
+    def test_manifest_records_the_parsed_argv(self, tmp_path):
+        # the argv main() was given, not the interpreter's (pytest's) sys.argv
+        argv = ["divide", "--n1", "6", "--n2", "12", "--out", str(tmp_path / "division.csv")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "division.csv.manifest.json").read_text())
+        assert manifest["argv"] == argv
+        assert list(manifest) == ["config_digest", "seed", "subcommand", "argv", "version",
+                                  "started", "finished"]
+        assert manifest["started"] <= manifest["finished"]
+
+    def test_out_into_missing_directory(self, tmp_path):
+        out = tmp_path / "new" / "dir" / "division.csv"
+        assert main(["divide", "--n1", "6", "--n2", "12", "--out", str(out)]) == 0
+        assert len(read_division_csv(out)) == 72
+        assert out.with_name("division.csv.manifest.json").is_file()
+
     def test_config_file_input(self, tmp_path):
         cfg_file = tmp_path / "walker.cfg"
         cfg_file.write_text("n1 = 6\nn2 = 12\nF = 2\npolar_threshold_deg = 70\n")
@@ -110,7 +127,7 @@ class TestSnapshot:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f)
-        bh = phase_analysis(cfg).bh_planes if mode == "optimized" else frozenset()
+        bh = bh_planes(cfg) if mode == "optimized" else frozenset()
         assert {r["direction"] for r in rows if r["kind"] == "V"} == {"NONE"}
         h_rows = [r for r in rows if r["kind"] == "H"]
         assert len(h_rows) == (n1 - 1) * n2
@@ -390,6 +407,56 @@ class TestVerifyCommand:
         assert "hisl_count" in line["detail"]
 
 
+TINY = ["--n1", "3", "--n2", "6"]
+DATA_COMMANDS = {
+    "divide": [],
+    "snapshot": ["--t-seconds", "10"],
+    "staticness": ["--method", "grd2", "--duration-s", "600", "--samples", "3"],
+    "sweep-hisl": ["--f-max", "1"],
+    "throughput": ["--f-max", "1", "--snapshots", "1"],
+    "latency": ["--f-max", "1", "--snapshots", "1", "--pairs", "5", "--seed", "1"],
+}
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records which attributes are read."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_reads", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestOptions:
+    @pytest.mark.parametrize("name", sorted(DATA_COMMANDS))
+    def test_every_option_is_read(self, tmp_path, name):
+        # an option the subcommand parses but never reads is a silent no-op
+        parser = build_parser()
+        subparser = next(a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)).choices[name]
+        options = {a.dest for a in subparser._actions if a.option_strings and a.dest != "help"}
+        args = parser.parse_args([name, *TINY, *DATA_COMMANDS[name],
+                                  "--out", str(tmp_path / "out")], namespace=ReadRecorder())
+        args.__dict__["_reads"] = set()
+        args.func(args)
+        assert options - args.__dict__["_reads"] == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["staticness", "--method", "csd", "--duration-s", "600", "--format", "csv"],
+        ["sweep-hisl", "--f", "2"],
+        ["throughput", "--f", "2"],
+        ["latency", "--seed", "1", "--f", "2"],
+    ])
+    def test_ignored_flags_are_gone(self, tmp_path, capsys, argv):
+        # the sweeps' --f is now an ambiguous prefix of --f-min/--f-max/--format
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *TINY, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "ambiguous option: --f " in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestErrorPaths:
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -421,6 +488,17 @@ class TestErrorPaths:
         out = tmp_path / "out.csv"
         assert main(argv + ["--n1", "6", "--n2", "12", "--out", str(out)]) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["snapshot", "--t-seconds", "nan"], "t_seconds must be finite"),
+        (["snapshot", "--t-seconds", "inf"], "t_seconds must be finite"),
+        (["sweep-hisl", "--f-min", "5", "--f-max", "2"], "f_max must be >= f_min"),
+    ])
+    def test_bad_range_exits_2(self, tmp_path, capsys, argv, fragment):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--n1", "6", "--n2", "12", "--out", str(out)]) == 2
+        assert fragment in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_period_exits_2(self, tmp_path, capsys):

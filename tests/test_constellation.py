@@ -19,7 +19,6 @@ from leovn.constellation import (
 )
 from leovn.cli import _build_config, build_parser
 from leovn.division import (
-    GrdGrid,
     GrdVariant,
     build_grd_grid,
     csd_rows_all,
@@ -264,8 +263,8 @@ class TestElevation:
     @staticmethod
     def column1_servers(anchor):
         cfg = make_config(num_planes=2, sats_per_plane=3, phase0_deg=0.0)
-        grid = GrdGrid(anchors=np.broadcast_to(anchor, (3, 2, 3)))
-        return grd_assignment(cfg, grid, 0.0, GrdVariant.INTRA_ONLY)[:, 0].tolist()
+        anchors = np.broadcast_to(anchor, (3, 2, 3))
+        return grd_assignment(cfg, anchors, 0.0, GrdVariant.INTRA_ONLY)[:, 0].tolist()
 
     def test_zenith(self):
         # t=0, default epoch: every satellite sits at the zenith of its own anchor
@@ -274,7 +273,7 @@ class TestElevation:
         _, _, lats, lons = propagate_all(cfg, 0.0)
         sub = np.stack([np.cos(lats) * np.cos(lons), np.cos(lats) * np.sin(lons),
                         np.sin(lats)], axis=1)
-        assert float(grid.anchors[0, 0] @ sub[0]) == pytest.approx(1.0, abs=1e-12)
+        assert float(grid[0, 0] @ sub[0]) == pytest.approx(1.0, abs=1e-12)
         assert grd_assignment(cfg, grid, 0.0, GrdVariant.INTRA_ONLY)[0, 0] == 0
 
     def test_antipode_below_horizon(self):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leovn.angles import fold_lat_deg
 from leovn.cli import main
 from leovn.constellation import (
     R_EARTH,
@@ -21,13 +20,12 @@ from leovn.division import (
     cell_bounds,
     cell_shifts_deg,
     csd_rows_all,
+    fold_lat_deg,
     grd_assignment,
     grd_switch_interval,
     phase_step_deg,
     row_start_deg,
     switching_epochs,
-    vn_latitude_range,
-    vn_longitude_range,
 )
 from leovn.isl import IslMode, active_row_set
 from leovn.verify import boundaries_by_scan, rows_by_scan
@@ -42,39 +40,51 @@ def make_config(**kw):
     return ConstellationConfig(**base)
 
 
+def lon_range(config, plane):
+    cell = cell_bounds(config, 1, plane)
+    return cell.lon_low, cell.lon_high
+
+
+def lat_range(config, row, plane):
+    cell = cell_bounds(config, row, plane)
+    return cell.lat_low, cell.lat_high, cell.pole_wrap
+
+
 class TestLongitudeRange:
+    # 18 planes: columns 10 deg wide
     def test_first_cell_at_origin(self):
-        assert vn_longitude_range(1, 0, 10) == (0.0, 10.0)
+        assert lon_range(make_config(), 1) == (0.0, 10.0)
 
     def test_antimeridian_wraparound(self):
-        assert vn_longitude_range(18, 0, 10) == (170.0, -180.0)
+        assert lon_range(make_config(), 18) == (170.0, -180.0)
 
     def test_offset_origin(self):
-        assert vn_longitude_range(10, 5, 10) == (95.0, 105.0)
+        assert lon_range(make_config(raan0_deg=5.0), 10) == (95.0, 105.0)
 
-    @given(h=st.integers(1, 64), lon0=st.integers(-720, 720), n1=st.integers(2, 64))
-    def test_outputs_always_normalized(self, h, lon0, n1):
-        lo, hi = vn_longitude_range(h, lon0, Fraction(180, n1))
+    @given(lon0=st.integers(-720, 720), n1=st.integers(2, 64), data=st.data())
+    def test_outputs_always_normalized(self, lon0, n1, data):
+        h = data.draw(st.integers(1, n1))
+        lo, hi = lon_range(make_config(num_planes=n1, raan0_deg=lon0), h)
         assert -180 <= lo < 180 and -180 <= hi < 180
 
 
 class TestLatitudeRange:
     def test_first_band_ascending(self):
-        assert vn_latitude_range(make_config(), 1, 1) == (-70.0, -60.0, False)
+        assert lat_range(make_config(), 1, 1) == (-70.0, -60.0, False)
 
     def test_band_over_the_pole_descends(self):
-        lo, hi, wrap = vn_latitude_range(make_config(), 17, 1)
+        lo, hi, wrap = lat_range(make_config(), 17, 1)
         assert (lo, hi) == (90.0, 80.0)
         assert wrap  # band [90, 100) holds the pole crossing
 
     def test_band_just_below_pole_not_wrapped(self):
-        assert vn_latitude_range(make_config(), 16, 1) == (80.0, 90.0, False)
+        assert lat_range(make_config(), 16, 1) == (80.0, 90.0, False)
 
     def test_phased_offset_shifts_band(self):
         # n1=4, F=2: K=2, delta_f=5 deg, so plane 2's grid sits 5 deg further
         # along track
         cfg = make_config(num_planes=4, phasing_factor=2)
-        assert vn_latitude_range(cfg, 1, 2) == (-65.0, -55.0, False)
+        assert lat_range(cfg, 1, 2) == (-65.0, -55.0, False)
 
     @given(theta=st.fractions(min_value=-1000, max_value=1000))
     def test_fold_stays_in_latitude_range(self, theta):
@@ -280,7 +290,7 @@ def grd_assignment_oracle(config, grid, t, variant):
     """Serving arrays from the full cells x satellites score matrix, the
     own-plane scores read back out of it (the earlier implementation)."""
     n1, n2 = config.num_planes, config.sats_per_plane
-    score = grid.anchors.reshape(-1, 3) @ sub_points(config, t).T
+    score = grid.reshape(-1, 3) @ sub_points(config, t).T
     cells = np.arange(len(score))
     cell_planes = cells % n1
     own = score.reshape(-1, n1, n2)[cells, cell_planes]
@@ -319,9 +329,9 @@ class TestGrdAssignmentOracle:
         n1, n2 = cfg.num_planes, cfg.sats_per_plane
         grid = build_grd_grid(cfg)
         sub = sub_points(cfg, t)
-        blocks = np.matmul(grid.anchors.transpose(1, 0, 2),
+        blocks = np.matmul(grid.transpose(1, 0, 2),
                            sub.reshape(n1, n2, 3).transpose(0, 2, 1))
-        full = (grid.anchors.reshape(-1, 3) @ sub.T).reshape(n2, n1, n1, n2)
+        full = (grid.reshape(-1, 3) @ sub.T).reshape(n2, n1, n1, n2)
         planes = np.arange(n1)
         assert np.array_equal(blocks, full[:, planes, planes].transpose(1, 0, 2))
 
@@ -400,6 +410,6 @@ class TestCellBounds:
         # origin not aligned with the pole: exactly one band strictly
         # contains +90
         cfg = make_config(polar_threshold_deg=64.0)
-        wraps = [vn_latitude_range(cfg, v, 1)[2] for v in range(1, 37)]
+        wraps = [cell_bounds(cfg, v, 1).pole_wrap for v in range(1, 37)]
         assert sum(wraps) == 2  # one north, one south crossing
         assert wraps[15]  # band [86, 96) holds the north pole

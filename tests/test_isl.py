@@ -6,22 +6,21 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from leovn.constellation import ConfigError, ConstellationConfig
-from leovn.division import switching_epochs
+from leovn.division import cell_shifts_deg, switching_epochs
 from leovn.isl import (
     IslKind,
     IslMode,
     ShutoffRule,
     active_hisl_count,
     active_row_set,
+    bh_planes,
     hisl_count,
-    phase_analysis,
     polar_cap_phase_spans,
     row_chains,
     row_spreads_deg,
     snapshot_edges,
-    theorem1_bruteforce,
 )
-from leovn.verify import boundaries_by_scan, rows_by_scan
+from leovn.verify import boundaries_by_scan, rows_by_scan, theorem1_bruteforce
 
 from helpers import configs, initial_phase_deg
 
@@ -42,32 +41,34 @@ def east_neighbor(rows, plane, slot, n2=36):
     return sat_id(rows[r, plane], n2) if plane < rows.shape[1] else None
 
 
+def max_spreads(cfg):
+    """(delta_f, max conventional row spread, max optimized row spread)."""
+    return (cfg.phase_offset_deg, max(row_spreads_deg(cfg, IslMode.CONVENTIONAL)),
+            max(cell_shifts_deg(cfg)))
+
+
 class TestPhaseAnalysis:
     def test_zero_phasing_all_quantities_zero(self):
-        pa = phase_analysis(make_config(F=0))
-        assert pa.delta_f_deg == 0
-        assert pa.max_spread_conventional_deg == 0
-        assert pa.max_spread_optimized_deg == 0
-        assert pa.k_ratio is None
-        assert pa.bh_planes == frozenset()
+        cfg = make_config(F=0)
+        assert max_spreads(cfg) == (0, 0, 0)
+        assert max(row_spreads_deg(cfg, IslMode.OPTIMIZED)) == 0
+        assert bh_planes(cfg) == frozenset()
 
     def test_f2_k9(self):
-        pa = phase_analysis(make_config(F=2))
-        assert pa.k_ratio == 9
-        assert pa.delta_f_deg == Fraction(360 * 2, 648)
-        assert pa.max_spread_optimized_deg == 8 * pa.delta_f_deg
-        assert pa.max_spread_conventional_deg == 17 * pa.delta_f_deg
+        delta_f, conventional, optimized = max_spreads(make_config(F=2))
+        assert delta_f == Fraction(360 * 2, 648)
+        assert optimized == (9 - 1) * delta_f
+        assert conventional == 17 * delta_f
 
     def test_fractional_k_spread(self):
         # F=5: K=3.6, max of mod(h-1, 3.6) over h-1 in 0..17 is 3.4
-        pa = phase_analysis(make_config(F=5))
-        assert pa.k_ratio == Fraction(18, 5)
-        assert pa.max_spread_optimized_deg == Fraction(17, 5) * pa.delta_f_deg
+        delta_f, _, optimized = max_spreads(make_config(F=5))
+        assert optimized == Fraction(17, 5) * delta_f
 
     @pytest.mark.parametrize("n1,n2,f", [(18, 36, 2), (18, 36, 5), (12, 24, 7), (6, 12, 4)])
     def test_backward_links_before_each_plane(self, n1, n2, f):
         # c(h) = floor((h-1)F/n1) backward links lie before plane h
-        bh = phase_analysis(make_config(n1=n1, n2=n2, F=f)).bh_planes
+        bh = bh_planes(make_config(n1=n1, n2=n2, F=f))
         for h in range(1, n1 + 1):
             assert len([b for b in bh if b < h]) == ((h - 1) * f) // n1
 
@@ -81,10 +82,10 @@ class TestBhPlanes:
         (6, 4, {2, 3, 5}),             # K = 3/2
     ])
     def test_expected_bh_sets(self, n1, f, expect):
-        assert phase_analysis(make_config(n1=n1, F=f)).bh_planes == expect
+        assert bh_planes(make_config(n1=n1, F=f)) == expect
 
     def test_k_below_one_rejected(self):
-        assert phase_analysis(make_config(n1=6, F=12)).bh_planes is None
+        assert bh_planes(make_config(n1=6, F=12)) is None
         with pytest.raises(ConfigError, match="optimized layout requires F <= n1"):
             snapshot_edges(make_config(n1=6, F=12), IslMode.OPTIMIZED, 0.0)
 
@@ -107,7 +108,7 @@ class TestLayoutProperties:
         slot_step = (rows[:, 1:] - rows[:, :-1] - n2) % n2
         assert set(slot_step.ravel().tolist()) <= {0, n2 - 1}
         down = np.flatnonzero(slot_step[0] == n2 - 1) + 1
-        assert set(down.tolist()) == phase_analysis(cfg).bh_planes
+        assert set(down.tolist()) == bh_planes(cfg)
         assert (slot_step == slot_step[0]).all()
         # the scan's domain: a polar orbit whose caps are not empty; with
         # F <= n1 the member windows of a row leave no gap a cap fits in
@@ -138,13 +139,12 @@ class TestHNeighbor:
         # K=3 (F=6): boundary 3 is backward; the partner one slot down is the
         # neighbor sitting step - delta_f behind, which zeroes the row spread
         cfg = make_config(F=6)
-        pa = phase_analysis(cfg)
         partner = east_neighbor(row_chains(cfg, IslMode.OPTIMIZED), 3, 7)
         assert partner == (4, 6)
         u3 = initial_phase_deg(cfg, 3, 7)
         u4 = initial_phase_deg(cfg, *partner)
         u1 = initial_phase_deg(cfg, 1, 7)
-        assert u4 - u3 == pa.delta_f_deg - Fraction(10)   # behind by step - delta_f
+        assert u4 - u3 == cfg.phase_offset_deg - Fraction(10)   # behind by step - delta_f
         assert u4 - u1 == 0                               # row spread resets to zero
 
     def test_west_mirrors_east(self):
@@ -177,8 +177,7 @@ class TestRowChains:
 
     def test_optimized_spread_caps_at_analysis_value(self):
         cfg = make_config(F=5)
-        pa = phase_analysis(cfg)
-        assert max(row_spreads_deg(cfg, IslMode.OPTIMIZED)) == pa.max_spread_optimized_deg
+        assert max(row_spreads_deg(cfg, IslMode.OPTIMIZED)) == max(cell_shifts_deg(cfg))
 
 
 class TestSnapshotEdges:
@@ -336,15 +335,15 @@ class TestTheorem1:
 
     def test_integer_k_matches_closed_form(self):
         spread, layout = theorem1_bruteforce(9, 18, 3)
-        pa = phase_analysis(make_config(n1=9, n2=18, F=3))
-        assert spread == (pa.k_ratio - 1) * pa.delta_f_deg
-        assert layout == pa.bh_planes
+        cfg = make_config(n1=9, n2=18, F=3)
+        assert spread == (Fraction(9, 3) - 1) * cfg.phase_offset_deg
+        assert layout == bh_planes(cfg)
 
     def test_spreads_are_multiples_of_base_unit(self):
         for n1, n2, f in ((6, 12, 4), (9, 18, 5), (12, 24, 7)):
-            pa = phase_analysis(make_config(n1=n1, n2=n2, F=f))
-            unit = pa.delta_f_deg / f
-            for s in pa.spread_deg:
+            cfg = make_config(n1=n1, n2=n2, F=f)
+            unit = cfg.phase_offset_deg / f
+            for s in cell_shifts_deg(cfg):
                 assert s >= 0 and (s / unit).denominator == 1
 
     def test_size_guard(self):

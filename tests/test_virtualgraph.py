@@ -23,7 +23,6 @@ from leovn.virtualgraph import (
     VnMethod,
     _lats_all,
     _missing,
-    build_static_graph,
     csd_addressing,
     edge_addresses,
     event_causes,
@@ -49,25 +48,31 @@ def make_config(F=0, polar=70.0):
 
 class TestStaticGraph:
     def test_reference_edge_counts(self):
-        g = build_static_graph(18, 36, PAPER_ROWS)
-        assert edge_count(g, IslKind.V_ISL) == 648
-        assert edge_count(g, IslKind.H_ISL) == 476
-        assert g.num_cells == 648
-        assert np.array_equal(static_graph_for(make_config(), IslMode.CONVENTIONAL).edges,
-                              g.edges)
+        keys = static_graph_for(make_config(), IslMode.CONVENTIONAL)
+        assert edge_count(keys, IslKind.V_ISL) == 648
+        assert edge_count(keys, IslKind.H_ISL) == 476
+        # every key decodes to cells of the 648-cell grid, H-links on PAPER_ROWS
+        a_v, a_h, b_v, b_h, kind = edge_addresses(keys, 18, 648)
+        assert a_v.min() >= 1 and max(a_v.max(), b_v.max()) <= 36
+        assert a_h.min() >= 1 and max(a_h.max(), b_h.max()) <= 18
+        assert set(a_v[kind == IslKind.H_ISL].tolist()) == PAPER_ROWS
 
     def test_tiny_graph_without_equatorial_rows(self):
-        g = build_static_graph(2, 4, frozenset())
-        assert edge_count(g, IslKind.H_ISL) == 0
-        assert edge_count(g, IslKind.V_ISL) == 8
+        # 2x4 at polar 20: every 90-deg row meets a 140-deg cap
+        cfg = ConstellationConfig(num_planes=2, sats_per_plane=4, polar_threshold_deg=20.0)
+        keys = static_graph_for(cfg, IslMode.CONVENTIONAL)
+        assert edge_count(keys, IslKind.H_ISL) == 0
+        assert edge_count(keys, IslKind.V_ISL) == 8
 
     def test_connected_when_h_links_exist(self):
-        g = build_static_graph(18, 36, PAPER_ROWS)
-        assert is_connected(g)
+        assert is_connected(static_graph_for(make_config(), IslMode.CONVENTIONAL), 648)
 
     def test_disconnected_without_h_links(self):
-        g = build_static_graph(3, 6, frozenset())
-        assert not is_connected(g)
+        # 3x6 at polar 20: no 60-deg row fits between the 140-deg caps
+        cfg = ConstellationConfig(num_planes=3, sats_per_plane=6, polar_threshold_deg=20.0)
+        keys = static_graph_for(cfg, IslMode.CONVENTIONAL)
+        assert edge_count(keys, IslKind.H_ISL) == 0
+        assert not is_connected(keys, 18)
 
 
 def test_import_loads_no_scipy():
@@ -90,7 +95,7 @@ class TestMapping:
             static = static_graph_for(cfg, mode)
             for t in switching_epochs(cfg, 2) + [137.0, cfg.period * 0.4]:
                 instance, _, _ = method_instance(cfg, VnMethod.CSD, mode, t, None)
-                assert np.array_equal(instance, static.edges)
+                assert np.array_equal(instance, static)
 
     def test_csd_addressing_is_bijective(self):
         cfg = make_config(F=2)
@@ -300,7 +305,7 @@ class TestStaticnessReport:
         assert rep.event_count == 0
         instance, _, _ = method_instance(cfg, VnMethod.CSD, IslMode.CONVENTIONAL,
                                          0.0, None)
-        assert not np.array_equal(instance, static_graph_for(cfg, IslMode.CONVENTIONAL).edges)
+        assert not np.array_equal(instance, static_graph_for(cfg, IslMode.CONVENTIONAL))
 
     def test_grd2_seam_history_and_drift_events(self):
         cfg = make_config()
