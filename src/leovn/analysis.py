@@ -22,7 +22,9 @@ from .isl import (
     IslKind,
     IslMode,
     IslSnapshot,
+    active_row_set,
     hisl_count,
+    row_chains,
     snapshot_edges,
 )
 
@@ -134,25 +136,31 @@ def shortest_path_delays(snapshot: WeightedNetSnapshot,
     slot s of plane p.  It is a strided view of the slot-major (n2, n1,
     sources) working array, not a copy; unreachable entries are +inf.
     Label correcting over all sources at once on the constellation grid: a
-    ring pass relaxes every V-ISL ring and a row pass every H-ISL boundary,
+    ring pass relaxes the V-ISL rings and a row pass every H-ISL boundary,
     and rounds repeat until a row pass lowers nothing.  Every relaxation
     adds an edge's ``delay_s`` to a distance, as Dijkstra on
-    ``verify.delay_matrix`` does, so the result is that search's bit for bit
-    (README "Conventions").  The first ring pass from the sources is read
-    from the same pass run once from every slot.
+    ``verify.delay_matrix`` does, and adding a delay >= 0 is monotone, so
+    no label drops below that search's.  A ring pass leaves every V-ISL
+    relaxed (``_ring_pass``), a row pass that lowers nothing leaves every
+    H-ISL relaxed, and labels with every link relaxed are, along
+    Dijkstra's own shortest-path tree, no higher than its distances: the
+    result is that search's bit for bit (README "Conventions").  The first
+    ring pass from the sources is read from the same pass run once from
+    every slot.
     """
     planes, slots = np.divmod(np.asarray(sources), snapshot.sats_per_plane)
     n, n2, k = snapshot.num_sats, snapshot.sats_per_plane, len(planes)
     ring_w, boundaries = _grid_weights(snapshot)
+    hops = _segment_hops(ring_w)
     from_slot = np.full((n2, n // n2, n2), np.inf)
     from_slot[np.arange(n2), :, np.arange(n2)] = 0.0
-    _ring_pass(from_slot, ring_w)
+    _ring_pass(from_slot, ring_w, hops)
     dist = np.full((n2, n // n2, k), np.inf)
     dist[:, planes, np.arange(k)] = from_slot[:, planes, slots]
     del from_slot                       # not held through the rounds: peak RSS
     flat = dist.reshape(n, k)
     while _row_pass(flat, boundaries):
-        _ring_pass(dist, ring_w)
+        _ring_pass(dist, ring_w, hops)
     return dist.transpose(2, 1, 0)
 
 
@@ -181,20 +189,37 @@ def _grid_weights(snapshot: WeightedNetSnapshot):
     return ring_w, boundaries
 
 
-def _ring_pass(dist: np.ndarray, ring_w: np.ndarray) -> None:
-    """Relax every V-ISL ring of ``dist`` (n2, n1, columns) in place: two
-    laps up the slots, then two laps down; each step works on the
-    contiguous (n1, columns) slab of one slot.
+def _segment_hops(ring_w: np.ndarray) -> int:
+    """The most links of a one-way ring segment that can be a shortest
+    route: the largest k in 1..n2-1 with k*min_w <= (n2-k)*max_w over the
+    V-ISL delays ``ring_w``, +inf for a link that is off.
 
-    A shortest path along a ring runs one way over at most n2-1 links, so it
-    is relaxed in order within one lap from any start plus the first n2-2
-    steps of the next.  A downward step lowers d[s] only to d[s+1] + w, and
-    then d[s] + w >= d[s+1] still holds (weights are >= 0), so the pass
-    leaves every V-ISL relaxed.
+    A segment of m > k links is then longer than the n2-m links the other
+    way round by more than the relative margin ``1e-6``, far beyond the
+    rounding of a sum of n2 delays.  Equal chords give n2 // 2; a link
+    that is off, or much longer than the rest, gives n2-1.
+    """
+    n2 = len(ring_w)
+    k = np.arange(1, n2)
+    # true for k = 1 (min_w <= max_w), and k*min_w - (n2-k)*max_w grows with k
+    return int(np.count_nonzero(k * ring_w.min() <= (n2 - k) * ring_w.max() * (1 + 1e-6)))
+
+
+def _ring_pass(dist: np.ndarray, ring_w: np.ndarray, hops: int) -> None:
+    """Relax the V-ISL rings of ``dist`` (n2, n1, columns) in place: one lap
+    up the slots plus ``hops - 1`` steps, then the same down; each step
+    works on the contiguous (n1, columns) slab of one slot.
+
+    Whatever slot it starts from, a one-way segment of at most ``hops``
+    links is relaxed in order within the lap and the steps after it, from
+    a label no higher than the one the pass began with.  Some shortest
+    ring route from every label is such a segment (``_segment_hops``), so
+    the pass leaves every ring at the least ring-only distances from the
+    labels it was given: every V-ISL is relaxed.
     """
     n2 = len(dist)
     step = np.empty_like(dist[0])
-    laps = [*range(n2), *range(n2 - 2)]
+    laps = [*range(n2), *range(hops - 1)]
     for s in laps:                      # slot s -> s+1
         up = dist[(s + 1) % n2]
         np.add(dist[s], ring_w[s], out=step)
@@ -289,9 +314,12 @@ def sweep(config_template: ConstellationConfig, f_values, modes,
     """One row per (F, mode) with the chosen metrics; each grid point is
     ``config_template`` with its phasing factor replaced.
 
-    Grid points whose configuration is rejected (ConfigError) are recorded
-    as error rows and the sweep continues; any other exception is a program
-    fault and propagates.  Latency requires an explicit seed.
+    The metrics are computed once per distinct link layout at a grid
+    point: modes with the same ``row_chains`` and ``active_row_set`` build
+    the same snapshot at every time (both modes when F <= 1).  Grid points
+    whose configuration is rejected (ConfigError) are recorded as error
+    rows and the sweep continues; any other exception is a program fault
+    and propagates.  Latency requires an explicit seed.
     """
     if include_latency and seed is None:
         raise ConfigError("latency sweeps require an explicit seed")
@@ -301,14 +329,19 @@ def sweep(config_template: ConstellationConfig, f_values, modes,
     polar = float(config_template.polar_threshold_deg)
     rows = []
     for f in f_values:
+        metrics = {}                    # (row chains, active rows) -> metrics
         for mode in modes:
             try:
                 cfg = replace(config_template, phasing_factor=int(f))
                 n_hisl = hisl_count(cfg, mode)
-                throughput = (mean_throughput(cfg, mode, snapshots=snapshots)
-                              if include_throughput else None)
-                latency = (avg_latency(cfg, mode, pairs, seed, snapshots).mean_ms
-                           if include_latency else None)
+                layout = (row_chains(cfg, mode).tobytes(), active_row_set(cfg, mode))
+                if layout not in metrics:
+                    metrics[layout] = (
+                        mean_throughput(cfg, mode, snapshots=snapshots)
+                        if include_throughput else None,
+                        avg_latency(cfg, mode, pairs, seed, snapshots).mean_ms
+                        if include_latency else None)
+                throughput, latency = metrics[layout]
                 rows.append(SweepRow(
                     phasing_factor=int(f), polar_threshold_deg=polar,
                     mode=mode.value, n_hisl=n_hisl,

@@ -258,8 +258,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # no option abbreviations: a removed option must not parse as a longer one
     parser = argparse.ArgumentParser(
-        prog="leovn",
+        prog="leovn", allow_abbrev=False,
         description="Virtual-node division and ISL topology analysis for "
                     "polar LEO constellations")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -268,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand that writes a data file.  Given ``f_max``, it sweeps
         F over --f-min..--f-max: it takes no --f and can run both modes."""
         sweep = f_max is not None
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", help="key/value config file")
         for _, flag, field, cast, text in CONFIG_FIELDS:
             if not (sweep and field == "phasing_factor"):
@@ -308,13 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True,
                    help="RNG seed (mandatory; no implicit seeding)")
 
-    p = sub.add_parser("theorem1-check",
+    p = sub.add_parser("theorem1-check", allow_abbrev=False,
                        help="compare the optimized layout with brute force")
     for _, flag, field, cast, text in CONFIG_FIELDS[:3]:    # n1, n2 and F
         p.add_argument(flag, dest=field, type=cast, required=True, help=text)
     p.set_defaults(func=cmd_theorem1_check)
 
-    p = sub.add_parser("verify", help="run analytic-vs-oracle check suites")
+    p = sub.add_parser("verify", allow_abbrev=False,
+                       help="run analytic-vs-oracle check suites")
     p.add_argument("--suite", default="all",
                    choices=sorted(verify_mod.SUITES))
     p.set_defaults(func=cmd_verify)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,6 +233,26 @@ class TestLatencyKernel:
         want = self.dijkstra_reference(snap, sources)
         assert np.array_equal(got[i, p, s], want[i, p * cfg.sats_per_plane + s])
 
+    @pytest.mark.parametrize("broken", ["removed", "delay_x30"])
+    def test_equals_dijkstra_with_a_broken_ring(self, broken):
+        # F=14 conventional has no H links, so a ring route is the only
+        # route: with V-ISL 25 -> 26 off (or 30 times as long) a shortest
+        # segment runs up to n2-1 links, past the n2/2 of equal chords
+        cfg = make_config(F=14)
+        snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
+        assert not (snap.kind == IslKind.H_ISL).any()
+        link = (snap.kind == IslKind.V_ISL) & (snap.edges[:, 0] == 25)
+        assert np.count_nonzero(link) == 1
+        if broken == "removed":
+            keep = ~link
+            snap = replace(snap, edges=snap.edges[keep], kind=snap.kind[keep],
+                           delay_s=snap.delay_s[keep])
+        else:
+            snap = replace(snap, delay_s=np.where(link, 30 * snap.delay_s, snap.delay_s))
+        sources = np.arange(cfg.total_sats)
+        got = shortest_path_delays(snap, sources).reshape(len(sources), -1)
+        assert np.array_equal(got, self.dijkstra_reference(snap, sources))
+
     @settings(max_examples=100, deadline=None)
     @given(case=configs(), mode=st.sampled_from(IslMode),
            shutoff=st.sampled_from(ShutoffRule), data=st.data())
@@ -296,6 +317,30 @@ class TestSweep:
                       pairs=500, seed=3, snapshots=3)
         assert row.polar_threshold_deg == 64.0
         assert row.avg_latency_ms == avg_latency(point, IslMode.CONVENTIONAL, 500, 3, 3).mean_ms
+
+    @pytest.mark.parametrize("f", [0, 1])
+    def test_modes_share_the_layout_below_f2(self, f):
+        # no backward link before F=2, so the sweep solves such a point once
+        cfg = make_config(F=f)
+        for t in (0.0, 0.3 * cfg.period):
+            conv, opt = (snapshot_edges(cfg, mode, t) for mode in IslMode)
+            for name in ("pairs", "kind", "active"):
+                assert np.array_equal(getattr(conv, name), getattr(opt, name)), (name, t)
+
+    @pytest.mark.parametrize("polar", [70.0, 90.0])
+    def test_layout_reuse_equals_per_mode_calls(self, polar):
+        # at polar 90 no row ever shuts off, so the conventional layout is
+        # the same at every F: a reuse across F values would show there
+        cfg = replace(make_config(altitude_km=780.0), polar_threshold_deg=polar)
+        rows = sweep(cfg, range(4), list(IslMode), include_throughput=True,
+                     include_latency=True, pairs=300, seed=5, snapshots=2)
+        assert [(r.phasing_factor, r.mode) for r in rows] == [
+            (f, mode.value) for f in range(4) for mode in IslMode]
+        for row in rows:
+            point = replace(cfg, phasing_factor=row.phasing_factor)
+            mode = IslMode(row.mode)
+            assert row.throughput_gbps == mean_throughput(point, mode, snapshots=2)
+            assert row.avg_latency_ms == avg_latency(point, mode, 300, 5, 2).mean_ms
 
     def test_latency_requires_seed(self):
         cfg = make_config()

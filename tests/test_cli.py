@@ -448,7 +448,8 @@ class TestOptions:
         ["latency", "--seed", "1", "--f", "2"],
     ])
     def test_ignored_flags_are_gone(self, tmp_path, capsys, argv):
-        # the sweeps' --f is now an ambiguous prefix of --f-min/--f-max/--format
+        # options are never abbreviated, so the sweeps' --f is unrecognized,
+        # not a prefix of --f-min/--f-max/--format
         with pytest.raises(SystemExit) as exc:
             main([*argv, *TINY, "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
@@ -456,6 +457,20 @@ class TestOptions:
         assert "unrecognized arguments" in err or "ambiguous option: --f " in err
         assert list(tmp_path.iterdir()) == []
 
+
+    @pytest.mark.parametrize("options,message", [
+        (["--dur", "600"], "the following arguments are required: --duration-s"),
+        (["--duration-s", "600", "--samp", "3"], "unrecognized arguments: --samp 3"),
+    ])
+    def test_abbreviated_option_is_rejected(self, tmp_path, capsys, options, message):
+        # with prefix matching, --dur and --samp would parse as the only
+        # options they begin, --duration-s and --samples
+        with pytest.raises(SystemExit) as exc:
+            main(["staticness", *TINY, "--method", "csd", *options,
+                  "--out", str(tmp_path / "out.json")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 class TestErrorPaths:
     def test_unknown_subcommand_exits_2(self):
