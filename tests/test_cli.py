@@ -457,7 +457,6 @@ class TestOptions:
         assert "unrecognized arguments" in err or "ambiguous option: --f " in err
         assert list(tmp_path.iterdir()) == []
 
-
     @pytest.mark.parametrize("options,message", [
         (["--dur", "600"], "the following arguments are required: --duration-s"),
         (["--duration-s", "600", "--samp", "3"], "unrecognized arguments: --samp 3"),
@@ -471,6 +470,7 @@ class TestOptions:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
 
 class TestErrorPaths:
     def test_unknown_subcommand_exits_2(self):
