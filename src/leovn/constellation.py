@@ -167,8 +167,7 @@ def propagate_all(config: ConstellationConfig, t: float):
           + slots * config.phase_step
           + planes * config.phase_offset)
     u = np.mod(u0 + 2.0 * math.pi * t / config.period, 2.0 * math.pi)
-    raan = math.radians(config.raan0_deg) + planes * config.raan_step
-    unit = _orbit_unit_vectors(u, raan, config.inclination)
+    unit = _orbit_unit_vectors(u, *_raan_trig(config), config.inclination)
     pos = config.orbit_radius * unit
     lats = np.arcsin(np.clip(unit[:, 2], -1.0, 1.0))
     lons = np.mod(np.arctan2(pos[:, 1], pos[:, 0]) - OMEGA_EARTH * t + math.pi,
@@ -176,12 +175,27 @@ def propagate_all(config: ConstellationConfig, t: float):
     return u, pos, lats, lons
 
 
-def _orbit_unit_vectors(u, raan, inclination: float) -> np.ndarray:
+@lru_cache(maxsize=2)
+def sin_lat(config: ConstellationConfig, t: float) -> np.ndarray:
+    """Sine of every satellite's sub-point latitude at time t, straight from
+    its phase: sin(i) * sin(radians(phases_deg mod 360)).
+
+    Flat-indexed like ``phases_deg``; read-only and cached for the two
+    latest times, since the per-satellite shut-off rule and the event
+    classification read it for the same samples.
+    """
+    u = np.radians(np.mod(phases_deg(config, t), 360.0))
+    values = math.sin(config.inclination) * np.sin(u)
+    values.flags.writeable = False
+    return values
+
+
+def _orbit_unit_vectors(u, co, so, inclination: float) -> np.ndarray:
     """Inertial unit vectors at argument of latitude ``u`` (radians) on
-    circular orbits with ascending node ``raan``; the last axis is (x, y, z).
+    circular orbits whose ascending nodes have cosine ``co`` and sine ``so``;
+    the last axis is (x, y, z).
     """
     cu, su = np.cos(u), np.sin(u)
-    co, so = np.cos(raan), np.sin(raan)
     ci, si = math.cos(inclination), math.sin(inclination)
     return np.stack([cu * co - su * ci * so,
                      cu * so + su * ci * co,
@@ -196,6 +210,18 @@ def _plane_slot_index(config: ConstellationConfig) -> tuple[np.ndarray, np.ndarr
     for array in (planes, slots):
         array.flags.writeable = False
     return planes, slots
+
+
+@lru_cache(maxsize=None)
+def _raan_trig(config: ConstellationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of every flat satellite's plane RAAN (read-only): they do
+    not change with time."""
+    planes, _ = _plane_slot_index(config)
+    raan = math.radians(config.raan0_deg) + planes * config.raan_step
+    co, so = np.cos(raan), np.sin(raan)
+    for array in (co, so):
+        array.flags.writeable = False
+    return co, so
 
 
 # -- configuration file ingestion ------------------------------------------

@@ -203,7 +203,7 @@ def build_grd_grid(config: ConstellationConfig) -> np.ndarray:
     u = np.radians([[float(row_start_deg(config, v, h)) for h in range(1, n1 + 1)]
                     for v in range(1, n2 + 1)])
     raan = np.radians([float(config.raan_deg(h)) for h in range(1, n1 + 1)])
-    return _orbit_unit_vectors(u, raan, config.inclination)
+    return _orbit_unit_vectors(u, np.cos(raan), np.sin(raan), config.inclination)
 
 
 def _coverage_cos_limit(config: ConstellationConfig) -> float:
@@ -236,22 +236,22 @@ def grd_assignment(config: ConstellationConfig, anchors: np.ndarray, t: float,
         # (column, row, slot) blocks: each column's anchors against its own plane
         blocks = np.matmul(anchors.transpose(1, 0, 2), sub.reshape(n1, n2, 3).transpose(0, 2, 1))
         own = blocks.transpose(1, 0, 2).reshape(-1, n2)
+        own_slot = np.argmax(own, axis=1)
+        top = own[cells, own_slot]
+        best = cell_planes * n2 + own_slot
     else:
         score = anchors.reshape(-1, 3) @ sub.T    # (cells, sats)
-        own = score.reshape(-1, n1, n2)[cells, cell_planes]   # the cell's own column
-    own_slot = np.argmax(own, axis=1)
-    own_top = own[cells, own_slot]
-    own_best = np.ravel_multi_index((cell_planes, own_slot), (n1, n2))
-    if variant is GrdVariant.INTER_PLANE:
         best = np.argmax(score, axis=1)
         top = score[cells, best]
         # exact geometric ties (satellites meeting over a pole) resolve to the
-        # cell's own column, keeping the frozen-epoch assignment unambiguous;
-        # isclose keeps its default rtol, so cells within ~0.26 deg of a
-        # zenith count as ties too
-        tie = np.isclose(top, 1.0, atol=1e-12) & (own_top >= top - 1e-12)
-        best = np.where(tie, own_best, best)
-    else:
-        best, top = own_best, own_top
+        # cell's own column, keeping the frozen-epoch assignment unambiguous.
+        # Only cells whose top passes isclose(top, 1.0, atol=1e-12) with its
+        # default rtol can tie, those within ~0.26 deg of a zenith; their own
+        # columns are read from the same score matrix.
+        near = np.flatnonzero(np.abs(top - 1.0) <= 1e-12 + 1e-5)
+        own = score.reshape(-1, n1, n2)[near, cell_planes[near]]
+        own_slot = np.argmax(own, axis=1)
+        tie = own[np.arange(len(near)), own_slot] >= top[near] - 1e-12
+        best[near[tie]] = cell_planes[near[tie]] * n2 + own_slot[tie]
     serving = np.where(top >= _coverage_cos_limit(config), best, -1)
     return serving.reshape(n2, n1)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constellation import ConfigError, ConstellationConfig, phases_deg
+from .constellation import ConfigError, ConstellationConfig, sin_lat
 from .division import (
     backward_links,
     csd_rows_all,
@@ -199,10 +199,7 @@ def row_activity(config: ConstellationConfig, mode: IslMode, t: float,
         flags = np.array([v in active for v in csd_rows_all(config, t)[0].tolist()])
         return np.repeat(flags[:, None], config.num_planes - 1, axis=1)
     rows = row_chains(config, mode)
-    phases = np.mod(phases_deg(config, t), 360.0)
-    limit = math.sin(config.polar_threshold)
-    polar = np.abs(math.sin(config.inclination)
-                   * np.sin(np.radians(phases))) > limit
+    polar = np.abs(sin_lat(config, t)) > math.sin(config.polar_threshold)
     return ~(polar[rows[:, :-1]] | polar[rows[:, 1:]])
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -429,8 +429,10 @@ def check_flow() -> CheckResult:
         grid="20 seeded digraphs <= 12 nodes (max flow vs min cut, "
              "cost vs HiGHS LP at rel 1e-9); "
              "20 seeded graphs <= 10 nodes (shortest path vs enumeration); "
-             "6 seeded constellations <= 6x12, both modes and shutoff rules "
-             "(latency kernel vs Dijkstra, exact)",
+             "6 seeded constellations <= 6x12, both modes and shutoff rules, "
+             "and 3 uneven 18x36 snapshots: F=14 conventional t=0 with V-ISL "
+             "25->26 off or x30, F=2 optimized t=0 with a seeded half of its "
+             "H-ISLs off (latency kernel vs Dijkstra, exact)",
         passed=True)
     for seed in range(20):
         n, arcs = random_flow_graph(seed)
@@ -475,12 +477,47 @@ def check_flow() -> CheckResult:
         for mode, rule in itertools.product(IslMode, isl.ShutoffRule):
             edges = isl.snapshot_edges(cfg, mode, t, rule)
             snap = analysis.weight_snapshot(cfg, edges, t)
-            want = csgraph_dijkstra(delay_matrix(snap), directed=False)
-            got = analysis.shortest_path_delays(snap, np.arange(cfg.total_sats))
-            if not np.array_equal(got.reshape(cfg.total_sats, -1), want):
+            if not latency_equals_dijkstra(snap):
                 result.fail(f"latency seed={seed} {n1}x{n2} F={cfg.phasing_factor} "
                             f"{mode.value}/{rule.value}: kernel != Dijkstra")
+    for label, snap in uneven_snapshots():
+        if not latency_equals_dijkstra(snap):
+            result.fail(f"latency {label}: kernel != Dijkstra")
     return result
+
+
+def latency_equals_dijkstra(snap: analysis.WeightedNetSnapshot) -> bool:
+    """The latency kernel from every source equals scipy's Dijkstra exactly."""
+    want = csgraph_dijkstra(delay_matrix(snap), directed=False)
+    got = analysis.shortest_path_delays(snap, np.arange(snap.num_sats))
+    return np.array_equal(got.reshape(snap.num_sats, -1), want)
+
+
+def uneven_snapshots():
+    """(label, snapshot) pairs off the uniform ring at 18x36, t=0.
+
+    F=14 conventional has no H-ISLs, so with V-ISL 25 -> 26 off or 30 times
+    as long a shortest ring segment runs past n2/2 links; dropping a seeded
+    half of an F=2 optimized snapshot's H-ISLs leaves routes that wind
+    through the rings.
+    """
+    cfg = ConstellationConfig(num_planes=18, sats_per_plane=36, phasing_factor=14)
+    snap = analysis.weight_snapshot(cfg, isl.snapshot_edges(cfg, IslMode.CONVENTIONAL, 0.0), 0.0)
+    link = (snap.kind == isl.IslKind.V_ISL) & (snap.edges[:, 0] == 25)
+    yield "18x36 F=14 conventional V-ISL 25->26 off", _keep_edges(snap, ~link)
+    yield "18x36 F=14 conventional V-ISL 25->26 x30", replace(
+        snap, delay_s=np.where(link, 30 * snap.delay_s, snap.delay_s))
+    cfg = replace(cfg, phasing_factor=2)
+    snap = analysis.weight_snapshot(cfg, isl.snapshot_edges(cfg, IslMode.OPTIMIZED, 0.0), 0.0)
+    h_links = np.flatnonzero(snap.kind == isl.IslKind.H_ISL)
+    keep = np.ones(len(snap.edges), dtype=bool)
+    keep[np.random.default_rng(300).choice(h_links, len(h_links) // 2, replace=False)] = False
+    yield "18x36 F=2 optimized half the H-ISLs off", _keep_edges(snap, keep)
+
+
+def _keep_edges(snap: analysis.WeightedNetSnapshot, keep: np.ndarray):
+    return replace(snap, edges=snap.edges[keep], kind=snap.kind[keep],
+                   delay_s=snap.delay_s[keep])
 
 
 SUITES = {

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constellation import OMEGA_EARTH, ConfigError, ConstellationConfig, phases_deg
+from .constellation import OMEGA_EARTH, ConfigError, ConstellationConfig, sin_lat
 from .division import (
     CELL_SNAP,
     GrdVariant,
@@ -200,16 +200,17 @@ def event_causes(keys: np.ndarray, serving: np.ndarray, lats: np.ndarray,
     seam = ((method is VnMethod.GRD2) & (np.minimum(plane_a, plane_b) == 0)
             & (np.maximum(plane_a, plane_b) == config.num_planes - 1))
     polar = np.abs(lats) > config.polar_threshold
-    return np.select(
-        [(sat_a < 0) | (sat_b < 0), seam, polar[sat_a] != polar[sat_b]],
-        [EventCause.COVERAGE_LOSS, EventCause.SEAM_DRIFT, EventCause.ASYNC_SWITCH],
-        default=EventCause.POLAR)
+    # lowest priority first: each later mask overrides the earlier ones
+    causes = np.full(len(keys), EventCause.POLAR, dtype=np.int64)
+    causes[polar[sat_a] != polar[sat_b]] = EventCause.ASYNC_SWITCH
+    causes[seam] = EventCause.SEAM_DRIFT
+    causes[(sat_a < 0) | (sat_b < 0)] = EventCause.COVERAGE_LOSS
+    return causes
 
 
 def _lats_all(config: ConstellationConfig, t: float) -> np.ndarray:
     """Sub-point latitudes of all satellites straight from their phases."""
-    u = np.radians(np.mod(phases_deg(config, t), 360.0))
-    return np.arcsin(np.clip(math.sin(config.inclination) * np.sin(u), -1.0, 1.0))
+    return np.arcsin(np.clip(sin_lat(config, t), -1.0, 1.0))
 
 
 def sample_times(config: ConstellationConfig, duration_s: float,
