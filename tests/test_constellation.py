@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from leovn.constellation import (
     OMEGA_EARTH,
@@ -12,10 +12,12 @@ from leovn.constellation import (
     ConfigError,
     ConstellationConfig,
     _plane_slot_index,
+    _raan_trig,
     orbital_period,
     phases_deg,
     propagate_all,
     read_config_file,
+    sin_lat,
 )
 from leovn.cli import _build_config, build_parser
 from leovn.division import (
@@ -26,7 +28,8 @@ from leovn.division import (
     phase_step_deg,
     row_start_deg,
 )
-from leovn.isl import IslMode, ShutoffRule, row_activity
+from leovn.isl import IslMode, ShutoffRule, row_activity, row_chains
+from leovn.virtualgraph import _lats_all
 
 from helpers import configs, initial_phase_deg
 
@@ -210,6 +213,67 @@ class TestKinematicsProperties:
                 if min(rel % step, step - rel % step) < Fraction(1, 10**6):
                     continue  # within float reach of a cell boundary
                 assert rows[plane - 1, slot - 1] == 1 + math.floor(rel / step) % n2
+
+
+class TestSharedKinematics:
+    """The cached plane trig and ``sin_lat`` give the bits of the expressions
+    that each caller computed for itself before, written out here."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=configs())
+    def test_propagate_all_equals_inline_plane_trig(self, case):
+        cfg, t = case
+        planes, slots = _plane_slot_index(cfg)
+        u0 = (math.radians(cfg.phase0_deg) + slots * cfg.phase_step
+              + planes * cfg.phase_offset)
+        u = np.mod(u0 + 2.0 * math.pi * t / cfg.period, 2.0 * math.pi)
+        raan = math.radians(cfg.raan0_deg) + planes * cfg.raan_step
+        cu, su, co, so = np.cos(u), np.sin(u), np.cos(raan), np.sin(raan)
+        ci, si = math.cos(cfg.inclination), math.sin(cfg.inclination)
+        unit = np.stack([cu * co - su * ci * so, cu * so + su * ci * co, su * si], axis=-1)
+        pos = cfg.orbit_radius * unit
+        lats = np.arcsin(np.clip(unit[:, 2], -1.0, 1.0))
+        lons = np.mod(np.arctan2(pos[:, 1], pos[:, 0]) - OMEGA_EARTH * t + math.pi,
+                      2.0 * math.pi) - math.pi
+        for got, want in zip(propagate_all(cfg, t), (u, pos, lats, lons)):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=configs(), mode=st.sampled_from(IslMode))
+    def test_per_satellite_rule_equals_inline_latitude_sine(self, case, mode):
+        cfg, t = case
+        if mode is IslMode.OPTIMIZED and cfg.phasing_factor > cfg.num_planes:
+            mode = IslMode.CONVENTIONAL   # optimized layout requires F <= n1
+        rows = row_chains(cfg, mode)
+        phases = np.mod(phases_deg(cfg, t), 360.0)
+        polar = np.abs(math.sin(cfg.inclination)
+                       * np.sin(np.radians(phases))) > math.sin(cfg.polar_threshold)
+        want = ~(polar[rows[:, :-1]] | polar[rows[:, 1:]])
+        assert np.array_equal(row_activity(cfg, mode, t, ShutoffRule.PER_SATELLITE), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=configs())
+    def test_event_latitudes_equal_inline_latitude_sine(self, case):
+        cfg, t = case
+        u = np.radians(np.mod(phases_deg(cfg, t), 360.0))
+        want = np.arcsin(np.clip(math.sin(cfg.inclination) * np.sin(u), -1.0, 1.0))
+        assert np.array_equal(_lats_all(cfg, t), want)
+
+    def test_sin_lat_is_read_only_and_keyed_by_config(self):
+        cfg, tilted = make_config(), make_config(inclination_deg=60.0)
+        values, other = sin_lat(cfg, 100.0), sin_lat(tilted, 100.0)
+        assert not np.array_equal(values, other)
+        assert sin_lat(cfg, 100.0) is values      # both entries stay cached
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_plane_trig_is_cached_read_only(self):
+        co, so = _raan_trig(make_config())
+        again = _raan_trig(make_config())
+        assert again[0] is co and again[1] is so
+        assert co[36] == pytest.approx(math.cos(math.pi / 18), abs=1e-15) and so[0] == 0.0
+        with pytest.raises(ValueError):
+            so[0] = 1.0
 
 
 class TestOrbitalPeriod:

@@ -335,6 +335,19 @@ class TestGrdAssignmentOracle:
         planes = np.arange(n1)
         assert np.array_equal(blocks, full[:, planes, planes].transpose(1, 0, 2))
 
+    @pytest.mark.parametrize("t,near", [(0.0, 648), (3000.0, 0), (1000.0, 36)])
+    def test_matches_full_score_matrix_near_and_off_zenith(self, t, near):
+        # only cells whose top score passes isclose(top, 1) can tie: every
+        # cell at t=0 (each satellite over its own anchor), none at 3000 s,
+        # and 36 at 1000 s
+        cfg = make_config()
+        grid = build_grd_grid(cfg)
+        top = (grid.reshape(-1, 3) @ sub_points(cfg, t).T).max(axis=1)
+        assert np.count_nonzero(np.isclose(top, 1.0, atol=1e-12)) == near
+        for variant in GrdVariant:
+            assert np.array_equal(grd_assignment(cfg, grid, t, variant),
+                                  grd_assignment_oracle(cfg, grid, t, variant))
+
     def test_matches_full_score_matrix_at_paper_scale_epochs(self):
         # handover epochs put satellites exactly on cell boundaries
         cfg = make_config()

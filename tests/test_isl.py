@@ -316,6 +316,14 @@ class TestHislCount:
         assert hisl_count(cfg, mode) == expect
         assert 17 * len(rows_by_scan(36, 70, max(row_spreads_deg(cfg, mode)))) == expect
 
+    @settings(max_examples=200, deadline=None)
+    @given(configs())
+    def test_optimized_never_carries_fewer(self, drawn):
+        # the paper's headline count claim, over the accepted domain
+        cfg, _ = drawn
+        assume(cfg.phasing_factor <= cfg.num_planes)
+        assert hisl_count(cfg, IslMode.OPTIMIZED) >= hisl_count(cfg, IslMode.CONVENTIONAL)
+
     def test_empty_equatorial_bands(self):
         # n1=2, n2=8, polar 20: every 45-deg row meets a 140-deg cap
         cfg = make_config(n1=2, n2=8, polar=20.0)
