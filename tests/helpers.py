@@ -23,10 +23,10 @@ def edge_count(keys, kind) -> int:
 
 
 @st.composite
-def configs(draw):
+def configs(draw, max_planes=24, max_slots=48):
     """Any constellation ConstellationConfig accepts, with a sample time."""
-    n1 = draw(st.integers(2, 24))
-    n2 = draw(st.integers(3, 48))
+    n1 = draw(st.integers(2, max_planes))
+    n2 = draw(st.integers(3, max_slots))
     cfg = ConstellationConfig(
         num_planes=n1, sats_per_plane=n2,
         phasing_factor=draw(st.integers(0, n2 - 1)),
