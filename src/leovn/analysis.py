@@ -181,12 +181,13 @@ def _grid_weights(snapshot: WeightedNetSnapshot):
     ring_w[slot, plane, 0] = snapshot.delay_s[v]
     h = ~v
     plane, slot = np.divmod(snapshot.edges[h], n2)
-    rows, delay = slot * n1 + plane, snapshot.delay_s[h, None]
-    boundaries = []
-    for b in np.unique(plane[:, 0]):
-        on = plane[:, 0] == b
-        boundaries.append((rows[on, 0], rows[on, 1], delay[on]))
-    return ring_w, boundaries
+    # the H-ISLs grouped by boundary, in snapshot order within each
+    order = np.argsort(plane[:, 0], kind="stable")
+    src, dst = (slot * n1 + plane)[order].T.copy()
+    delay = snapshot.delay_s[h][order, None]
+    first = np.flatnonzero(np.diff(plane[order, 0], prepend=-1)).tolist()
+    return ring_w, [(src[a:b], dst[a:b], delay[a:b])
+                    for a, b in zip(first, [*first[1:], len(order)])]
 
 
 def _segment_hops(ring_w: np.ndarray) -> int:
@@ -277,9 +278,21 @@ def avg_latency(config: ConstellationConfig, mode: IslMode, pairs: int,
     """
     _require_count("pairs", pairs)
     _require_count("snapshots", snapshots)
+    return _pooled_latency(config, mode, _seeded_pairs(config, pairs, seed), snapshots)
+
+
+def _seeded_pairs(config: ConstellationConfig, pairs: int, seed: int):
+    """``draw_pairs`` indexed for the latency kernel: the distinct sources,
+    each pair's row among them, and its destination's plane and slot."""
     pair_arr = draw_pairs(config.total_sats, pairs, seed)
     sources, src_rows = np.unique(pair_arr[:, 0], return_inverse=True)
-    dst_plane, dst_slot = np.divmod(pair_arr[:, 1], config.sats_per_plane)
+    return (sources, src_rows, *np.divmod(pair_arr[:, 1], config.sats_per_plane))
+
+
+def _pooled_latency(config: ConstellationConfig, mode: IslMode, drawn,
+                    snapshots: int) -> LatencyResult:
+    """``avg_latency`` over pairs already drawn by ``_seeded_pairs``."""
+    sources, src_rows, dst_plane, dst_slot = drawn
     total, count, unreachable = 0.0, 0, 0
     times = [k * config.period / snapshots for k in range(snapshots)]
     for t in times:
@@ -291,7 +304,7 @@ def avg_latency(config: ConstellationConfig, mode: IslMode, pairs: int,
         unreachable += int((~finite).sum())
     mean_ms = (total / count) * 1e3 if count else float("inf")
     return LatencyResult(mean_ms=mean_ms,
-                         unreachable_fraction=unreachable / (len(times) * pairs))
+                         unreachable_fraction=unreachable / (len(times) * len(src_rows)))
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -327,6 +340,8 @@ def sweep(config_template: ConstellationConfig, f_values, modes,
     _require_count("pairs", pairs)
     _require_count("snapshots", snapshots)
     polar = float(config_template.polar_threshold_deg)
+    # every grid point has the template's satellites: draw the pairs once
+    drawn = _seeded_pairs(config_template, pairs, seed) if include_latency else None
     rows = []
     for f in f_values:
         metrics = {}                    # (row chains, active rows) -> metrics
@@ -339,7 +354,7 @@ def sweep(config_template: ConstellationConfig, f_values, modes,
                     metrics[layout] = (
                         mean_throughput(cfg, mode, snapshots=snapshots)
                         if include_throughput else None,
-                        avg_latency(cfg, mode, pairs, seed, snapshots).mean_ms
+                        _pooled_latency(cfg, mode, drawn, snapshots).mean_ms
                         if include_latency else None)
                 throughput, latency = metrics[layout]
                 rows.append(SweepRow(

@@ -78,27 +78,35 @@ class MinCostMaxFlow:
         position = np.empty_like(order)
         position[order] = np.arange(2 * m)
         mate = position[np.where(order < m, order + m, order - m)]
-        key, cost, resid = key[order], cost[order], resid[order]
+        key, cost = key[order], cost[order]
+        # arc 2m is the sentinel "no live arc": always live, at cost +inf
+        resid, arc_cost = np.append(resid[order], 1), np.append(cost, np.inf)
         starts = np.flatnonzero(np.diff(key, prepend=-1))
         pair_key, pair_tail, pair_head = key[starts], tail[order[starts]], head[order[starts]]
+        # rank j of every pair: its (j+1)-th arc, or the sentinel past its end
+        length = np.diff(starts, append=2 * m)
+        ranks = [np.where(length > j, starts + j, 2 * m)
+                 for j in range(length.max(initial=0))]
+        no_arc = np.full(len(starts), 2 * m)
         # one entry per pair; a round writes only the weights
         graph = csr_matrix((np.empty(len(starts)), pair_head.astype(np.int32),
                             np.searchsorted(pair_tail, np.arange(n + 1)).astype(np.int32)),
                            shape=(n, n))
-        arc, arc_cost = np.arange(2 * m), np.append(cost, np.inf)   # arc 2m: none live
         potential = np.zeros(n)
         total_flow, total_cost = 0, 0.0
         while True:
-            # pair -> its first live arc, or 2m when none is live
-            best = np.minimum.reduceat(np.where(resid > 0, arc, 2 * m), starts)
+            # pair -> its first live arc, or 2m when none is live: the lowest
+            # live rank wins, so fold from the highest rank down
+            live, best = resid > 0, no_arc
+            for rank in reversed(ranks):
+                best = np.where(live[rank], rank, best)
             # exact reduced costs are >= 0; clamp the float dust
             np.maximum(arc_cost[best] + potential[pair_tail] - potential[pair_head], 0.0,
                        out=graph.data)
             dist, pred = dijkstra(graph, indices=source, return_predecessors=True)
             if dist[sink] == np.inf:
                 break
-            reached = dist < np.inf
-            potential[reached] += dist[reached]
+            np.add(potential, dist, out=potential, where=dist < np.inf)
             nodes = [sink]
             while nodes[-1] != source:
                 nodes.append(int(pred[nodes[-1]]))

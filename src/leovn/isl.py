@@ -145,7 +145,13 @@ def active_row_set(config: ConstellationConfig, mode: IslMode) -> frozenset[int]
     their denominators, so the test runs on Python ints.  Snapshots, sweep
     counts, the static virtual graph and the ``divide`` regions all read
     these rows; the paper's closed forms are ``verify``'s oracle for them.
+
+    The windows of one start s tile the phase line, n2 of them per turn,
+    and the caps lie inside (0, 360), so the rows whose window
+    [s + (v-1)w, s + vw) meets the open cap (lo, hi) are one run,
+    v = (lo - s)//w + 1 .. -((s - hi)//w), taken mod n2.
     """
+    n2 = config.sats_per_plane
     spans = polar_cap_phase_spans(config)
     step = phase_step_deg(config)
     offsets = {row_origin_deg(config) + s for s in row_spreads_deg(config, mode)}
@@ -155,18 +161,14 @@ def active_row_set(config: ConstellationConfig, mode: IslMode) -> frozenset[int]
     def scaled(x: Fraction) -> int:
         return x.numerator * (scale // x.denominator)
 
-    full, width = 360 * scale, scaled(step)
+    width = scaled(step)
     caps = [(scaled(lo), scaled(hi)) for lo, hi in spans]
-
-    def hits(start: int) -> bool:
-        start %= full
-        end = start + width
-        pieces = [(start, min(end, full))] + ([(0, end - full)] if end > full else [])
-        return any(a < hi and b > lo for a, b in pieces for lo, hi in caps)
-
-    starts = [scaled(x) for x in offsets]
-    return frozenset(v for v in range(1, config.sats_per_plane + 1)
-                     if not any(hits(s + (v - 1) * width) for s in starts))
+    hit = set()
+    for s in map(scaled, offsets):
+        for lo, hi in caps:
+            first, last = (lo - s) // width + 1, -((s - hi) // width)
+            hit.update((v - 1) % n2 + 1 for v in range(first, last + 1))
+    return frozenset(range(1, n2 + 1)) - hit
 
 
 @lru_cache(maxsize=None)

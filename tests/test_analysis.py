@@ -257,11 +257,24 @@ class TestLatencyKernel:
     @given(case=configs(), mode=st.sampled_from(IslMode),
            shutoff=st.sampled_from(ShutoffRule), data=st.data())
     def test_equals_dijkstra_over_config_domain(self, case, mode, shutoff, data):
+        # off the uniform ring too: a drawn subset of the links is dropped,
+        # V-ISLs included, and one V-ISL is made up to 40 times as long
         cfg, t = case
         if mode is IslMode.OPTIMIZED and cfg.phasing_factor > cfg.num_planes:
             mode = IslMode.CONVENTIONAL   # optimized layout requires F <= n1
         edges = snapshot_edges(cfg, mode, t, shutoff)
         snap = weight_snapshot(cfg, edges, t)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        drop = data.draw(st.sampled_from([0.0, 0.02, 0.2, 0.6]), label="drop")
+        keep = rng.random(len(snap.edges)) >= drop
+        snap = replace(snap, edges=snap.edges[keep], kind=snap.kind[keep],
+                       delay_s=snap.delay_s[keep])
+        v_isls = np.flatnonzero(snap.kind == IslKind.V_ISL)
+        if len(v_isls):
+            link = v_isls[data.draw(st.integers(0, len(v_isls) - 1), label="link")]
+            delay_s = snap.delay_s.copy()
+            delay_s[link] *= data.draw(st.floats(1.0, 40.0), label="factor")
+            snap = replace(snap, delay_s=delay_s)
         sources = np.array(data.draw(st.lists(st.integers(0, cfg.total_sats - 1),
                                               min_size=1, max_size=40)))
         got = shortest_path_delays(snap, sources).reshape(len(sources), -1)

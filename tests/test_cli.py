@@ -3,12 +3,17 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import leovn.isl
-from leovn.cli import KIND_LETTERS, _build_config, build_parser, main
+import leovn.verify
+from leovn.cli import KIND_LETTERS, SUITE_NAMES, _build_config, build_parser, main
 from leovn.constellation import ConstellationConfig
 from leovn.isl import IslMode, bh_planes
 from leovn.virtualgraph import (
@@ -394,6 +399,9 @@ class TestVerifyCommand:
         assert line["passed"] is True
         assert line["elapsed_s"] >= 0
 
+    def test_suite_choices_are_the_verify_suites(self):
+        assert SUITE_NAMES == tuple(sorted(leovn.verify.SUITES))
+
     def test_corrupted_count_formula_fails_with_name(self, monkeypatch, capsys):
         real = leovn.isl.hisl_count
 
@@ -405,6 +413,17 @@ class TestVerifyCommand:
         line = json.loads(capsys.readouterr().out.splitlines()[0])
         assert line["passed"] is False
         assert "hisl_count" in line["detail"]
+
+
+def test_import_loads_no_verify():
+    # the oracles load only for `verify` and `theorem1-check`
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(leovn.__file__).parents[1]), env.get("PYTHONPATH")]))
+    code = "import sys, leovn.cli; print('leovn.verify' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 TINY = ["--n1", "3", "--n2", "6"]

@@ -61,6 +61,18 @@ class TestMinCostMaxFlow:
         assert value == 2
         assert cost == pytest.approx(1.0 + 1.0 + 1.0 + 1.0 + 1.0)
 
+    def test_parallel_arcs_are_taken_cheapest_live_first(self):
+        # one (tail, head) pair of three parallel arcs, added out of cost
+        # order: the cost-1 arc saturates first, then the cost-2 one, and
+        # the cost-5 one only after the 4.5 detour; the reverse arcs of the
+        # three form a pair of three as well
+        arcs = [(0, 1, 3, 5.0), (0, 1, 2, 1.0), (0, 1, 4, 2.0), (1, 3, 8, 0.0),
+                (0, 2, 1, 4.0), (2, 3, 5, 0.5)]
+        value, cost = solve(4, arcs, 0, 3)
+        assert value == min_cut_exhaustive(4, arcs, 0, 3) == 9
+        assert cost == pytest.approx(min_cost_lp(4, arcs, 0, 3, value), rel=1e-12)
+        assert cost == pytest.approx(2 * 1.0 + 4 * 2.0 + 4.5 + 2 * 5.0)
+
     def test_undirected_edge_carries_both_directions(self):
         net = MinCostMaxFlow(3)
         net.add_edges([0, 1], [1, 2], 2, 1.0)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -279,6 +280,74 @@ def fraction_active_rows(config, mode):
         v for v in range(1, config.sats_per_plane + 1)
         if not any(hits(origin + (v - 1) * step + s)
                    for s in row_spreads_deg(config, mode)))
+
+
+def scan_active_rows(config, mode):
+    """Reference for the closed form of ``active_row_set``: every dwell row's
+    member windows scanned one by one on the same scaled integers, each
+    window split where it wraps past 360 and tested against the open caps."""
+    spans = polar_cap_phase_spans(config)
+    step = Fraction(360, config.sats_per_plane)
+    offsets = {-Fraction(config.polar_threshold_deg) + s
+               for s in row_spreads_deg(config, mode)}
+    exact = [step, *offsets, *(x for span in spans for x in span)]
+    scale = math.lcm(*(x.denominator for x in exact))
+
+    def scaled(x):
+        return x.numerator * (scale // x.denominator)
+
+    full, width = 360 * scale, scaled(step)
+    caps = [(scaled(lo), scaled(hi)) for lo, hi in spans]
+
+    def hits(start):
+        start %= full
+        end = start + width
+        pieces = [(start, min(end, full))] + ([(0, end - full)] if end > full else [])
+        return any(a < hi and b > lo for a, b in pieces for lo, hi in caps)
+
+    starts = [scaled(x) for x in offsets]
+    return frozenset(v for v in range(1, config.sats_per_plane + 1)
+                     if not any(hits(s + (v - 1) * width) for s in starts))
+
+
+class TestActiveRowClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(configs(max_planes=29, max_slots=59), st.sampled_from(IslMode))
+    def test_equals_row_scan(self, drawn, mode):
+        # configs() draws inclinations over (0, 180], mostly off 90 deg
+        cfg, _ = drawn
+        if mode is IslMode.OPTIMIZED and cfg.phasing_factor > cfg.num_planes:
+            mode = IslMode.CONVENTIONAL
+        assert active_row_set(cfg, mode) == scan_active_rows(cfg, mode)
+
+    def test_window_edges_on_cap_edges(self):
+        # 90-deg rows from -45 against the caps (45, 135) and (225, 315):
+        # rows 2 and 4 are the caps exactly; row 1 starts on the open end of
+        # the second cap (wrapped) and ends on the open start of the first
+        cfg = ConstellationConfig(num_planes=2, sats_per_plane=4, polar_threshold_deg=45.0)
+        for mode in IslMode:
+            assert active_row_set(cfg, mode) == scan_active_rows(cfg, mode) == {1, 3}
+        # a hair wider caps reach into rows 1 and 3 too
+        wider = replace(cfg, polar_threshold_deg=44.9)
+        assert active_row_set(wider, IslMode.CONVENTIONAL) == frozenset()
+
+    def test_one_cap_meeting_every_window_of_a_start(self):
+        # 120-deg rows; the start 29 deg has windows [-91, 29), [29, 149)
+        # and [149, 269), and the cap (1, 179) meets all three
+        cfg = ConstellationConfig(num_planes=4, sats_per_plane=3, phasing_factor=1,
+                                  polar_threshold_deg=1.0)
+        assert 30 in row_spreads_deg(cfg, IslMode.CONVENTIONAL)     # start -1 + 30
+        assert active_row_set(cfg, IslMode.CONVENTIONAL) == frozenset()
+        assert scan_active_rows(cfg, IslMode.CONVENTIONAL) == frozenset()
+
+    @pytest.mark.parametrize("polar,inclination", [(90.0, 90.0), (40.0, 30.0)])
+    def test_no_cap_keeps_every_row(self, polar, inclination):
+        # polar 90 at 90 deg, or an orbit that never reaches the threshold
+        cfg = ConstellationConfig(num_planes=5, sats_per_plane=11, phasing_factor=3,
+                                  polar_threshold_deg=polar, inclination_deg=inclination)
+        assert polar_cap_phase_spans(cfg) == []
+        for mode in IslMode:
+            assert active_row_set(cfg, mode) == frozenset(range(1, 12))
 
 
 class TestActiveRowOracle:
