@@ -212,6 +212,30 @@ def _coverage_cos_limit(config: ConstellationConfig) -> float:
     return math.cos(math.acos(R_EARTH / config.orbit_radius))
 
 
+# GRD2 score blocks: the tallest multiple of 24 rows whose float64 block
+# fits 512 KiB, so a block is scored, reduced and dropped while it is still
+# in cache; blocks that start on such rows round like the full gemm on the
+# OpenBLAS build measured (see README "Conventions")
+_SCORE_BLOCK_BYTES = 512 * 1024
+_SCORE_TILE_ROWS = 24
+
+
+def _score_blocks(cells: int, sats: int) -> list[int]:
+    """Row bounds [0, ..., cells] of the GRD2 score blocks.
+
+    Blocks are the largest multiple of 24 rows that fits
+    ``_SCORE_BLOCK_BYTES`` (24 at least); a 1-row remainder joins the block
+    before it, since numpy scores a single row by gemv, which rounds unlike
+    gemm.  A matrix that fits one block is one block.
+    """
+    fit = _SCORE_BLOCK_BYTES // (8 * sats)
+    height = max(_SCORE_TILE_ROWS, fit - fit % _SCORE_TILE_ROWS)
+    bounds = [*range(0, cells, height), cells]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
+
+
 def grd_assignment(config: ConstellationConfig, anchors: np.ndarray, t: float,
                    variant: GrdVariant) -> np.ndarray:
     """Serving satellite of every frozen cell (``build_grd_grid`` anchors) at
@@ -221,9 +245,10 @@ def grd_assignment(config: ConstellationConfig, anchors: np.ndarray, t: float,
     (slot-1), or -1 where no eligible satellite is above the horizon.
     Serving = maximum elevation, which for a single shell is the minimum
     central angle (largest unit-vector dot product).  The inter-plane variant
-    scores every cell against every satellite in one gemm; the intra-plane
-    variant only each column against its own plane, in one stacked gemm
-    (see README "Conventions" for when the two agree bit for bit).
+    scores every cell against every satellite, one block of cells per gemm
+    (``_score_blocks``); the intra-plane variant only each column against
+    its own plane, in one stacked gemm (see README "Conventions" for when
+    these agree bit for bit with the full cells x satellites product).
     """
     n1, n2 = config.num_planes, config.sats_per_plane
     _, _, lats, lons = propagate_all(config, t)
@@ -240,18 +265,28 @@ def grd_assignment(config: ConstellationConfig, anchors: np.ndarray, t: float,
         top = own[cells, own_slot]
         best = cell_planes * n2 + own_slot
     else:
-        score = anchors.reshape(-1, 3) @ sub.T    # (cells, sats)
-        best = np.argmax(score, axis=1)
-        top = score[cells, best]
-        # exact geometric ties (satellites meeting over a pole) resolve to the
-        # cell's own column, keeping the frozen-epoch assignment unambiguous.
-        # Only cells whose top passes isclose(top, 1.0, atol=1e-12) with its
-        # default rtol can tie, those within ~0.26 deg of a zenith; their own
-        # columns are read from the same score matrix.
-        near = np.flatnonzero(np.abs(top - 1.0) <= 1e-12 + 1e-5)
-        own = score.reshape(-1, n1, n2)[near, cell_planes[near]]
-        own_slot = np.argmax(own, axis=1)
-        tie = own[np.arange(len(near)), own_slot] >= top[near] - 1e-12
-        best[near[tie]] = cell_planes[near[tie]] * n2 + own_slot[tie]
+        flat = anchors.reshape(-1, 3)
+        bounds = _score_blocks(len(cells), len(sub))
+        buf = np.empty((max(np.diff(bounds)), len(sub)))
+        best = np.empty(len(cells), dtype=np.intp)
+        top = np.empty(len(cells))
+        for lo, hi in zip(bounds, bounds[1:]):
+            score = np.matmul(flat[lo:hi], sub.T, out=buf[:hi - lo])   # (block, sats)
+            block_best = np.argmax(score, axis=1, out=best[lo:hi])
+            block_top = top[lo:hi]
+            block_top[:] = score[cells[:hi - lo], block_best]
+            # exact geometric ties (satellites meeting over a pole) resolve to
+            # the cell's own column, keeping the frozen-epoch assignment
+            # unambiguous.  Only cells whose top passes isclose(top, 1.0,
+            # atol=1e-12) with its default rtol can tie, those within ~0.26
+            # deg of a zenith; their own columns are read from the same block.
+            # Most blocks hold no such cell, and skip the pass.
+            near = np.flatnonzero(np.abs(block_top - 1.0) <= 1e-12 + 1e-5)
+            if len(near):
+                planes = cell_planes[lo + near]
+                own = score.reshape(-1, n1, n2)[near, planes]
+                own_slot = np.argmax(own, axis=1)
+                tie = own[cells[:len(near)], own_slot] >= block_top[near] - 1e-12
+                block_best[near[tie]] = planes[tie] * n2 + own_slot[tie]
     serving = np.where(top >= _coverage_cos_limit(config), best, -1)
     return serving.reshape(n2, n1)

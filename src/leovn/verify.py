@@ -310,8 +310,9 @@ def check_csd_staticness() -> CheckResult:
         epochs = division.switching_epochs(cfg, cfg.sats_per_plane + 1)
         mids = [(a + b) / 2 for a, b in itertools.pairwise(epochs)]
         for t in epochs[:-1] + mids:
-            instance, _, _ = virtualgraph.method_instance(
+            snapshot, serving, _ = virtualgraph.method_instance(
                 cfg, virtualgraph.VnMethod.CSD, IslMode.OPTIMIZED, t, None)
+            instance = virtualgraph.map_snapshot(snapshot, serving)
             if not np.array_equal(instance, static):
                 result.fail(f"CSD F={f} t={t:.3f}: instance != static virtual graph")
                 break

@@ -169,7 +169,8 @@ def seam_columns(config: ConstellationConfig, t: float) -> int:
 
 def method_instance(config: ConstellationConfig, method: VnMethod, mode: IslMode,
                     t: float, anchors: np.ndarray | None):
-    """(instance keys, cell -> satellite array, conflicts) at one sample time.
+    """(physical snapshot, cell -> satellite array, conflicts) at one sample
+    time: the method's instance is ``map_snapshot(snapshot, serving)``.
 
     CSD uses the row-synchronized shut-off and its own (bijective)
     addressing; the geographic variants use per-satellite shut-off and the
@@ -186,7 +187,7 @@ def method_instance(config: ConstellationConfig, method: VnMethod, mode: IslMode
         snapshot = snapshot_edges(config, mode, t, ShutoffRule.PER_SATELLITE)
     cells_per_sat = np.bincount(serving[serving >= 0], minlength=serving.size)
     conflicts = int(np.count_nonzero(cells_per_sat > 1))
-    return map_snapshot(snapshot, serving), serving, conflicts
+    return snapshot, serving, conflicts
 
 
 def event_causes(keys: np.ndarray, serving: np.ndarray, lats: np.ndarray,
@@ -241,8 +242,10 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
     A celestial division matched to the connecting mode must report zero
     events; the geographic variants exhibit seam drift (variant 2), coverage
     loss (variant 1), and asynchronous switching when the inter-plane phase
-    offset is non-zero.  Only changed instances are diffed, and satellite
-    latitudes are computed once, only at samples whose events are classified.
+    offset is non-zero.  A sample whose serving array and active mask equal
+    the previous sample's keeps its instance unmapped; only changed
+    instances are diffed, and satellite latitudes are computed once, only at
+    samples whose events are classified.  Conflicts count at every sample.
     """
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
@@ -262,12 +265,18 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
 
     prev = None
     for i, t in enumerate(times):
-        instance, serving, conflicts = method_instance(config, method, mode, t, anchors)
+        snapshot, serving, conflicts = method_instance(config, method, mode, t, anchors)
         conflicts_total += conflicts
         if method is VnMethod.GRD2:
             seam_history.append((t, seam_columns(config, t)))
+        # the layout is fixed per (config, mode): equal serving arrays and
+        # active masks map to the previous instance, so nothing changed
+        if (prev is not None and np.array_equal(snapshot.active, prev[2])
+                and np.array_equal(serving, prev[1])):
+            continue
+        instance = map_snapshot(snapshot, serving)
         if prev is not None and not np.array_equal(instance, prev[0]):
-            prev_instance, prev_serving = prev
+            prev_instance, prev_serving, _ = prev
             added, removed = _missing(instance, prev_instance), _missing(prev_instance, instance)
             causes = np.concatenate([classify(added, prev_serving, i - 1),
                                      classify(removed, serving, i)])
@@ -275,7 +284,7 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
                                 [len(added), len(removed)])
             keys = np.concatenate([added, removed])
             events.append(np.stack([np.full(len(keys), i), keys, changes, causes], axis=1))
-        prev = instance, serving
+        prev = instance, serving, snapshot.active
 
     events = np.concatenate(events)
     codes, first, counts = np.unique(events[:, 3], return_index=True, return_counts=True)

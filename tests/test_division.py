@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from leovn.constellation import (
 )
 from leovn.division import (
     GrdVariant,
+    _score_blocks,
     build_grd_grid,
     cell_bounds,
     cell_shifts_deg,
@@ -356,6 +358,75 @@ class TestGrdAssignmentOracle:
             for variant in GrdVariant:
                 assert np.array_equal(grd_assignment(cfg, grid, t, variant),
                                       grd_assignment_oracle(cfg, grid, t, variant))
+
+
+def blocked_scores(grid, sub):
+    """The GRD2 score matrix as ``grd_assignment`` builds it: one gemm per
+    ``_score_blocks`` block, into one reused buffer."""
+    flat = grid.reshape(-1, 3)
+    bounds = _score_blocks(len(flat), len(sub))
+    buf = np.empty((max(np.diff(bounds)), len(sub)))
+    score = np.empty((len(flat), len(sub)))
+    for lo, hi in zip(bounds, bounds[1:]):
+        score[lo:hi] = np.matmul(flat[lo:hi], sub.T, out=buf[:hi - lo])
+    return score
+
+
+class TestGrdScoreBlocks:
+    """GRD2 scores cells in cache-sized blocks of rows; README "Conventions"
+    says when these equal the full cells x satellites gemm bit for bit."""
+
+    @pytest.mark.parametrize("cells,sats,bounds", [
+        (648, 648, [0, 96, 192, 288, 384, 480, 576, 648]),  # 18x36: 96 rows fit 512 KiB
+        (3600, 3600, list(range(0, 3600, 24)) + [3600]),    # 60x60: never under 24 rows
+        (1537, 1537, list(range(0, 1536, 24)) + [1537]),    # 29x53: 1-row tail folded in
+        (97, 648, [0, 97]),                                 # 96 rows and a 1-row tail
+        (6, 6, [0, 6]),                                     # fits one block: one gemm
+    ])
+    def test_block_rule(self, cells, sats, bounds):
+        assert _score_blocks(cells, sats) == bounds
+
+    @settings(max_examples=50, deadline=None)
+    @given(t=st.floats(0.0, 2 * SIDEREAL_DAY), inclination=st.floats(0.5, 180.0))
+    def test_blocks_equal_full_gemm_bits_at_paper_scale(self, t, inclination):
+        cfg = make_config(inclination_deg=inclination)
+        grid = build_grd_grid(cfg)
+        sub = sub_points(cfg, t)
+        assert np.array_equal(blocked_scores(grid, sub), grid.reshape(-1, 3) @ sub.T)
+
+    @pytest.mark.parametrize("t", [0.0, 1234.5, 50000.0])
+    @pytest.mark.parametrize("n1,n2", [
+        (23, 23), (29, 53),     # their 1-row tails, scored by gemv, round unlike gemm
+        (11, 63), (14, 33),     # 64- or 20-row blocks round unlike the full gemm
+    ])
+    def test_blocks_equal_full_gemm_bits_off_paper_scale(self, n1, n2, t):
+        cfg = make_config(num_planes=n1, sats_per_plane=n2)
+        grid = build_grd_grid(cfg)
+        sub = sub_points(cfg, t)
+        assert np.array_equal(blocked_scores(grid, sub), grid.reshape(-1, 3) @ sub.T)
+
+    @pytest.mark.parametrize("n1", [18, 20, 25])
+    def test_pole_ties_resolve_to_own_plane_in_every_block(self, n1):
+        # at t=0 one satellite of every plane sits on each pole; at 20 and
+        # 25 planes the pole rows fall in blocks that start mid-row
+        cfg = make_config(num_planes=n1)
+        grid = build_grd_grid(cfg)
+        variant = GrdVariant.INTER_PLANE
+        assert np.array_equal(grd_assignment(cfg, grid, 0.0, variant),
+                              grd_assignment_oracle(cfg, grid, 0.0, variant))
+
+    def test_inter_plane_memory_is_bounded_at_60x60(self):
+        # the full 3600 x 3600 float64 score matrix alone would take 104 MB
+        cfg = make_config(num_planes=60, sats_per_plane=60)
+        grid = build_grd_grid(cfg)
+        grd_assignment(cfg, grid, 1000.0, GrdVariant.INTER_PLANE)   # fill the caches
+        tracemalloc.start()
+        try:
+            grd_assignment(cfg, grid, 2000.0, GrdVariant.INTER_PLANE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestGrdGrid:

@@ -46,6 +46,13 @@ def make_config(F=0, polar=70.0):
                                altitude_km=780.0, polar_threshold_deg=polar)
 
 
+def instance_at(cfg, method, mode, t, grid):
+    """The method's instance at time t: its snapshot mapped through its
+    serving array."""
+    snapshot, serving, _ = method_instance(cfg, method, mode, t, grid)
+    return map_snapshot(snapshot, serving)
+
+
 class TestStaticGraph:
     def test_reference_edge_counts(self):
         keys = static_graph_for(make_config(), IslMode.CONVENTIONAL)
@@ -94,7 +101,7 @@ class TestMapping:
             cfg = make_config(F=f)
             static = static_graph_for(cfg, mode)
             for t in switching_epochs(cfg, 2) + [137.0, cfg.period * 0.4]:
-                instance, _, _ = method_instance(cfg, VnMethod.CSD, mode, t, None)
+                instance = instance_at(cfg, VnMethod.CSD, mode, t, None)
                 assert np.array_equal(instance, static)
 
     def test_csd_addressing_is_bijective(self):
@@ -208,7 +215,8 @@ class TestMappingOracle:
                 else ShutoffRule.PER_SATELLITE)
         states = []
         for t in (t1, t2):
-            keys, serving, conflicts = method_instance(cfg, method, mode, t, grid)
+            snapshot, serving, conflicts = method_instance(cfg, method, mode, t, grid)
+            keys = map_snapshot(snapshot, serving)
             want, want_conflicts = oracle_instance(
                 snapshot_edges(cfg, mode, t, rule), serving)
             a_v, a_h, b_v, b_h, kind = edge_addresses(keys, n1, n1 * n2)
@@ -241,13 +249,18 @@ class TestSeam:
 
 
 def oracle_events(cfg, method, mode, duration_s, samples):
-    """Report event rows from diffing every consecutive pair of samples with
-    setdiff1d and latitudes at every sample (the earlier loop)."""
+    """Report event rows from mapping every sample and diffing every
+    consecutive pair with setdiff1d, latitudes at every sample (the earlier
+    loop), and the per-sample sum of satellites serving more than one cell."""
     grid = None if method is VnMethod.CSD else build_grd_grid(cfg)
     rows = [np.empty((0, 4), dtype=np.int64)]
+    conflicts = 0
     prev = None
     for i, t in enumerate(sample_times(cfg, duration_s, samples)):
-        instance, serving, _ = method_instance(cfg, method, mode, t, grid)
+        snapshot, serving, _ = method_instance(cfg, method, mode, t, grid)
+        instance = map_snapshot(snapshot, serving)
+        _, cells_per_sat = np.unique(serving[serving >= 0], return_counts=True)
+        conflicts += int(np.count_nonzero(cells_per_sat > 1))
         lats = _lats_all(cfg, t)
         if prev is not None:
             added = np.setdiff1d(instance, prev[0], assume_unique=True)
@@ -259,7 +272,7 @@ def oracle_events(cfg, method, mode, duration_s, samples):
             keys = np.concatenate([added, removed])
             rows.append(np.stack([np.full(len(keys), i), keys, changes, causes], axis=1))
         prev = instance, serving, lats
-    return np.concatenate(rows)
+    return np.concatenate(rows), conflicts
 
 
 class TestStaticnessReport:
@@ -269,15 +282,19 @@ class TestStaticnessReport:
         (5, 9, 3, IslMode.OPTIMIZED, 90.0),
         (7, 11, 0, IslMode.CONVENTIONAL, 86.4),
         (9, 18, 2, IslMode.CONVENTIONAL, 90.0),    # serving moves under equal instances
+        # GRD2 keeps its serving array and active mask over 5 sample pairs,
+        # each time with satellites serving two cells
+        (4, 12, 1, IslMode.CONVENTIONAL, 60.0),
     ])
     def test_events_match_every_pair_setdiff_oracle(self, method, n1, n2, f, mode,
                                                     inclination):
         cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
                                   inclination_deg=inclination)
         rep = staticness_report(cfg, method, mode, 15000.0, 40)
-        want = oracle_events(cfg, method, mode, 15000.0, 40)
+        want, want_conflicts = oracle_events(cfg, method, mode, 15000.0, 40)
         assert rep.events.dtype == want.dtype
         assert np.array_equal(rep.events, want)
+        assert rep.mapping_conflicts == want_conflicts
 
     @given(a=st.sets(st.integers(0, 300)), b=st.sets(st.integers(0, 300)))
     def test_missing_keys_equal_setdiff(self, a, b):
@@ -304,7 +321,7 @@ class TestStaticnessReport:
         assume(cfg.phasing_factor <= cfg.num_planes)
         rep = staticness_report(cfg, VnMethod.CSD, IslMode.OPTIMIZED, cfg.period, 6)
         assert rep.event_count == 0
-        instance, _, _ = method_instance(cfg, VnMethod.CSD, IslMode.OPTIMIZED, t, None)
+        instance = instance_at(cfg, VnMethod.CSD, IslMode.OPTIMIZED, t, None)
         assert np.array_equal(instance, static_graph_for(cfg, IslMode.OPTIMIZED))
 
     def test_csd_conventional_rows_are_static_but_skewed(self):
@@ -315,8 +332,7 @@ class TestStaticnessReport:
         rep = staticness_report(cfg, VnMethod.CSD, IslMode.CONVENTIONAL,
                                 cfg.period / 4, 120)
         assert rep.event_count == 0
-        instance, _, _ = method_instance(cfg, VnMethod.CSD, IslMode.CONVENTIONAL,
-                                         0.0, None)
+        instance = instance_at(cfg, VnMethod.CSD, IslMode.CONVENTIONAL, 0.0, None)
         assert not np.array_equal(instance, static_graph_for(cfg, IslMode.CONVENTIONAL))
 
     def test_grd2_seam_history_and_drift_events(self):
