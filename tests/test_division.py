@@ -1,6 +1,9 @@
 import csv
 import math
+import multiprocessing
+import os
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -372,6 +375,30 @@ def blocked_scores(grid, sub):
     return score
 
 
+@pytest.fixture(scope="module")
+def serial_gemm():
+    """``a @ b`` with BLAS pinned to one thread, in a spawned worker.
+
+    Multithreaded OpenBLAS splits a large product's rows among its threads
+    at bounds that need not be multiples of 12 (462 rows at 2 threads: 231),
+    and rounds the rows past such a bound unlike the one-thread product.
+    """
+    pinned = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
+    saved = {name: os.environ.get(name) for name in pinned}
+    os.environ.update(pinned)
+    try:
+        pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn"))
+        pool.submit(int).result()       # the worker starts, and reads its BLAS settings, here
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name)
+            else:
+                os.environ[name] = value
+    with pool:
+        yield lambda a, b: pool.submit(np.matmul, a, b).result()
+
+
 class TestGrdScoreBlocks:
     """GRD2 scores cells in cache-sized blocks of rows; README "Conventions"
     says when these equal the full cells x satellites gemm bit for bit."""
@@ -388,22 +415,22 @@ class TestGrdScoreBlocks:
 
     @settings(max_examples=50, deadline=None)
     @given(t=st.floats(0.0, 2 * SIDEREAL_DAY), inclination=st.floats(0.5, 180.0))
-    def test_blocks_equal_full_gemm_bits_at_paper_scale(self, t, inclination):
+    def test_blocks_equal_full_gemm_bits_at_paper_scale(self, serial_gemm, t, inclination):
         cfg = make_config(inclination_deg=inclination)
         grid = build_grd_grid(cfg)
         sub = sub_points(cfg, t)
-        assert np.array_equal(blocked_scores(grid, sub), grid.reshape(-1, 3) @ sub.T)
+        assert np.array_equal(blocked_scores(grid, sub), serial_gemm(grid.reshape(-1, 3), sub.T))
 
     @pytest.mark.parametrize("t", [0.0, 1234.5, 50000.0])
     @pytest.mark.parametrize("n1,n2", [
         (23, 23), (29, 53),     # their 1-row tails, scored by gemv, round unlike gemm
         (11, 63), (14, 33),     # 64- or 20-row blocks round unlike the full gemm
     ])
-    def test_blocks_equal_full_gemm_bits_off_paper_scale(self, n1, n2, t):
+    def test_blocks_equal_full_gemm_bits_off_paper_scale(self, serial_gemm, n1, n2, t):
         cfg = make_config(num_planes=n1, sats_per_plane=n2)
         grid = build_grd_grid(cfg)
         sub = sub_points(cfg, t)
-        assert np.array_equal(blocked_scores(grid, sub), grid.reshape(-1, 3) @ sub.T)
+        assert np.array_equal(blocked_scores(grid, sub), serial_gemm(grid.reshape(-1, 3), sub.T))
 
     @pytest.mark.parametrize("n1", [18, 20, 25])
     def test_pole_ties_resolve_to_own_plane_in_every_block(self, n1):
