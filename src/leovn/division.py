@@ -198,10 +198,24 @@ def build_grd_grid(config: ConstellationConfig) -> np.ndarray:
     sub-point of each cell's along-track start, shaped (n2, n1, 3).  At t=0
     with the default epoch phase the satellite addressed (v, h) sits at the
     zenith of anchor (v, h).
+
+    The start angles are ``float(row_start_deg(config, v, h))``, bit for
+    bit, without a ``Fraction`` per cell: the row origin, the plane shifts
+    and the row height are scaled to Python-int numerators over one common
+    denominator, and int true division rounds the exact quotient correctly,
+    as ``float`` of the reduced fraction does.  Python ints, not int64: a
+    float threshold such as 70.1 has a 2^k denominator.
     """
     n1, n2 = config.num_planes, config.sats_per_plane
-    u = np.radians([[float(row_start_deg(config, v, h)) for h in range(1, n1 + 1)]
-                    for v in range(1, n2 + 1)])
+    origin, step, shifts = row_origin_deg(config), phase_step_deg(config), cell_shifts_deg(config)
+    den = math.lcm(origin.denominator, step.denominator, *(s.denominator for s in shifts))
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (den // x.denominator)
+
+    columns = np.array([scaled(origin) + scaled(s) for s in shifts], dtype=object)
+    starts = np.arange(n2, dtype=object)[:, None] * scaled(step) + columns   # (n2, n1) ints
+    u = np.radians((starts / den).astype(float))
     raan = np.radians([float(config.raan_deg(h)) for h in range(1, n1 + 1)])
     return _orbit_unit_vectors(u, np.cos(raan), np.sin(raan), config.inclination)
 
@@ -236,6 +250,25 @@ def _score_blocks(cells: int, sats: int) -> list[int]:
     return bounds
 
 
+@lru_cache(maxsize=None)
+def _grd_tables(num_planes: int, sats_per_plane: int):
+    """Per-shape tables of ``grd_assignment``, read-only: the flat cell
+    indices (row-major (v, h)), each cell's plane index, the ``_score_blocks`` bounds, and the
+    flat offset of each block row in a row-major block of scores."""
+    cells = np.arange(num_planes * sats_per_plane)
+    cell_planes = cells % num_planes
+    bounds = tuple(_score_blocks(len(cells), len(cells)))
+    offsets = np.arange(max(np.diff(bounds))) * len(cells)
+    for table in (cells, cell_planes, offsets):
+        table.flags.writeable = False
+    return cells, cell_planes, bounds, offsets
+
+
+# isclose(top, 1.0, atol=1e-12) with its default rtol: the near-zenith band
+# in which a GRD2 cell's best score can tie
+_NEAR_ZENITH = 1e-12 + 1e-5
+
+
 def grd_assignment(config: ConstellationConfig, anchors: np.ndarray, t: float,
                    variant: GrdVariant) -> np.ndarray:
     """Serving satellite of every frozen cell (``build_grd_grid`` anchors) at
@@ -249,14 +282,21 @@ def grd_assignment(config: ConstellationConfig, anchors: np.ndarray, t: float,
     (``_score_blocks``); the intra-plane variant only each column against
     its own plane, in one stacked gemm (see README "Conventions" for when
     these agree bit for bit with the full cells x satellites product).
+
+    A GRD2 block skips its tie pass when ``1.0 - block_top.max()`` exceeds
+    ``_NEAR_ZENITH``, which holds exactly when no cell of the block has
+    ``|top - 1.0| <= _NEAR_ZENITH``: a best score above 1.0 makes the
+    difference negative and never skips, and for tops at or below 1.0,
+    ``1.0 - top`` is exact by Sterbenz from 0.5 up and rounds monotonically
+    below, so no cell of the block is nearer 1.0 than its best.
     """
     n1, n2 = config.num_planes, config.sats_per_plane
+    cells, cell_planes, bounds, offsets = _grd_tables(n1, n2)
     _, _, lats, lons = propagate_all(config, t)
-    sub = np.stack([np.cos(lats) * np.cos(lons),
-                    np.cos(lats) * np.sin(lons),
+    cos_lats = np.cos(lats)
+    sub = np.stack([cos_lats * np.cos(lons),
+                    cos_lats * np.sin(lons),
                     np.sin(lats)], axis=1)          # (N, 3) Earth-fixed units
-    cells = np.arange(n1 * n2)                       # row-major (v, h)
-    cell_planes = cells % n1
     if variant is GrdVariant.INTRA_ONLY:
         # (column, row, slot) blocks: each column's anchors against its own plane
         blocks = np.matmul(anchors.transpose(1, 0, 2), sub.reshape(n1, n2, 3).transpose(0, 2, 1))
@@ -266,27 +306,28 @@ def grd_assignment(config: ConstellationConfig, anchors: np.ndarray, t: float,
         best = cell_planes * n2 + own_slot
     else:
         flat = anchors.reshape(-1, 3)
-        bounds = _score_blocks(len(cells), len(sub))
-        buf = np.empty((max(np.diff(bounds)), len(sub)))
+        buf = np.empty((len(offsets), len(sub)))
+        at = np.empty(len(offsets), dtype=np.intp)
         best = np.empty(len(cells), dtype=np.intp)
         top = np.empty(len(cells))
         for lo, hi in zip(bounds, bounds[1:]):
             score = np.matmul(flat[lo:hi], sub.T, out=buf[:hi - lo])   # (block, sats)
             block_best = np.argmax(score, axis=1, out=best[lo:hi])
-            block_top = top[lo:hi]
-            block_top[:] = score[cells[:hi - lo], block_best]
+            block_top = score.take(np.add(offsets[:hi - lo], block_best, out=at[:hi - lo]),
+                                   out=top[lo:hi])
             # exact geometric ties (satellites meeting over a pole) resolve to
             # the cell's own column, keeping the frozen-epoch assignment
-            # unambiguous.  Only cells whose top passes isclose(top, 1.0,
-            # atol=1e-12) with its default rtol can tie, those within ~0.26
-            # deg of a zenith; their own columns are read from the same block.
-            # Most blocks hold no such cell, and skip the pass.
-            near = np.flatnonzero(np.abs(block_top - 1.0) <= 1e-12 + 1e-5)
-            if len(near):
-                planes = cell_planes[lo + near]
-                own = score.reshape(-1, n1, n2)[near, planes]
-                own_slot = np.argmax(own, axis=1)
-                tie = own[cells[:len(near)], own_slot] >= block_top[near] - 1e-12
-                block_best[near[tie]] = planes[tie] * n2 + own_slot[tie]
+            # unambiguous.  Only cells whose top is within _NEAR_ZENITH of 1.0
+            # can tie, those within ~0.26 deg of a zenith; their own columns
+            # are read from the same block.  Most blocks hold no such cell,
+            # and skip the pass.
+            if 1.0 - block_top.max() > _NEAR_ZENITH:
+                continue
+            near = np.flatnonzero(np.abs(block_top - 1.0) <= _NEAR_ZENITH)
+            planes = cell_planes[lo + near]
+            own = score.reshape(-1, n1, n2)[near, planes]
+            own_slot = np.argmax(own, axis=1)
+            tie = own[cells[:len(near)], own_slot] >= block_top[near] - 1e-12
+            block_best[near[tie]] = planes[tie] * n2 + own_slot[tie]
     serving = np.where(top >= _coverage_cos_limit(config), best, -1)
     return serving.reshape(n2, n1)

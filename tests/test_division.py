@@ -16,6 +16,7 @@ from leovn.constellation import (
     R_EARTH,
     SIDEREAL_DAY,
     ConstellationConfig,
+    _orbit_unit_vectors,
     propagate_all,
 )
 from leovn.division import (
@@ -454,6 +455,85 @@ class TestGrdScoreBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestGrdTieGate:
+    """A GRD2 block skips its tie pass when its best score is farther below
+    1.0 than isclose's band about 1.0.  At t=0 one satellite of each of the
+    18 planes sits on the north pole, so a cell anchored near the pole ties
+    all 18, and the first (plane 1) wins unless the tie pass runs."""
+
+    BAND = 1e-12 + 1e-5     # isclose(top, 1.0, atol=1e-12) with its default rtol
+
+    def edge_scores(self):
+        """The lowest score inside the band about 1.0, and one ulp below it."""
+        inside = 1.0 - self.BAND
+        while 1.0 - inside > self.BAND:
+            inside = np.nextafter(inside, 2.0)
+        while 1.0 - np.nextafter(inside, 0.0) <= self.BAND:
+            inside = np.nextafter(inside, 0.0)
+        outside = np.nextafter(inside, 0.0)
+        assert np.isclose(inside, 1.0, atol=1e-12) and not np.isclose(outside, 1.0, atol=1e-12)
+        return inside, outside
+
+    @pytest.mark.parametrize("edge", ["inside", "outside", "above_one"])
+    def test_gate_at_the_band_edge(self, edge):
+        cfg = make_config()
+        n1, n2 = cfg.num_planes, cfg.sats_per_plane
+        inside, outside = self.edge_scores()
+        top = {"inside": inside, "outside": outside, "above_one": np.nextafter(1.0, 2.0)}[edge]
+        # every other cell anchored ~5 deg from its nearest satellite
+        lat, lon = math.radians(4.0), math.radians(3.0)
+        grid = np.empty((n2, n1, 3))
+        grid[:] = (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
+        # cell (1, 6), in the first score block, over the pole: its pole
+        # satellites' sub-points are (~6e-17, ~6e-17, 1.0), so each scores top
+        cell = 5
+        grid[0, cell] = (math.sqrt(max(0.0, 1.0 - top * top)), 0.0, top)
+        scores = blocked_scores(grid, sub_points(cfg, 0.0))
+        pole_slot = 16
+        assert np.all(scores[cell].reshape(n1, n2)[:, pole_slot] == top)
+        assert scores[cell].max() == top
+        assert np.delete(scores.max(axis=1), cell).max() < 1.0 - 1e-3
+        for variant in GrdVariant:
+            assert np.array_equal(grd_assignment(cfg, grid, 0.0, variant),
+                                  grd_assignment_oracle(cfg, grid, 0.0, variant))
+        serving = grd_assignment(cfg, grid, 0.0, GrdVariant.INTER_PLANE)
+        own_plane = 0 if edge == "outside" else cell
+        assert serving[0, cell] == own_plane * n2 + pole_slot
+
+
+def grid_by_fractions(config):
+    """``build_grd_grid`` from one ``float(row_start_deg(...))`` per cell
+    (the earlier implementation)."""
+    n1, n2 = config.num_planes, config.sats_per_plane
+    u = np.radians([[float(row_start_deg(config, v, h)) for h in range(1, n1 + 1)]
+                    for v in range(1, n2 + 1)])
+    raan = np.radians([float(config.raan_deg(h)) for h in range(1, n1 + 1)])
+    return _orbit_unit_vectors(u, np.cos(raan), np.sin(raan), config.inclination)
+
+
+class TestGrdGridExact:
+    """The integer-numerator anchor grid equals the per-cell Fraction grid
+    bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=configs())
+    def test_equals_per_cell_fraction_grid(self, case):
+        cfg, _ = case
+        assert build_grd_grid(cfg).tobytes() == grid_by_fractions(cfg).tobytes()
+
+    @pytest.mark.parametrize("n1,n2,f,polar,inclination", [
+        (18, 36, 6, 70.1, 90.0),
+        (18, 36, 14, 33.3, 53.0),
+        (24, 48, 5, 70.1, 97.6),
+        (7, 11, 10, 33.3, 178.9),
+        (5, 3, 2, 89.999999999, 45.0),
+    ])
+    def test_off_integer_thresholds_and_inclinations(self, n1, n2, f, polar, inclination):
+        cfg = make_config(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
+                          polar_threshold_deg=polar, inclination_deg=inclination)
+        assert build_grd_grid(cfg).tobytes() == grid_by_fractions(cfg).tobytes()
 
 
 class TestGrdGrid:

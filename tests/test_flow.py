@@ -73,10 +73,21 @@ class TestMinCostMaxFlow:
         assert cost == pytest.approx(min_cost_lp(4, arcs, 0, 3, value), rel=1e-12)
         assert cost == pytest.approx(2 * 1.0 + 4 * 2.0 + 4.5 + 2 * 5.0)
 
+    def test_equal_cost_parallel_arcs_fill_in_arc_order(self):
+        # a pair of five parallel arcs: the cheapest live one carries each
+        # unit, and of equal costs the one added first
+        arcs = [(0, 1, 1, 2.0), (0, 1, 1, 1.0), (0, 1, 1, 2.0), (0, 1, 1, 1.0),
+                (0, 1, 1, 0.0), (1, 2, 4, 0.0)]
+        net = MinCostMaxFlow(3)
+        for arc in arcs:
+            net.add_arc(*arc)
+        assert net.solve(0, 2) == (4, pytest.approx(4.0))
+        assert net.flow.tolist() == [1, 1, 0, 1, 1, 4]
+
     def test_undirected_edge_carries_both_directions(self):
         net = MinCostMaxFlow(3)
         net.add_edges([0, 1], [1, 2], 2, 1.0)
-        assert (net.tail, net.head) == ([0, 1, 1, 2], [1, 2, 0, 1])
+        assert (net.tail.tolist(), net.head.tolist()) == ([0, 1, 1, 2], [1, 2, 0, 1])
         value, _ = net.solve(0, 2)
         assert value == 2
         net = MinCostMaxFlow(3)
@@ -95,7 +106,7 @@ class TestMinCostMaxFlow:
         net = MinCostMaxFlow(3)
         with pytest.raises(ValueError):
             net.add_edges([0, 1], [1, 2], 1, [1.0, -1.0])
-        assert net.tail == net.cost == []
+        assert len(net.tail) == len(net.cost) == 0
 
     def test_matches_exhaustive_min_cut_on_20_graphs(self):
         for seed in range(20):
