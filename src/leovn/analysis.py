@@ -8,10 +8,12 @@ successive shortest paths, each found by scipy's compiled Dijkstra; the
 ISLs go in with one ``add_edges`` call).
 Latency: mean shortest propagation delay over seeded random satellite pairs,
 from an exact all-sources sweep over the V-ISL rings and H-ISL boundaries.
-Sweeps tabulate both, plus the H-ISL counts, across phasing factors.
+A sweep tabulates the H-ISL counts across phasing factors, with one metric
+(either of the above) per grid point.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -112,17 +114,22 @@ def max_flow_throughput(snapshot: WeightedNetSnapshot) -> float:
     return flow_units * ISL_CAPACITY_GBPS
 
 
-def _require_count(name: str, value: int) -> None:
+def require_count(name: str, value: int) -> None:
+    """Reject an empty sample count (``snapshots`` or ``pairs``)."""
     if value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
-def mean_throughput(config: ConstellationConfig, mode: IslMode,
-                    snapshots: int = 16) -> float:
-    """Mean throughput over evenly spaced snapshot times across one period."""
-    _require_count("snapshots", snapshots)
-    times = [k * config.period / snapshots for k in range(snapshots)]
-    values = [max_flow_throughput(snapshot_at(config, mode, t)) for t in times]
+def _snapshot_times(config: ConstellationConfig, snapshots: int) -> list[float]:
+    """``snapshots`` evenly spaced times across one period, from t = 0."""
+    require_count("snapshots", snapshots)
+    return [k * config.period / snapshots for k in range(snapshots)]
+
+
+def mean_throughput(config: ConstellationConfig, mode: IslMode, snapshots: int) -> float:
+    """Mean throughput over the ``_snapshot_times``."""
+    values = [max_flow_throughput(snapshot_at(config, mode, t))
+              for t in _snapshot_times(config, snapshots)]
     return float(np.mean(values))
 
 
@@ -262,49 +269,34 @@ def draw_pairs(total_sats: int, pairs: int, seed: int) -> np.ndarray:
     return rng.integers(0, total_sats, size=(pairs, 2))
 
 
-@dataclass(frozen=True)
-class LatencyResult:
-    mean_ms: float
-    unreachable_fraction: float
-
-
-def avg_latency(config: ConstellationConfig, mode: IslMode, pairs: int,
-                seed: int, snapshots: int = 16) -> LatencyResult:
-    """Mean shortest-path delay over seeded pairs and snapshot times.
-
-    Pools all (pair, snapshot) samples; unreachable ones are excluded from
-    the mean and reported as a fraction.  Pair draws depend only on the seed,
-    so runs across modes or phasing factors compare identical pair sets.
-    """
-    _require_count("pairs", pairs)
-    _require_count("snapshots", snapshots)
-    return _pooled_latency(config, mode, _seeded_pairs(config, pairs, seed), snapshots)
-
-
-def _seeded_pairs(config: ConstellationConfig, pairs: int, seed: int):
-    """``draw_pairs`` indexed for the latency kernel: the distinct sources,
-    each pair's row among them, and its destination's plane and slot."""
+def seeded_pairs(config: ConstellationConfig, pairs: int, seed: int):
+    """``draw_pairs`` indexed for ``mean_latency``: the distinct sources,
+    each pair's row among them, and its destination's plane and slot.  They
+    depend only on the satellite count and the seed, so every mode and
+    phasing factor of a sweep compares the same pairs."""
+    require_count("pairs", pairs)
     pair_arr = draw_pairs(config.total_sats, pairs, seed)
     sources, src_rows = np.unique(pair_arr[:, 0], return_inverse=True)
     return (sources, src_rows, *np.divmod(pair_arr[:, 1], config.sats_per_plane))
 
 
-def _pooled_latency(config: ConstellationConfig, mode: IslMode, drawn,
-                    snapshots: int) -> LatencyResult:
-    """``avg_latency`` over pairs already drawn by ``_seeded_pairs``."""
+def mean_latency(config: ConstellationConfig, mode: IslMode, drawn,
+                 snapshots: int) -> float:
+    """Mean shortest-path delay in ms over the ``seeded_pairs`` ``drawn`` at
+    the ``_snapshot_times``.
+
+    Pools all (pair, snapshot) samples; unreachable ones are left out of
+    the mean, which is +inf when no sample is reachable.
+    """
     sources, src_rows, dst_plane, dst_slot = drawn
-    total, count, unreachable = 0.0, 0, 0
-    times = [k * config.period / snapshots for k in range(snapshots)]
-    for t in times:
+    total, count = 0.0, 0
+    for t in _snapshot_times(config, snapshots):
         snap = snapshot_at(config, mode, t)
         delays = shortest_path_delays(snap, sources)[src_rows, dst_plane, dst_slot]
         finite = np.isfinite(delays)
         total += float(delays[finite].sum())
         count += int(finite.sum())
-        unreachable += int((~finite).sum())
-    mean_ms = (total / count) * 1e3 if count else float("inf")
-    return LatencyResult(mean_ms=mean_ms,
-                         unreachable_fraction=unreachable / (len(times) * len(src_rows)))
+    return (total / count) * 1e3 if count else float("inf")
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -315,55 +307,36 @@ class SweepRow:
     polar_threshold_deg: float
     mode: str
     n_hisl: int
-    throughput_gbps: float | None
-    avg_latency_ms: float | None
+    value: float | None                 # the sweep's metric; None without one
     error: str = ""
 
 
 def sweep(config_template: ConstellationConfig, f_values, modes,
-          include_throughput: bool = False, include_latency: bool = False,
-          pairs: int = 10_000, seed: int | None = None,
-          snapshots: int = 16) -> list[SweepRow]:
-    """One row per (F, mode) with the chosen metrics; each grid point is
-    ``config_template`` with its phasing factor replaced.
+          metric: Callable[[ConstellationConfig, IslMode], float] | None = None,
+          ) -> list[SweepRow]:
+    """One row per (F, mode); each grid point is ``config_template`` with
+    its phasing factor replaced.
 
-    The metrics are computed once per distinct link layout at a grid
-    point: modes with the same ``row_chains`` and ``active_row_set`` build
-    the same snapshot at every time (both modes when F <= 1).  Grid points
-    whose configuration is rejected (ConfigError) are recorded as error
-    rows and the sweep continues; any other exception is a program fault
-    and propagates.  Latency requires an explicit seed.
+    ``metric(config, mode) -> float`` runs once per distinct link layout at
+    a grid point: modes with the same ``row_chains`` and ``active_row_set``
+    build the same snapshot at every time (both modes when F <= 1).  Grid
+    points whose configuration is rejected (ConfigError) are recorded as
+    error rows and the sweep continues; any other exception, and any
+    exception from the metric, propagates.
     """
-    if include_latency and seed is None:
-        raise ConfigError("latency sweeps require an explicit seed")
-    # checked here too, so that a bad count fails the call, not every grid point
-    _require_count("pairs", pairs)
-    _require_count("snapshots", snapshots)
     polar = float(config_template.polar_threshold_deg)
-    # every grid point has the template's satellites: draw the pairs once
-    drawn = _seeded_pairs(config_template, pairs, seed) if include_latency else None
     rows = []
     for f in f_values:
-        metrics = {}                    # (row chains, active rows) -> metrics
+        values = {}                     # (row chains, active rows) -> value
         for mode in modes:
             try:
                 cfg = replace(config_template, phasing_factor=int(f))
                 n_hisl = hisl_count(cfg, mode)
                 layout = (row_chains(cfg, mode).tobytes(), active_row_set(cfg, mode))
-                if layout not in metrics:
-                    metrics[layout] = (
-                        mean_throughput(cfg, mode, snapshots=snapshots)
-                        if include_throughput else None,
-                        _pooled_latency(cfg, mode, drawn, snapshots).mean_ms
-                        if include_latency else None)
-                throughput, latency = metrics[layout]
-                rows.append(SweepRow(
-                    phasing_factor=int(f), polar_threshold_deg=polar,
-                    mode=mode.value, n_hisl=n_hisl,
-                    throughput_gbps=throughput, avg_latency_ms=latency))
             except ConfigError as exc:  # keep sweeping, record the point
-                rows.append(SweepRow(
-                    phasing_factor=int(f), polar_threshold_deg=polar,
-                    mode=mode.value, n_hisl=-1, throughput_gbps=None,
-                    avg_latency_ms=None, error=str(exc)))
+                rows.append(SweepRow(int(f), polar, mode.value, -1, None, str(exc)))
+                continue
+            if layout not in values:
+                values[layout] = None if metric is None else metric(cfg, mode)
+            rows.append(SweepRow(int(f), polar, mode.value, n_hisl, values[layout]))
     return rows

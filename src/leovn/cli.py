@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import sweep
+from .analysis import mean_latency, mean_throughput, require_count, seeded_pairs, sweep
 from .constellation import CONFIG_FIELDS, ConfigError, ConstellationConfig, read_config_file
 from .division import cell_bounds
 from .isl import IslKind, IslMode, active_row_set, snapshot_edges
@@ -82,8 +82,11 @@ def _write_rows(path: Path, fmt: str, header: list[str], rows: list[list]) -> No
     if fmt == "csv":
         _write_csv(path, header, rows)
     else:
-        records = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(records, indent=2) + "\n")
+        # strict JSON: a non-finite float (a latency over no reachable pair)
+        # is null, where the CSV writes its repr
+        records = [{key: None if isinstance(value, float) and not math.isfinite(value)
+                    else value for key, value in zip(header, row)} for row in rows]
+        path.write_text(json.dumps(records, indent=2, allow_nan=False) + "\n")
 
 
 # -- config assembly --------------------------------------------------------------
@@ -126,8 +129,8 @@ def cmd_divide(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
         region = ("R" if v in active else "P") + ("1" if 2 * (v - 1) < n2 else "2")
         for h in range(1, config.num_planes + 1):
             cell = cell_bounds(config, v, h)
-            rows.append([v, h, region, repr(cell.lat_low), repr(cell.lat_high),
-                         repr(cell.lon_low), repr(cell.lon_high), cell.pole_wrap])
+            rows.append([v, h, region, cell.lat_low, cell.lat_high,
+                         cell.lon_low, cell.lon_high, cell.pole_wrap])
     out = _out_path(args, "division.csv")
     _write_rows(out, args.format, header, rows)
     print(f"wrote {len(rows)} cells to {out}")
@@ -188,43 +191,51 @@ def cmd_staticness(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]
     return out, config
 
 
-def _sweep_command(args: argparse.Namespace, include_throughput: bool, include_latency: bool,
-                   default_name: str) -> tuple[Path, ConstellationConfig]:
-    """One sweep over F = f_min..f_max; its template is the configuration
-    at F = 0."""
+SWEEP_HEADER = ["F", "polar_threshold_deg", "mode", "n_hisl",
+                "throughput_gbps", "avg_latency_ms", "error"]
+
+
+def _sweep_template(args: argparse.Namespace) -> ConstellationConfig:
+    """The configuration at F = 0 of a sweep over F = f_min..f_max."""
     config = _build_config(args, phasing_factor=0)
     if args.f_max < args.f_min:
         raise ConfigError(f"f_max must be >= f_min, got f_min={args.f_min}, "
                           f"f_max={args.f_max}")
-    f_values = range(args.f_min, args.f_max + 1)
-    rows = sweep(config, f_values, _parse_mode(args.mode),
-                 include_throughput=include_throughput,
-                 include_latency=include_latency,
-                 pairs=getattr(args, "pairs", 10_000),
-                 seed=getattr(args, "seed", None),
-                 snapshots=getattr(args, "snapshots", 16))
-    header = ["F", "polar_threshold_deg", "mode", "n_hisl",
-              "throughput_gbps", "avg_latency_ms", "error"]
-    table = [[r.phasing_factor, repr(r.polar_threshold_deg), r.mode, r.n_hisl,
-              "" if r.throughput_gbps is None else repr(r.throughput_gbps),
-              "" if r.avg_latency_ms is None else repr(r.avg_latency_ms),
+    return config
+
+
+def _write_sweep(args: argparse.Namespace, config: ConstellationConfig, default_name: str,
+                 column: str | None = None, metric=None) -> tuple[Path, ConstellationConfig]:
+    """Sweep ``config`` over F with ``metric``, whose values fill ``column``;
+    the other metric column stays empty."""
+    rows = sweep(config, range(args.f_min, args.f_max + 1), _parse_mode(args.mode), metric)
+    table = [[r.phasing_factor, r.polar_threshold_deg, r.mode, r.n_hisl,
+              *(r.value if name == column else None for name in SWEEP_HEADER[4:6]),
               r.error] for r in rows]
     out = _out_path(args, default_name)
-    _write_rows(out, args.format, header, table)
+    _write_rows(out, args.format, SWEEP_HEADER, table)
     print(f"wrote {len(table)} sweep rows to {out}")
     return out, config
 
 
 def cmd_sweep_hisl(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
-    return _sweep_command(args, False, False, "hisl_sweep.csv")
+    return _write_sweep(args, _sweep_template(args), "hisl_sweep.csv")
 
 
 def cmd_throughput(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
-    return _sweep_command(args, True, False, "throughput.csv")
+    config = _sweep_template(args)
+    require_count("snapshots", args.snapshots)      # before any grid point runs
+    return _write_sweep(args, config, "throughput.csv", "throughput_gbps",
+                        lambda cfg, mode: mean_throughput(cfg, mode, args.snapshots))
 
 
 def cmd_latency(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
-    return _sweep_command(args, False, True, "latency.csv")
+    config = _sweep_template(args)
+    require_count("snapshots", args.snapshots)
+    # every grid point has the template's satellites: draw the pairs once
+    drawn = seeded_pairs(config, args.pairs, args.seed)
+    return _write_sweep(args, config, "latency.csv", "avg_latency_ms",
+                        lambda cfg, mode: mean_latency(cfg, mode, drawn, args.snapshots))
 
 
 def cmd_theorem1_check(args: argparse.Namespace) -> int:

@@ -248,12 +248,12 @@ def read_config_file(path: str | Path) -> dict[str, int | float]:
     ``ConstellationConfig`` keyword arguments, unresolved, so that values
     laid over them still resolve the defaults (``phase0_deg`` included).
 
-    Recognized keys: the first column of ``CONFIG_FIELDS``.  Unknown keys
-    and malformed values raise ConfigError naming the key; n1 and n2 may be
-    left to command-line flags.
+    Recognized keys: the first column of ``CONFIG_FIELDS``.  Unknown or
+    repeated keys and malformed values raise ConfigError naming the key; n1
+    and n2 may be left to command-line flags.
     """
     fields = {key: (name, cast) for key, _, name, cast, _ in CONFIG_FIELDS}
-    kwargs = {}
+    kwargs, first_line = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -264,6 +264,10 @@ def read_config_file(path: str | Path) -> dict[str, int | float]:
         key, value = key.strip(), value.strip()
         if key not in fields:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}, "
+                              f"first set on line {first_line[key]}")
+        first_line[key] = lineno
         field_name, cast = fields[key]
         try:
             kwargs[field_name] = cast(value)

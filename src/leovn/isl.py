@@ -70,6 +70,8 @@ class IslSnapshot:
     active: np.ndarray
 
     def __len__(self) -> int:
+        # perfbench's traced isl.snapshot_edges.edges counter takes len()
+        # of every snapshot
         return len(self.pairs)
 
 

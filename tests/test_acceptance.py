@@ -8,7 +8,7 @@ use the stated percentage bands.
 import random
 import time
 
-from leovn.analysis import avg_latency, mean_throughput
+from leovn.analysis import mean_latency, mean_throughput, seeded_pairs
 from leovn.constellation import ConstellationConfig
 from leovn.division import grd_switch_interval
 from leovn.isl import IslMode
@@ -86,11 +86,11 @@ def test_criterion_06_hisl_count_trends():
 
 def test_criterion_07_throughput_trend():
     start = time.time()
-    opt = [mean_throughput(make_config(F=f), IslMode.OPTIMIZED) for f in range(1, 15)]
+    opt = [mean_throughput(make_config(F=f), IslMode.OPTIMIZED, 16) for f in range(1, 15)]
     spread = (max(opt) - min(opt)) / (sum(opt) / len(opt))
     ok = spread < 0.10
-    conv0 = mean_throughput(make_config(F=0), IslMode.CONVENTIONAL)
-    conv14 = mean_throughput(make_config(F=14), IslMode.CONVENTIONAL)
+    conv0 = mean_throughput(make_config(F=0), IslMode.CONVENTIONAL, 16)
+    conv14 = mean_throughput(make_config(F=14), IslMode.CONVENTIONAL, 16)
     ok &= conv14 < 0.25 * conv0
     report(7, f"throughput: optimized spread {spread:.1%} < 10%, "
               f"conventional collapses at F=14 ({conv14:.1f} < 0.25 x {conv0:.1f})",
@@ -99,11 +99,11 @@ def test_criterion_07_throughput_trend():
 
 def test_criterion_08_latency_trend():
     start = time.time()
-    opt = [avg_latency(make_config(F=f), IslMode.OPTIMIZED, 10_000, 42).mean_ms
-           for f in range(0, 15)]
+    drawn = seeded_pairs(make_config(), 10_000, 42)
+    opt = [mean_latency(make_config(F=f), IslMode.OPTIMIZED, drawn, 16) for f in range(0, 15)]
     # conventional mode has zero H-ISLs at F=14 (criterion 6) and the network
     # splits into planes, so its comparable domain ends at F=13
-    conv = [avg_latency(make_config(F=f), IslMode.CONVENTIONAL, 10_000, 42).mean_ms
+    conv = [mean_latency(make_config(F=f), IslMode.CONVENTIONAL, drawn, 16)
             for f in range(0, 14)]
     ok = all(opt[i + 1] >= opt[i] * 0.98 for i in range(len(opt) - 1))
     ok &= all(conv[i + 1] >= conv[i] * 0.98 for i in range(len(conv) - 1))

@@ -13,10 +13,11 @@ from leovn.analysis import (
     SINK_BOX,
     SOURCE_BOX,
     SPEED_OF_LIGHT,
-    avg_latency,
     draw_pairs,
     max_flow_throughput,
+    mean_latency,
     mean_throughput,
+    seeded_pairs,
     shortest_path_delays,
     snapshot_at,
     sweep,
@@ -173,16 +174,27 @@ class TestLatency:
 
     def test_deterministic_under_seed(self):
         cfg = make_config()
-        r1 = avg_latency(cfg, IslMode.CONVENTIONAL, pairs=500, seed=7, snapshots=2)
-        r2 = avg_latency(cfg, IslMode.CONVENTIONAL, pairs=500, seed=7, snapshots=2)
+        r1 = mean_latency(cfg, IslMode.CONVENTIONAL, seeded_pairs(cfg, 500, 7), 2)
+        r2 = mean_latency(cfg, IslMode.CONVENTIONAL, seeded_pairs(cfg, 500, 7), 2)
         assert r1 == r2
 
-    def test_unreachable_fraction_reported(self):
-        # conventional F=14 has no inter-plane links: cross-plane pairs drop
+    def test_unreachable_pairs_left_out_of_the_mean(self):
+        # conventional F=14 has no inter-plane links: cross-plane pairs drop,
+        # and the mean is over the finite delays of the pooled samples
         cfg = make_config(F=14)
-        res = avg_latency(cfg, IslMode.CONVENTIONAL, pairs=800, seed=3, snapshots=2)
-        assert res.unreachable_fraction > 0.8
-        assert math.isfinite(res.mean_ms)
+        pairs = draw_pairs(cfg.total_sats, 800, 3)
+        total, count, unreachable = 0.0, 0, 0
+        for t in (0.0, cfg.period / 2):
+            delays = dijkstra(delay_matrix(snapshot_at(cfg, IslMode.CONVENTIONAL, t)),
+                              directed=False, indices=pairs[:, 0])[np.arange(800), pairs[:, 1]]
+            finite = np.isfinite(delays)
+            total += float(delays[finite].sum())
+            count += int(finite.sum())
+            unreachable += int((~finite).sum())
+        assert unreachable / (2 * 800) > 0.8
+        got = mean_latency(cfg, IslMode.CONVENTIONAL, seeded_pairs(cfg, 800, 3), 2)
+        assert math.isfinite(got)
+        assert got == (total / count) * 1e3
 
     def test_delay_matrix_is_symmetric(self):
         cfg = make_config()
@@ -196,9 +208,9 @@ class TestLatency:
 
     @pytest.mark.parametrize("pairs, snapshots, field", [(0, 2, "pairs"), (10, 0, "snapshots")])
     def test_empty_sample_counts_rejected(self, pairs, snapshots, field):
+        cfg = make_config()
         with pytest.raises(ConfigError, match=field):
-            avg_latency(make_config(), IslMode.CONVENTIONAL, pairs=pairs, seed=1,
-                        snapshots=snapshots)
+            mean_latency(cfg, IslMode.CONVENTIONAL, seeded_pairs(cfg, pairs, 1), snapshots)
 
 
 class TestLatencyKernel:
@@ -326,10 +338,17 @@ class TestSweep:
                                   polar_threshold_deg=64.0, phase0_deg=7.0)
         point = ConstellationConfig(num_planes=6, sats_per_plane=12, phasing_factor=1,
                                     polar_threshold_deg=64.0, phase0_deg=7.0)
-        [row] = sweep(cfg, (1,), (IslMode.CONVENTIONAL,), include_latency=True,
-                      pairs=500, seed=3, snapshots=3)
+        drawn = seeded_pairs(cfg, 500, 3)
+        seen = []
+
+        def metric(config, mode):
+            seen.append((config, mode))
+            return mean_latency(config, mode, drawn, 3)
+
+        [row] = sweep(cfg, (1,), (IslMode.CONVENTIONAL,), metric)
         assert row.polar_threshold_deg == 64.0
-        assert row.avg_latency_ms == avg_latency(point, IslMode.CONVENTIONAL, 500, 3, 3).mean_ms
+        assert seen == [(point, IslMode.CONVENTIONAL)]
+        assert row.value == mean_latency(point, IslMode.CONVENTIONAL, drawn, 3)
 
     @pytest.mark.parametrize("f", [0, 1])
     def test_modes_share_the_layout_below_f2(self, f):
@@ -345,20 +364,32 @@ class TestSweep:
         # at polar 90 no row ever shuts off, so the conventional layout is
         # the same at every F: a reuse across F values would show there
         cfg = replace(make_config(altitude_km=780.0), polar_threshold_deg=polar)
-        rows = sweep(cfg, range(4), list(IslMode), include_throughput=True,
-                     include_latency=True, pairs=300, seed=5, snapshots=2)
-        assert [(r.phasing_factor, r.mode) for r in rows] == [
-            (f, mode.value) for f in range(4) for mode in IslMode]
-        for row in rows:
-            point = replace(cfg, phasing_factor=row.phasing_factor)
-            mode = IslMode(row.mode)
-            assert row.throughput_gbps == mean_throughput(point, mode, snapshots=2)
-            assert row.avg_latency_ms == avg_latency(point, mode, 300, 5, 2).mean_ms
+        drawn = seeded_pairs(cfg, 300, 5)
+        for metric in (lambda point, mode: mean_throughput(point, mode, 2),
+                       lambda point, mode: mean_latency(point, mode, drawn, 2)):
+            rows = sweep(cfg, range(4), list(IslMode), metric)
+            assert [(r.phasing_factor, r.mode) for r in rows] == [
+                (f, mode.value) for f in range(4) for mode in IslMode]
+            for row in rows:
+                point = replace(cfg, phasing_factor=row.phasing_factor)
+                assert row.value == metric(point, IslMode(row.mode))
 
-    def test_latency_requires_seed(self):
-        cfg = make_config()
-        with pytest.raises(ConfigError):
-            sweep(cfg, (0,), (IslMode.CONVENTIONAL,), include_latency=True)
+    def test_metric_runs_once_per_layout(self):
+        # both modes share the layout at F <= 1, and a sweep without a
+        # metric leaves the value empty
+        cfg = make_config(altitude_km=780.0)
+        calls = []
+
+        def metric(point, mode):
+            calls.append((point.phasing_factor, mode))
+            return 1.5
+
+        rows = sweep(cfg, range(4), list(IslMode), metric)
+        assert calls == [(0, IslMode.CONVENTIONAL), (1, IslMode.CONVENTIONAL),
+                         (2, IslMode.CONVENTIONAL), (2, IslMode.OPTIMIZED),
+                         (3, IslMode.CONVENTIONAL), (3, IslMode.OPTIMIZED)]
+        assert {r.value for r in rows} == {1.5}
+        assert {r.value for r in sweep(cfg, range(4), list(IslMode))} == {None}
 
     def test_failing_point_becomes_error_row(self):
         cfg = make_config()
@@ -367,13 +398,12 @@ class TestSweep:
         assert len(errors) == 1 and errors[0].phasing_factor == 99
         assert len(rows) == 2
 
-    @pytest.mark.parametrize("kw,fragment", [
-        (dict(include_latency=True, seed=1, pairs=0), "pairs"),
-        (dict(include_throughput=True, snapshots=0), "snapshots"),
-    ])
-    def test_empty_sample_counts_rejected(self, kw, fragment):
-        with pytest.raises(ConfigError, match=fragment):
-            sweep(make_config(), (0,), (IslMode.CONVENTIONAL,), **kw)
+    def test_metric_error_is_not_an_error_row(self):
+        # only building a grid point may become an error row: the metric
+        # runs on a point whose layout was built, so its ConfigError is a fault
+        with pytest.raises(ConfigError, match="snapshots"):
+            sweep(make_config(), (0,), (IslMode.CONVENTIONAL,),
+                  lambda point, mode: mean_throughput(point, mode, 0))
 
     def test_program_fault_is_not_an_error_row(self, monkeypatch):
         def broken(*args):

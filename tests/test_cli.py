@@ -268,14 +268,80 @@ class TestSweepCommands:
 
     @pytest.mark.parametrize("argv,fragment", [
         (["latency", "--seed", "1", "--pairs", "0"], "pairs"),
+        (["latency", "--seed", "1", "--snapshots", "0"], "snapshots"),
         (["throughput", "--snapshots", "0"], "snapshots"),
     ])
-    def test_empty_sample_counts_exit_2(self, tmp_path, capsys, argv, fragment):
+    @pytest.mark.parametrize("grid", [
+        ["--n1", "6", "--n2", "12", "--f-max", "1"],
+        # every grid point an error row (F > n1): the count is still checked
+        ["--n1", "3", "--n2", "12", "--f-min", "5", "--f-max", "6", "--mode", "optimized"],
+    ])
+    def test_empty_sample_counts_exit_2(self, tmp_path, capsys, argv, grid, fragment):
         out = tmp_path / "sweep.csv"
-        assert main(argv + ["--n1", "6", "--n2", "12", "--f-max", "1",
-                            "--out", str(out)]) == 2
-        assert fragment in capsys.readouterr().err
+        assert main(argv + grid + ["--out", str(out)]) == 2
+        assert f"{fragment} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def strict_json(path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestJsonOutputs:
+    """``--format json`` writes the table's native values: numbers, booleans,
+    and null for a metric the command does not compute or a mean over no
+    reachable pair."""
+
+    def test_divide_types(self, tmp_path):
+        out = tmp_path / "division.json"
+        assert main(["divide", "--n1", "6", "--n2", "12", "--format", "json",
+                     "--out", str(out)]) == 0
+        records = strict_json(out)
+        assert len(records) == 72
+        assert {type(r[k]).__name__ for r in records for k in r} == {"int", "str", "float", "bool"}
+        assert records[0] == {"v": 1, "h": 1, "region": "R1", "lat_low_deg": -70.0,
+                              "lat_high_deg": -40.0, "lon_low_deg": 0.0,
+                              "lon_high_deg": 30.0, "pole_wrap": False}
+        csv_out = tmp_path / "division.csv"
+        assert main(["divide", "--n1", "6", "--n2", "12", "--out", str(csv_out)]) == 0
+        assert read_division_csv(csv_out) == records
+
+    def test_throughput_types(self, tmp_path):
+        argv = ["throughput", "--n1", "6", "--n2", "12", "--f-max", "3", "--snapshots", "2"]
+        out, csv_out = tmp_path / "throughput.json", tmp_path / "throughput.csv"
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        assert main([*argv, "--out", str(csv_out)]) == 0
+        records = strict_json(out)
+        with open(csv_out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(records) == len(rows) == 8
+        for record, row in zip(records, rows):
+            assert list(record) == list(row)
+            assert type(record["F"]) is int and type(record["n_hisl"]) is int
+            assert record["polar_threshold_deg"] == 70.0
+            assert type(record["throughput_gbps"]) is float
+            assert record["throughput_gbps"] == float(row["throughput_gbps"])
+            assert record["avg_latency_ms"] is None and row["avg_latency_ms"] == ""
+            assert record["error"] == ""
+
+    def test_latency_types(self, tmp_path):
+        # conventional F=14 has no H-ISL, so the one cross-plane pair of
+        # seed 0 (plane 16 to plane 12) is never reachable: the CSV writes
+        # inf, and strict JSON null
+        argv = ["latency", *PAPER, "--f-min", "13", "--f-max", "14", "--mode", "conventional",
+                "--snapshots", "1", "--pairs", "1", "--seed", "0"]
+        out, csv_out = tmp_path / "latency.json", tmp_path / "latency.csv"
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        assert main([*argv, "--out", str(csv_out)]) == 0
+        f13, f14 = strict_json(out)
+        assert type(f13["avg_latency_ms"]) is float and f13["throughput_gbps"] is None
+        assert (f14["n_hisl"], f14["avg_latency_ms"], f14["throughput_gbps"]) == (0, None, None)
+        with open(csv_out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[0]["avg_latency_ms"]) == f13["avg_latency_ms"]
+        assert rows[1]["avg_latency_ms"] == "inf"
 
 
 class TestConfigAssembly:
@@ -331,7 +397,10 @@ class TestPinnedOutputs:
     n2 = 3 at polar 20, fractional K (7x11, polar 55), and optimized F > n1
     error rows and conventional rows straddling a cap (3x12).  Cell bounds
     are folds of exact rationals and snapshot flags and H-ISL counts come
-    from exact integer tests, so the bytes do not depend on the platform."""
+    from exact integer tests, so the bytes do not depend on the platform.
+    Throughput values are means of integer flows, and every sub-point of the
+    pinned 7x11 throughput sweep lies at least 0.0649 deg from a box edge.
+    No latency CSV is pinned: its float sums follow the platform's trig."""
 
     @pytest.mark.parametrize("argv,digest", [
         (["divide", *PAPER, "--mode", "conventional"],
@@ -370,6 +439,9 @@ class TestPinnedOutputs:
         (["sweep-hisl", "--n1", "3", "--n2", "12", "--f-min", "0", "--f-max", "11",
           "--mode", "both"],
          "b07d7e0fa39501d727231d2fad6bfdff16aa9e0e1bbe2e2a4ba660db81f64f1f"),
+        (["throughput", "--n1", "7", "--n2", "11", "--polar-deg", "55", "--raan0-deg", "3",
+          "--f-max", "10", "--snapshots", "3"],
+         "6ccc0fd9f76dd20232be392878e844ff7478c00f611ee1dd76e41a0a0eaf2060"),
     ])
     def test_sha256(self, tmp_path, argv, digest):
         out = tmp_path / "out.csv"

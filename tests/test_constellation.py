@@ -383,6 +383,13 @@ polar_threshold_deg = 70
         with pytest.raises(ConfigError, match="n2"):
             read_config_file(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # the last value used to win without a word: n1 = 8 built 8 planes
+        path = tmp_path / "bad.cfg"
+        path.write_text("n1 = 6\nn2 = 12\n# planes\nn1 = 8\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:4: repeated key 'n1', first set on line 1"):
+            read_config_file(path)
+
     def test_missing_required(self, tmp_path):
         # the file may leave n1/n2 to flags; the CLI names what neither gave
         path = tmp_path / "bad.cfg"
