@@ -158,14 +158,48 @@ def cmd_snapshot(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
     return out, config
 
 
+def _events_csv_writer(fh, config: ConstellationConfig):
+    """A ``staticness_report`` consumer that writes each sample's events to
+    ``fh`` as CSV lines.  The text of an edge is made once, when its key is
+    first seen; no field holds a comma, quote or newline, so the lines are
+    the bytes csv.writer would write."""
+    edge_text: dict[int, str] = {}
+    causes_per_change = len(EventCause)
+    tails = [f",{ch.name},{ca.name}\n" for ch in EventChange for ca in EventCause]
+
+    def write(t, keys, changes, causes):
+        keys = keys.tolist()
+        new = [k for k in keys if k not in edge_text]
+        if new:
+            addresses = edge_addresses(np.array(new, dtype=np.int64), config.num_planes,
+                                       config.total_sats)
+            edge_text.update(zip(new, (f",{av},{ah},{bv},{bh},{KIND_LETTERS[k]}"
+                                       for av, ah, bv, bh, k in zip(
+                                           *(col.tolist() for col in addresses)))))
+        t = repr(t)
+        fh.write("".join([f"{t}{edge_text[k]}{tails[x]}" for k, x in zip(
+            keys, (changes * causes_per_change + causes).tolist())]))
+    return write
+
+
 def cmd_staticness(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
-    """Write the report JSON and its events CSV.  CSV lines join text made once
-    per distinct edge, sample time and (change, cause) pair; no field holds a
-    comma, quote or newline, so they are the bytes csv.writer would write."""
+    """Write the events CSV as the report produces it, then the report JSON.
+    The CSV goes to a temporary sibling that replaces the events CSV only
+    once the report is complete, so a failed run writes neither file."""
     config = _build_config(args)
-    report = staticness_report(config, VnMethod(args.method), IslMode(args.mode),
-                               args.duration_s, args.samples)
     out = _out_path(args, "staticness.json")
+    events_path = out.with_suffix(".events.csv")
+    partial = events_path.with_name(events_path.name + ".tmp")
+    try:
+        with open(partial, "w", newline="\n") as fh:
+            fh.write("t,a_v,a_h,b_v,b_h,kind,change,cause\n")
+            report = staticness_report(config, VnMethod(args.method), IslMode(args.mode),
+                                       args.duration_s, args.samples,
+                                       _events_csv_writer(fh, config))
+        os.replace(partial, events_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     payload = {
         "method": report.method.value,
         "mode": report.mode.value,
@@ -177,16 +211,6 @@ def cmd_staticness(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]
         "mapping_conflicts": report.mapping_conflicts,
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")
-    sample, keys, change, cause = report.events.T
-    edges, edge_of = np.unique(keys, return_inverse=True)
-    edge_text = [f"{av},{ah},{bv},{bh},{KIND_LETTERS[k]}" for av, ah, bv, bh, k in zip(
-        *(col.tolist() for col in edge_addresses(edges, config.num_planes, config.total_sats)))]
-    times = [repr(t) for t in report.times]
-    tails = [[f"{ch.name},{ca.name}" for ca in EventCause] for ch in EventChange]
-    with open(out.with_suffix(".events.csv"), "w", newline="\n") as fh:
-        fh.write("t,a_v,a_h,b_v,b_h,kind,change,cause\n")
-        fh.writelines(f"{times[s]},{edge_text[e]},{tails[c][x]}\n" for s, e, c, x in zip(
-            sample.tolist(), edge_of.tolist(), change.tolist(), cause.tolist()))
     print(f"{report.event_count} events ({report.events_by_cause}) -> {out}")
     return out, config
 

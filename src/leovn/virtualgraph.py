@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -61,9 +62,11 @@ class EventChange(enum.IntEnum):
 
 @dataclass
 class StaticnessReport:
-    """``events`` is an int64 array (M, 4) with columns: sample index into
-    ``times``, edge key, ``EventChange`` and ``EventCause`` codes, in output
-    order (per sample: ADDED rows then REMOVED rows, each sorted by key)."""
+    """Tallies of one staticness window; no event is kept.  ``event_count``
+    counts the events of every sample and ``events_by_cause`` splits it by
+    ``EventCause`` name, in order of first appearance.  The events
+    themselves go, one sample at a time, to ``staticness_report``'s
+    ``on_events``."""
     method: VnMethod
     mode: IslMode
     duration_s: float
@@ -71,8 +74,6 @@ class StaticnessReport:
     event_count: int
     events_by_cause: dict[str, int]
     seam_column_history: list[tuple[float, int]]
-    times: list[float] = field(repr=False)
-    events: np.ndarray = field(repr=False)
     mapping_conflicts: int = 0
 
 
@@ -236,7 +237,9 @@ def _missing(keys: np.ndarray, other: np.ndarray) -> np.ndarray:
 
 
 def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMode,
-                      duration_s: float, samples: int) -> StaticnessReport:
+                      duration_s: float, samples: int,
+                      on_events: Callable[[float, np.ndarray, np.ndarray, np.ndarray], None]
+                      | None = None) -> StaticnessReport:
     """Diff mapped snapshots over a time window and tally events by cause.
 
     A celestial division matched to the connecting mode must report zero
@@ -246,6 +249,13 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
     the previous sample's keeps its instance unmapped; only changed
     instances are diffed, and satellite latitudes are computed once, only at
     samples whose events are classified.  Conflicts count at every sample.
+
+    Each sample whose instance differs from the previous one passes its
+    events to ``on_events(t, keys, changes, causes)``, in sample order: ``t``
+    is the sample-time object of ``sample_times``, ``keys`` the ADDED edge
+    keys then the REMOVED ones, each run sorted, and ``changes`` and
+    ``causes`` their ``EventChange`` and ``EventCause`` codes.  The report
+    keeps only tallies, so its memory does not grow with the event count.
     """
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
@@ -259,7 +269,8 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
     def classify(keys, serving, i):
         return event_causes(keys, serving, lats_at(i), config, method) if len(keys) else keys
 
-    events = [np.empty((0, 4), dtype=np.int64)]
+    cause_counts = np.zeros(len(EventCause), dtype=np.int64)
+    cause_order: list[int] = []     # codes in order of first appearance
     seam_history: list[tuple[float, int]] = []
     conflicts_total = 0
 
@@ -280,19 +291,18 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
             added, removed = _missing(instance, prev_instance), _missing(prev_instance, instance)
             causes = np.concatenate([classify(added, prev_serving, i - 1),
                                      classify(removed, serving, i)])
-            changes = np.repeat([EventChange.ADDED, EventChange.REMOVED],
-                                [len(added), len(removed)])
-            keys = np.concatenate([added, removed])
-            events.append(np.stack([np.full(len(keys), i), keys, changes, causes], axis=1))
+            counts = np.bincount(causes, minlength=len(EventCause))
+            new = [c for c in np.flatnonzero(counts).tolist() if c not in cause_order]
+            cause_order += sorted(new, key=lambda c: int(np.argmax(causes == c)))
+            cause_counts += counts
+            if on_events is not None:
+                changes = np.repeat([EventChange.ADDED, EventChange.REMOVED],
+                                    [len(added), len(removed)])
+                on_events(t, np.concatenate([added, removed]), changes, causes)
         prev = instance, serving, snapshot.active
 
-    events = np.concatenate(events)
-    codes, first, counts = np.unique(events[:, 3], return_index=True, return_counts=True)
-    order = np.argsort(first)       # causes in order of first appearance
-    by_cause = {EventCause(c).name: n
-                for c, n in zip(codes[order].tolist(), counts[order].tolist())}
     return StaticnessReport(
         method=method, mode=mode, duration_s=duration_s, samples=len(times),
-        event_count=len(events), events_by_cause=by_cause,
-        seam_column_history=seam_history, times=times, events=events,
-        mapping_conflicts=conflicts_total)
+        event_count=int(cause_counts.sum()),
+        events_by_cause={EventCause(c).name: int(cause_counts[c]) for c in cause_order},
+        seam_column_history=seam_history, mapping_conflicts=conflicts_total)

@@ -1,11 +1,12 @@
-"""Exact-angle helpers, graph counts and Hypothesis strategies shared by the
-test modules."""
+"""Exact-angle helpers, graph counts, staticness event blocks and Hypothesis
+strategies shared by the test modules."""
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
 from leovn.constellation import SIDEREAL_DAY, ConstellationConfig
+from leovn.virtualgraph import staticness_report
 
 
 def initial_phase_deg(cfg, plane: int, slot: int) -> Fraction:
@@ -20,6 +21,15 @@ def edge_count(keys, kind) -> int:
     """Virtual edges of one ``IslKind`` among edge keys (the kind is the low
     bit of each key)."""
     return int(np.count_nonzero(keys % 2 == kind))
+
+
+def report_blocks(cfg, method, mode, duration_s, samples):
+    """A staticness report and the (t, keys, changes, causes) blocks it
+    passed to its consumer, in order."""
+    blocks = []
+    report = staticness_report(cfg, method, mode, duration_s, samples,
+                               lambda *block: blocks.append(block))
+    return report, blocks
 
 
 @st.composite

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -13,16 +14,13 @@ import pytest
 
 import leovn.isl
 import leovn.verify
+import leovn.virtualgraph
 from leovn.cli import KIND_LETTERS, SUITE_NAMES, _build_config, build_parser, main
 from leovn.constellation import ConstellationConfig
 from leovn.isl import IslMode, bh_planes
-from leovn.virtualgraph import (
-    EventCause,
-    EventChange,
-    VnMethod,
-    edge_addresses,
-    staticness_report,
-)
+from leovn.virtualgraph import EventCause, EventChange, VnMethod, edge_addresses
+
+from helpers import report_blocks
 
 
 def read_division_csv(path):
@@ -148,20 +146,37 @@ class TestSnapshot:
         assert {"a_plane", "kind", "active"} <= set(records[0])
 
 
-def csv_writer_events(report, config) -> bytes:
-    """The events CSV as csv.writer writes it, one row per event from the
-    event's own edge addresses (the earlier implementation)."""
+def csv_writer_events(blocks, config) -> bytes:
+    """The events CSV as csv.writer writes it, one row per event of the
+    report's blocks, from the event's own edge addresses (the earlier
+    implementation)."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "a_v", "a_h", "b_v", "b_h", "kind", "change", "cause"])
-    sample, keys, change, cause = report.events.T
-    a_v, a_h, b_v, b_h, kind = edge_addresses(keys, config.num_planes, config.total_sats)
-    for s, av, ah, bv, bh, k, c, x in zip(sample.tolist(), a_v.tolist(), a_h.tolist(),
-                                           b_v.tolist(), b_h.tolist(), kind.tolist(),
-                                           change.tolist(), cause.tolist()):
-        writer.writerow([repr(report.times[s]), av, ah, bv, bh, KIND_LETTERS[k],
-                         EventChange(c).name, EventCause(x).name])
+    for t, keys, change, cause in blocks:
+        a_v, a_h, b_v, b_h, kind = edge_addresses(keys, config.num_planes, config.total_sats)
+        for av, ah, bv, bh, k, c, x in zip(a_v.tolist(), a_h.tolist(), b_v.tolist(),
+                                           b_h.tolist(), kind.tolist(), change.tolist(),
+                                           cause.tolist()):
+            writer.writerow([repr(t), av, ah, bv, bh, KIND_LETTERS[k],
+                             EventChange(c).name, EventCause(x).name])
     return buf.getvalue().encode()
+
+
+def traced_staticness(tmp_path, method, duration_s):
+    """Traced allocation peak (bytes) of a 6x12 F=1 ``staticness`` call,
+    and its event count."""
+    out = tmp_path / f"{method}-{duration_s}.json"
+    argv = ["staticness", "--n1", "6", "--n2", "12", "--f", "1", "--method", method,
+            "--mode", "conventional", "--duration-s", str(duration_s), "--samples",
+            "40" if method == "grd2" else "120", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, json.loads(out.read_text())["event_count"]
 
 
 class TestStaticnessCommand:
@@ -176,15 +191,44 @@ class TestStaticnessCommand:
                      "--method", method, "--mode", mode, "--duration-s", str(duration),
                      "--samples", "40", "--out", str(out)]) == 0
         cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f)
-        report = staticness_report(cfg, VnMethod(method), IslMode(mode), duration, 40)
+        report, blocks = report_blocks(cfg, VnMethod(method), IslMode(mode), duration, 40)
         got = (tmp_path / "report.events.csv").read_bytes()
-        assert got == csv_writer_events(report, cfg)
+        assert got == csv_writer_events(blocks, cfg)
         if method == "csd":
             assert got == b"t,a_v,a_h,b_v,b_h,kind,change,cause\n"
         else:   # mapping conflicts and both kinds of sample-time object
             assert report.mapping_conflicts > 0 and report.event_count > 0
             lines = got.splitlines()[1:]
             assert {line.startswith(b"np.float64(") for line in lines} == {True, False}
+
+    @pytest.mark.parametrize("method", ["grd2", "grd1"])
+    def test_memory_is_flat_in_the_window(self, tmp_path, method):
+        # events stream to the CSV per sample: a 4x longer window with ~2x
+        # the events holds no more than a few extra samples' worth of memory
+        # (GRD1 takes the coverage-loss path)
+        traced_staticness(tmp_path, method, 5000)     # fill the caches
+        short, short_events = traced_staticness(tmp_path, method, 20000)
+        long, long_events = traced_staticness(tmp_path, method, 80000)
+        assert long_events > 1.5 * short_events
+        assert long < 1.25 * short
+
+    def test_failure_mid_window_writes_nothing(self, tmp_path, monkeypatch):
+        real = leovn.virtualgraph.method_instance
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 20:
+                assert list(tmp_path.iterdir())    # the events are being written
+                raise RuntimeError("instance failed")
+            return real(*args)
+
+        monkeypatch.setattr(leovn.virtualgraph, "method_instance", failing)
+        with pytest.raises(RuntimeError, match="instance failed"):
+            main(["staticness", "--n1", "6", "--n2", "12", "--f", "1", "--method", "grd2",
+                  "--mode", "conventional", "--duration-s", "20000", "--samples", "40",
+                  "--out", str(tmp_path / "static.json")])
+        assert list(tmp_path.iterdir()) == []
 
     def test_csd_report(self, tmp_path):
         out = tmp_path / "static.json"

@@ -21,6 +21,7 @@ from leovn.constellation import (
 )
 from leovn.division import (
     GrdVariant,
+    _coverage_cos_limit,
     _score_blocks,
     build_grd_grid,
     cell_bounds,
@@ -556,6 +557,17 @@ class TestGrdGrid:
         # their planes' tracks
         serving = grd_assignment(cfg, grid, SIDEREAL_DAY / 4, GrdVariant.INTRA_ONLY)
         assert (serving == -1).any()
+
+    def test_horizon_limit_is_the_radius_ratio(self):
+        # cos(acos(R/r)) rounds back to R/r in every bit over this scan, so
+        # the horizon limit skips the round trip and moves no serving array
+        drifted = [km for km in np.linspace(100.0, 3000.0, 200001).tolist()
+                   if math.cos(math.acos(ratio := R_EARTH / (R_EARTH + km * 1000.0)))
+                   != ratio]
+        assert drifted == []
+        for km in (100.0, 780.0, 3000.0):
+            cfg = make_config(altitude_km=km)
+            assert _coverage_cos_limit(cfg) == math.cos(math.acos(R_EARTH / cfg.orbit_radius))
 
     def test_inter_plane_rarely_uncovered(self):
         cfg = make_config()

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from leovn.virtualgraph import (
 )
 from leovn.verify import is_connected
 
-from helpers import configs, edge_count
+from helpers import configs, edge_count, report_blocks
 
 # rows 1..14 and 19..32: the active rows at 18x36, polar 70, F=0
 PAPER_ROWS = frozenset(range(1, 15)) | frozenset(range(19, 33))
@@ -290,11 +290,22 @@ class TestStaticnessReport:
                                                     inclination):
         cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
                                   inclination_deg=inclination)
-        rep = staticness_report(cfg, method, mode, 15000.0, 40)
+        rep, blocks = report_blocks(cfg, method, mode, 15000.0, 40)
         want, want_conflicts = oracle_events(cfg, method, mode, 15000.0, 40)
-        assert rep.events.dtype == want.dtype
-        assert np.array_equal(rep.events, want)
+        times = sample_times(cfg, 15000.0, 40)
+        rows = [np.empty((0, 4), dtype=np.int64)]
+        for t, keys, changes, causes in blocks:
+            i = times.index(t)
+            assert type(t) is type(times[i])    # the sample-time object itself
+            rows.append(np.stack([np.full(len(keys), i), keys, changes, causes], axis=1))
+        got = np.concatenate(rows)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
         assert rep.mapping_conflicts == want_conflicts
+        # the tallies count the blocks' events, causes in first-appearance order
+        by_cause = Counter(EventCause(code).name for code in got[:, 3].tolist())
+        assert rep.event_count == len(got)
+        assert list(rep.events_by_cause.items()) == list(by_cause.items())
 
     @given(a=st.sets(st.integers(0, 300)), b=st.sets(st.integers(0, 300)))
     def test_missing_keys_equal_setdiff(self, a, b):
