@@ -200,16 +200,8 @@ def cmd_staticness(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-    payload = {
-        "method": report.method.value,
-        "mode": report.mode.value,
-        "duration_s": report.duration_s,
-        "samples": report.samples,
-        "event_count": report.event_count,
-        "events_by_cause": report.events_by_cause,
-        "seam_column_history": report.seam_column_history,
-        "mapping_conflicts": report.mapping_conflicts,
-    }
+    payload = {**dataclasses.asdict(report),
+               "method": report.method.value, "mode": report.mode.value}
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"{report.event_count} events ({report.events_by_cause}) -> {out}")
     return out, config

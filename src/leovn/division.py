@@ -11,7 +11,8 @@ phase band it currently occupies.  Bands are half-open [start, start +
 360/n2) so a satellite exactly on a boundary belongs to the upper cell.
 The geographic division (GRD) freezes the t=0 ground projection of those
 cells and serves each frozen cell with whichever satellite covers it, either
-from the original plane only (variant 1) or from any plane (variant 2).
+from the original plane only (GRD1) or from any plane (GRD2); ``VnMethod``
+names the three methods.
 
 Geometry runs in float radians; cell-boundary bookkeeping runs in exact
 rational degrees (``fractions.Fraction``), so that floor/ceil expressions and
@@ -186,9 +187,10 @@ def grd_switch_interval(period: float, sats_per_plane: int) -> float:
 
 # -- geographic (GRD) grid ----------------------------------------------------
 
-class GrdVariant(enum.Enum):
-    INTRA_ONLY = "intra_only"     # cells only ever served by their t=0 plane
-    INTER_PLANE = "inter_plane"   # cells served by the best satellite anywhere
+class VnMethod(enum.Enum):
+    GRD1 = "grd1"   # geographic cells, intra-plane takeover only
+    GRD2 = "grd2"   # geographic cells, any-plane takeover
+    CSD = "csd"     # celestial cells
 
 
 def build_grd_grid(config: ConstellationConfig) -> np.ndarray:
@@ -272,18 +274,18 @@ _NEAR_ZENITH = 1e-12 + 1e-5
 
 
 def grd_assignment(config: ConstellationConfig, anchors: np.ndarray, t: float,
-                   variant: GrdVariant) -> np.ndarray:
+                   method: VnMethod) -> np.ndarray:
     """Serving satellite of every frozen cell (``build_grd_grid`` anchors) at
     time t.
 
     Returns an int array (n2, n1): flat satellite index (plane-1)*n2 +
     (slot-1), or -1 where no eligible satellite is above the horizon.
     Serving = maximum elevation, which for a single shell is the minimum
-    central angle (largest unit-vector dot product).  The inter-plane variant
-    scores every cell against every satellite, one block of cells per gemm
-    (``_score_blocks``); the intra-plane variant only each column against
-    its own plane, in one stacked gemm (see README "Conventions" for when
-    these agree bit for bit with the full cells x satellites product).
+    central angle (largest unit-vector dot product).  GRD2 scores every
+    cell against every satellite, one block of cells per gemm
+    (``_score_blocks``); GRD1 only each column against its own plane, in
+    one stacked gemm (see README "Conventions" for when these agree bit for
+    bit with the full cells x satellites product).
 
     A GRD2 block skips its tie pass when ``1.0 - block_top.max()`` exceeds
     ``_NEAR_ZENITH``, which holds exactly when no cell of the block has
@@ -292,6 +294,8 @@ def grd_assignment(config: ConstellationConfig, anchors: np.ndarray, t: float,
     ``1.0 - top`` is exact by Sterbenz from 0.5 up and rounds monotonically
     below, so no cell of the block is nearer 1.0 than its best.
     """
+    if method is VnMethod.CSD:
+        raise ValueError("grd_assignment serves GRD1 or GRD2, not CSD")
     n1, n2 = config.num_planes, config.sats_per_plane
     cells, cell_planes, bounds, offsets = _grd_tables(n1, n2)
     _, _, lats, lons = propagate_all(config, t)
@@ -299,7 +303,7 @@ def grd_assignment(config: ConstellationConfig, anchors: np.ndarray, t: float,
     sub = np.stack([cos_lats * np.cos(lons),
                     cos_lats * np.sin(lons),
                     np.sin(lats)], axis=1)          # (N, 3) Earth-fixed units
-    if variant is GrdVariant.INTRA_ONLY:
+    if method is VnMethod.GRD1:
         # (column, row, slot) blocks: each column's anchors against its own plane
         blocks = np.matmul(anchors.transpose(1, 0, 2), sub.reshape(n1, n2, 3).transpose(0, 2, 1))
         own = blocks.transpose(1, 0, 2).reshape(-1, n2)

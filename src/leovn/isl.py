@@ -188,6 +188,15 @@ def _static_pairs(config: ConstellationConfig, mode: IslMode):
     return pairs, kind
 
 
+def polar_mask(config: ConstellationConfig, t: float) -> np.ndarray:
+    """True where a satellite is polar at time t: its sub-point latitude is
+    strictly beyond the threshold, compared as sines, flat-indexed like
+    ``sin_lat``.  The one polar test: the per-satellite shut-off rule and the
+    event causes read it.  At the threshold itself a satellite is polar as
+    its sine rounds: at 70 deg on the descending leg only."""
+    return np.abs(sin_lat(config, t)) > math.sin(config.polar_threshold)
+
+
 def row_activity(config: ConstellationConfig, mode: IslMode, t: float,
                  shutoff: ShutoffRule) -> np.ndarray:
     """Active flag of every H boundary, shaped (n2 rows, n1-1).
@@ -195,15 +204,14 @@ def row_activity(config: ConstellationConfig, mode: IslMode, t: float,
     Row rule: one flag per row, held for the whole dwell of its plane-1
     member; the plane-1 members head the rows in slot order, so their CSD
     rows are the dwell rows.  Per-satellite rule: a boundary is on iff
-    neither endpoint's instantaneous latitude is strictly beyond the
-    threshold.
+    neither endpoint is polar (``polar_mask``).
     """
     if shutoff is ShutoffRule.ROW_SYNCHRONIZED:
         active = active_row_set(config, mode)
         flags = np.array([v in active for v in csd_rows_all(config, t)[0].tolist()])
         return np.repeat(flags[:, None], config.num_planes - 1, axis=1)
     rows = row_chains(config, mode)
-    polar = np.abs(sin_lat(config, t)) > math.sin(config.polar_threshold)
+    polar = polar_mask(config, t)
     return ~(polar[rows[:, :-1]] | polar[rows[:, 1:]])
 
 

@@ -17,14 +17,13 @@ import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .constellation import OMEGA_EARTH, ConfigError, ConstellationConfig, sin_lat
+from .constellation import OMEGA_EARTH, ConfigError, ConstellationConfig
 from .division import (
     CELL_SNAP,
-    GrdVariant,
+    VnMethod,
     build_grd_grid,
     csd_rows_all,
     grd_assignment,
@@ -37,14 +36,9 @@ from .isl import (
     IslSnapshot,
     ShutoffRule,
     active_row_set,
+    polar_mask,
     snapshot_edges,
 )
-
-
-class VnMethod(enum.Enum):
-    GRD1 = "grd1"   # geographic cells, intra-plane takeover only
-    GRD2 = "grd2"   # geographic cells, any-plane takeover
-    CSD = "csd"     # celestial cells
 
 
 class EventCause(enum.IntEnum):
@@ -183,25 +177,23 @@ def method_instance(config: ConstellationConfig, method: VnMethod, mode: IslMode
         snapshot = snapshot_edges(config, mode, t, ShutoffRule.ROW_SYNCHRONIZED)
         serving = csd_addressing(config, t)
     else:
-        variant = GrdVariant.INTRA_ONLY if method is VnMethod.GRD1 else GrdVariant.INTER_PLANE
-        serving = grd_assignment(config, anchors, t, variant)
+        serving = grd_assignment(config, anchors, t, method)
         snapshot = snapshot_edges(config, mode, t, ShutoffRule.PER_SATELLITE)
     cells_per_sat = np.bincount(serving[serving >= 0], minlength=serving.size)
     conflicts = int(np.count_nonzero(cells_per_sat > 1))
     return snapshot, serving, conflicts
 
 
-def event_causes(keys: np.ndarray, serving: np.ndarray, lats: np.ndarray,
+def event_causes(keys: np.ndarray, serving: np.ndarray, polar: np.ndarray,
                  config: ConstellationConfig, method: VnMethod) -> np.ndarray:
     """``EventCause`` code of each changed edge, judged at the sample where
-    the edge is absent (its serving array and satellite latitudes)."""
+    the edge is absent (its serving array and ``isl.polar_mask``)."""
     lo, hi, _ = _split_keys(keys, serving.size)
     flat = serving.ravel()
     sat_a, sat_b = flat[lo], flat[hi]
     plane_a, plane_b = sat_a // config.sats_per_plane, sat_b // config.sats_per_plane
     seam = ((method is VnMethod.GRD2) & (np.minimum(plane_a, plane_b) == 0)
             & (np.maximum(plane_a, plane_b) == config.num_planes - 1))
-    polar = np.abs(lats) > config.polar_threshold
     # lowest priority first: each later mask overrides the earlier ones
     causes = np.full(len(keys), EventCause.POLAR, dtype=np.int64)
     causes[polar[sat_a] != polar[sat_b]] = EventCause.ASYNC_SWITCH
@@ -210,14 +202,12 @@ def event_causes(keys: np.ndarray, serving: np.ndarray, lats: np.ndarray,
     return causes
 
 
-def _lats_all(config: ConstellationConfig, t: float) -> np.ndarray:
-    """Sub-point latitudes of all satellites straight from their phases."""
-    return np.arcsin(np.clip(sin_lat(config, t), -1.0, 1.0))
-
-
 def sample_times(config: ConstellationConfig, duration_s: float,
                  samples: int) -> list[float]:
-    """Evenly spaced samples over [0, duration] plus exact handover epochs."""
+    """Evenly spaced samples over [0, duration] plus the CSD handover epochs
+    (``switching_epochs``) inside it.  GRD1 hands over near the half-epochs
+    instead, so for the geographic methods the epochs are only extra sample
+    points."""
     times = list(np.linspace(0.0, duration_s, samples))
     n_epochs = int(duration_s / grd_switch_interval(config.period, config.sats_per_plane)) + 1
     for t in switching_epochs(config, n_epochs):
@@ -243,12 +233,12 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
     """Diff mapped snapshots over a time window and tally events by cause.
 
     A celestial division matched to the connecting mode must report zero
-    events; the geographic variants exhibit seam drift (variant 2), coverage
-    loss (variant 1), and asynchronous switching when the inter-plane phase
+    events; the geographic variants exhibit seam drift (GRD2), coverage
+    loss (GRD1), and asynchronous switching when the inter-plane phase
     offset is non-zero.  A sample whose serving array and active mask equal
     the previous sample's keeps its instance unmapped; only changed
-    instances are diffed, and satellite latitudes are computed once, only at
-    samples whose events are classified.  Conflicts count at every sample.
+    instances are diffed, and the polar mask is read only at samples whose
+    events are classified.  Conflicts count at every sample.
 
     Each sample whose instance differs from the previous one passes its
     events to ``on_events(t, keys, changes, causes)``, in sample order: ``t``
@@ -264,10 +254,9 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
     anchors = build_grd_grid(config) if method is not VnMethod.CSD else None
     times = sample_times(config, duration_s, samples)
 
-    lats_at = lru_cache(maxsize=1)(lambda i: _lats_all(config, times[i]))
-
-    def classify(keys, serving, i):
-        return event_causes(keys, serving, lats_at(i), config, method) if len(keys) else keys
+    def classify(keys, serving, i):     # sin_lat caches samples i-1 and i
+        polar = polar_mask(config, times[i])
+        return event_causes(keys, serving, polar, config, method) if len(keys) else keys
 
     cause_counts = np.zeros(len(EventCause), dtype=np.int64)
     cause_order: list[int] = []     # codes in order of first appearance

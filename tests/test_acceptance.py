@@ -5,12 +5,13 @@ captured output on failure) and enforces the stated tolerance and runtime
 budget.  Tolerances are exact where the criterion is exact; trend criteria
 use the stated percentage bands.
 """
-import random
 import time
+
+import numpy as np
 
 from leovn.analysis import mean_latency, mean_throughput, seeded_pairs
 from leovn.constellation import ConstellationConfig
-from leovn.division import grd_switch_interval
+from leovn.division import VnMethod, build_grd_grid, grd_assignment, switching_epochs
 from leovn.isl import IslMode
 from leovn.verify import (
     check_count_trends,
@@ -112,16 +113,27 @@ def test_criterion_08_latency_trend():
            ok, time.time() - start, 600.0)
 
 
-def test_criterion_09_switching_interval_identity():
+def test_criterion_09_grd1_hands_over_near_half_epochs():
+    # GRD1 frozen cells hand over once per T/n2, near the half-epochs
+    # (k + 1/2) * T/n2 of the CSD handovers: in each of the first 6
+    # switching_epochs intervals the serving array changes, and only within
+    # +-0.05 of an interval of its middle
     start = time.time()
-    rng = random.Random(99)
+    fractions = [j / 200 for j in range(201) if abs(j - 100) > 10]
     ok = True
-    for _ in range(10):
-        period = rng.uniform(4000.0, 9000.0)
-        n2 = rng.randrange(1, 120)
-        ok &= grd_switch_interval(period, n2) == period / n2
-    report(9, "handover interval equals period / n2 (exact, 10 random pairs)",
-           ok, time.time() - start, 5.0)
+    for n1, n2, f in ((18, 36, 0), (6, 12, 1), (5, 9, 3), (9, 18, 2)):
+        cfg = make_config(F=f, n1=n1, n2=n2)
+        grid = build_grd_grid(cfg)
+        epochs = switching_epochs(cfg, 7)
+        for lo, hi in zip(epochs, epochs[1:]):
+            serving = [grd_assignment(cfg, grid, lo + x * (hi - lo), VnMethod.GRD1)
+                       for x in fractions]
+            before, after = serving[:len(serving) // 2], serving[len(serving) // 2:]
+            ok &= all(np.array_equal(s, before[0]) for s in before)
+            ok &= all(np.array_equal(s, after[0]) for s in after)
+            ok &= not np.array_equal(before[0], after[0])
+    report(9, "GRD1 hands over once per T/n2, within 0.05 of an interval of each "
+           "half-epoch (4 configs x 6 intervals)", ok, time.time() - start, 5.0)
 
 
 def test_criterion_10_flow_and_path_kernels():

@@ -21,15 +21,14 @@ from leovn.constellation import (
 )
 from leovn.cli import _build_config, build_parser
 from leovn.division import (
-    GrdVariant,
+    VnMethod,
     build_grd_grid,
     csd_rows_all,
     grd_assignment,
     phase_step_deg,
     row_start_deg,
 )
-from leovn.isl import IslMode, ShutoffRule, row_activity, row_chains
-from leovn.virtualgraph import _lats_all
+from leovn.isl import IslMode, ShutoffRule, polar_mask, row_activity, row_chains
 
 from helpers import configs, initial_phase_deg
 
@@ -253,11 +252,11 @@ class TestSharedKinematics:
 
     @settings(max_examples=100, deadline=None)
     @given(case=configs())
-    def test_event_latitudes_equal_inline_latitude_sine(self, case):
+    def test_polar_mask_equals_inline_latitude_sine(self, case):
         cfg, t = case
         u = np.radians(np.mod(phases_deg(cfg, t), 360.0))
-        want = np.arcsin(np.clip(math.sin(cfg.inclination) * np.sin(u), -1.0, 1.0))
-        assert np.array_equal(_lats_all(cfg, t), want)
+        want = np.abs(math.sin(cfg.inclination) * np.sin(u)) > math.sin(cfg.polar_threshold)
+        assert np.array_equal(polar_mask(cfg, t), want)
 
     def test_sin_lat_is_read_only_and_keyed_by_config(self):
         cfg, tilted = make_config(), make_config(inclination_deg=60.0)
@@ -328,7 +327,7 @@ class TestElevation:
     def column1_servers(anchor):
         cfg = make_config(num_planes=2, sats_per_plane=3, phase0_deg=0.0)
         anchors = np.broadcast_to(anchor, (3, 2, 3))
-        return grd_assignment(cfg, anchors, 0.0, GrdVariant.INTRA_ONLY)[:, 0].tolist()
+        return grd_assignment(cfg, anchors, 0.0, VnMethod.GRD1)[:, 0].tolist()
 
     def test_zenith(self):
         # t=0, default epoch: every satellite sits at the zenith of its own anchor
@@ -338,7 +337,7 @@ class TestElevation:
         sub = np.stack([np.cos(lats) * np.cos(lons), np.cos(lats) * np.sin(lons),
                         np.sin(lats)], axis=1)
         assert float(grid[0, 0] @ sub[0]) == pytest.approx(1.0, abs=1e-12)
-        assert grd_assignment(cfg, grid, 0.0, GrdVariant.INTRA_ONLY)[0, 0] == 0
+        assert grd_assignment(cfg, grid, 0.0, VnMethod.GRD1)[0, 0] == 0
 
     def test_antipode_below_horizon(self):
         assert self.column1_servers(np.array([-1.0, 0.0, 0.0])) == [-1, -1, -1]

@@ -20,7 +20,7 @@ from leovn.constellation import (
     propagate_all,
 )
 from leovn.division import (
-    GrdVariant,
+    VnMethod,
     _coverage_cos_limit,
     _score_blocks,
     build_grd_grid,
@@ -38,6 +38,8 @@ from leovn.isl import IslMode, active_row_set
 from leovn.verify import boundaries_by_scan, rows_by_scan
 
 from helpers import configs
+
+GRD_METHODS = (VnMethod.GRD1, VnMethod.GRD2)
 
 
 def make_config(**kw):
@@ -293,7 +295,7 @@ def sub_points(config, t):
                      np.sin(lats)], axis=1)
 
 
-def grd_assignment_oracle(config, grid, t, variant):
+def grd_assignment_oracle(config, grid, t, method):
     """Serving arrays from the full cells x satellites score matrix, the
     own-plane scores read back out of it (the earlier implementation)."""
     n1, n2 = config.num_planes, config.sats_per_plane
@@ -304,7 +306,7 @@ def grd_assignment_oracle(config, grid, t, variant):
     own_slot = np.argmax(own, axis=1)
     own_top = own[cells, own_slot]
     own_best = np.ravel_multi_index((cell_planes, own_slot), (n1, n2))
-    if variant is GrdVariant.INTER_PLANE:
+    if method is VnMethod.GRD2:
         best = np.argmax(score, axis=1)
         top = score[cells, best]
         tie = np.isclose(top, 1.0, atol=1e-12) & (own_top >= top - 1e-12)
@@ -320,12 +322,12 @@ class TestGrdAssignmentOracle:
     picks, ties and horizon cut-offs included."""
 
     @settings(max_examples=150, deadline=None)
-    @given(case=configs(), variant=st.sampled_from(GrdVariant))
-    def test_matches_full_score_matrix(self, case, variant):
+    @given(case=configs(), method=st.sampled_from(GRD_METHODS))
+    def test_matches_full_score_matrix(self, case, method):
         cfg, t = case
         grid = build_grd_grid(cfg)
-        assert np.array_equal(grd_assignment(cfg, grid, t, variant),
-                              grd_assignment_oracle(cfg, grid, t, variant))
+        assert np.array_equal(grd_assignment(cfg, grid, t, method),
+                              grd_assignment_oracle(cfg, grid, t, method))
 
     @settings(max_examples=50, deadline=None)
     @given(t=st.floats(0.0, 2 * SIDEREAL_DAY), inclination=st.floats(0.5, 180.0))
@@ -351,18 +353,23 @@ class TestGrdAssignmentOracle:
         grid = build_grd_grid(cfg)
         top = (grid.reshape(-1, 3) @ sub_points(cfg, t).T).max(axis=1)
         assert np.count_nonzero(np.isclose(top, 1.0, atol=1e-12)) == near
-        for variant in GrdVariant:
-            assert np.array_equal(grd_assignment(cfg, grid, t, variant),
-                                  grd_assignment_oracle(cfg, grid, t, variant))
+        for method in GRD_METHODS:
+            assert np.array_equal(grd_assignment(cfg, grid, t, method),
+                                  grd_assignment_oracle(cfg, grid, t, method))
 
     def test_matches_full_score_matrix_at_paper_scale_epochs(self):
         # handover epochs put satellites exactly on cell boundaries
         cfg = make_config()
         grid = build_grd_grid(cfg)
         for t in switching_epochs(cfg, 130):
-            for variant in GrdVariant:
-                assert np.array_equal(grd_assignment(cfg, grid, t, variant),
-                                      grd_assignment_oracle(cfg, grid, t, variant))
+            for method in GRD_METHODS:
+                assert np.array_equal(grd_assignment(cfg, grid, t, method),
+                                      grd_assignment_oracle(cfg, grid, t, method))
+
+    def test_rejects_the_celestial_method(self):
+        cfg = make_config()
+        with pytest.raises(ValueError, match="GRD1 or GRD2"):
+            grd_assignment(cfg, build_grd_grid(cfg), 0.0, VnMethod.CSD)
 
 
 def blocked_scores(grid, sub):
@@ -440,18 +447,18 @@ class TestGrdScoreBlocks:
         # 25 planes the pole rows fall in blocks that start mid-row
         cfg = make_config(num_planes=n1)
         grid = build_grd_grid(cfg)
-        variant = GrdVariant.INTER_PLANE
-        assert np.array_equal(grd_assignment(cfg, grid, 0.0, variant),
-                              grd_assignment_oracle(cfg, grid, 0.0, variant))
+        method = VnMethod.GRD2
+        assert np.array_equal(grd_assignment(cfg, grid, 0.0, method),
+                              grd_assignment_oracle(cfg, grid, 0.0, method))
 
     def test_inter_plane_memory_is_bounded_at_60x60(self):
         # the full 3600 x 3600 float64 score matrix alone would take 104 MB
         cfg = make_config(num_planes=60, sats_per_plane=60)
         grid = build_grd_grid(cfg)
-        grd_assignment(cfg, grid, 1000.0, GrdVariant.INTER_PLANE)   # fill the caches
+        grd_assignment(cfg, grid, 1000.0, VnMethod.GRD2)   # fill the caches
         tracemalloc.start()
         try:
-            grd_assignment(cfg, grid, 2000.0, GrdVariant.INTER_PLANE)
+            grd_assignment(cfg, grid, 2000.0, VnMethod.GRD2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -496,10 +503,10 @@ class TestGrdTieGate:
         assert np.all(scores[cell].reshape(n1, n2)[:, pole_slot] == top)
         assert scores[cell].max() == top
         assert np.delete(scores.max(axis=1), cell).max() < 1.0 - 1e-3
-        for variant in GrdVariant:
-            assert np.array_equal(grd_assignment(cfg, grid, 0.0, variant),
-                                  grd_assignment_oracle(cfg, grid, 0.0, variant))
-        serving = grd_assignment(cfg, grid, 0.0, GrdVariant.INTER_PLANE)
+        for method in GRD_METHODS:
+            assert np.array_equal(grd_assignment(cfg, grid, 0.0, method),
+                                  grd_assignment_oracle(cfg, grid, 0.0, method))
+        serving = grd_assignment(cfg, grid, 0.0, VnMethod.GRD2)
         own_plane = 0 if edge == "outside" else cell
         assert serving[0, cell] == own_plane * n2 + pole_slot
 
@@ -541,13 +548,13 @@ class TestGrdGrid:
     def test_frozen_assignment_matches_csd_at_epoch(self):
         cfg = make_config()
         grid = build_grd_grid(cfg)
-        serving = grd_assignment(cfg, grid, 0.0, GrdVariant.INTER_PLANE)
+        serving = grd_assignment(cfg, grid, 0.0, VnMethod.GRD2)
         rows = csd_rows_all(cfg, 0.0)
         for h in range(18):
             for j in range(36):
                 v = int(rows[h, j])
                 assert serving[v - 1, h] == h * 36 + j
-        intra = grd_assignment(cfg, grid, 0.0, GrdVariant.INTRA_ONLY)
+        intra = grd_assignment(cfg, grid, 0.0, VnMethod.GRD1)
         assert np.array_equal(serving, intra)
 
     def test_intra_only_loses_coverage_eventually(self):
@@ -555,7 +562,7 @@ class TestGrdGrid:
         grid = build_grd_grid(cfg)
         # after a ~90 deg Earth rotation the equatorial anchors sit far from
         # their planes' tracks
-        serving = grd_assignment(cfg, grid, SIDEREAL_DAY / 4, GrdVariant.INTRA_ONLY)
+        serving = grd_assignment(cfg, grid, SIDEREAL_DAY / 4, VnMethod.GRD1)
         assert (serving == -1).any()
 
     def test_horizon_limit_is_the_radius_ratio(self):
@@ -572,7 +579,7 @@ class TestGrdGrid:
     def test_inter_plane_rarely_uncovered(self):
         cfg = make_config()
         grid = build_grd_grid(cfg)
-        serving = grd_assignment(cfg, grid, SIDEREAL_DAY / 4, GrdVariant.INTER_PLANE)
+        serving = grd_assignment(cfg, grid, SIDEREAL_DAY / 4, VnMethod.GRD2)
         assert (serving >= 0).all()
 
     def test_quarter_day_shifts_serving_plane_by_half_fan(self):
@@ -580,7 +587,7 @@ class TestGrdGrid:
         cfg = make_config()
         grid = build_grd_grid(cfg)
         t = SIDEREAL_DAY / 4
-        serving = grd_assignment(cfg, grid, t, GrdVariant.INTER_PLANE)
+        serving = grd_assignment(cfg, grid, t, VnMethod.GRD2)
         shifts = []
         for h in range(18):
             # equatorial-ish cell of each column
@@ -595,10 +602,10 @@ class TestGrdGrid:
         cfg = make_config()
         grid = build_grd_grid(cfg)
         # at the frozen epoch satellite (1,1) serves exactly cell (1,1)
-        serving = grd_assignment(cfg, grid, 0.0, GrdVariant.INTER_PLANE)
+        serving = grd_assignment(cfg, grid, 0.0, VnMethod.GRD2)
         assert np.argwhere(serving == 0).tolist() == [[0, 0]]
         # a satellite whose plane drifted off its column serves nothing
-        late = grd_assignment(cfg, grid, SIDEREAL_DAY / 4, GrdVariant.INTRA_ONLY)
+        late = grd_assignment(cfg, grid, SIDEREAL_DAY / 4, VnMethod.GRD1)
         assert not (late == 0).any()
 
 

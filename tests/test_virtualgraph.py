@@ -11,17 +11,25 @@ from hypothesis import assume, example, given, settings, strategies as st
 import leovn
 from leovn.constellation import SIDEREAL_DAY, ConstellationConfig
 from leovn.division import (
-    GrdVariant,
     build_grd_grid,
     grd_assignment,
     switching_epochs,
 )
-from leovn.isl import IslKind, IslMode, IslSnapshot, ShutoffRule, snapshot_edges
+from leovn.isl import (
+    IslKind,
+    IslMode,
+    IslSnapshot,
+    ShutoffRule,
+    polar_mask,
+    row_activity,
+    row_chains,
+    snapshot_edges,
+)
 from leovn.virtualgraph import (
     EventCause,
     EventChange,
     VnMethod,
-    _lats_all,
+    _edge_keys,
     _missing,
     csd_addressing,
     edge_addresses,
@@ -113,7 +121,7 @@ class TestMapping:
     def test_grd2_frozen_epoch_matches_csd(self):
         cfg = make_config()
         grid = build_grd_grid(cfg)
-        serving = grd_assignment(cfg, grid, 0.0, GrdVariant.INTER_PLANE)
+        serving = grd_assignment(cfg, grid, 0.0, VnMethod.GRD2)
         _, _, conflicts = method_instance(cfg, VnMethod.GRD2, IslMode.CONVENTIONAL,
                                           0.0, grid)
         assert conflicts == 0
@@ -149,7 +157,7 @@ def oracle_instance(snapshot, serving):
     return out, conflicts
 
 
-def oracle_cause(edge, serving, lats, cfg, method):
+def oracle_cause(edge, serving, polar, cfg, method):
     """Per-edge reference for the cause of an edge absent at this sample."""
     (va, ha), (vb, hb), _ = edge
     sa, sb = int(serving[va - 1, ha - 1]), int(serving[vb - 1, hb - 1])
@@ -158,7 +166,7 @@ def oracle_cause(edge, serving, lats, cfg, method):
     planes = {sa // cfg.sats_per_plane + 1, sb // cfg.sats_per_plane + 1}
     if method is VnMethod.GRD2 and planes == {1, cfg.num_planes}:
         return EventCause.SEAM_DRIFT
-    in_a, in_b = (abs(float(lats[s])) > cfg.polar_threshold for s in (sa, sb))
+    in_a, in_b = (bool(polar[s]) for s in (sa, sb))
     return EventCause.ASYNC_SWITCH if in_a != in_b else EventCause.POLAR
 
 
@@ -224,14 +232,36 @@ class TestMappingOracle:
                            zip(b_v.tolist(), b_h.tolist()), kind.tolist()))
             assert got == sorted(want)          # key order is tuple order
             assert conflicts == want_conflicts
-            states.append((keys, serving, _lats_all(cfg, t)))
+            states.append((keys, serving, polar_mask(cfg, t)))
         union = np.union1d(states[0][0], states[1][0])
         a_v, a_h, b_v, b_h, kind = edge_addresses(union, n1, n1 * n2)
         edges = list(zip(zip(a_v.tolist(), a_h.tolist()),
                          zip(b_v.tolist(), b_h.tolist()), kind.tolist()))
-        for _, serving, lats in states:
-            got = event_causes(union, serving, lats, cfg, method).tolist()
-            assert got == [oracle_cause(e, serving, lats, cfg, method) for e in edges]
+        for _, serving, polar in states:
+            got = event_causes(union, serving, polar, cfg, method).tolist()
+            assert got == [oracle_cause(e, serving, polar, cfg, method) for e in edges]
+
+
+@pytest.mark.parametrize("polar,phase0,link_on", [
+    (70.0, 110.0, False),   # descending at the threshold: polar
+    (70.0, 70.0, True),     # ascending at the threshold: not polar
+    (54.0, 126.0, True),    # a latitude test (arcsin of the sine) says polar
+])
+def test_event_cause_agrees_with_the_shutoff_at_the_threshold(polar, phase0, link_on):
+    # 2x3, F=1: satellite 0 sits exactly at the threshold latitude and its
+    # row-1 partner in plane 2, 60 deg further along, is clear of both caps,
+    # so the link is off iff satellite 0 is polar, and then its event is an
+    # asynchronous switch
+    cfg = ConstellationConfig(num_planes=2, sats_per_plane=3, phasing_factor=1,
+                              polar_threshold_deg=polar, phase0_deg=phase0)
+    rule = row_activity(cfg, IslMode.CONVENTIONAL, 0.0, ShutoffRule.PER_SATELLITE)
+    assert bool(rule[0, 0]) is link_on
+    serving = csd_addressing(cfg, 0.0)
+    cell_a, cell_b = (np.flatnonzero(serving.ravel() == s)[0]
+                      for s in row_chains(cfg, IslMode.CONVENTIONAL)[0].tolist())
+    key = _edge_keys(np.array([cell_a]), np.array([cell_b]), IslKind.H_ISL, serving.size)
+    cause = event_causes(key, serving, polar_mask(cfg, 0.0), cfg, VnMethod.GRD1)
+    assert (cause[0] == EventCause.ASYNC_SWITCH) == (not link_on)
 
 
 class TestSeam:
@@ -250,8 +280,8 @@ class TestSeam:
 
 def oracle_events(cfg, method, mode, duration_s, samples):
     """Report event rows from mapping every sample and diffing every
-    consecutive pair with setdiff1d, latitudes at every sample (the earlier
-    loop), and the per-sample sum of satellites serving more than one cell."""
+    consecutive pair with setdiff1d, the polar mask at every sample (the
+    earlier loop), and the per-sample sum of satellites serving more than one cell."""
     grid = None if method is VnMethod.CSD else build_grd_grid(cfg)
     rows = [np.empty((0, 4), dtype=np.int64)]
     conflicts = 0
@@ -261,17 +291,17 @@ def oracle_events(cfg, method, mode, duration_s, samples):
         instance = map_snapshot(snapshot, serving)
         _, cells_per_sat = np.unique(serving[serving >= 0], return_counts=True)
         conflicts += int(np.count_nonzero(cells_per_sat > 1))
-        lats = _lats_all(cfg, t)
+        polar = polar_mask(cfg, t)
         if prev is not None:
             added = np.setdiff1d(instance, prev[0], assume_unique=True)
             removed = np.setdiff1d(prev[0], instance, assume_unique=True)
             causes = np.concatenate([event_causes(added, prev[1], prev[2], cfg, method),
-                                     event_causes(removed, serving, lats, cfg, method)])
+                                     event_causes(removed, serving, polar, cfg, method)])
             changes = np.repeat([EventChange.ADDED, EventChange.REMOVED],
                                 [len(added), len(removed)])
             keys = np.concatenate([added, removed])
             rows.append(np.stack([np.full(len(keys), i), keys, changes, causes], axis=1))
-        prev = instance, serving, lats
+        prev = instance, serving, polar
     return np.concatenate(rows), conflicts
 
 
