@@ -2,10 +2,9 @@
 
 Throughput: satellites over the source box feed a super-source, satellites
 over the sink box drain to a super-sink, every active ISL carries 1 Gbps per
-direction at a cost equal to its propagation delay, and the min-cost
-max-flow value is the system throughput (``flow.MinCostMaxFlow``:
-successive shortest paths, each found by scipy's compiled Dijkstra; the
-ISLs go in with one ``add_edges`` call).
+direction, and the max-flow value is the system throughput
+(``flow.MaxFlowNetwork``: one scipy ``maximum_flow`` call; the ISLs go in
+with one ``add_edges`` call).
 Latency: mean shortest propagation delay over seeded random satellite pairs,
 from an exact all-sources sweep over the V-ISL rings and H-ISL boundaries.
 A sweep tabulates the H-ISL counts across phasing factors, with one metric
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constellation import ConfigError, ConstellationConfig, propagate_all
-from .flow import INF_CAPACITY, MinCostMaxFlow
+from .flow import MaxFlowNetwork
 from .isl import (
     IslKind,
     IslMode,
@@ -69,6 +68,7 @@ class LatLonBox:
 SOURCE_BOX = LatLonBox(20.0, 50.0, -130.0, -60.0)
 SINK_BOX = LatLonBox(20.0, 50.0, 0.0, 70.0)
 ISL_CAPACITY_GBPS = 1.0
+INF_CAPACITY = 10 ** 9   # the satellite-ground arcs; below int32's maximum
 
 
 def weight_snapshot(config: ConstellationConfig, snapshot: IslSnapshot,
@@ -103,14 +103,14 @@ def max_flow_throughput(snapshot: WeightedNetSnapshot) -> float:
         return 0.0
     n = snapshot.num_sats
     source, sink = n, n + 1
-    net = MinCostMaxFlow(n + 2)
+    net = MaxFlowNetwork(n + 2)
     for i in np.flatnonzero(over_source):
         net.add_arc(source, int(i), INF_CAPACITY)
     for i in np.flatnonzero(over_sink):
         net.add_arc(int(i), sink, INF_CAPACITY)
     # one capacity unit == one ISL; per-direction capacity on each link
-    net.add_edges(snapshot.edges[:, 0], snapshot.edges[:, 1], 1, snapshot.delay_s)
-    flow_units, _cost = net.solve(source, sink)
+    net.add_edges(snapshot.edges[:, 0], snapshot.edges[:, 1], 1)
+    flow_units, _flow = net.solve(source, sink)
     return flow_units * ISL_CAPACITY_GBPS
 
 

@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     data_command("sweep-hisl", "H-ISL counts over F", cmd_sweep_hisl, f_max=17)
 
-    p = data_command("throughput", "min-cost max-flow throughput over F", cmd_throughput,
+    p = data_command("throughput", "max-flow throughput over F", cmd_throughput,
                      f_max=14)
     p.add_argument("--snapshots", type=int, default=16)
 

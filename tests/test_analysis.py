@@ -4,8 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra, maximum_flow
+from scipy.sparse.csgraph import dijkstra
 
 import leovn.analysis
 from leovn.analysis import (
@@ -23,13 +22,12 @@ from leovn.analysis import (
     sweep,
     weight_snapshot,
 )
-from leovn.constellation import ConfigError, ConstellationConfig, propagate_all
-from leovn.flow import INF_CAPACITY
+from leovn.constellation import SIDEREAL_DAY, ConfigError, ConstellationConfig, propagate_all
 from leovn.division import switching_epochs
 from leovn.isl import IslKind, IslMode, ShutoffRule, active_hisl_count, snapshot_edges
-from leovn.verify import delay_matrix
+from leovn.verify import delay_matrix, min_cut_exhaustive
 
-from helpers import configs
+from helpers import configs, throughput_arcs
 
 
 def make_config(F=0, n1=18, n2=36, altitude_km=629.0):
@@ -119,25 +117,39 @@ class TestThroughput:
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
         assert max_flow_throughput(snap) > 0
 
+    # flow units at t = 0, T/3 and 0.71 T, from the successive-shortest-path
+    # solver that preceded scipy's maximum_flow
+    PINNED = {
+        (IslMode.CONVENTIONAL, 0): (18, 19, 20), (IslMode.OPTIMIZED, 0): (18, 19, 20),
+        (IslMode.CONVENTIONAL, 2): (17, 19, 22), (IslMode.OPTIMIZED, 2): (18, 19, 22),
+        (IslMode.CONVENTIONAL, 6): (15, 16, 18), (IslMode.OPTIMIZED, 6): (18, 20, 22),
+        (IslMode.CONVENTIONAL, 14): (4, 4, 4), (IslMode.OPTIMIZED, 14): (18, 19, 22),
+    }
+
     @pytest.mark.parametrize("f", [0, 2, 6, 14])
     @pytest.mark.parametrize("mode", list(IslMode))
-    def test_equals_scipy_maximum_flow(self, f, mode):
+    def test_equals_pinned_flow_values(self, f, mode):
         # t=0 puts satellites exactly on the closed edges of both boxes
         cfg = make_config(F=f)
-        for t in (0.0, cfg.period / 3, 0.71 * cfg.period):
-            snap = snapshot_at(cfg, mode, t)
-            lat, lon = np.degrees(snap.lats), np.degrees(snap.lons)
-            src = np.flatnonzero(SOURCE_BOX.contains(lat, lon))
-            dst = np.flatnonzero(SINK_BOX.contains(lat, lon))
-            n = snap.num_sats
-            a, b = snap.edges.T
-            rows = np.concatenate([np.full(len(src), n), dst, a, b])
-            cols = np.concatenate([src, np.full(len(dst), n + 1), b, a])
-            caps = np.concatenate([np.full(len(src) + len(dst), INF_CAPACITY),
-                                   np.ones(2 * len(a), dtype=np.int64)])
-            graph = csr_matrix((caps.astype(np.int32), (rows, cols)), shape=(n + 2, n + 2))
-            want = maximum_flow(graph, n, n + 1).flow_value
-            assert max_flow_throughput(snap) == want * ISL_CAPACITY_GBPS, t
+        times = (0.0, cfg.period / 3, 0.71 * cfg.period)
+        got = [max_flow_throughput(snapshot_at(cfg, mode, t)) for t in times]
+        assert got == [units * ISL_CAPACITY_GBPS for units in self.PINNED[mode, f]]
+
+    @pytest.mark.parametrize("n1,n2", [(2, 3), (2, 4), (2, 5), (3, 3)])
+    def test_equals_min_cut_on_small_snapshots(self, n1, n2):
+        # at most 10 satellites: the network, super-source and super-sink
+        # included, has at most 12 nodes, so every cut can be enumerated
+        positive = 0
+        for f in range(min(n1, n2 - 1) + 1):
+            cfg = make_config(F=f, n1=n1, n2=n2)
+            for mode in IslMode:
+                for t in np.linspace(0.0, SIDEREAL_DAY, 49):
+                    snap = snapshot_at(cfg, mode, t)
+                    source, sink, arcs = throughput_arcs(snap)
+                    want = min_cut_exhaustive(snap.num_sats + 2, arcs, source, sink)
+                    assert max_flow_throughput(snap) == want * ISL_CAPACITY_GBPS, (f, mode, t)
+                    positive += want > 0
+        assert positive > 0
 
     def test_zero_snapshots_rejected(self):
         with pytest.raises(ConfigError, match="snapshots"):

@@ -542,6 +542,18 @@ def test_import_loads_no_verify():
     assert out.strip() == "False"
 
 
+def test_import_loads_no_scipy():
+    # the flow solver imports scipy inside solve(); start-up loads none of it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(leovn.__file__).parents[1]), env.get("PYTHONPATH")]))
+    code = ("import sys, leovn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 TINY = ["--n1", "3", "--n2", "6"]
 DATA_COMMANDS = {
     "divide": [],
