@@ -3,8 +3,8 @@
 Throughput: satellites over the source box feed a super-source, satellites
 over the sink box drain to a super-sink, every active ISL carries 1 Gbps per
 direction, and the max-flow value is the system throughput
-(``flow.MaxFlowNetwork``: one scipy ``maximum_flow`` call; the ISLs go in
-with one ``add_edges`` call).
+(``flow.MaxFlowNetwork``, pure-Python augmenting paths; the ISLs go in
+with one ``add_edges`` call, one undirected entry each).
 Latency: mean shortest propagation delay over seeded random satellite pairs,
 from an exact all-sources sweep over the V-ISL rings and H-ISL boundaries.
 A sweep tabulates the H-ISL counts across phasing factors, with one metric
@@ -68,7 +68,7 @@ class LatLonBox:
 SOURCE_BOX = LatLonBox(20.0, 50.0, -130.0, -60.0)
 SINK_BOX = LatLonBox(20.0, 50.0, 0.0, 70.0)
 ISL_CAPACITY_GBPS = 1.0
-INF_CAPACITY = 10 ** 9   # the satellite-ground arcs; below int32's maximum
+INF_CAPACITY = 10 ** 9   # the satellite-ground arcs; below int32's maximum (scipy oracle)
 
 
 def weight_snapshot(config: ConstellationConfig, snapshot: IslSnapshot,

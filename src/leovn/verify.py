@@ -4,9 +4,9 @@ Each check returns a CheckResult with the parameter grid it ran; the CLI
 ``verify`` subcommand prints them as JSON lines and exits non-zero when any
 check fails.  Oracles here are deliberately brute force: inequality scans for
 the paper's closed-form region rows, exhaustive link-layout enumeration, snapshot
-edge counting, exhaustive cuts for max-flow (and a feasibility check of the
-returned flow matrix), full path enumeration for shortest paths, and scipy's
-Dijkstra for the latency kernel.
+edge counting, exhaustive cuts and scipy's ``maximum_flow`` for max-flow (and a
+feasibility check of the returned per-arc flows), full path enumeration for
+shortest paths, and scipy's Dijkstra for the latency kernel.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra as csgraph_dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra as csgraph_dijkstra, maximum_flow
 
 from . import analysis, division, isl, virtualgraph
 from .constellation import SIDEREAL_DAY, ConfigError, ConstellationConfig
@@ -363,6 +363,13 @@ def random_flow_graph(seed: int) -> tuple[int, list[tuple[int, int, int]]]:
     return n, arcs
 
 
+# 0 -> 6 over unit arcs, where the first shortest augmenting path 0-1-2-6
+# blocks both others: the second unit runs 0-4-2, back along 1 -> 2, then
+# 1-5-3-6.  The seeded graphs are dense enough never to need such a path.
+CANCELLING_GRAPH = (7, [(0, 1, 1), (0, 4, 1), (1, 2, 1), (2, 6, 1), (4, 2, 1),
+                        (1, 5, 1), (5, 3, 1), (3, 6, 1)])
+
+
 def min_cut_exhaustive(n: int, arcs, source: int, sink: int) -> int:
     """Minimum s-t cut by enumerating every vertex bipartition."""
     others = [v for v in range(n) if v not in (source, sink)]
@@ -377,17 +384,81 @@ def min_cut_exhaustive(n: int, arcs, source: int, sink: int) -> int:
     return best
 
 
-def flow_is_feasible(n: int, arcs, flow: np.ndarray, source: int, sink: int) -> bool:
-    """Whether the dense (n, n) net-flow matrix ``flow`` is a feasible flow
-    of ``arcs`` (src, dst, cap): skew-symmetric, within the summed capacity
-    of each (src, dst) pair's parallel arcs, and conserved at every node but
-    ``source`` and ``sink``."""
-    tail, head, cap = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
-    capacity = np.zeros((n, n), dtype=np.int64)
-    np.add.at(capacity, (tail, head), cap)
-    net = flow.sum(axis=1)
+def net_outflow(n: int, arcs, flow) -> np.ndarray:
+    """Each node's outflow minus its inflow when entry i of ``arcs``
+    (src, dst, cap) carries ``flow[i]`` from src to dst."""
+    tail, head, _cap = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
+    return np.bincount(tail, flow, n) - np.bincount(head, flow, n)
+
+
+def flow_is_feasible(n: int, arcs, flow, source: int, sink: int, undirected=False) -> bool:
+    """Whether per-entry flows ``flow`` are a feasible flow of ``arcs``
+    (src, dst, cap): ``0 <= flow[i] <= cap`` on a directed arc, ``|flow[i]|
+    <= cap`` where the mask ``undirected`` (broadcast) marks an undirected
+    edge, and conserved at every node but ``source`` and ``sink``."""
+    cap = np.array(arcs, dtype=np.int64).reshape(-1, 3)[:, 2]
+    flow = np.asarray(flow, dtype=np.int64)
+    net = net_outflow(n, arcs, flow)
     net[[source, sink]] = 0
-    return bool(np.array_equal(flow, -flow.T) and (flow <= capacity).all() and not net.any())
+    return bool((np.where(undirected, -cap, 0) <= flow).all() and (flow <= cap).all()
+                and not net.any())
+
+
+def scipy_max_flow(n: int, arcs, source: int, sink: int) -> int:
+    """Max-flow value of ``arcs`` (src, dst, cap) by scipy's ``maximum_flow``
+    on an int32 CSR matrix, parallel arcs summed into one entry."""
+    tail, head, cap = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
+    graph = csr_matrix((cap, (tail, head)), shape=(n, n))
+    if graph.data.max(initial=0) > np.iinfo(np.int32).max:
+        raise ValueError("an arc pair's capacity exceeds int32")
+    graph.data = graph.data.astype(np.int32)      # scipy 1.13 takes int32 only
+    return int(maximum_flow(graph, source, sink).flow_value)
+
+
+def directed_arcs(arcs, undirected) -> list:
+    """``arcs`` (src, dst, cap), plus a (dst, src, cap) arc for each entry
+    that the mask ``undirected`` marks."""
+    return list(arcs) + [(b, a, cap) for (a, b, cap), both in zip(arcs, undirected) if both]
+
+
+def throughput_arcs(snap: analysis.WeightedNetSnapshot):
+    """(source, sink, arcs, undirected) of the network that
+    ``max_flow_throughput`` builds for a snapshot, entry for entry: the
+    uncapacitated arcs from a super-source to the satellites over
+    ``SOURCE_BOX`` and from those over ``SINK_BOX`` to a super-sink, then
+    one unit entry per active ISL, in snapshot order, which the mask
+    ``undirected`` marks."""
+    lat, lon = np.degrees(snap.lats), np.degrees(snap.lons)
+    source, sink = snap.num_sats, snap.num_sats + 1
+    inf = analysis.INF_CAPACITY
+    arcs = ([(source, int(i), inf) for i in np.flatnonzero(analysis.SOURCE_BOX.contains(lat, lon))]
+            + [(int(i), sink, inf) for i in np.flatnonzero(analysis.SINK_BOX.contains(lat, lon))])
+    undirected = np.arange(len(arcs) + len(snap.edges)) >= len(arcs)
+    return source, sink, arcs + [(a, b, 1) for a, b in snap.edges.tolist()], undirected
+
+
+def throughput_flow_failures(snap: analysis.WeightedNetSnapshot) -> list[str]:
+    """How the flow kernel's solve of a snapshot's throughput network
+    (``throughput_arcs``, the ISLs through ``add_edges``) departs from a
+    maximum flow: its per-entry flows must be feasible and carry its value,
+    which must equal scipy's ``maximum_flow`` and ``max_flow_throughput``."""
+    source, sink, arcs, undirected = throughput_arcs(snap)
+    n = snap.num_sats + 2
+    net = MaxFlowNetwork(n)
+    for arc in arcs[:len(arcs) - len(snap.edges)]:
+        net.add_arc(*arc)
+    net.add_edges(snap.edges[:, 0], snap.edges[:, 1], 1)
+    value, flow = net.solve(source, sink)
+    want = scipy_max_flow(n, directed_arcs(arcs, undirected), source, sink)
+    got = analysis.max_flow_throughput(snap) / analysis.ISL_CAPACITY_GBPS
+    failures = [] if value == want == got else [
+        f"kernel {value}, max_flow_throughput {got}, scipy maximum_flow {want} units"]
+    if not flow_is_feasible(n, arcs, flow, source, sink, undirected):
+        failures.append("infeasible flow")
+    sent = net_outflow(n, arcs, flow)[source]
+    if sent != value:
+        failures.append(f"the entries carry {sent}, not {value}")
+    return failures
 
 
 def delay_matrix(snapshot: analysis.WeightedNetSnapshot) -> csr_matrix:
@@ -419,34 +490,44 @@ def all_paths_min_delay(n: int, edges, src: int, dst: int) -> float:
 
 
 def check_flow() -> CheckResult:
-    """Flow kernel equals exhaustive min-cut with a feasible flow matrix;
-    Dijkstra equals path enumeration; the latency kernel equals Dijkstra bit
-    for bit."""
+    """Flow kernel equals exhaustive min-cut and scipy's ``maximum_flow``
+    with feasible per-arc flows; Dijkstra equals path enumeration; the
+    latency kernel equals Dijkstra bit for bit."""
     result = CheckResult(
         name="flow",
-        grid="20 seeded digraphs <= 12 nodes (max flow vs min cut, "
-             "flow matrix feasible and carrying the value); "
+        grid="20 seeded digraphs <= 12 nodes and a 7-node graph whose first "
+             "augmenting path must be cancelled (max flow vs min cut and scipy "
+             "maximum_flow, per-arc flows feasible and carrying the value); "
+             "18x36 throughput networks at t=T/3, polar 70, F in (0,6,14) x both "
+             "modes (kernel vs scipy maximum_flow and max_flow_throughput, "
+             "per-entry flows feasible and carrying the value); "
              "20 seeded graphs <= 10 nodes (shortest path vs enumeration); "
              "6 seeded constellations <= 6x12, both modes and shutoff rules, "
              "and 3 uneven 18x36 snapshots: F=14 conventional t=0 with V-ISL "
              "25->26 off or x30, F=2 optimized t=0 with a seeded half of its "
              "H-ISLs off (latency kernel vs Dijkstra, exact)",
         passed=True)
-    for seed in range(20):
-        n, arcs = random_flow_graph(seed)
+    graphs = [(f"graph seed={seed}", random_flow_graph(seed)) for seed in range(20)]
+    for label, (n, arcs) in [*graphs, ("cancelling graph", CANCELLING_GRAPH)]:
         net = MaxFlowNetwork(n)
         for arc in arcs:
             net.add_arc(*arc)
         flow_value, flow = net.solve(0, n - 1)
-        flow = flow.toarray()
         cut = min_cut_exhaustive(n, arcs, 0, n - 1)
-        if flow_value != cut:
-            result.fail(f"graph seed={seed}: max flow {flow_value} != min cut {cut}")
+        scipy_value = scipy_max_flow(n, arcs, 0, n - 1)
+        if not flow_value == cut == scipy_value:
+            result.fail(f"{label}: max flow {flow_value}, min cut {cut}, "
+                        f"scipy maximum_flow {scipy_value}")
         if not flow_is_feasible(n, arcs, flow, 0, n - 1):
-            result.fail(f"graph seed={seed}: infeasible flow")
-        if flow[0].sum() != flow_value:
-            result.fail(f"graph seed={seed}: flow matrix carries {flow[0].sum()}, "
-                        f"not {flow_value}")
+            result.fail(f"{label}: infeasible flow")
+        sent = net_outflow(n, arcs, flow)[0]
+        if sent != flow_value:
+            result.fail(f"{label}: the arcs carry {sent}, not {flow_value}")
+    for f, mode in itertools.product((0, 6, 14), IslMode):
+        cfg = ConstellationConfig(num_planes=18, sats_per_plane=36, phasing_factor=f,
+                                  polar_threshold_deg=70.0)
+        for failure in throughput_flow_failures(analysis.snapshot_at(cfg, mode, cfg.period / 3)):
+            result.fail(f"throughput 18x36 F={f} {mode.value}: {failure}")
     for seed in range(100, 120):
         rng = random.Random(seed)
         n = rng.randrange(4, 11)

@@ -1,11 +1,10 @@
-"""Exact-angle helpers, graph counts, staticness event blocks, throughput
-networks and Hypothesis strategies shared by the test modules."""
+"""Exact-angle helpers, graph counts, staticness event blocks and
+Hypothesis strategies shared by the test modules."""
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
-from leovn.analysis import INF_CAPACITY, SINK_BOX, SOURCE_BOX
 from leovn.constellation import SIDEREAL_DAY, ConstellationConfig
 from leovn.virtualgraph import staticness_report
 
@@ -22,20 +21,6 @@ def edge_count(keys, kind) -> int:
     """Virtual edges of one ``IslKind`` among edge keys (the kind is the low
     bit of each key)."""
     return int(np.count_nonzero(keys % 2 == kind))
-
-
-def throughput_arcs(snap):
-    """(source, sink, arcs) of the network that ``max_flow_throughput``
-    builds for a snapshot: uncapacitated arcs from a super-source to the
-    satellites over ``SOURCE_BOX`` and from those over ``SINK_BOX`` to a
-    super-sink, and a unit arc each way along every active ISL."""
-    lat, lon = np.degrees(snap.lats), np.degrees(snap.lons)
-    source, sink = snap.num_sats, snap.num_sats + 1
-    a, b = snap.edges.T.tolist()
-    return source, sink, (
-        [(source, int(i), INF_CAPACITY) for i in np.flatnonzero(SOURCE_BOX.contains(lat, lon))]
-        + [(int(i), sink, INF_CAPACITY) for i in np.flatnonzero(SINK_BOX.contains(lat, lon))]
-        + [(u, v, 1) for u, v in zip(a + b, b + a)])
 
 
 def report_blocks(cfg, method, mode, duration_s, samples):

@@ -25,9 +25,15 @@ from leovn.analysis import (
 from leovn.constellation import SIDEREAL_DAY, ConfigError, ConstellationConfig, propagate_all
 from leovn.division import switching_epochs
 from leovn.isl import IslKind, IslMode, ShutoffRule, active_hisl_count, snapshot_edges
-from leovn.verify import delay_matrix, min_cut_exhaustive
+from leovn.verify import (
+    delay_matrix,
+    directed_arcs,
+    min_cut_exhaustive,
+    throughput_arcs,
+    throughput_flow_failures,
+)
 
-from helpers import configs, throughput_arcs
+from helpers import configs
 
 
 def make_config(F=0, n1=18, n2=36, altitude_km=629.0):
@@ -117,8 +123,13 @@ class TestThroughput:
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
         assert max_flow_throughput(snap) > 0
 
-    # flow units at t = 0, T/3 and 0.71 T, from the successive-shortest-path
-    # solver that preceded scipy's maximum_flow
+    @staticmethod
+    def times(cfg):
+        # t=0 puts satellites exactly on the closed edges of both boxes
+        return 0.0, cfg.period / 3, 0.71 * cfg.period
+
+    # flow units at times(cfg), from an earlier successive-shortest-path
+    # min-cost solver
     PINNED = {
         (IslMode.CONVENTIONAL, 0): (18, 19, 20), (IslMode.OPTIMIZED, 0): (18, 19, 20),
         (IslMode.CONVENTIONAL, 2): (17, 19, 22), (IslMode.OPTIMIZED, 2): (18, 19, 22),
@@ -129,11 +140,16 @@ class TestThroughput:
     @pytest.mark.parametrize("f", [0, 2, 6, 14])
     @pytest.mark.parametrize("mode", list(IslMode))
     def test_equals_pinned_flow_values(self, f, mode):
-        # t=0 puts satellites exactly on the closed edges of both boxes
         cfg = make_config(F=f)
-        times = (0.0, cfg.period / 3, 0.71 * cfg.period)
-        got = [max_flow_throughput(snapshot_at(cfg, mode, t)) for t in times]
+        got = [max_flow_throughput(snapshot_at(cfg, mode, t)) for t in self.times(cfg)]
         assert got == [units * ISL_CAPACITY_GBPS for units in self.PINNED[mode, f]]
+
+    @pytest.mark.parametrize("f", [0, 2, 6, 14])
+    @pytest.mark.parametrize("mode", list(IslMode))
+    def test_equals_scipy_maximum_flow(self, f, mode):
+        cfg = make_config(F=f)
+        for t in self.times(cfg):
+            assert throughput_flow_failures(snapshot_at(cfg, mode, t)) == [], (f, mode, t)
 
     @pytest.mark.parametrize("n1,n2", [(2, 3), (2, 4), (2, 5), (3, 3)])
     def test_equals_min_cut_on_small_snapshots(self, n1, n2):
@@ -145,8 +161,9 @@ class TestThroughput:
             for mode in IslMode:
                 for t in np.linspace(0.0, SIDEREAL_DAY, 49):
                     snap = snapshot_at(cfg, mode, t)
-                    source, sink, arcs = throughput_arcs(snap)
-                    want = min_cut_exhaustive(snap.num_sats + 2, arcs, source, sink)
+                    source, sink, arcs, undirected = throughput_arcs(snap)
+                    want = min_cut_exhaustive(snap.num_sats + 2, directed_arcs(arcs, undirected),
+                                              source, sink)
                     assert max_flow_throughput(snap) == want * ISL_CAPACITY_GBPS, (f, mode, t)
                     positive += want > 0
         assert positive > 0

@@ -542,16 +542,26 @@ def test_import_loads_no_verify():
     assert out.strip() == "False"
 
 
-def test_import_loads_no_scipy():
-    # the flow solver imports scipy inside solve(); start-up loads none of it
+def scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(leovn.__file__).parents[1]), env.get("PYTHONPATH")]))
-    code = ("import sys, leovn.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    return subprocess.run([sys.executable, "-c", "import sys; " + code], env=env,
+                          capture_output=True, text=True, check=True).stdout.splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules_after("import leovn.cli") == "[]"
+
+
+def test_throughput_loads_no_scipy(tmp_path):
+    # scipy is an oracle of `verify` only; the flow kernel is pure Python
+    argv = ["throughput", "--n1", "6", "--n2", "12", "--f-max", "2", "--snapshots", "1",
+            "--out", str(tmp_path / "throughput.csv")]
+    assert scipy_modules_after(f"import leovn.cli; leovn.cli.main({argv!r})") == "[]"
+    assert (tmp_path / "throughput.csv").exists()
 
 
 TINY = ["--n1", "3", "--n2", "6"]
