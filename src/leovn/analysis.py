@@ -275,6 +275,8 @@ def seeded_pairs(config: ConstellationConfig, pairs: int, seed: int):
     depend only on the satellite count and the seed, so every mode and
     phasing factor of a sweep compares the same pairs."""
     require_count("pairs", pairs)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     pair_arr = draw_pairs(config.total_sats, pairs, seed)
     sources, src_rows = np.unique(pair_arr[:, 0], return_inverse=True)
     return (sources, src_rows, *np.divmod(pair_arr[:, 1], config.sats_per_plane))

@@ -45,11 +45,10 @@ class ConstellationConfig:
     polar_threshold_deg: float = 70.0
     raan0_deg: float = 0.0
     phase0_deg: float | None = None
-    period_s: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("altitude_km", "inclination_deg", "polar_threshold_deg",
-                     "raan0_deg", "phase0_deg", "period_s"):
+                     "raan0_deg", "phase0_deg"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
@@ -70,8 +69,6 @@ class ConstellationConfig:
         if not 0 < self.inclination_deg <= 180:
             raise ConfigError(
                 f"inclination_deg must be in (0, 180], got {self.inclination_deg}")
-        if self.period_s is not None and not self.period_s > 0:
-            raise ConfigError(f"period_s must be > 0, got {self.period_s}")
         if self.phase0_deg is None:
             object.__setattr__(self, "phase0_deg", -self.polar_threshold_deg)
 
@@ -122,9 +119,7 @@ class ConstellationConfig:
 
     @property
     def period(self) -> float:
-        """Orbital period in seconds (Kepler unless overridden)."""
-        if self.period_s is not None:
-            return self.period_s
+        """Orbital period in seconds, by Kepler's third law."""
         return orbital_period(self.altitude_m)
 
     # -- initial angles ----------------------------------------------------
@@ -175,21 +170,6 @@ def propagate_all(config: ConstellationConfig, t: float):
     return u, pos, lats, lons
 
 
-@lru_cache(maxsize=2)
-def sin_lat(config: ConstellationConfig, t: float) -> np.ndarray:
-    """Sine of every satellite's sub-point latitude at time t, straight from
-    its phase: sin(i) * sin(radians(phases_deg mod 360)).
-
-    Flat-indexed like ``phases_deg``; read-only and cached for the two
-    latest times, since the per-satellite shut-off rule and the event
-    classification read it for the same samples.
-    """
-    u = np.radians(np.mod(phases_deg(config, t), 360.0))
-    values = math.sin(config.inclination) * np.sin(u)
-    values.flags.writeable = False
-    return values
-
-
 def _orbit_unit_vectors(u, co, so, inclination: float) -> np.ndarray:
     """Inertial unit vectors at argument of latitude ``u`` (radians) on
     circular orbits whose ascending nodes have cosine ``co`` and sine ``so``;
@@ -226,7 +206,7 @@ def _raan_trig(config: ConstellationConfig) -> tuple[np.ndarray, np.ndarray]:
 
 # -- configuration file ingestion ------------------------------------------
 
-# The nine configuration fields, as (config-file key, command-line flag,
+# The eight configuration fields, as (config-file key, command-line flag,
 # ConstellationConfig field, type, flag help): the file reader, the CLI
 # parser and its overlay of flags on the file all loop over this table.
 CONFIG_FIELDS = (
@@ -239,7 +219,6 @@ CONFIG_FIELDS = (
      "polar shut-off latitude threshold"),
     ("raan0_deg", "--raan0-deg", "raan0_deg", float, None),
     ("phase0_deg", "--phase0-deg", "phase0_deg", float, None),
-    ("period_s", "--period-s", "period_s", float, None),
 )
 
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from .constellation import (
     R_EARTH,
-    ConfigError,
     ConstellationConfig,
     _orbit_unit_vectors,
     phases_deg,
@@ -180,8 +179,6 @@ def switching_epochs(config: ConstellationConfig, count: int) -> list[float]:
 
 def grd_switch_interval(period: float, sats_per_plane: int) -> float:
     """Ground-cell handover interval of the geographic division: T / n2."""
-    if period <= 0:
-        raise ConfigError(f"period must be > 0, got {period}")
     return period / sats_per_plane
 
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constellation import ConfigError, ConstellationConfig, sin_lat
+from .constellation import ConfigError, ConstellationConfig, phases_deg
 from .division import (
     backward_links,
     csd_rows_all,
@@ -188,13 +188,19 @@ def _static_pairs(config: ConstellationConfig, mode: IslMode):
     return pairs, kind
 
 
+@lru_cache(maxsize=2)
 def polar_mask(config: ConstellationConfig, t: float) -> np.ndarray:
-    """True where a satellite is polar at time t: its sub-point latitude is
-    strictly beyond the threshold, compared as sines, flat-indexed like
-    ``sin_lat``.  The one polar test: the per-satellite shut-off rule and the
-    event causes read it.  At the threshold itself a satellite is polar as
-    its sine rounds: at 70 deg on the descending leg only."""
-    return np.abs(sin_lat(config, t)) > math.sin(config.polar_threshold)
+    """True where a satellite is polar at time t: the sine of its sub-point
+    latitude, sin(i) * sin(radians(phases_deg mod 360)), is strictly beyond
+    the threshold's, flat-indexed like ``phases_deg``.  The one polar test:
+    the per-satellite shut-off rule and the event causes read it for the
+    same samples, so it is read-only and cached for the two latest times.
+    At the threshold itself a satellite is polar as its sine rounds: at 70
+    deg on the descending leg only."""
+    u = np.radians(np.mod(phases_deg(config, t), 360.0))
+    mask = np.abs(math.sin(config.inclination) * np.sin(u)) > math.sin(config.polar_threshold)
+    mask.flags.writeable = False
+    return mask
 
 
 def row_activity(config: ConstellationConfig, mode: IslMode, t: float,

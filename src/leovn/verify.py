@@ -5,8 +5,9 @@ Each check returns a CheckResult with the parameter grid it ran; the CLI
 check fails.  Oracles here are deliberately brute force: inequality scans for
 the paper's closed-form region rows, exhaustive link-layout enumeration, snapshot
 edge counting, exhaustive cuts and scipy's ``maximum_flow`` for max-flow (and a
-feasibility check of the returned per-arc flows), full path enumeration for
-shortest paths, and scipy's Dijkstra for the latency kernel.
+feasibility check of the returned per-arc flows), and for the latency kernel
+full path enumeration on constellations of at most 12 satellites and scipy's
+Dijkstra up to the paper's 18x36.
 """
 from __future__ import annotations
 
@@ -469,30 +470,30 @@ def delay_matrix(snapshot: analysis.WeightedNetSnapshot) -> csr_matrix:
                       shape=(snapshot.num_sats,) * 2)
 
 
-def all_paths_min_delay(n: int, edges, src: int, dst: int) -> float:
-    """Exhaustive simple-path enumeration over an undirected weighted graph."""
+def all_paths_min_delay(n: int, edges, src: int) -> list[float]:
+    """Least delay from ``src`` to every node of an undirected weighted graph
+    (a, b, w), by enumerating every simple path from ``src`` and summing its
+    delays link by link; +inf where no path reaches."""
     adj = [[] for _ in range(n)]
     for a, b, w in edges:
         adj[a].append((b, w))
         adj[b].append((a, w))
-    best = [float("inf")]
+    best = [math.inf] * n
 
     def walk(node, seen, acc):
-        if node == dst:
-            best[0] = min(best[0], acc)
-            return
+        best[node] = min(best[node], acc)
         for nxt, w in adj[node]:
             if nxt not in seen:
                 walk(nxt, seen | {nxt}, acc + w)
 
     walk(src, {src}, 0.0)
-    return best[0]
+    return best
 
 
 def check_flow() -> CheckResult:
     """Flow kernel equals exhaustive min-cut and scipy's ``maximum_flow``
-    with feasible per-arc flows; Dijkstra equals path enumeration; the
-    latency kernel equals Dijkstra bit for bit."""
+    with feasible per-arc flows; the latency kernel equals path enumeration
+    and Dijkstra bit for bit."""
     result = CheckResult(
         name="flow",
         grid="20 seeded digraphs <= 12 nodes and a 7-node graph whose first "
@@ -501,7 +502,8 @@ def check_flow() -> CheckResult:
              "18x36 throughput networks at t=T/3, polar 70, F in (0,6,14) x both "
              "modes (kernel vs scipy maximum_flow and max_flow_throughput, "
              "per-entry flows feasible and carrying the value); "
-             "20 seeded graphs <= 10 nodes (shortest path vs enumeration); "
+             "20 seeded constellations <= 12 satellites, both modes and shutoff "
+             "rules, a seeded V-ISL off (latency kernel vs path enumeration, exact); "
              "6 seeded constellations <= 6x12, both modes and shutoff rules, "
              "and 3 uneven 18x36 snapshots: F=14 conventional t=0 with V-ISL "
              "25->26 off or x30, F=2 optimized t=0 with a seeded half of its "
@@ -528,39 +530,11 @@ def check_flow() -> CheckResult:
                                   polar_threshold_deg=70.0)
         for failure in throughput_flow_failures(analysis.snapshot_at(cfg, mode, cfg.period / 3)):
             result.fail(f"throughput 18x36 F={f} {mode.value}: {failure}")
-    for seed in range(100, 120):
-        rng = random.Random(seed)
-        n = rng.randrange(4, 11)
-        edges = [(a, b, rng.uniform(0.1, 5.0))
-                 for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
-        if not edges:
-            edges = [(0, n - 1, 1.0)]
-        rows, cols, vals = [], [], []
-        for a, b, w in edges:
-            rows += [a, b]
-            cols += [b, a]
-            vals += [w, w]
-        mat = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        dist = csgraph_dijkstra(mat, directed=False, indices=[0])[0]
-        for dst in range(1, n):
-            want = all_paths_min_delay(n, edges, 0, dst)
-            got = float(dist[dst])
-            if not (math.isinf(want) and math.isinf(got)) and abs(got - want) > 1e-9:
-                result.fail(f"paths seed={seed} dst={dst}: {got} != {want}")
-    for seed in range(200, 206):
-        rng = random.Random(seed)
-        n1, n2 = rng.randrange(2, 7), rng.randrange(3, 13)
-        cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2,
-                                  phasing_factor=rng.randrange(min(n1, n2 - 1) + 1),
-                                  polar_threshold_deg=rng.uniform(50.0, 85.0))
-        t = rng.uniform(0.0, cfg.period)
-        for mode, rule in itertools.product(IslMode, isl.ShutoffRule):
-            edges = isl.snapshot_edges(cfg, mode, t, rule)
-            snap = analysis.weight_snapshot(cfg, edges, t)
-            if not latency_equals_dijkstra(snap):
-                result.fail(f"latency seed={seed} {n1}x{n2} F={cfg.phasing_factor} "
-                            f"{mode.value}/{rule.value}: kernel != Dijkstra")
-    for label, snap in uneven_snapshots():
+    for label, snap in enumeration_snapshots():
+        if not latency_equals_enumeration(snap):
+            result.fail(f"latency {label}: kernel != path enumeration")
+    seeded = (seeded_snapshots(seed, max_planes=6, max_sats=72) for seed in range(200, 206))
+    for label, snap in itertools.chain(*seeded, uneven_snapshots()):
         if not latency_equals_dijkstra(snap):
             result.fail(f"latency {label}: kernel != Dijkstra")
     return result
@@ -571,6 +545,44 @@ def latency_equals_dijkstra(snap: analysis.WeightedNetSnapshot) -> bool:
     want = csgraph_dijkstra(delay_matrix(snap), directed=False)
     got = analysis.shortest_path_delays(snap, np.arange(snap.num_sats))
     return np.array_equal(got.reshape(snap.num_sats, -1), want)
+
+
+def latency_equals_enumeration(snap: analysis.WeightedNetSnapshot) -> bool:
+    """The latency kernel from every source equals path enumeration
+    (``all_paths_min_delay``) exactly."""
+    n = snap.num_sats
+    edges = list(zip(*snap.edges.T.tolist(), snap.delay_s.tolist()))
+    got = analysis.shortest_path_delays(snap, np.arange(n)).reshape(n, n).tolist()
+    return all(got[src] == all_paths_min_delay(n, edges, src) for src in range(n))
+
+
+def seeded_snapshots(seed: int, max_planes: int, max_sats: int):
+    """(label, snapshot) pairs of one seeded constellation of 2..``max_planes``
+    planes of 3..12 slots, at most ``max_sats`` satellites, a seeded F and
+    polar threshold, at a seeded time: both modes under both shut-off rules."""
+    rng = random.Random(seed)
+    n1 = rng.randrange(2, max_planes + 1)
+    n2 = rng.randrange(3, min(12, max_sats // n1) + 1)
+    cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2,
+                              phasing_factor=rng.randrange(min(n1, n2 - 1) + 1),
+                              polar_threshold_deg=rng.uniform(50.0, 85.0))
+    t = rng.uniform(0.0, cfg.period)
+    for mode, rule in itertools.product(IslMode, isl.ShutoffRule):
+        snap = analysis.weight_snapshot(cfg, isl.snapshot_edges(cfg, mode, t, rule), t)
+        yield f"seed={seed} {n1}x{n2} F={cfg.phasing_factor} {mode.value}/{rule.value}", snap
+
+
+def enumeration_snapshots():
+    """(label, snapshot) pairs that the latency kernel is enumerated on: the
+    ``seeded_snapshots`` of at most 12 satellites at 20 seeds, each with one
+    seeded V-ISL off, so that shortest ring routes can run past half the
+    ring."""
+    for seed in range(100, 120):
+        for label, snap in seeded_snapshots(seed, max_planes=4, max_sats=12):
+            v_isls = np.flatnonzero(snap.kind == isl.IslKind.V_ISL)
+            off = np.random.default_rng(seed).choice(v_isls)
+            yield f"{label} V-ISL {snap.edges[off, 0]} off", _keep_edges(
+                snap, np.arange(len(snap.edges)) != off)
 
 
 def uneven_snapshots():

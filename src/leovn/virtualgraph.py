@@ -254,7 +254,7 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
     anchors = build_grd_grid(config) if method is not VnMethod.CSD else None
     times = sample_times(config, duration_s, samples)
 
-    def classify(keys, serving, i):     # sin_lat caches samples i-1 and i
+    def classify(keys, serving, i):     # polar_mask caches samples i-1 and i
         polar = polar_mask(config, times[i])
         return event_causes(keys, serving, polar, config, method) if len(keys) else keys
 

@@ -45,6 +45,5 @@ def configs(draw, max_planes=24, max_slots=48):
         polar_threshold_deg=draw(st.floats(1.0, 90.0)),
         raan0_deg=draw(st.floats(-360.0, 360.0)),
         phase0_deg=draw(st.none() | st.floats(-360.0, 360.0)),
-        period_s=draw(st.none() | st.floats(600.0, 90000.0)),
     )
     return cfg, draw(st.floats(0.0, 2 * SIDEREAL_DAY))

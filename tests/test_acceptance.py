@@ -139,7 +139,7 @@ def test_criterion_09_grd1_hands_over_near_half_epochs():
 def test_criterion_10_flow_and_path_kernels():
     start = time.time()
     res = check_flow()
-    label = ("flow kernel equals exhaustive min-cut; Dijkstra equals path "
-             "enumeration; latency kernel equals Dijkstra (exact)")
+    label = ("flow kernel equals exhaustive min-cut; latency kernel equals path "
+             "enumeration and Dijkstra (exact)")
     report(10, label if res.passed else f"{label}: {res.failures}",
            res.passed, time.time() - start, 60.0)

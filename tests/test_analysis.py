@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -26,9 +27,14 @@ from leovn.constellation import SIDEREAL_DAY, ConfigError, ConstellationConfig, 
 from leovn.division import switching_epochs
 from leovn.isl import IslKind, IslMode, ShutoffRule, active_hisl_count, snapshot_edges
 from leovn.verify import (
+    _keep_edges,
+    all_paths_min_delay,
     delay_matrix,
     directed_arcs,
+    enumeration_snapshots,
+    latency_equals_enumeration,
     min_cut_exhaustive,
+    seeded_snapshots,
     throughput_arcs,
     throughput_flow_failures,
 )
@@ -241,6 +247,17 @@ class TestLatency:
         with pytest.raises(ConfigError, match=field):
             mean_latency(cfg, IslMode.CONVENTIONAL, seeded_pairs(cfg, pairs, 1), snapshots)
 
+    def test_negative_seed_is_config_error(self):
+        # numpy's default_rng raised a ValueError, which the CLI took for a fault
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            seeded_pairs(make_config(), 10, -1)
+
+    def test_seed_zero_draws_the_pair_stream(self):
+        cfg, pairs = make_config(n1=2, n2=6), draw_pairs(12, 50, 0)
+        sources, src_rows, planes, slots = seeded_pairs(cfg, 50, 0)
+        assert np.array_equal(sources[src_rows], pairs[:, 0])
+        assert np.array_equal(planes * cfg.sats_per_plane + slots, pairs[:, 1])
+
 
 class TestLatencyKernel:
     """The ring/row sweep must return scipy's Dijkstra distances bit for bit,
@@ -274,26 +291,6 @@ class TestLatencyKernel:
         want = self.dijkstra_reference(snap, sources)
         assert np.array_equal(got[i, p, s], want[i, p * cfg.sats_per_plane + s])
 
-    @pytest.mark.parametrize("broken", ["removed", "delay_x30"])
-    def test_equals_dijkstra_with_a_broken_ring(self, broken):
-        # F=14 conventional has no H links, so a ring route is the only
-        # route: with V-ISL 25 -> 26 off (or 30 times as long) a shortest
-        # segment runs up to n2-1 links, past the n2/2 of equal chords
-        cfg = make_config(F=14)
-        snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 0.0)
-        assert not (snap.kind == IslKind.H_ISL).any()
-        link = (snap.kind == IslKind.V_ISL) & (snap.edges[:, 0] == 25)
-        assert np.count_nonzero(link) == 1
-        if broken == "removed":
-            keep = ~link
-            snap = replace(snap, edges=snap.edges[keep], kind=snap.kind[keep],
-                           delay_s=snap.delay_s[keep])
-        else:
-            snap = replace(snap, delay_s=np.where(link, 30 * snap.delay_s, snap.delay_s))
-        sources = np.arange(cfg.total_sats)
-        got = shortest_path_delays(snap, sources).reshape(len(sources), -1)
-        assert np.array_equal(got, self.dijkstra_reference(snap, sources))
-
     @settings(max_examples=100, deadline=None)
     @given(case=configs(), mode=st.sampled_from(IslMode),
            shutoff=st.sampled_from(ShutoffRule), data=st.data())
@@ -320,6 +317,50 @@ class TestLatencyKernel:
                                               min_size=1, max_size=40)))
         got = shortest_path_delays(snap, sources).reshape(len(sources), -1)
         assert np.array_equal(got, self.dijkstra_reference(snap, sources))
+
+
+class TestPathEnumeration:
+    """``verify.all_paths_min_delay``, the latency kernel's oracle, on graphs
+    whose answer can be read off, and the exact check built on it."""
+
+    def test_two_links_beat_a_long_one(self):
+        assert all_paths_min_delay(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)], 0) == [0, 1, 2]
+
+    def test_unreachable_nodes_are_inf(self):
+        assert all_paths_min_delay(4, [(0, 1, 2.0), (2, 3, 1.0)], 1) == [2, 0, math.inf, math.inf]
+
+    def test_least_of_parallel_links(self):
+        assert all_paths_min_delay(2, [(0, 1, 3.0), (1, 0, 2.0)], 1) == [2, 0]
+
+    def test_kernel_goes_the_long_way_round_a_broken_ring(self):
+        # V-ISLs only, 0-1 off: the route runs n2-1 = 5 chords of 7000 km
+        snap = snapshot_at(make_config(n1=2, n2=6), IslMode.CONVENTIONAL, 0.0)
+        link = (np.sort(snap.edges, axis=1) == [0, 1]).all(axis=1)
+        assert np.count_nonzero(link) == 1
+        snap = _keep_edges(snap, (snap.kind == IslKind.V_ISL) & ~link)
+        assert latency_equals_enumeration(snap)
+        got = shortest_path_delays(snap, np.array([0]))[0, 0, 1]
+        assert got == pytest.approx(5 * 7000e3 / SPEED_OF_LIGHT, rel=1e-9)
+
+    def test_one_ulp_off_is_a_mismatch(self, monkeypatch):
+        _, snap = next(enumeration_snapshots())
+        assert latency_equals_enumeration(snap)
+        kernel = leovn.analysis.shortest_path_delays
+
+        def one_ulp_long(snap, sources):
+            got = kernel(snap, sources).copy()
+            got[0, 0, 1] = np.nextafter(got[0, 0, 1], math.inf)
+            return got
+        monkeypatch.setattr(leovn.analysis, "shortest_path_delays", one_ulp_long)
+        assert not latency_equals_enumeration(snap)
+
+    def test_each_enumeration_snapshot_drops_one_v_isl(self):
+        whole = itertools.chain.from_iterable(
+            seeded_snapshots(seed, max_planes=4, max_sats=12) for seed in range(100, 120))
+        for (label, snap), (name, full) in zip(enumeration_snapshots(), whole, strict=True):
+            assert label.startswith(name) and snap.num_sats <= 12
+            v_isls = [np.count_nonzero(s.kind == IslKind.V_ISL) for s in (full, snap)]
+            assert len(full.edges) - len(snap.edges) == 1 == v_isls[0] - v_isls[1]
 
 
 class TestSweep:

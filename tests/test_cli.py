@@ -651,7 +651,6 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("argv,field", [
         (["throughput", "--altitude-km", "nan"], "altitude_km"),
-        (["throughput", "--period-s", "inf"], "period_s"),
         (["divide", "--raan0-deg", "nan"], "raan0_deg"),
         (["staticness", "--method", "csd", "--duration-s", "100", "--phase0-deg", "inf"],
          "phase0_deg"),
@@ -666,6 +665,8 @@ class TestErrorPaths:
         (["snapshot", "--t-seconds", "nan"], "t_seconds must be finite"),
         (["snapshot", "--t-seconds", "inf"], "t_seconds must be finite"),
         (["sweep-hisl", "--f-min", "5", "--f-max", "2"], "f_max must be >= f_min"),
+        # numpy's default_rng takes no negative seed
+        (["latency", "--seed", "-1", "--f-max", "1"], "seed must be >= 0"),
     ])
     def test_bad_range_exits_2(self, tmp_path, capsys, argv, fragment):
         out = tmp_path / "out.csv"
@@ -673,12 +674,12 @@ class TestErrorPaths:
         assert fragment in capsys.readouterr().err
         assert not out.exists()
 
-    def test_zero_period_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "snap.csv"
-        assert main(["snapshot", "--n1", "6", "--n2", "12", "--period-s", "0",
-                     "--out", str(out)]) == 2
-        assert "period_s" in capsys.readouterr().err
-        assert not out.exists()
+    def test_period_s_flag_is_gone(self, tmp_path):
+        # the period follows --altitude-km alone
+        with pytest.raises(SystemExit) as exc:
+            main(["snapshot", "--n1", "6", "--n2", "12", "--period-s", "6000",
+                  "--out", str(tmp_path / "snap.csv")])
+        assert exc.value.code == 2 and not list(tmp_path.iterdir())
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LEOVN_OUTPUT_DIR", str(tmp_path / "outputs"))

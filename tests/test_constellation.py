@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leovn.constellation import (
+    CONFIG_FIELDS,
     OMEGA_EARTH,
     R_EARTH,
     SIDEREAL_DAY,
@@ -17,7 +19,6 @@ from leovn.constellation import (
     phases_deg,
     propagate_all,
     read_config_file,
-    sin_lat,
 )
 from leovn.cli import _build_config, build_parser
 from leovn.division import (
@@ -101,9 +102,6 @@ class TestBuildConstellation:
         (dict(altitude_km=0), "altitude_km"),
         (dict(polar_threshold_deg=0), "polar_threshold_deg"),
         (dict(polar_threshold_deg=95), "polar_threshold_deg"),
-        (dict(period_s=0.0), "period_s"),
-        (dict(period_s=-6000.0), "period_s"),
-        (dict(period_s=float("nan")), "period_s"),
     ])
     def test_invalid_config_names_field(self, kw, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -111,7 +109,7 @@ class TestBuildConstellation:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["altitude_km", "inclination_deg", "polar_threshold_deg",
-                                       "raan0_deg", "phase0_deg", "period_s"])
+                                       "raan0_deg", "phase0_deg"])
     def test_non_finite_float_names_field(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             make_config(**{field: value})
@@ -215,8 +213,9 @@ class TestKinematicsProperties:
 
 
 class TestSharedKinematics:
-    """The cached plane trig and ``sin_lat`` give the bits of the expressions
-    that each caller computed for itself before, written out here."""
+    """The cached plane trig and ``polar_mask`` give the bits of the
+    expressions that each caller computed for itself before, written out
+    here."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=configs())
@@ -258,13 +257,14 @@ class TestSharedKinematics:
         want = np.abs(math.sin(cfg.inclination) * np.sin(u)) > math.sin(cfg.polar_threshold)
         assert np.array_equal(polar_mask(cfg, t), want)
 
-    def test_sin_lat_is_read_only_and_keyed_by_config(self):
+    def test_polar_mask_is_read_only_and_keyed_by_config(self):
+        # at 60 deg inclination no satellite reaches the 70-deg threshold
         cfg, tilted = make_config(), make_config(inclination_deg=60.0)
-        values, other = sin_lat(cfg, 100.0), sin_lat(tilted, 100.0)
-        assert not np.array_equal(values, other)
-        assert sin_lat(cfg, 100.0) is values      # both entries stay cached
+        values, other = polar_mask(cfg, 100.0), polar_mask(tilted, 100.0)
+        assert values.any() and not other.any()
+        assert polar_mask(cfg, 100.0) is values      # both entries stay cached
         with pytest.raises(ValueError):
-            values[0] = 0.0
+            values[0] = False
 
     def test_plane_trig_is_cached_read_only(self):
         co, so = _raan_trig(make_config())
@@ -375,6 +375,16 @@ polar_threshold_deg = 70
         path.write_text("n1 = 18\nn2 = 36\nbogus = 1\n")
         with pytest.raises(ConfigError, match="bogus"):
             read_config_file(path)
+
+    def test_period_s_is_an_unknown_key(self, tmp_path):
+        # the period follows altitude_km by Kepler's third law alone
+        path = tmp_path / "old.cfg"
+        path.write_text("n1 = 6\nn2 = 12\nperiod_s = 6000\n")
+        with pytest.raises(ConfigError, match="unknown key 'period_s'"):
+            read_config_file(path)
+
+    def test_config_fields_name_every_field_once(self):
+        assert [row[2] for row in CONFIG_FIELDS] == [f.name for f in fields(ConstellationConfig)]
 
     def test_bad_value_is_named(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import numpy as np
@@ -16,7 +15,6 @@ from leovn.flow import MaxFlowNetwork
 from leovn.isl import IslMode
 from leovn.verify import (
     CANCELLING_GRAPH,
-    all_paths_min_delay,
     directed_arcs,
     flow_is_feasible,
     min_cut_exhaustive,
@@ -193,36 +191,3 @@ class TestPaperScale:
         assert value * ISL_CAPACITY_GBPS == max_flow_throughput(snap)
         assert throughput_flow_failures(snap) == []
 
-
-class TestShortestPathKernel:
-    def build_snapshot_like(self, n, edges):
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra
-        rows, cols, vals = [], [], []
-        for a, b, w in edges:
-            rows += [a, b]
-            cols += [b, a]
-            vals += [w, w]
-        return dijkstra(csr_matrix((vals, (rows, cols)), shape=(n, n)),
-                        directed=False, indices=list(range(n)))
-
-    def test_matches_enumeration_on_20_graphs(self):
-        for seed in range(100, 120):
-            rng = random.Random(seed)
-            n = rng.randrange(4, 11)
-            edges = [(a, b, rng.uniform(0.1, 5.0))
-                     for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
-            if not edges:
-                edges = [(0, n - 1, 1.0)]
-            dist = self.build_snapshot_like(n, edges)
-            for dst in range(1, n):
-                want = all_paths_min_delay(n, edges, 0, dst)
-                got = float(dist[0][dst])
-                if math.isinf(want):
-                    assert math.isinf(got)
-                else:
-                    assert got == pytest.approx(want, abs=1e-9)
-
-    def test_triangle_inequality_shortcut(self):
-        dist = self.build_snapshot_like(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
-        assert dist[0][2] == pytest.approx(2.0)

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -282,51 +281,31 @@ def fraction_active_rows(config, mode):
                    for s in row_spreads_deg(config, mode)))
 
 
-def scan_active_rows(config, mode):
-    """Reference for the closed form of ``active_row_set``: every dwell row's
-    member windows scanned one by one on the same scaled integers, each
-    window split where it wraps past 360 and tested against the open caps."""
-    spans = polar_cap_phase_spans(config)
-    step = Fraction(360, config.sats_per_plane)
-    offsets = {-Fraction(config.polar_threshold_deg) + s
-               for s in row_spreads_deg(config, mode)}
-    exact = [step, *offsets, *(x for span in spans for x in span)]
-    scale = math.lcm(*(x.denominator for x in exact))
-
-    def scaled(x):
-        return x.numerator * (scale // x.denominator)
-
-    full, width = 360 * scale, scaled(step)
-    caps = [(scaled(lo), scaled(hi)) for lo, hi in spans]
-
-    def hits(start):
-        start %= full
-        end = start + width
-        pieces = [(start, min(end, full))] + ([(0, end - full)] if end > full else [])
-        return any(a < hi and b > lo for a, b in pieces for lo, hi in caps)
-
-    starts = [scaled(x) for x in offsets]
-    return frozenset(v for v in range(1, config.sats_per_plane + 1)
-                     if not any(hits(s + (v - 1) * width) for s in starts))
+@st.composite
+def cap_edge_configs(draw):
+    """Constellations whose cap edges fall on window edges: sampled
+    thresholds, and (None) a cap edge at half a row step, where wrapped
+    windows end on it; tilted orbits; F > n1."""
+    n1, n2 = draw(st.integers(2, 20)), draw(st.integers(3, 40))
+    polar = draw(st.one_of(st.sampled_from([1.0, 45.0, 55.0, 63.5, 70.0, 70.3, 85.0,
+                                            89.99, 90.0]),
+                           st.floats(0.0, 90.0, exclude_min=True), st.none()))
+    inclination = draw(st.one_of(st.sampled_from([90.0, 86.4, 53.0]),
+                                 st.floats(0.0, 180.0, exclude_min=True)))
+    return ConstellationConfig(num_planes=n1, sats_per_plane=n2,
+                               phasing_factor=draw(st.integers(0, 39)) % n2,
+                               polar_threshold_deg=180 / n2 if polar is None else polar,
+                               inclination_deg=inclination)
 
 
 class TestActiveRowClosedForm:
-    @settings(max_examples=300, deadline=None)
-    @given(configs(max_planes=29, max_slots=59), st.sampled_from(IslMode))
-    def test_equals_row_scan(self, drawn, mode):
-        # configs() draws inclinations over (0, 180], mostly off 90 deg
-        cfg, _ = drawn
-        if mode is IslMode.OPTIMIZED and cfg.phasing_factor > cfg.num_planes:
-            mode = IslMode.CONVENTIONAL
-        assert active_row_set(cfg, mode) == scan_active_rows(cfg, mode)
-
     def test_window_edges_on_cap_edges(self):
         # 90-deg rows from -45 against the caps (45, 135) and (225, 315):
         # rows 2 and 4 are the caps exactly; row 1 starts on the open end of
         # the second cap (wrapped) and ends on the open start of the first
         cfg = ConstellationConfig(num_planes=2, sats_per_plane=4, polar_threshold_deg=45.0)
         for mode in IslMode:
-            assert active_row_set(cfg, mode) == scan_active_rows(cfg, mode) == {1, 3}
+            assert active_row_set(cfg, mode) == fraction_active_rows(cfg, mode) == {1, 3}
         # a hair wider caps reach into rows 1 and 3 too
         wider = replace(cfg, polar_threshold_deg=44.9)
         assert active_row_set(wider, IslMode.CONVENTIONAL) == frozenset()
@@ -338,7 +317,7 @@ class TestActiveRowClosedForm:
                                   polar_threshold_deg=1.0)
         assert 30 in row_spreads_deg(cfg, IslMode.CONVENTIONAL)     # start -1 + 30
         assert active_row_set(cfg, IslMode.CONVENTIONAL) == frozenset()
-        assert scan_active_rows(cfg, IslMode.CONVENTIONAL) == frozenset()
+        assert fraction_active_rows(cfg, IslMode.CONVENTIONAL) == frozenset()
 
     @pytest.mark.parametrize("polar,inclination", [(90.0, 90.0), (40.0, 30.0)])
     def test_no_cap_keeps_every_row(self, polar, inclination):
@@ -351,27 +330,24 @@ class TestActiveRowClosedForm:
 
 
 class TestActiveRowOracle:
-    @settings(max_examples=150, deadline=None)
-    @given(n1=st.integers(2, 20), n2=st.integers(3, 40), f=st.integers(0, 39),
-           polar=st.one_of(st.sampled_from([1.0, 45.0, 55.0, 63.5, 70.0, 70.3, 85.0,
-                                            89.99, 90.0]),
-                           st.floats(0.0, 90.0, exclude_min=True), st.none()),
-           inclination=st.one_of(st.sampled_from([90.0, 86.4, 53.0]),
-                                 st.floats(0.0, 180.0, exclude_min=True)),
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=st.one_of(configs(max_planes=29, max_slots=59).map(lambda case: case[0]),
+                         cap_edge_configs()),
            mode=st.sampled_from(IslMode))
-    # a wrapped window ending on a cap edge; a row straddling a narrow cap;
+    # configs() draws inclinations over (0, 180], mostly off 90 deg.  A
+    # wrapped window ending on a cap edge; a row straddling a narrow cap;
     # F > n1 on a tilted orbit
-    @example(n1=2, n2=4, f=0, polar=45.0, inclination=90.0, mode=IslMode.CONVENTIONAL)
-    @example(n1=3, n2=20, f=6, polar=85.0, inclination=90.0, mode=IslMode.CONVENTIONAL)
-    @example(n1=5, n2=9, f=7, polar=70.0, inclination=86.4, mode=IslMode.OPTIMIZED)
-    def test_matches_fraction_windows(self, n1, n2, f, polar, inclination, mode):
-        # None: cap edge at half a row step, where wrapped windows end on it
-        polar = 180 / n2 if polar is None else polar
-        f %= n2
-        if mode is IslMode.OPTIMIZED and f > n1:
+    @example(cfg=ConstellationConfig(num_planes=2, sats_per_plane=4, polar_threshold_deg=45.0),
+             mode=IslMode.CONVENTIONAL)
+    @example(cfg=ConstellationConfig(num_planes=3, sats_per_plane=20, phasing_factor=6,
+                                     polar_threshold_deg=85.0),
+             mode=IslMode.CONVENTIONAL)
+    @example(cfg=ConstellationConfig(num_planes=5, sats_per_plane=9, phasing_factor=7,
+                                     polar_threshold_deg=70.0, inclination_deg=86.4),
+             mode=IslMode.OPTIMIZED)
+    def test_matches_fraction_windows(self, cfg, mode):
+        if mode is IslMode.OPTIMIZED and cfg.phasing_factor > cfg.num_planes:
             mode = IslMode.CONVENTIONAL
-        cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
-                                  polar_threshold_deg=polar, inclination_deg=inclination)
         assert active_row_set(cfg, mode) == fraction_active_rows(cfg, mode)
 
 

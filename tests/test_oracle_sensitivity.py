@@ -47,9 +47,17 @@ def flow_suite_fails() -> bool:
     return not all(check().passed for check in verify.SUITES["flow"])
 
 
+def enumeration_fails() -> bool:
+    """Whether the latency kernel departs from path enumeration on any of
+    ``verify.enumeration_snapshots``."""
+    return not all(verify.latency_equals_enumeration(snap)
+                   for _, snap in verify.enumeration_snapshots())
+
+
 # mutant: (module, target, old snippet, new snippet, outcome).  Each must be
-# caught by verify.SUITES["flow"] and, in a ``flow`` target, also by
-# tests/test_analysis.py::TestThroughput::test_equals_scipy_maximum_flow.
+# caught by verify.SUITES["flow"] and also, in a ``flow`` target, by
+# tests/test_analysis.py::TestThroughput::test_equals_scipy_maximum_flow, in
+# an ``analysis`` target by path enumeration alone (``enumeration_fails``).
 # outcome "fails": the checks report a failure; "raises": the kernel's guard
 # raises RuntimeError inside them, where the mutant would otherwise loop
 FLOW_MUTANTS = {
@@ -79,9 +87,7 @@ def test_flow_mutant_is_caught(monkeypatch, mutant_name):
     *owner, name = target.split(".")
     monkeypatch.setattr(functools.reduce(getattr, owner, module), name,
                         mutant(module, target, old, new))
-    checks = [flow_suite_fails]
-    if module is flow:
-        checks.append(scipy_comparison_fails)
+    checks = [flow_suite_fails, scipy_comparison_fails if module is flow else enumeration_fails]
     for check in checks:
         if outcome == "raises":
             with pytest.raises(RuntimeError):
