@@ -119,20 +119,13 @@ class ConstellationConfig:
 
     @property
     def period(self) -> float:
-        """Orbital period in seconds, by Kepler's third law."""
-        return orbital_period(self.altitude_m)
+        """Circular-orbit period in seconds, by Kepler's third law, spherical
+        Earth."""
+        return 2.0 * math.pi * math.sqrt(self.orbit_radius ** 3 / MU_EARTH)
 
     # -- initial angles ----------------------------------------------------
     def raan_deg(self, plane: int) -> Fraction:
         return Fraction(self.raan0_deg) + (plane - 1) * self.raan_step_deg
-
-
-def orbital_period(altitude_m: float) -> float:
-    """Circular-orbit period from Kepler's third law, spherical Earth."""
-    if altitude_m <= 0:
-        raise ConfigError(f"altitude must be > 0, got {altitude_m}")
-    a = R_EARTH + altitude_m
-    return 2.0 * math.pi * math.sqrt(a ** 3 / MU_EARTH)
 
 
 def phases_deg(config: ConstellationConfig, t: float) -> np.ndarray:

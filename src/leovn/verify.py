@@ -503,7 +503,9 @@ def check_flow() -> CheckResult:
              "modes (kernel vs scipy maximum_flow and max_flow_throughput, "
              "per-entry flows feasible and carrying the value); "
              "20 seeded constellations <= 12 satellites, both modes and shutoff "
-             "rules, a seeded V-ISL off (latency kernel vs path enumeration, exact); "
+             "rules, a seeded V-ISL off, and the first of each as bare rings with "
+             "plane 1's V-ISL n2-1 -> n2 off (latency kernel vs path enumeration, "
+             "exact); "
              "6 seeded constellations <= 6x12, both modes and shutoff rules, "
              "and 3 uneven 18x36 snapshots: F=14 conventional t=0 with V-ISL "
              "25->26 off or x30, F=2 optimized t=0 with a seeded half of its "
@@ -576,13 +578,20 @@ def enumeration_snapshots():
     """(label, snapshot) pairs that the latency kernel is enumerated on: the
     ``seeded_snapshots`` of at most 12 satellites at 20 seeds, each with one
     seeded V-ISL off, so that shortest ring routes can run past half the
-    ring."""
+    ring.  Each seed's first snapshot comes once more as bare rings with
+    plane 1's V-ISL from slot n2-1 to slot n2 off: the route between those
+    two slots then runs the other n2-1 links of the ring, the longest
+    segment a ring pass must relax, at every seed."""
     for seed in range(100, 120):
-        for label, snap in seeded_snapshots(seed, max_planes=4, max_sats=12):
-            v_isls = np.flatnonzero(snap.kind == isl.IslKind.V_ISL)
-            off = np.random.default_rng(seed).choice(v_isls)
+        for i, (label, snap) in enumerate(seeded_snapshots(seed, max_planes=4, max_sats=12)):
+            v_isl = snap.kind == isl.IslKind.V_ISL
+            off = np.random.default_rng(seed).choice(np.flatnonzero(v_isl))
             yield f"{label} V-ISL {snap.edges[off, 0]} off", _keep_edges(
                 snap, np.arange(len(snap.edges)) != off)
+            if i == 0:
+                last = snap.sats_per_plane - 2
+                yield f"{label} rings only, V-ISL {last} off", _keep_edges(
+                    snap, v_isl & (snap.edges[:, 0] != last))
 
 
 def uneven_snapshots():

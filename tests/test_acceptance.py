@@ -5,7 +5,11 @@ captured output on failure) and enforces the stated tolerance and runtime
 budget.  Tolerances are exact where the criterion is exact; trend criteria
 use the stated percentage bands.
 """
+import ast
+import inspect
+import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -14,6 +18,7 @@ from leovn.constellation import ConstellationConfig
 from leovn.division import VnMethod, build_grd_grid, grd_assignment, switching_epochs
 from leovn.isl import IslMode
 from leovn.verify import (
+    SUITES,
     check_count_trends,
     check_counts,
     check_csd_staticness,
@@ -143,3 +148,16 @@ def test_criterion_10_flow_and_path_kernels():
              "enumeration and Dijkstra (exact)")
     report(10, label if res.passed else f"{label}: {res.failures}",
            res.passed, time.time() - start, 60.0)
+
+
+def test_criteria_run_every_suite_check_once():
+    # the unit tests leave the suite checks' assertions to the criteria, so
+    # the criteria call each check of `leovn verify --suite all` exactly once
+    tree = ast.parse(inspect.getsource(sys.modules[__name__]))
+    called = [globals()[node.func.id] for test in tree.body
+              if isinstance(test, ast.FunctionDef) and test.name.startswith("test_criterion_")
+              for node in ast.walk(test)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id.startswith("check_")]
+    assert Counter(called) == Counter(SUITES["all"])
+    assert len(set(called)) == len(called)

@@ -32,6 +32,7 @@ from leovn.verify import (
     delay_matrix,
     directed_arcs,
     enumeration_snapshots,
+    latency_equals_dijkstra,
     latency_equals_enumeration,
     min_cut_exhaustive,
     seeded_snapshots,
@@ -108,6 +109,14 @@ class TestFlowScenario:
         # the source and sink boxes share latitudes, so their longitudes must not meet
         assert (SOURCE_BOX.lat_min, SOURCE_BOX.lat_max) == (SINK_BOX.lat_min, SINK_BOX.lat_max)
         assert SOURCE_BOX.lon_max < SINK_BOX.lon_min
+
+    @pytest.mark.parametrize("box", [SOURCE_BOX, SINK_BOX])
+    def test_boxes_are_closed(self, box):
+        low, high = np.array([box.lat_min, box.lon_min]), np.array([box.lat_max, box.lon_max])
+        below, above = np.nextafter(low, -np.inf), np.nextafter(high, np.inf)
+        lat = [low[0], high[0], below[0], above[0], low[0], low[0]]
+        lon = [low[1], high[1], low[1], low[1], below[1], above[1]]
+        assert box.contains(np.array(lat), np.array(lon)).tolist() == [True, True] + [False] * 4
 
 
 class TestThroughput:
@@ -342,9 +351,8 @@ class TestPathEnumeration:
         got = shortest_path_delays(snap, np.array([0]))[0, 0, 1]
         assert got == pytest.approx(5 * 7000e3 / SPEED_OF_LIGHT, rel=1e-9)
 
-    def test_one_ulp_off_is_a_mismatch(self, monkeypatch):
-        _, snap = next(enumeration_snapshots())
-        assert latency_equals_enumeration(snap)
+    @staticmethod
+    def lengthen_one_entry(monkeypatch):
         kernel = leovn.analysis.shortest_path_delays
 
         def one_ulp_long(snap, sources):
@@ -352,24 +360,40 @@ class TestPathEnumeration:
             got[0, 0, 1] = np.nextafter(got[0, 0, 1], math.inf)
             return got
         monkeypatch.setattr(leovn.analysis, "shortest_path_delays", one_ulp_long)
+
+    def test_one_ulp_off_is_a_mismatch(self, monkeypatch):
+        _, snap = next(enumeration_snapshots())
+        assert latency_equals_enumeration(snap)
+        self.lengthen_one_entry(monkeypatch)
         assert not latency_equals_enumeration(snap)
 
+    def test_one_ulp_off_fails_the_dijkstra_check(self, monkeypatch):
+        _, snap = next(enumeration_snapshots())
+        assert latency_equals_dijkstra(snap)
+        self.lengthen_one_entry(monkeypatch)
+        assert not latency_equals_dijkstra(snap)
+
     def test_each_enumeration_snapshot_drops_one_v_isl(self):
-        whole = itertools.chain.from_iterable(
-            seeded_snapshots(seed, max_planes=4, max_sats=12) for seed in range(100, 120))
-        for (label, snap), (name, full) in zip(enumeration_snapshots(), whole, strict=True):
-            assert label.startswith(name) and snap.num_sats <= 12
+        # every seeded snapshot with one V-ISL off, and each seed's first also
+        # as bare rings without plane 1's V-ISL from slot n2-1 to slot n2
+        whole = dict(itertools.chain.from_iterable(
+            seeded_snapshots(seed, max_planes=4, max_sats=12) for seed in range(100, 120)))
+        rings_only = []
+        for label, snap in enumeration_snapshots():
+            rings_only.append(" rings only," in label)
+            full = whole[label.split(" rings only,")[0].rsplit(" V-ISL", 1)[0]]
             v_isls = [np.count_nonzero(s.kind == IslKind.V_ISL) for s in (full, snap)]
-            assert len(full.edges) - len(snap.edges) == 1 == v_isls[0] - v_isls[1]
+            assert snap.num_sats <= 12 and v_isls[0] - v_isls[1] == 1
+            if rings_only[-1]:
+                n2 = full.sats_per_plane
+                assert len(snap.edges) == v_isls[1]
+                assert [n2 - 2, n2 - 1] not in snap.edges.tolist()
+            else:
+                assert len(full.edges) - len(snap.edges) == 1
+        assert rings_only.count(False) == len(whole) == 80 and rings_only.count(True) == 20
 
 
 class TestSweep:
-    def test_hisl_columns_match_reference_counts(self):
-        cfg = make_config(altitude_km=780.0)
-        rows = sweep(cfg, f_values=(0, 2, 14), modes=(IslMode.CONVENTIONAL,))
-        by_f = {r.phasing_factor: r.n_hisl for r in rows}
-        assert by_f == {0: 476, 2: 408, 14: 0}
-
     def test_optimized_flat_at_442(self):
         cfg = make_config(altitude_km=780.0)
         rows = sweep(cfg, f_values=range(1, 18), modes=(IslMode.OPTIMIZED,))
@@ -419,15 +443,6 @@ class TestSweep:
         assert row.polar_threshold_deg == 64.0
         assert seen == [(point, IslMode.CONVENTIONAL)]
         assert row.value == mean_latency(point, IslMode.CONVENTIONAL, drawn, 3)
-
-    @pytest.mark.parametrize("f", [0, 1])
-    def test_modes_share_the_layout_below_f2(self, f):
-        # no backward link before F=2, so the sweep solves such a point once
-        cfg = make_config(F=f)
-        for t in (0.0, 0.3 * cfg.period):
-            conv, opt = (snapshot_edges(cfg, mode, t) for mode in IslMode)
-            for name in ("pairs", "kind", "active"):
-                assert np.array_equal(getattr(conv, name), getattr(opt, name)), (name, t)
 
     @pytest.mark.parametrize("polar", [70.0, 90.0])
     def test_layout_reuse_equals_per_mode_calls(self, polar):

@@ -509,11 +509,17 @@ class TestTheoremCheck:
 
 
 class TestVerifyCommand:
-    def test_division_suite_passes(self, capsys):
-        assert main(["verify", "--suite", "division"]) == 0
+    def test_theorem1_suite_passes(self, capsys):
+        assert main(["verify", "--suite", "theorem1"]) == 0
         line = json.loads(capsys.readouterr().out.splitlines()[0])
         assert line["passed"] is True
         assert line["elapsed_s"] >= 0
+
+    def test_detail_keeps_the_first_failure(self):
+        res = leovn.verify.CheckResult("check", "grid", passed=True)
+        res.fail("first")
+        res.fail("second")
+        assert (res.passed, res.detail, res.failures) == (False, "first", ["first", "second"])
 
     def test_suite_choices_are_the_verify_suites(self):
         assert SUITE_NAMES == tuple(sorted(leovn.verify.SUITES))

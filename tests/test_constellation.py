@@ -15,7 +15,6 @@ from leovn.constellation import (
     ConstellationConfig,
     _plane_slot_index,
     _raan_trig,
-    orbital_period,
     phases_deg,
     propagate_all,
     read_config_file,
@@ -93,6 +92,15 @@ class TestBuildConstellation:
         assert np.allclose(nodes[:, 2], 0.0, atol=1e-6)
         raans = np.arctan2(nodes[:, 1], nodes[:, 0])
         assert np.allclose(np.diff(raans), math.pi / 18)
+
+    @pytest.mark.parametrize("n1,n2,f", [(18, 36, 2), (7, 11, 5), (2, 3, 0)])
+    def test_radian_steps_are_the_exact_degree_steps(self, n1, n2, f):
+        cfg = make_config(num_planes=n1, sats_per_plane=n2, phasing_factor=f)
+        assert cfg.raan_step_deg * n1 == 180 and cfg.phase_offset_deg * n1 * n2 == 360 * f
+        assert cfg.raan_deg(n1) == (n1 - 1) * cfg.raan_step_deg
+        for rad, deg in [(cfg.raan_step, cfg.raan_step_deg), (cfg.phase_offset, cfg.phase_offset_deg),
+                         (cfg.phase_step, phase_step_deg(cfg))]:
+            assert rad == pytest.approx(math.radians(deg), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("kw,fragment", [
         (dict(num_planes=1), "num_planes"),
@@ -278,20 +286,18 @@ class TestSharedKinematics:
 class TestOrbitalPeriod:
     def test_seven_thousand_km_radius(self):
         # Kepler with mu = 3.986004418e14: 2*pi*sqrt((7e6)^3/mu) = 5828.5 s
-        assert orbital_period(7000e3 - R_EARTH) == pytest.approx(5828.52, abs=0.01)
+        cfg = make_config(altitude_km=629.0)
+        assert cfg.orbit_radius == 7000e3
+        assert cfg.period == pytest.approx(5828.52, abs=0.01)
 
     def test_780_km(self):
         # R_E = 6371.0 km exactly per the module constant
-        assert orbital_period(780e3) == pytest.approx(6018.12, abs=0.01)
+        assert make_config().period == pytest.approx(6018.12, abs=0.01)
 
     def test_monotone_in_altitude(self):
-        alts = [300e3, 500e3, 780e3, 1200e3, 2000e3]
-        periods = [orbital_period(a) for a in alts]
+        periods = [make_config(altitude_km=a).period
+                   for a in (300.0, 500.0, 780.0, 1200.0, 2000.0)]
         assert periods == sorted(periods)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            orbital_period(0.0)
 
 
 class TestInPolarRegion:

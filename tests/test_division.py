@@ -23,6 +23,7 @@ from leovn.division import (
     VnMethod,
     _coverage_cos_limit,
     _score_blocks,
+    backward_links,
     build_grd_grid,
     cell_bounds,
     cell_shifts_deg,
@@ -32,6 +33,7 @@ from leovn.division import (
     grd_switch_interval,
     phase_step_deg,
     row_start_deg,
+    spreads_deg,
     switching_epochs,
 )
 from leovn.isl import IslMode, active_row_set
@@ -118,6 +120,27 @@ class TestPlaneShift:
         cfg = make_config(num_planes=n1, sats_per_plane=n2, phasing_factor=f)
         assert cell_shifts_deg(cfg)[h - 1] == want
 
+    def test_uncrossed_row_spreads_by_delta_f_per_plane(self):
+        cfg = make_config(phasing_factor=2)
+        assert spreads_deg(cfg, np.zeros(18, dtype=int)) == tuple(
+            h * cfg.phase_offset_deg for h in range(18))
+
+
+class TestBackwardLinks:
+    @pytest.mark.parametrize("n1,f,expect", [
+        (18, 0, [0] * 18),
+        (18, 2, [0] * 9 + [1] * 9),     # one link, before plane 10
+        (3, 3, [0, 1, 2]),              # K = 1: one before every plane
+        (4, 6, [0, 1, 3, 4]),           # F > n1: two before plane 3
+    ])
+    def test_known_values(self, n1, f, expect):
+        assert backward_links(n1, f).tolist() == expect
+
+    def test_at_most_one_link_per_boundary_up_to_f_equals_n1(self):
+        for n1 in range(2, 25):
+            for f in range(n1 + 1):
+                assert set(np.diff(backward_links(n1, f)).tolist()) <= {0, 1}, (n1, f)
+
 
 def divide_regions(tmp_path, n1, n2, polar, f=0, mode="conventional"):
     """Row -> region label of a ``divide`` CSV; every cell of a row agrees."""
@@ -164,17 +187,6 @@ class TestRegionBoundaries:
     def test_phased_k9_full_boundaries(self):
         spread = self.integer_k_spread(36, Fraction(9))
         assert boundaries_by_scan(36, 70, spread) == (13, 19, 31)
-
-    @pytest.mark.parametrize("f,mode,expect", [
-        (0, IslMode.CONVENTIONAL, (14, 19, 32)),
-        (2, IslMode.OPTIMIZED, (13, 19, 31)),
-    ])
-    def test_paper_scale_active_rows(self, f, mode, expect):
-        r1_end, r2_start, r2_end = expect
-        cfg = make_config(phasing_factor=f)
-        want = set(range(1, r1_end + 1)) | set(range(r2_start, r2_end + 1))
-        assert active_row_set(cfg, mode) == want
-        assert rows_by_scan(36, 70, max(cell_shifts_deg(cfg))) == want
 
     def test_fractional_k_uses_realized_spread(self):
         # F=5, n1=18: K=3.6, max spread = 3.4 * delta_f

@@ -217,29 +217,21 @@ class TestSnapshotEdges:
         row8 = (snap.kind == IslKind.H_ISL) & (snap.pairs[:, 0] == 7)   # a = (1, 8)
         assert row8.any() and snap.active[row8].all()
 
-    def test_epoch_counts_f0(self):
-        cfg = make_config()
-        edges = snapshot_edges(cfg, IslMode.CONVENTIONAL, 0.0)
-        assert active_hisl_count(edges) == 476
-
-    def test_epoch_counts_f2_optimized(self):
-        cfg = make_config(F=2)
-        edges = snapshot_edges(cfg, IslMode.OPTIMIZED, 0.0)
-        assert active_hisl_count(edges) == 442
-
     def test_counts_constant_between_epochs(self):
         cfg = make_config(F=2)
         counts = {active_hisl_count(snapshot_edges(cfg, IslMode.OPTIMIZED, t))
                   for t in (0.0, 37.0, 101.0, cfg.period / 2, cfg.period * 0.93)}
         assert counts == {442}
 
-    def test_optimized_with_f0_degenerates_to_conventional(self):
-        cfg = make_config(F=0)
-        for t in (0.0, 333.0, cfg.period * 0.71):
+    @pytest.mark.parametrize("f", [0, 1])
+    def test_optimized_below_f2_degenerates_to_conventional(self, f):
+        # no backward link before F=2, so the sweep solves such a point once
+        cfg = make_config(F=f)
+        for t in (0.0, 333.0, cfg.period * 0.3, cfg.period * 0.71):
             conv = snapshot_edges(cfg, IslMode.CONVENTIONAL, t)
             opt = snapshot_edges(cfg, IslMode.OPTIMIZED, t)
             for field in ("pairs", "kind", "active"):
-                assert np.array_equal(getattr(conv, field), getattr(opt, field))
+                assert np.array_equal(getattr(conv, field), getattr(opt, field)), (field, t)
 
     def test_per_satellite_rule_differs_mid_dwell(self):
         # per-satellite switching flips links inside a dwell when phased
@@ -251,13 +243,6 @@ class TestSnapshotEdges:
                                  ShutoffRule.PER_SATELLITE)
         assert np.array_equal(row_rule.pairs, per_sat.pairs)
         assert not np.array_equal(row_rule.active, per_sat.active)
-
-    def test_active_rows_match_region_table(self):
-        for f, mode in ((0, IslMode.CONVENTIONAL), (2, IslMode.OPTIMIZED),
-                        (5, IslMode.OPTIMIZED), (3, IslMode.CONVENTIONAL)):
-            cfg = make_config(F=f)
-            spread = max(row_spreads_deg(cfg, mode))
-            assert active_row_set(cfg, mode) == rows_by_scan(36, 70, spread)
 
 
 def fraction_active_rows(config, mode):
@@ -352,15 +337,6 @@ class TestActiveRowOracle:
 
 
 class TestHislCount:
-    @pytest.mark.parametrize("f,mode,expect", [
-        (0, IslMode.CONVENTIONAL, 476),     # rows 1..14 and 19..32
-        (2, IslMode.OPTIMIZED, 442),        # rows 1..13 and 19..31
-    ])
-    def test_known_counts(self, f, mode, expect):
-        cfg = make_config(F=f)
-        assert hisl_count(cfg, mode) == expect
-        assert 17 * len(rows_by_scan(36, 70, max(row_spreads_deg(cfg, mode)))) == expect
-
     @settings(max_examples=200, deadline=None)
     @given(configs())
     def test_optimized_never_carries_fewer(self, drawn):

@@ -3,7 +3,9 @@ names the checks that must catch it.
 
 A mutant is the kernel's module source with one snippet replaced, executed
 into a fresh namespace; the mutated function or method is then patched onto
-the live module or class, so every caller (``analysis``, ``verify``) runs it.
+the live class, or onto every ``leovn`` module that bound the function by
+name, so every caller (``isl``, ``analysis``, ``virtualgraph``, ``verify``)
+runs it.
 """
 import functools
 import inspect
@@ -14,7 +16,7 @@ import types
 import pytest
 
 import test_analysis
-from leovn import analysis, flow, verify
+from leovn import analysis, division, flow, isl, verify
 from leovn.isl import IslMode
 
 
@@ -24,6 +26,7 @@ def mutant(module, target: str, old: str, new: str):
     source = inspect.getsource(module)
     assert source.count(old) == 1, f"mutation site {old!r} not found once"
     copy = types.ModuleType(module.__name__ + "_mutant")
+    copy.__package__ = module.__package__     # for its relative imports
     sys.modules[copy.__name__] = copy     # dataclasses look their module up
     try:
         exec(compile(source.replace(old, new), module.__file__, "exec"), copy.__dict__)
@@ -43,51 +46,72 @@ def scipy_comparison_fails() -> bool:
     return False
 
 
-def flow_suite_fails() -> bool:
-    return not all(check().passed for check in verify.SUITES["flow"])
+def fails(*checks):
+    """Whether any of ``checks`` (``verify`` checks) reports a failure."""
+    return lambda: not all(check().passed for check in checks)
 
 
-def enumeration_fails() -> bool:
-    """Whether the latency kernel departs from path enumeration on any of
-    ``verify.enumeration_snapshots``."""
-    return not all(verify.latency_equals_enumeration(snap)
-                   for _, snap in verify.enumeration_snapshots())
+def enumeration_fails_at_every_seed() -> bool:
+    """Whether the latency kernel departs from path enumeration at every seed
+    of ``verify.enumeration_snapshots``."""
+    failing = {label.split()[0] for label, snap in verify.enumeration_snapshots()
+               if not verify.latency_equals_enumeration(snap)}
+    return failing == {f"seed={seed}" for seed in range(100, 120)}
 
 
-# mutant: (module, target, old snippet, new snippet, outcome).  Each must be
-# caught by verify.SUITES["flow"] and also, in a ``flow`` target, by
-# tests/test_analysis.py::TestThroughput::test_equals_scipy_maximum_flow, in
-# an ``analysis`` target by path enumeration alone (``enumeration_fails``).
-# outcome "fails": the checks report a failure; "raises": the kernel's guard
-# raises RuntimeError inside them, where the mutant would otherwise loop
-FLOW_MUTANTS = {
+def patch_everywhere(monkeypatch, module, target: str, replacement) -> None:
+    """Patch ``target`` (``name`` or ``Class.name``) of ``module`` onto its
+    owner and onto every ``leovn`` module that holds the same object."""
+    *owner, name = target.split(".")
+    holders = [functools.reduce(getattr, owner, module),
+               *(mod for key, mod in sys.modules.items() if key.split(".")[0] == "leovn")]
+    original = getattr(holders[0], name)
+    for holder in holders:
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, replacement)
+
+
+FLOW_CHECKS = (fails(*verify.SUITES["flow"]), scipy_comparison_fails)
+RING_CHECKS = (fails(*verify.SUITES["flow"]), enumeration_fails_at_every_seed)
+# mutant: (module, target, old snippet, new snippet, outcome, checks).
+# outcome "fails": every check reports a failure; "raises": the kernel's guard
+# raises RuntimeError inside each check, where the mutant would otherwise loop
+MUTANTS = {
     "twin update dropped": (flow, "MaxFlowNetwork.solve", "res[a ^ 1] += f\n", "pass\n",
-                            "fails"),
+                            "fails", FLOW_CHECKS),
     "undirected edge stored one-way": (flow, "MaxFlowNetwork.add_edges",
                                        "np.stack([cap, cap], axis=-1)",
-                                       "np.stack([cap, 0 * cap], axis=-1)", "fails"),
+                                       "np.stack([cap, 0 * cap], axis=-1)", "fails",
+                                       FLOW_CHECKS),
     "saturated tree arc left in its tree": (flow, "MaxFlowNetwork.solve",
                                             "if not res[a] and v >= 0:", "if False:",
-                                            "raises"),
+                                            "raises", FLOW_CHECKS),
     "orphan adopted without the origin check": (flow, "MaxFlowNetwork.solve",
                                                 "if stamp[v] == time or par[v] == -2:",
-                                                "if True:", "raises"),
+                                                "if True:", "raises", FLOW_CHECKS),
     "ring pass one step short": (analysis, "_ring_pass", "range(hops - 1)",
-                                 "range(hops - 2)", "fails"),
+                                 "range(hops - 2)", "fails", RING_CHECKS),
     "fixed n2 // 2 ring bound": (analysis, "_segment_hops",
                                  "return int(np.count_nonzero(k * ring_w.min() <= "
                                  "(n2 - k) * ring_w.max() * (1 + 1e-6)))",
-                                 "return len(ring_w) // 2", "fails"),
+                                 "return len(ring_w) // 2", "fails", RING_CHECKS),
+    "one active row dropped at F=3": (isl, "active_row_set",
+                                      "return frozenset(range(1, n2 + 1)) - hit\n",
+                                      "return frozenset(range(1, n2 + 1)) - hit - "
+                                      "({1} if config.phasing_factor == 3 else set())\n",
+                                      "fails", (fails(*verify.SUITES["division"]),
+                                                fails(*verify.SUITES["counts"]))),
+    # isl and virtualgraph import csd_rows_all by name: patched into division
+    # alone, the mutant leaves the CSD staticness check passing
+    "CSD row snap dropped": (division, "csd_rows_all", "rel / step + CELL_SNAP)",
+                             "rel / step)", "fails", (fails(verify.check_csd_staticness),)),
 }
 
 
-@pytest.mark.parametrize("mutant_name", FLOW_MUTANTS)
-def test_flow_mutant_is_caught(monkeypatch, mutant_name):
-    module, target, old, new, outcome = FLOW_MUTANTS[mutant_name]
-    *owner, name = target.split(".")
-    monkeypatch.setattr(functools.reduce(getattr, owner, module), name,
-                        mutant(module, target, old, new))
-    checks = [flow_suite_fails, scipy_comparison_fails if module is flow else enumeration_fails]
+@pytest.mark.parametrize("mutant_name", MUTANTS)
+def test_mutant_is_caught(monkeypatch, mutant_name):
+    module, target, old, new, outcome, checks = MUTANTS[mutant_name]
+    patch_everywhere(monkeypatch, module, target, mutant(module, target, old, new))
     for check in checks:
         if outcome == "raises":
             with pytest.raises(RuntimeError):

@@ -1,14 +1,9 @@
-import os
-import subprocess
-import sys
 from collections import Counter, defaultdict
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-import leovn
 from leovn.constellation import SIDEREAL_DAY, ConstellationConfig
 from leovn.division import (
     build_grd_grid,
@@ -88,18 +83,6 @@ class TestStaticGraph:
         keys = static_graph_for(cfg, IslMode.CONVENTIONAL)
         assert edge_count(keys, IslKind.H_ISL) == 0
         assert not is_connected(keys, 18)
-
-
-def test_import_loads_no_scipy():
-    # the graph code runs on numpy alone; scipy is for the oracles in verify
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(leovn.__file__).parents[1]), env.get("PYTHONPATH")]))
-    code = ("import sys, leovn.virtualgraph; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
 
 
 class TestMapping:
@@ -344,15 +327,6 @@ class TestStaticnessReport:
         assert got.dtype == np.int64
         assert np.array_equal(got, np.setdiff1d(keys, other, assume_unique=True))
 
-    def test_csd_matched_division_is_event_free(self):
-        for f in (0, 2):
-            cfg = make_config(F=f)
-            rep = staticness_report(cfg, VnMethod.CSD, IslMode.OPTIMIZED,
-                                    cfg.period, 90)
-            assert rep.event_count == 0
-            assert rep.events_by_cause == {}
-            assert rep.seam_column_history == []
-
     @settings(max_examples=150, deadline=None)
     @given(case=configs(max_planes=9, max_slots=17))
     def test_csd_matched_division_is_event_free_over_small_configs(self, case):
@@ -362,6 +336,8 @@ class TestStaticnessReport:
         assume(cfg.phasing_factor <= cfg.num_planes)
         rep = staticness_report(cfg, VnMethod.CSD, IslMode.OPTIMIZED, cfg.period, 6)
         assert rep.event_count == 0
+        assert rep.events_by_cause == {}
+        assert rep.seam_column_history == []
         instance = instance_at(cfg, VnMethod.CSD, IslMode.OPTIMIZED, t, None)
         assert np.array_equal(instance, static_graph_for(cfg, IslMode.OPTIMIZED))
 
@@ -384,12 +360,6 @@ class TestStaticnessReport:
         assert len(cols) >= 3  # a sixth of a day sweeps a third of the fan
         assert rep.events_by_cause.get("SEAM_DRIFT", 0) >= 3
         assert rep.event_count == sum(rep.events_by_cause.values())
-
-    def test_grd1_records_coverage_loss(self):
-        cfg = make_config()
-        rep = staticness_report(cfg, VnMethod.GRD1, IslMode.CONVENTIONAL,
-                                SIDEREAL_DAY / 4, 120)
-        assert rep.events_by_cause.get("COVERAGE_LOSS", 0) >= 1
 
     def test_grd_async_switches_require_phasing(self):
         cfg = make_config(F=2)
