@@ -74,7 +74,7 @@ INF_CAPACITY = 10 ** 9   # the satellite-ground arcs; below int32's maximum (sci
 def weight_snapshot(config: ConstellationConfig, snapshot: IslSnapshot,
                     t: float) -> WeightedNetSnapshot:
     """Annotate the active edges of a snapshot with chord length and delay."""
-    _, positions, lats, lons = propagate_all(config, t)
+    positions, lats, lons = propagate_all(config, t)
     edges = snapshot.pairs[snapshot.active]
     d = positions[edges[:, 0]] - positions[edges[:, 1]]
     # vecdot rounds like the per-edge norm of a 3-vector; (d*d).sum(1) does not

@@ -94,14 +94,6 @@ class ConstellationConfig:
         return math.pi / self.num_planes
 
     @property
-    def phase_step(self) -> float:
-        return 2.0 * math.pi / self.sats_per_plane
-
-    @property
-    def phase_offset(self) -> float:
-        return 2.0 * math.pi * self.phasing_factor / self.total_sats
-
-    @property
     def inclination(self) -> float:
         return math.radians(self.inclination_deg)
 
@@ -128,39 +120,46 @@ class ConstellationConfig:
         return Fraction(self.raan0_deg) + (plane - 1) * self.raan_step_deg
 
 
+def _phase(config: ConstellationConfig, t: float, turn: float) -> np.ndarray:
+    """Unwrapped along-track phase of every satellite at time t, in units of
+    which ``turn`` make a full circle (360.0 for degrees, 2pi for radians).
+
+    One expression for both units, summed left to right, each term's constant
+    rounded once: ``turn / 360.0`` is 1.0 or exactly ``pi / 180``, and
+    ``turn * F / N`` rounds like the exact offset.  So the radian phase is
+    not ``radians`` of the degree phase, which can differ in the last bit:
+    at t=0 satellites sit exactly on the closed edges of the throughput
+    boxes, where a 1-ulp change moves them in or out of a box.
+    """
+    planes, slots = _plane_slot_index(config)
+    n1, n2 = config.num_planes, config.sats_per_plane
+    return (config.phase0_deg * (turn / 360.0) + slots * (turn / n2)
+            + planes * (turn * config.phasing_factor / (n1 * n2))
+            + turn * t / config.period)
+
+
 def phases_deg(config: ConstellationConfig, t: float) -> np.ndarray:
     """Unwrapped along-track phase (degrees) of every satellite at time t.
 
     Flat-indexed (plane-1)*n2 + slot-1.  Callers wrap or reshape as needed.
     """
-    planes, slots = _plane_slot_index(config)
-    return (config.phase0_deg + slots * (360.0 / config.sats_per_plane)
-            + planes * float(config.phase_offset_deg)
-            + 360.0 * t / config.period)
+    return _phase(config, t, 360.0)
 
 
 def propagate_all(config: ConstellationConfig, t: float):
     """Vectorized states for the full constellation at time t.
 
-    Returns (phases, positions, lats, ground_lons), flat-indexed
-    (plane-1)*n2 + slot-1: phases in radians wrapped to [0, 2pi), inertial
-    positions in meters, sub-point latitude and rotating-Earth longitude in
-    radians.
+    Returns (positions, lats, ground_lons), flat-indexed (plane-1)*n2 +
+    slot-1: inertial positions in meters, sub-point latitude and
+    rotating-Earth longitude in radians.
     """
-    planes, slots = _plane_slot_index(config)
-    # Kept in radians rather than derived from phases_deg: at t=0 satellites
-    # sit exactly on the closed edges of the throughput boxes, where a 1-ulp
-    # change moves them in or out of a box.
-    u0 = (math.radians(config.phase0_deg)
-          + slots * config.phase_step
-          + planes * config.phase_offset)
-    u = np.mod(u0 + 2.0 * math.pi * t / config.period, 2.0 * math.pi)
+    u = np.mod(_phase(config, t, 2.0 * math.pi), 2.0 * math.pi)
     unit = _orbit_unit_vectors(u, *_raan_trig(config), config.inclination)
     pos = config.orbit_radius * unit
     lats = np.arcsin(np.clip(unit[:, 2], -1.0, 1.0))
     lons = np.mod(np.arctan2(pos[:, 1], pos[:, 0]) - OMEGA_EARTH * t + math.pi,
                   2.0 * math.pi) - math.pi
-    return u, pos, lats, lons
+    return pos, lats, lons
 
 
 def _orbit_unit_vectors(u, co, so, inclination: float) -> np.ndarray:

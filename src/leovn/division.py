@@ -73,6 +73,15 @@ def phase_step_deg(config: ConstellationConfig) -> Fraction:
     return Fraction(360, config.sats_per_plane)
 
 
+def common_numerators(values: list[Fraction]) -> tuple[list[int], int]:
+    """Exact ``values`` as Python-int numerators over their least common
+    denominator, and that denominator, so that sums, floor divisions and
+    comparisons of them run on ints.  Python ints, not int64: a float
+    threshold such as 70.1 has a 2^k denominator."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def backward_links(num_planes: int, phasing_factor: int) -> np.ndarray:
     """c(h) = floor((h-1)F/n1) for h = 1..n1: the backward links an
     optimized row crosses before plane h.
@@ -199,21 +208,15 @@ def build_grd_grid(config: ConstellationConfig) -> np.ndarray:
     zenith of anchor (v, h).
 
     The start angles are ``float(row_start_deg(config, v, h))``, bit for
-    bit, without a ``Fraction`` per cell: the row origin, the plane shifts
-    and the row height are scaled to Python-int numerators over one common
-    denominator, and int true division rounds the exact quotient correctly,
-    as ``float`` of the reduced fraction does.  Python ints, not int64: a
-    float threshold such as 70.1 has a 2^k denominator.
+    bit, without a ``Fraction`` per cell: the row origin, the row height and
+    the plane shifts are ``common_numerators``, and int true division rounds
+    the exact quotient correctly, as ``float`` of the reduced fraction does.
     """
     n1, n2 = config.num_planes, config.sats_per_plane
-    origin, step, shifts = row_origin_deg(config), phase_step_deg(config), cell_shifts_deg(config)
-    den = math.lcm(origin.denominator, step.denominator, *(s.denominator for s in shifts))
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (den // x.denominator)
-
-    columns = np.array([scaled(origin) + scaled(s) for s in shifts], dtype=object)
-    starts = np.arange(n2, dtype=object)[:, None] * scaled(step) + columns   # (n2, n1) ints
+    (origin, step, *shifts), den = common_numerators(
+        [row_origin_deg(config), phase_step_deg(config), *cell_shifts_deg(config)])
+    columns = np.array([origin + s for s in shifts], dtype=object)
+    starts = np.arange(n2, dtype=object)[:, None] * step + columns   # (n2, n1) ints
     u = np.radians((starts / den).astype(float))
     raan = np.radians([float(config.raan_deg(h)) for h in range(1, n1 + 1)])
     return _orbit_unit_vectors(u, np.cos(raan), np.sin(raan), config.inclination)
@@ -295,18 +298,19 @@ def grd_assignment(config: ConstellationConfig, anchors: np.ndarray, t: float,
         raise ValueError("grd_assignment serves GRD1 or GRD2, not CSD")
     n1, n2 = config.num_planes, config.sats_per_plane
     cells, cell_planes, bounds, offsets = _grd_tables(n1, n2)
-    _, _, lats, lons = propagate_all(config, t)
+    _, lats, lons = propagate_all(config, t)
     cos_lats = np.cos(lats)
     sub = np.stack([cos_lats * np.cos(lons),
                     cos_lats * np.sin(lons),
                     np.sin(lats)], axis=1)          # (N, 3) Earth-fixed units
     if method is VnMethod.GRD1:
-        # (column, row, slot) blocks: each column's anchors against its own plane
+        # (column, row, slot) blocks: each column's anchors against its own
+        # plane, read in place; top and slot come out (column, row) and are
+        # flattened to the row-major (row, column) cells
         blocks = np.matmul(anchors.transpose(1, 0, 2), sub.reshape(n1, n2, 3).transpose(0, 2, 1))
-        own = blocks.transpose(1, 0, 2).reshape(-1, n2)
-        own_slot = np.argmax(own, axis=1)
-        top = own[cells, own_slot]
-        best = cell_planes * n2 + own_slot
+        own_slot = np.argmax(blocks, axis=2)[:, :, None]
+        top = np.take_along_axis(blocks, own_slot, axis=2).T.ravel()
+        best = cell_planes * n2 + own_slot.T.ravel()
     else:
         flat = anchors.reshape(-1, 3)
         buf = np.empty((len(offsets), len(sub)))

@@ -24,6 +24,7 @@ import numpy as np
 from .constellation import ConfigError, ConstellationConfig, phases_deg
 from .division import (
     backward_links,
+    common_numerators,
     csd_rows_all,
     phase_step_deg,
     row_origin_deg,
@@ -143,8 +144,8 @@ def active_row_set(config: ConstellationConfig, mode: IslMode) -> frozenset[int]
     Member h of a row anchored at dwell row v sweeps the half-open window
     [origin + (v-1)*step + spread_h, ... + step) of along-track phase during
     the dwell; the row is active for that dwell iff no window, wrapped past
-    360, meets an open cap span.  The exact degrees are scaled by the lcm of
-    their denominators, so the test runs on Python ints.  Snapshots, sweep
+    360, meets an open cap span.  The exact degrees are
+    ``common_numerators``, so the test runs on Python ints.  Snapshots, sweep
     counts, the static virtual graph and the ``divide`` regions all read
     these rows; the paper's closed forms are ``verify``'s oracle for them.
 
@@ -154,19 +155,12 @@ def active_row_set(config: ConstellationConfig, mode: IslMode) -> frozenset[int]
     v = (lo - s)//w + 1 .. -((s - hi)//w), taken mod n2.
     """
     n2 = config.sats_per_plane
-    spans = polar_cap_phase_spans(config)
-    step = phase_step_deg(config)
+    bounds = [x for span in polar_cap_phase_spans(config) for x in span]   # lo, hi, ...
     offsets = {row_origin_deg(config) + s for s in row_spreads_deg(config, mode)}
-    exact = [step, *offsets, *(x for span in spans for x in span)]
-    scale = math.lcm(*(x.denominator for x in exact))
-
-    def scaled(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    width = scaled(step)
-    caps = [(scaled(lo), scaled(hi)) for lo, hi in spans]
+    (width, *ints), _ = common_numerators([phase_step_deg(config), *bounds, *offsets])
+    caps = list(zip(ints[:len(bounds):2], ints[1:len(bounds):2]))
     hit = set()
-    for s in map(scaled, offsets):
+    for s in ints[len(bounds):]:
         for lo, hi in caps:
             first, last = (lo - s) // width + 1, -((s - hi) // width)
             hit.update((v - 1) % n2 + 1 for v in range(first, last + 1))

@@ -81,7 +81,7 @@ class TestWeightSnapshot:
     def test_delay_is_length_over_c(self):
         cfg = make_config()
         snap = snapshot_at(cfg, IslMode.CONVENTIONAL, 100.0)
-        positions = propagate_all(cfg, 100.0)[1]
+        positions = propagate_all(cfg, 100.0)[0]
         for (a, b), delay in zip(snap.edges[:20].tolist(), snap.delay_s[:20]):
             length = np.linalg.norm(positions[a] - positions[b])
             assert delay == pytest.approx(length / SPEED_OF_LIGHT)
@@ -91,7 +91,7 @@ class TestWeightSnapshot:
         # reference loop: one np.linalg.norm per edge, as CLI outputs expect
         cfg = make_config(F=2, altitude_km=780.0)
         snap = snapshot_at(cfg, IslMode.OPTIMIZED, 1234.5)
-        positions = propagate_all(cfg, 1234.5)[1]
+        positions = propagate_all(cfg, 1234.5)[0]
         want = [float(np.linalg.norm(positions[a] - positions[b]))
                 for a, b in snap.edges.tolist()]
         assert snap.delay_s.tolist() == [length / SPEED_OF_LIGHT for length in want]

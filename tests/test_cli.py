@@ -645,15 +645,23 @@ class TestErrorPaths:
         assert main(["divide"]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_malformed_config_file_names_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text,fragment", [
+        ("n1 = 6\nn2 = twelve\n", "n2"),
+        ("n1 = 6\nn2 12\n", "bad.cfg:2: expected 'key = value'"),
+    ])
+    def test_malformed_config_file_names_key(self, tmp_path, capsys, text, fragment):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("n1 = 6\nn2 = twelve\n")
+        cfg_file.write_text(text)
         assert main(["divide", "--config", str(cfg_file)]) == 2
-        assert "n2" in capsys.readouterr().err
+        assert fragment in capsys.readouterr().err
 
-    def test_invalid_bound_names_field(self, capsys):
-        assert main(["divide", "--n1", "1", "--n2", "12"]) == 2
-        assert "num_planes" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,field", [
+        (["--n1", "1", "--n2", "12"], "num_planes"),
+        (["--n1", "6", "--n2", "12", "--inclination-deg", "0"], "inclination_deg"),
+    ])
+    def test_invalid_bound_names_field(self, capsys, argv, field):
+        assert main(["divide", *argv]) == 2
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,field", [
         (["throughput", "--altitude-km", "nan"], "altitude_km"),

@@ -13,6 +13,7 @@ from leovn.constellation import (
     SIDEREAL_DAY,
     ConfigError,
     ConstellationConfig,
+    _phase,
     _plane_slot_index,
     _raan_trig,
     phases_deg,
@@ -73,21 +74,21 @@ class TestBuildConstellation:
 
     def test_f2_offset_is_two_base_units(self):
         cfg = make_config(phasing_factor=2)
-        delta = 2 * math.pi * 2 / 648
-        u, _, _, _ = propagate_all(cfg, 0.0)
-        assert u[flat(cfg, 2, 1)] - u[flat(cfg, 1, 1)] == pytest.approx(delta)
+        delta = 360 * 2 / 648
+        phases = phases_deg(cfg, 0.0)
+        assert phases[flat(cfg, 2, 1)] - phases[flat(cfg, 1, 1)] == pytest.approx(delta)
 
     def test_plane4_leads_plane1_by_quarter_pi(self):
-        # n1=6, n2=12, F=3: 3 plane steps of 2*pi*3/72 add up to pi/4
+        # n1=6, n2=12, F=3: 3 plane steps of 360*3/72 deg add up to 45 deg
         cfg = ConstellationConfig(num_planes=6, sats_per_plane=12, phasing_factor=3,
                                   altitude_km=780.0, polar_threshold_deg=70.0)
-        u, _, _, _ = propagate_all(cfg, 0.0)
-        assert u[flat(cfg, 4, 5)] - u[flat(cfg, 1, 5)] == pytest.approx(math.pi / 4)
+        phases = phases_deg(cfg, 0.0)
+        assert phases[flat(cfg, 4, 5)] - phases[flat(cfg, 1, 5)] == pytest.approx(45.0)
 
     def test_raan_spacing(self):
         # slot 1 starts at the ascending node, so its inertial longitude is the RAAN
         cfg = make_config(phase0_deg=0.0)
-        _, pos, _, _ = propagate_all(cfg, 0.0)
+        pos, _, _ = propagate_all(cfg, 0.0)
         nodes = pos[[flat(cfg, h, 1) for h in range(1, 19)]]
         assert np.allclose(nodes[:, 2], 0.0, atol=1e-6)
         raans = np.arctan2(nodes[:, 1], nodes[:, 0])
@@ -98,15 +99,16 @@ class TestBuildConstellation:
         cfg = make_config(num_planes=n1, sats_per_plane=n2, phasing_factor=f)
         assert cfg.raan_step_deg * n1 == 180 and cfg.phase_offset_deg * n1 * n2 == 360 * f
         assert cfg.raan_deg(n1) == (n1 - 1) * cfg.raan_step_deg
-        for rad, deg in [(cfg.raan_step, cfg.raan_step_deg), (cfg.phase_offset, cfg.phase_offset_deg),
-                         (cfg.phase_step, phase_step_deg(cfg))]:
-            assert rad == pytest.approx(math.radians(deg), rel=1e-15, abs=0)
+        assert cfg.raan_step == pytest.approx(math.radians(cfg.raan_step_deg), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("kw,fragment", [
         (dict(num_planes=1), "num_planes"),
         (dict(sats_per_plane=2), "sats_per_plane"),
         (dict(phasing_factor=36), "phasing_factor"),
         (dict(phasing_factor=-1), "phasing_factor"),
+        (dict(phasing_factor=1.5), "phasing_factor must be an integer"),
+        (dict(inclination_deg=0.0), "inclination_deg"),
+        (dict(inclination_deg=180.5), "inclination_deg"),
         (dict(altitude_km=0), "altitude_km"),
         (dict(polar_threshold_deg=0), "polar_threshold_deg"),
         (dict(polar_threshold_deg=95), "polar_threshold_deg"),
@@ -126,47 +128,48 @@ class TestBuildConstellation:
 class TestPropagate:
     def test_epoch_identity(self):
         cfg = make_config()
-        u, _, _, _ = propagate_all(cfg, 0.0)
+        phases = phases_deg(cfg, 0.0)
         for slot in range(1, 6):
-            phase0 = math.radians(float(initial_phase_deg(cfg, 1, slot)))
-            assert u[flat(cfg, 1, slot)] == pytest.approx(phase0 % (2 * math.pi))
+            assert phases[flat(cfg, 1, slot)] == float(initial_phase_deg(cfg, 1, slot))
 
     def test_periodicity(self):
         cfg = make_config()
-        u0, p0, _, _ = propagate_all(cfg, 0.0)
-        u1, p1, _, _ = propagate_all(cfg, cfg.period)
-        assert circular_gap(u1, u0).max() <= 1e-9
+        p0, _, _ = propagate_all(cfg, 0.0)
+        p1, _, _ = propagate_all(cfg, cfg.period)
+        gap = circular_gap(np.radians(phases_deg(cfg, cfg.period)), np.radians(phases_deg(cfg, 0.0)))
+        assert gap.max() <= 1e-9
         assert np.linalg.norm(p1 - p0, axis=1).max() <= 1e-9 * cfg.orbit_radius
 
     def test_quarter_period_polar_orbit_reaches_pole(self):
         cfg = make_config(phase0_deg=0.0)
-        u, _, lats, _ = propagate_all(cfg, cfg.period / 4)
+        _, lats, _ = propagate_all(cfg, cfg.period / 4)
+        u = math.radians(phases_deg(cfg, cfg.period / 4)[0])
         assert lats[0] == pytest.approx(math.pi / 2, abs=1e-9)
         assert lats[0] == pytest.approx(
-            math.asin(math.sin(cfg.inclination) * math.sin(u[0])), abs=1e-12)
+            math.asin(math.sin(cfg.inclination) * math.sin(u)), abs=1e-12)
 
     def test_radius_invariant_over_time(self):
         cfg = make_config(phasing_factor=5)
         r = R_EARTH + 780e3
         for t in np.linspace(0, cfg.period, 7):
-            _, pos, _, _ = propagate_all(cfg, float(t))
+            pos, _, _ = propagate_all(cfg, float(t))
             assert np.allclose(np.linalg.norm(pos, axis=1), r, rtol=1e-9)
 
     def test_phase_spacing_within_and_across_planes(self):
         cfg = make_config(phasing_factor=2)
-        u, _, _, _ = propagate_all(cfg, 1234.5)
-        sa, sb, sc = u[flat(cfg, 3, 10)], u[flat(cfg, 3, 11)], u[flat(cfg, 4, 10)]
-        wf = 2 * math.pi / 36
-        df = 2 * math.pi * 2 / 648
-        assert (sb - sa) % (2 * math.pi) == pytest.approx(wf, abs=1e-9)
-        assert (sc - sa) % (2 * math.pi) == pytest.approx(df, abs=1e-9)
+        phases = phases_deg(cfg, 1234.5)
+        sa, sb, sc = phases[flat(cfg, 3, 10)], phases[flat(cfg, 3, 11)], phases[flat(cfg, 4, 10)]
+        wf = 360 / 36
+        df = 360 * 2 / 648
+        assert (sb - sa) % 360 == pytest.approx(wf, abs=1e-9)
+        assert (sc - sa) % 360 == pytest.approx(df, abs=1e-9)
 
     def test_earth_rotation_cancels_over_sidereal_day(self):
         cfg = make_config()
         idx = flat(cfg, 5, 7)
         t = 1000.0
-        _, p0, _, lon0 = propagate_all(cfg, t)
-        _, p1, _, lon1 = propagate_all(cfg, t + SIDEREAL_DAY)
+        p0, _, lon0 = propagate_all(cfg, t)
+        p1, _, lon1 = propagate_all(cfg, t + SIDEREAL_DAY)
         ground_shift = (lon1[idx] - lon0[idx]) % (2 * math.pi)
         inertial_shift = (math.atan2(p1[idx, 1], p1[idx, 0])
                           - math.atan2(p0[idx, 1], p0[idx, 0])) % (2 * math.pi)
@@ -175,7 +178,8 @@ class TestPropagate:
     def test_vectorized_matches_scalar(self):
         cfg = make_config(phasing_factor=3, inclination_deg=86.4, raan0_deg=7.5)
         t = 777.0
-        phases, pos, lats, lons = propagate_all(cfg, t)
+        pos, lats, lons = propagate_all(cfg, t)
+        phases = np.radians(phases_deg(cfg, t))
         for idx in (0, 100, 647):
             u, p, lat, lon = rotation_oracle(cfg, idx // 36 + 1, idx % 36 + 1, t)
             assert circular_gap(phases[idx], u) <= 1e-9
@@ -199,8 +203,8 @@ class TestKinematicsProperties:
     @given(case=configs())
     def test_radian_phase_matches_degree_phase(self, case):
         cfg, t = case
-        u, _, _, _ = propagate_all(cfg, t)
-        want = np.radians(np.mod(phases_deg(cfg, t), 360.0))
+        u = _phase(cfg, t, 2 * math.pi)
+        want = np.radians(phases_deg(cfg, t))
         assert circular_gap(u, want).max() <= 1e-9
 
     @settings(max_examples=100, deadline=None)
@@ -221,17 +225,27 @@ class TestKinematicsProperties:
 
 
 class TestSharedKinematics:
-    """The cached plane trig and ``polar_mask`` give the bits of the
-    expressions that each caller computed for itself before, written out
-    here."""
+    """The one phase formula, the cached plane trig and ``polar_mask`` give
+    the bits of the expressions that each caller computed for itself before,
+    written out here."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=configs())
+    def test_phases_deg_equals_inline_degree_sum(self, case):
+        cfg, t = case
+        planes, slots = _plane_slot_index(cfg)
+        want = (cfg.phase0_deg + slots * (360.0 / cfg.sats_per_plane)
+                + planes * float(cfg.phase_offset_deg)
+                + 360.0 * t / cfg.period)
+        assert np.array_equal(phases_deg(cfg, t), want)
 
     @settings(max_examples=100, deadline=None)
     @given(case=configs())
     def test_propagate_all_equals_inline_plane_trig(self, case):
         cfg, t = case
         planes, slots = _plane_slot_index(cfg)
-        u0 = (math.radians(cfg.phase0_deg) + slots * cfg.phase_step
-              + planes * cfg.phase_offset)
+        u0 = (math.radians(cfg.phase0_deg) + slots * (2.0 * math.pi / cfg.sats_per_plane)
+              + planes * (2.0 * math.pi * cfg.phasing_factor / cfg.total_sats))
         u = np.mod(u0 + 2.0 * math.pi * t / cfg.period, 2.0 * math.pi)
         raan = math.radians(cfg.raan0_deg) + planes * cfg.raan_step
         cu, su, co, so = np.cos(u), np.sin(u), np.cos(raan), np.sin(raan)
@@ -241,7 +255,7 @@ class TestSharedKinematics:
         lats = np.arcsin(np.clip(unit[:, 2], -1.0, 1.0))
         lons = np.mod(np.arctan2(pos[:, 1], pos[:, 0]) - OMEGA_EARTH * t + math.pi,
                       2.0 * math.pi) - math.pi
-        for got, want in zip(propagate_all(cfg, t), (u, pos, lats, lons)):
+        for got, want in zip(propagate_all(cfg, t), (pos, lats, lons), strict=True):
             assert np.array_equal(got, want)
 
     @settings(max_examples=100, deadline=None)
@@ -339,7 +353,7 @@ class TestElevation:
         # t=0, default epoch: every satellite sits at the zenith of its own anchor
         cfg = make_config()
         grid = build_grd_grid(cfg)
-        _, _, lats, lons = propagate_all(cfg, 0.0)
+        _, lats, lons = propagate_all(cfg, 0.0)
         sub = np.stack([np.cos(lats) * np.cos(lons), np.cos(lats) * np.sin(lons),
                         np.sin(lats)], axis=1)
         assert float(grid[0, 0] @ sub[0]) == pytest.approx(1.0, abs=1e-12)

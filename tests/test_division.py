@@ -301,7 +301,7 @@ class TestSwitchInterval:
 
 def sub_points(config, t):
     """(N, 3) Earth-fixed unit vectors of the satellites' sub-points."""
-    _, _, lats, lons = propagate_all(config, t)
+    _, lats, lons = propagate_all(config, t)
     return np.stack([np.cos(lats) * np.cos(lons),
                      np.cos(lats) * np.sin(lons),
                      np.sin(lats)], axis=1)

@@ -3,9 +3,9 @@ names the checks that must catch it.
 
 A mutant is the kernel's module source with one snippet replaced, executed
 into a fresh namespace; the mutated function or method is then patched onto
-the live class, or onto every ``leovn`` module that bound the function by
-name, so every caller (``isl``, ``analysis``, ``virtualgraph``, ``verify``)
-runs it.
+the live class, or onto every ``leovn`` or test module that bound the
+function by name, so every caller (``isl``, ``analysis``, ``virtualgraph``,
+``verify``, the tests) runs it.
 """
 import functools
 import inspect
@@ -14,10 +14,14 @@ import sys
 import types
 
 import pytest
+from hypothesis import given, settings
 
 import test_analysis
-from leovn import analysis, division, flow, isl, verify
+import test_constellation
+from leovn import analysis, constellation, division, flow, isl, verify
 from leovn.isl import IslMode
+
+from helpers import configs
 
 
 def mutant(module, target: str, old: str, new: str):
@@ -46,6 +50,25 @@ def scipy_comparison_fails() -> bool:
     return False
 
 
+def property_fails(test):
+    """Whether the ``helpers.configs()`` property ``test``, a method of a
+    stateless test class, fails on 100 drawn cases.  Its inner test runs
+    under a ``given`` of its own, since Hypothesis rejects a method called
+    from a second instance."""
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(case=configs())
+    def prop(case):
+        test.hypothesis.inner_test(None, case)
+
+    def run():
+        try:
+            prop()
+        except AssertionError:
+            return True
+        return False
+    return run
+
+
 def fails(*checks):
     """Whether any of ``checks`` (``verify`` checks) reports a failure."""
     return lambda: not all(check().passed for check in checks)
@@ -61,10 +84,11 @@ def enumeration_fails_at_every_seed() -> bool:
 
 def patch_everywhere(monkeypatch, module, target: str, replacement) -> None:
     """Patch ``target`` (``name`` or ``Class.name``) of ``module`` onto its
-    owner and onto every ``leovn`` module that holds the same object."""
+    owner and onto every ``leovn`` or test module that holds the same object."""
     *owner, name = target.split(".")
     holders = [functools.reduce(getattr, owner, module),
-               *(mod for key, mod in sys.modules.items() if key.split(".")[0] == "leovn")]
+               *(mod for key, mod in sys.modules.items()
+                 if key.split(".")[0] == "leovn" or key.startswith("test_"))]
     original = getattr(holders[0], name)
     for holder in holders:
         if getattr(holder, name, None) is original:
@@ -73,6 +97,11 @@ def patch_everywhere(monkeypatch, module, target: str, replacement) -> None:
 
 FLOW_CHECKS = (fails(*verify.SUITES["flow"]), scipy_comparison_fails)
 RING_CHECKS = (fails(*verify.SUITES["flow"]), enumeration_fails_at_every_seed)
+BITS = test_constellation.TestSharedKinematics
+# the left-to-right phase sum of ``constellation._phase``, time term last
+TIME_TERM = "\n            + turn * t / config.period"
+PHASE_SUM = ("config.phase0_deg * (turn / 360.0) + slots * (turn / n2)\n"
+             "            + planes * (turn * config.phasing_factor / (n1 * n2))" + TIME_TERM)
 # mutant: (module, target, old snippet, new snippet, outcome, checks).
 # outcome "fails": every check reports a failure; "raises": the kernel's guard
 # raises RuntimeError inside each check, where the mutant would otherwise loop
@@ -105,6 +134,15 @@ MUTANTS = {
     # alone, the mutant leaves the CSD staticness check passing
     "CSD row snap dropped": (division, "csd_rows_all", "rel / step + CELL_SNAP)",
                              "rel / step)", "fails", (fails(verify.check_csd_staticness),)),
+    "phase time term summed first": (constellation, "_phase", PHASE_SUM,
+                                     "turn * t / config.period + "
+                                     + PHASE_SUM.removesuffix(TIME_TERM), "fails",
+                                     (property_fails(BITS.test_phases_deg_equals_inline_degree_sum),)),
+    "radian phase converted from degrees": (constellation, "propagate_all",
+                                            "_phase(config, t, 2.0 * math.pi)",
+                                            "np.radians(_phase(config, t, 360.0))", "fails",
+                                            (property_fails(
+                                                BITS.test_propagate_all_equals_inline_plane_trig),)),
 }
 
 
