@@ -175,20 +175,15 @@ def switching_epochs(config: ConstellationConfig, count: int) -> list[float]:
     """First ``count`` cell-handover instants at or after t = 0.
 
     Handovers happen when plane 1 sits exactly on its cell boundaries, one
-    ``grd_switch_interval`` apart.
+    T/n2 apart.
     """
-    step_t = grd_switch_interval(config.period, config.sats_per_plane)
+    step_t = config.period / config.sats_per_plane
     # offset of the first epoch: phase0 + 360 t/T == lat origin (mod step)
     lag_deg = float((row_origin_deg(config) - Fraction(config.phase0_deg)) %
                     phase_step_deg(config))
     t0 = lag_deg / 360.0 * config.period
     k0 = math.ceil(-t0 / step_t - 1e-12)
     return [t0 + k * step_t for k in range(k0, k0 + count)]
-
-
-def grd_switch_interval(period: float, sats_per_plane: int) -> float:
-    """Ground-cell handover interval of the geographic division: T / n2."""
-    return period / sats_per_plane
 
 
 # -- geographic (GRD) grid ----------------------------------------------------

@@ -7,7 +7,9 @@ the paper's closed-form region rows, exhaustive link-layout enumeration, snapsho
 edge counting, exhaustive cuts and scipy's ``maximum_flow`` for max-flow (and a
 feasibility check of the returned per-arc flows), and for the latency kernel
 full path enumeration on constellations of at most 12 satellites and scipy's
-Dijkstra up to the paper's 18x36.
+Dijkstra up to the paper's 18x36.  Three checks test the paper's comparison
+claims instead: GRD1 hands over near the half-epochs, and the throughput and
+latency trends over the phasing factor at 18x36.
 """
 from __future__ import annotations
 
@@ -40,6 +42,12 @@ class CheckResult:
         self.failures.append(message)
         if not self.detail:
             self.detail = message
+
+
+def _paper_config(f: int, n1: int = 18, n2: int = 36) -> ConstellationConfig:
+    """The comparison constellation: n1 x n2 at 780 km, polar threshold 70."""
+    return ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
+                               altitude_km=780.0, polar_threshold_deg=70.0)
 
 
 # -- the paper's region rows, by inequality scan --------------------------------
@@ -144,7 +152,8 @@ def check_counts() -> CheckResult:
     modes = (IslMode.CONVENTIONAL, IslMode.OPTIMIZED)
     result = CheckResult(
         name="counts",
-        grid=f"n1 in {n1_grid} x n2 in {n2_grid} x polar in {polar_grid} x F in 0..5 x both modes",
+        grid=f"n1 in {n1_grid} x n2 in {n2_grid} x polar in {polar_grid} x F in 0..5 x "
+             "both modes, each snapshot-counted at its first 3 switching epochs",
         passed=True)
     for n1, n2, polar, f, mode in itertools.product(
             n1_grid, n2_grid, polar_grid, f_grid, modes):
@@ -299,8 +308,7 @@ def check_csd_staticness() -> CheckResult:
              "instance vs the static graph at every handover epoch and mid-dwell",
         passed=True)
     for f in (0, 2, 6):
-        cfg = ConstellationConfig(num_planes=18, sats_per_plane=36, phasing_factor=f,
-                                  altitude_km=780, polar_threshold_deg=70)
+        cfg = _paper_config(f)
         rep = virtualgraph.staticness_report(
             cfg, virtualgraph.VnMethod.CSD, IslMode.OPTIMIZED, cfg.period, 720)
         if rep.event_count != 0:
@@ -328,8 +336,7 @@ def check_grd_dynamics() -> CheckResult:
         grid="18x36 F=0 conventional over one sidereal day: GRD2 at 1200 samples, "
              "GRD1 at 600",
         passed=True)
-    cfg = ConstellationConfig(num_planes=18, sats_per_plane=36, phasing_factor=0,
-                              altitude_km=780, polar_threshold_deg=70)
+    cfg = _paper_config(0)
     rep2 = virtualgraph.staticness_report(
         cfg, virtualgraph.VnMethod.GRD2, IslMode.CONVENTIONAL, SIDEREAL_DAY, 1200)
     seam_cols = {c for _, c in rep2.seam_column_history}
@@ -341,6 +348,35 @@ def check_grd_dynamics() -> CheckResult:
         cfg, virtualgraph.VnMethod.GRD1, IslMode.CONVENTIONAL, SIDEREAL_DAY, 600)
     if rep1.events_by_cause.get("COVERAGE_LOSS", 0) < 1:
         result.fail("GRD1 recorded no coverage-loss events over a sidereal day")
+    return result
+
+
+def check_grd1_handover() -> CheckResult:
+    """GRD1's frozen cells hand over once per T/n2, near the half-epochs
+    (k + 1/2) * T/n2 of the CSD handovers: in each of the first 6
+    ``switching_epochs`` intervals the serving array changes, and only
+    within 0.05 of an interval of its middle."""
+    result = CheckResult(
+        name="grd1_handover",
+        grid="GRD1 at 18x36 F=0, 6x12 F=1, 5x9 F=3 and 9x18 F=2, 780 km, polar 70: "
+             "the first 6 handover intervals, 180 samples each outside +-0.05 of "
+             "the middle",
+        passed=True)
+    fractions = [j / 200 for j in range(201) if abs(j - 100) > 10]
+    for n1, n2, f in ((18, 36, 0), (6, 12, 1), (5, 9, 3), (9, 18, 2)):
+        cfg = _paper_config(f, n1, n2)
+        grid = division.build_grd_grid(cfg)
+        epochs = division.switching_epochs(cfg, 7)
+        for lo, hi in itertools.pairwise(epochs):
+            serving = [division.grd_assignment(cfg, grid, lo + x * (hi - lo),
+                                               division.VnMethod.GRD1)
+                       for x in fractions]
+            before, after = serving[:len(serving) // 2], serving[len(serving) // 2:]
+            if not (all(np.array_equal(s, before[0]) for s in before)
+                    and all(np.array_equal(s, after[0]) for s in after)
+                    and not np.array_equal(before[0], after[0])):
+                result.fail(f"{n1}x{n2} F={f} interval [{lo:.3f}, {hi:.3f}]: no single "
+                            "handover within 0.05 of its middle")
     return result
 
 
@@ -621,12 +657,67 @@ def _keep_edges(snap: analysis.WeightedNetSnapshot, keep: np.ndarray):
                    delay_s=snap.delay_s[keep])
 
 
+# -- the paper's throughput and latency trends ---------------------------------
+
+def check_throughput_trend() -> CheckResult:
+    """The paper's throughput figure: the optimized layout's mean throughput
+    spreads by under 10 % of its mean over F = 1..14, and the conventional
+    one at F = 14 drops under 0.25x its F = 0 value."""
+    result = CheckResult(
+        name="throughput_trend",
+        grid="18x36, 780 km, polar 70, 16 snapshots: optimized F in 1..14, "
+             "conventional F in (0, 14)",
+        passed=True)
+    opt = [analysis.mean_throughput(_paper_config(f), IslMode.OPTIMIZED, 16)
+           for f in range(1, 15)]
+    spread = (max(opt) - min(opt)) / (sum(opt) / len(opt))
+    conv0, conv14 = (analysis.mean_throughput(_paper_config(f), IslMode.CONVENTIONAL, 16)
+                     for f in (0, 14))
+    numbers = (f"optimized spread {spread:.1%} over F=1..14; conventional "
+               f"{conv14:.1f} Gbps at F=14, {conv0:.1f} at F=0")
+    if not spread < 0.10:
+        result.fail(f"optimized spread not under 10%: {numbers}")
+    if not conv14 < 0.25 * conv0:
+        result.fail(f"conventional F=14 not under 0.25x F=0: {numbers}")
+    if result.passed:
+        result.detail = numbers
+    return result
+
+
+def check_latency_trend() -> CheckResult:
+    """The paper's latency figure: the mean delay of 10000 seeded pairs never
+    drops by more than 2 % from one F to the next in either mode, and the
+    conventional layout's is at least the optimized one's at F = 1..13."""
+    result = CheckResult(
+        name="latency_trend",
+        grid="18x36, 780 km, polar 70, 16 snapshots, 10000 pairs of seed 42: "
+             "optimized F in 0..14, conventional F in 0..13",
+        passed=True)
+    drawn = analysis.seeded_pairs(_paper_config(0), 10_000, 42)
+    opt = [analysis.mean_latency(_paper_config(f), IslMode.OPTIMIZED, drawn, 16)
+           for f in range(0, 15)]
+    # conventional mode has no H-ISLs at F=14 (check_count_trends) and the
+    # network splits into planes, so its comparable domain ends at F=13
+    conv = [analysis.mean_latency(_paper_config(f), IslMode.CONVENTIONAL, drawn, 16)
+            for f in range(0, 14)]
+    numbers = (f"optimized ms at F=0..14: {' '.join(f'{ms:.2f}' for ms in opt)}; "
+               f"conventional at F=0..13: {' '.join(f'{ms:.2f}' for ms in conv)}")
+    for mode, means in ((IslMode.OPTIMIZED, opt), (IslMode.CONVENTIONAL, conv)):
+        if not all(b >= a * 0.98 for a, b in itertools.pairwise(means)):
+            result.fail(f"{mode.value} latency drops by over 2% as F grows: {numbers}")
+    if not all(conv[f] >= opt[f] for f in range(1, 14)):
+        result.fail(f"conventional latency below optimized: {numbers}")
+    if result.passed:
+        result.detail = numbers
+    return result
+
+
 SUITES = {
     "division": (check_division,),
     "counts": (check_counts, check_count_trends),
     "theorem1": (check_theorem1,),
-    "staticness": (check_csd_staticness, check_grd_dynamics),
-    "flow": (check_flow,),
+    "staticness": (check_csd_staticness, check_grd_dynamics, check_grd1_handover),
+    "flow": (check_flow, check_throughput_trend, check_latency_trend),
 }
 SUITES["all"] = tuple(itertools.chain.from_iterable(
     SUITES[name] for name in ("division", "counts", "theorem1", "staticness", "flow")))

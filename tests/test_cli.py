@@ -39,11 +39,6 @@ def read_division_csv(path):
     return out
 
 
-def run(args, capsys=None):
-    code = main(args)
-    return code
-
-
 class TestDivide:
     def test_emits_all_cells(self, tmp_path):
         out = tmp_path / "division.csv"

@@ -30,7 +30,6 @@ from leovn.division import (
     csd_rows_all,
     fold_lat_deg,
     grd_assignment,
-    grd_switch_interval,
     phase_step_deg,
     row_start_deg,
     spreads_deg,
@@ -282,21 +281,18 @@ class TestCsdMap:
             assert all(s == step for s in spans)
 
 
-class TestSwitchInterval:
-    @pytest.mark.parametrize("period,n2,expect", [
-        (6540.0, 36, 6540.0 / 36),
-        (6000.0, 1, 6000.0),
-        (5400.0, 30, 180.0),
+class TestSwitchingEpochs:
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(num_planes=6, sats_per_plane=30, altitude_km=550.0),
+        dict(num_planes=4, sats_per_plane=3, phasing_factor=1, polar_threshold_deg=64.0),
     ])
-    def test_values(self, period, n2, expect):
-        assert grd_switch_interval(period, n2) == expect
-
-    def test_epochs_are_uniform(self):
-        cfg = make_config()
+    def test_epochs_are_uniform(self, kw):
+        cfg = make_config(**kw)
         epochs = switching_epochs(cfg, 5)
         assert epochs[0] == pytest.approx(0.0, abs=1e-9)
         steps = np.diff(epochs)
-        assert np.allclose(steps, cfg.period / 36)
+        assert np.allclose(steps, cfg.period / cfg.sats_per_plane)
 
 
 def sub_points(config, t):

@@ -134,6 +134,14 @@ MUTANTS = {
     # alone, the mutant leaves the CSD staticness check passing
     "CSD row snap dropped": (division, "csd_rows_all", "rel / step + CELL_SNAP)",
                              "rel / step)", "fails", (fails(verify.check_csd_staticness),)),
+    # GRD1 would hand over at the CSD epochs instead of the half-epochs
+    "GRD served half an interval late": (division, "grd_assignment",
+                                         "propagate_all(config, t)",
+                                         "propagate_all(config, t + config.period / (2 * n2))",
+                                         "fails", (fails(verify.check_grd1_handover),)),
+    "last backward-link boundary dropped": (isl, "bh_planes", "+ 1).tolist()",
+                                            "+ 1).tolist()[:-1]", "fails",
+                                            (fails(verify.check_theorem1),)),
     "phase time term summed first": (constellation, "_phase", PHASE_SUM,
                                      "turn * t / config.period + "
                                      + PHASE_SUM.removesuffix(TIME_TERM), "fails",
