@@ -139,9 +139,11 @@ def shortest_path_delays(snapshot: WeightedNetSnapshot,
                          sources: np.ndarray) -> np.ndarray:
     """Min propagation delay from each source to every satellite (seconds).
 
-    Returns (len(sources), n1, n2): [i, p, s] is the delay from source i to
-    slot s of plane p.  It is a strided view of the slot-major (n2, n1,
-    sources) working array, not a copy; unreachable entries are +inf.
+    ``sources`` are strictly increasing flat indices in 0..N-1; anything
+    else raises ValueError.  Returns (len(sources), n1, n2): [i, p, s] is
+    the delay from source i to slot s of plane p.  It is a strided view of
+    the slot-major (n2, n1, sources) working array, not a copy; unreachable
+    entries are +inf.
     Label correcting over all sources at once on the constellation grid: a
     ring pass relaxes the V-ISL rings and a row pass every H-ISL boundary,
     and rounds repeat until a row pass lowers nothing.  Every relaxation
@@ -153,10 +155,19 @@ def shortest_path_delays(snapshot: WeightedNetSnapshot,
     Dijkstra's own shortest-path tree, no higher than its distances: the
     result is that search's bit for bit (README "Conventions").  The first
     ring pass from the sources is read from the same pass run once from
-    every slot.
+    every slot.  The first row pass works outward from each source's plane:
+    at boundary h it relaxes toward plane h+1 only the columns of source
+    plane <= h, and back toward plane h only the others.  The halves it
+    skips lower nothing: a column is finite only in its source plane until
+    then, and a label the pass carried away from that plane comes back
+    across the same link of a boundary's matching no lower.
     """
-    planes, slots = np.divmod(np.asarray(sources), snapshot.sats_per_plane)
-    n, n2, k = snapshot.num_sats, snapshot.sats_per_plane, len(planes)
+    sources = np.asarray(sources)
+    n, n2 = snapshot.num_sats, snapshot.sats_per_plane
+    if len(sources) and (sources[0] < 0 or sources[-1] >= n or (np.diff(sources) <= 0).any()):
+        raise ValueError(f"sources must be strictly increasing flat indices in 0..{n - 1}")
+    planes, slots = np.divmod(sources, n2)
+    k = len(planes)
     ring_w, boundaries = _grid_weights(snapshot)
     hops = _segment_hops(ring_w)
     from_slot = np.full((n2, n // n2, n2), np.inf)
@@ -166,8 +177,12 @@ def shortest_path_delays(snapshot: WeightedNetSnapshot,
     dist[:, planes, np.arange(k)] = from_slot[:, planes, slots]
     del from_slot                       # not held through the rounds: peak RSS
     flat = dist.reshape(n, k)
-    while _row_pass(flat, boundaries):
+    # sorted sources group the columns by plane: source plane <= h first
+    cuts = np.searchsorted(planes, [h for h, *_ in boundaries], side="right").tolist()
+    columns = [(slice(c), slice(c, None)) for c in cuts]
+    while _row_pass(flat, boundaries, columns):
         _ring_pass(dist, ring_w, hops)
+        columns = [(slice(None), slice(None))] * len(boundaries)
     return dist.transpose(2, 1, 0)
 
 
@@ -176,9 +191,9 @@ def _grid_weights(snapshot: WeightedNetSnapshot):
 
     Returns the V-ISL delays (n2, n1, 1), where [s, p] links slot s to slot
     s+1 of plane p and is +inf while the link is off, and one
-    ``(from, to, delays)`` triple per plane boundary with active H-ISLs:
-    the slot-major rows ``slot*n1 + plane`` of the satellites of plane h
-    and of their partners in plane h+1, and (k, 1) delays.
+    ``(h, from, to, delays)`` tuple per plane boundary h -> h+1 with active
+    H-ISLs: the slot-major rows ``slot*n1 + plane`` of the satellites of
+    plane h and of their partners in plane h+1, and (k, 1) delays.
     """
     n2 = snapshot.sats_per_plane
     n1 = snapshot.num_sats // n2
@@ -188,12 +203,13 @@ def _grid_weights(snapshot: WeightedNetSnapshot):
     ring_w[slot, plane, 0] = snapshot.delay_s[v]
     h = ~v
     plane, slot = np.divmod(snapshot.edges[h], n2)
-    # the H-ISLs grouped by boundary, in snapshot order within each
+    # the H-ISLs grouped by boundary, in snapshot order within each; an
+    # H-ISL runs from its plane-h end to its plane-h+1 end (``row_chains``)
     order = np.argsort(plane[:, 0], kind="stable")
     src, dst = (slot * n1 + plane)[order].T.copy()
     delay = snapshot.delay_s[h][order, None]
     first = np.flatnonzero(np.diff(plane[order, 0], prepend=-1)).tolist()
-    return ring_w, [(src[a:b], dst[a:b], delay[a:b])
+    return ring_w, [(int(plane[order[a], 0]), src[a:b], dst[a:b], delay[a:b])
                     for a, b in zip(first, [*first[1:], len(order)])]
 
 
@@ -215,45 +231,51 @@ def _segment_hops(ring_w: np.ndarray) -> int:
 
 def _ring_pass(dist: np.ndarray, ring_w: np.ndarray, hops: int) -> None:
     """Relax the V-ISL rings of ``dist`` (n2, n1, columns) in place: one lap
-    up the slots plus ``hops - 1`` steps, then the same down; each step
-    works on the contiguous (n1, columns) slab of one slot.
+    up the slots plus at most ``hops - 1`` wrap steps, then the same down;
+    each step works on the contiguous (n1, columns) slab of one slot.
 
     Whatever slot it starts from, a one-way segment of at most ``hops``
     links is relaxed in order within the lap and the steps after it, from
     a label no higher than the one the pass began with.  Some shortest
     ring route from every label is such a segment (``_segment_hops``), so
     the pass leaves every ring at the least ring-only distances from the
-    labels it was given: every V-ISL is relaxed.
+    labels it was given: every V-ISL is relaxed.  A direction stops at the
+    first wrap step that lowers nothing: that step leaves the slab it
+    writes as the lap step after it read it, so the next wrap step repeats
+    that lap step and lowers nothing either, and so on.
     """
     n2 = len(dist)
     step = np.empty_like(dist[0])
-    laps = [*range(n2), *range(hops - 1)]
-    for s in laps:                      # slot s -> s+1
-        up = dist[(s + 1) % n2]
-        np.add(dist[s], ring_w[s], out=step)
-        np.minimum(up, step, out=up)
-    for s in laps:                      # slot s+1 -> s, from the top down
-        s = n2 - 1 - s
-        down = dist[s]
-        np.add(dist[(s + 1) % n2], ring_w[s], out=step)
-        np.minimum(down, step, out=down)
+    lowers = np.empty(step.shape, dtype=bool)
+    up = [i % n2 for i in range(n2 + hops - 1)]     # link s joins slot s to s+1
+    for links, ahead in ((up, True), ([n2 - 1 - s for s in up], False)):
+        for i, s in enumerate(links):
+            a, b = (s, (s + 1) % n2) if ahead else ((s + 1) % n2, s)
+            np.add(dist[a], ring_w[s], out=step)
+            to = dist[b]
+            if i >= n2 and not np.less(step, to, out=lowers).any():
+                break                   # nor does any later wrap step
+            np.minimum(to, step, out=to)
 
 
-def _row_pass(flat: np.ndarray, boundaries) -> bool:
+def _row_pass(flat: np.ndarray, boundaries, columns) -> bool:
     """Relax the active H-ISLs of ``flat`` (N, columns), rows slot-major, in
     place, boundary by boundary toward the last plane and then back; returns
-    whether any distance dropped.
+    whether any distance dropped.  ``columns`` gives each boundary the
+    column slices it relaxes toward the last plane and back.
 
     The active links of one boundary form a matching, so each step is one
     gather and one scatter without repeated targets.
     """
     changed = False
-    for src, dst, delay in [*boundaries, *((b, a, w) for a, b, w in reversed(boundaries))]:
-        reach = flat[src]
+    ahead = [(a, b, w, cols) for (_, a, b, w), (cols, _) in zip(boundaries, columns)]
+    back = [(b, a, w, cols) for (_, a, b, w), (_, cols) in zip(boundaries, columns)]
+    for src, dst, delay, cols in [*ahead, *reversed(back)]:
+        reach = flat[src, cols]
         reach += delay
-        held = flat[dst]
+        held = flat[dst, cols]
         if (reach < held).any():
-            flat[dst] = np.minimum(held, reach, out=reach)
+            flat[dst, cols] = np.minimum(held, reach, out=reach)
             changed = True
     return changed
 

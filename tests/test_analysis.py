@@ -292,13 +292,34 @@ class TestLatencyKernel:
         # a view, so the sweep never holds a second (sources, N) copy
         cfg = make_config(F=2)
         snap = snapshot_at(cfg, IslMode.OPTIMIZED, 0.3 * cfg.period)
-        sources = np.array([400, 7, 7, 123, 0, 647])    # unsorted, duplicated
+        sources = np.array([0, 7, 123, 400, 647])
         got = shortest_path_delays(snap, sources)
         assert got.shape == (len(sources), cfg.num_planes, cfg.sats_per_plane)
         assert got.base is not None
         i, p, s = np.indices(got.shape)
         want = self.dijkstra_reference(snap, sources)
         assert np.array_equal(got[i, p, s], want[i, p * cfg.sats_per_plane + s])
+
+    @pytest.mark.parametrize("f", [0, 2, 14])
+    @pytest.mark.parametrize("mode", list(IslMode))
+    @pytest.mark.parametrize("sources", [[0, 9, 35], [612, 621, 647], [0, 9, 35, 612, 621, 647],
+                                         [37 * p for p in range(18)]],
+                             ids=["first plane", "last plane", "end planes", "one per plane"])
+    def test_outward_first_round_at_its_edges(self, f, mode, sources):
+        # the first row pass splits the columns at each boundary by source
+        # plane: all of them on one side, or every plane in between empty
+        cfg = make_config(F=f)
+        snap = snapshot_at(cfg, mode, 0.3 * cfg.period)
+        got = shortest_path_delays(snap, np.array(sources)).reshape(len(sources), -1)
+        assert np.array_equal(got, self.dijkstra_reference(snap, sources))
+
+    @pytest.mark.parametrize("sources", [[-1, 5], [5, 648], [7, 5], [5, 5]],
+                             ids=["negative", "past the last", "unsorted", "duplicated"])
+    def test_rejects_sources_out_of_rule(self, sources):
+        # -1 would otherwise wrap to satellite 647's plane
+        snap = snapshot_at(make_config(), IslMode.CONVENTIONAL, 0.0)
+        with pytest.raises(ValueError, match="strictly increasing flat indices in 0..647"):
+            shortest_path_delays(snap, np.array(sources))
 
     @settings(max_examples=100, deadline=None)
     @given(case=configs(), mode=st.sampled_from(IslMode),
@@ -322,8 +343,8 @@ class TestLatencyKernel:
             delay_s = snap.delay_s.copy()
             delay_s[link] *= data.draw(st.floats(1.0, 40.0), label="factor")
             snap = replace(snap, delay_s=delay_s)
-        sources = np.array(data.draw(st.lists(st.integers(0, cfg.total_sats - 1),
-                                              min_size=1, max_size=40)))
+        sources = np.unique(data.draw(st.lists(st.integers(0, cfg.total_sats - 1),
+                                               min_size=1, max_size=40)))
         got = shortest_path_delays(snap, sources).reshape(len(sources), -1)
         assert np.array_equal(got, self.dijkstra_reference(snap, sources))
 

@@ -118,8 +118,12 @@ MUTANTS = {
     "orphan adopted without the origin check": (flow, "MaxFlowNetwork.solve",
                                                 "if stamp[v] == time or par[v] == -2:",
                                                 "if True:", "raises", FLOW_CHECKS),
-    "ring pass one step short": (analysis, "_ring_pass", "range(hops - 1)",
-                                 "range(hops - 2)", "fails", RING_CHECKS),
+    "ring pass one step short": (analysis, "_ring_pass", "range(n2 + hops - 1)",
+                                 "range(n2 + hops - 2)", "fails", RING_CHECKS),
+    # the early exit taken at the first wrap step, whether or not it lowers
+    "wrap steps skipped": (analysis, "_ring_pass",
+                           "if i >= n2 and not np.less(step, to, out=lowers).any():",
+                           "if i >= n2:", "fails", RING_CHECKS),
     "fixed n2 // 2 ring bound": (analysis, "_segment_hops",
                                  "return int(np.count_nonzero(k * ring_w.min() <= "
                                  "(n2 - k) * ring_w.max() * (1 + 1e-6)))",
