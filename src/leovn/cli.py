@@ -4,7 +4,8 @@ Subcommands: divide, snapshot, staticness, sweep-hisl, throughput, latency,
 theorem1-check, verify.  Every data output gets a manifest sidecar recording
 the resolved configuration digest, seed, parsed argv and version; identical inputs
 produce byte-identical data files (timestamps live only in the manifest).
-Exit codes: 0 success, 1 verification mismatch, 2 usage or config error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or config error, or
+``verify`` without scipy.
 """
 from __future__ import annotations
 
@@ -63,11 +64,20 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _out_path(args: argparse.Namespace, default_name: str) -> Path:
-    """``--out``, else ``default_name`` in $LEOVN_OUTPUT_DIR or the working
-    directory; either way the file's directory is created."""
+def _out_path(args: argparse.Namespace, stem: str) -> Path:
+    """``--out``, else ``stem`` with the ``--format`` suffix in
+    $LEOVN_OUTPUT_DIR or the working directory (``staticness``, which takes
+    no ``--format``, writes JSON).  The file's directory is created.  Called
+    before a command computes anything: a path that is a directory, or whose
+    directory cannot be created, is a ConfigError."""
+    default_name = f"{stem}.{getattr(args, 'format', 'json')}"
     path = Path(args.out) if args.out else Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / default_name
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise ConfigError(f"output path {path} is a directory")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the directory of output path {path}: {exc}") from exc
     return path
 
 
@@ -119,6 +129,7 @@ def _parse_mode(value: str) -> list[IslMode]:
 
 def cmd_divide(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
     config = _build_config(args)
+    out = _out_path(args, "division")
     active = active_row_set(config, IslMode(args.mode))
     header = ["v", "h", "region", "lat_low_deg", "lat_high_deg",
               "lon_low_deg", "lon_high_deg", "pole_wrap"]
@@ -131,7 +142,6 @@ def cmd_divide(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
             cell = cell_bounds(config, v, h)
             rows.append([v, h, region, cell.lat_low, cell.lat_high,
                          cell.lon_low, cell.lon_high, cell.pole_wrap])
-    out = _out_path(args, "division.csv")
     _write_rows(out, args.format, header, rows)
     print(f"wrote {len(rows)} cells to {out}")
     return out, config
@@ -141,6 +151,7 @@ def cmd_snapshot(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
     config = _build_config(args)
     if not math.isfinite(args.t_seconds):
         raise ConfigError(f"t_seconds must be finite, got {args.t_seconds}")
+    out = _out_path(args, "snapshot")
     snapshot = snapshot_edges(config, IslMode(args.mode), args.t_seconds)
     header = ["a_plane", "a_slot", "b_plane", "b_slot", "kind", "direction", "active"]
     n2 = config.sats_per_plane
@@ -152,7 +163,6 @@ def cmd_snapshot(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
             for (ap, bp), (aslot, bslot), k, act in zip(
                 plane.tolist(), slot.tolist(), snapshot.kind.tolist(),
                 snapshot.active.tolist())]
-    out = _out_path(args, "snapshot.csv" if args.format == "csv" else "snapshot.json")
     _write_rows(out, args.format, header, rows)
     print(f"wrote {len(rows)} edges to {out}")
     return out, config
@@ -187,7 +197,7 @@ def cmd_staticness(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]
     The CSV goes to a temporary sibling that replaces the events CSV only
     once the report is complete, so a failed run writes neither file."""
     config = _build_config(args)
-    out = _out_path(args, "staticness.json")
+    out = _out_path(args, "staticness")
     events_path = out.with_suffix(".events.csv")
     partial = events_path.with_name(events_path.name + ".tmp")
     try:
@@ -220,28 +230,28 @@ def _sweep_template(args: argparse.Namespace) -> ConstellationConfig:
     return config
 
 
-def _write_sweep(args: argparse.Namespace, config: ConstellationConfig, default_name: str,
+def _write_sweep(args: argparse.Namespace, config: ConstellationConfig, stem: str,
                  column: str | None = None, metric=None) -> tuple[Path, ConstellationConfig]:
     """Sweep ``config`` over F with ``metric``, whose values fill ``column``;
     the other metric column stays empty."""
+    out = _out_path(args, stem)
     rows = sweep(config, range(args.f_min, args.f_max + 1), _parse_mode(args.mode), metric)
     table = [[r.phasing_factor, r.polar_threshold_deg, r.mode, r.n_hisl,
               *(r.value if name == column else None for name in SWEEP_HEADER[4:6]),
               r.error] for r in rows]
-    out = _out_path(args, default_name)
     _write_rows(out, args.format, SWEEP_HEADER, table)
     print(f"wrote {len(table)} sweep rows to {out}")
     return out, config
 
 
 def cmd_sweep_hisl(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
-    return _write_sweep(args, _sweep_template(args), "hisl_sweep.csv")
+    return _write_sweep(args, _sweep_template(args), "hisl_sweep")
 
 
 def cmd_throughput(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
     config = _sweep_template(args)
     require_count("snapshots", args.snapshots)      # before any grid point runs
-    return _write_sweep(args, config, "throughput.csv", "throughput_gbps",
+    return _write_sweep(args, config, "throughput", "throughput_gbps",
                         lambda cfg, mode: mean_throughput(cfg, mode, args.snapshots))
 
 
@@ -250,7 +260,7 @@ def cmd_latency(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
     require_count("snapshots", args.snapshots)
     # every grid point has the template's satellites: draw the pairs once
     drawn = seeded_pairs(config, args.pairs, args.seed)
-    return _write_sweep(args, config, "latency.csv", "avg_latency_ms",
+    return _write_sweep(args, config, "latency", "avg_latency_ms",
                         lambda cfg, mode: mean_latency(cfg, mode, drawn, args.snapshots))
 
 
@@ -271,6 +281,11 @@ def cmd_theorem1_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    try:
+        import scipy.sparse.csgraph  # noqa: F401  the oracles' one dependency beyond numpy
+    except ImportError:
+        print("leovn verify needs scipy for its oracles: pip install scipy", file=sys.stderr)
+        return 2
     from .verify import SUITES
 
     failed = False

@@ -221,11 +221,16 @@ def read_config_file(path: str | Path) -> dict[str, int | float]:
 
     Recognized keys: the first column of ``CONFIG_FIELDS``.  Unknown or
     repeated keys and malformed values raise ConfigError naming the key; n1
-    and n2 may be left to command-line flags.
+    and n2 may be left to command-line flags.  A file that cannot be read,
+    or is not UTF-8, raises ConfigError naming the path.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     fields = {key: (name, cast) for key, _, name, cast, _ in CONFIG_FIELDS}
     kwargs, first_line = {}, {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

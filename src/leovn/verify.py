@@ -7,9 +7,15 @@ the paper's closed-form region rows, exhaustive link-layout enumeration, snapsho
 edge counting, exhaustive cuts and scipy's ``maximum_flow`` for max-flow (and a
 feasibility check of the returned per-arc flows), and for the latency kernel
 full path enumeration on constellations of at most 12 satellites and scipy's
-Dijkstra up to the paper's 18x36.  Three checks test the paper's comparison
-claims instead: GRD1 hands over near the half-epochs, and the throughput and
-latency trends over the phasing factor at 18x36.
+Dijkstra up to the paper's 18x36.  Five checks test the paper's claims
+instead: the H-ISL count trends, the GRD dynamics, GRD1's handovers near the
+half-epochs, and the throughput and latency trends over the phasing factor at
+18x36.
+
+scipy is imported only inside the four functions that call it
+(``is_connected``, ``scipy_max_flow``, ``delay_matrix`` and
+``latency_equals_dijkstra``), so ``theorem1_layouts`` and the ``division``,
+``counts`` and ``theorem1`` suites run on numpy alone.
 """
 from __future__ import annotations
 
@@ -20,8 +26,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra as csgraph_dijkstra, maximum_flow
 
 from . import analysis, division, isl, virtualgraph
 from .constellation import SIDEREAL_DAY, ConfigError, ConstellationConfig
@@ -294,6 +298,9 @@ def check_theorem1() -> CheckResult:
 def is_connected(keys: np.ndarray, num_cells: int) -> bool:
     """Whether the virtual graph with these edge keys is one connected
     component."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     lo, hi, _ = virtualgraph._split_keys(keys, num_cells)
     adj = csr_matrix((np.ones(len(lo)), (lo, hi)), shape=(num_cells,) * 2)
     return connected_components(adj, directed=False, return_labels=False) == 1
@@ -444,6 +451,9 @@ def flow_is_feasible(n: int, arcs, flow, source: int, sink: int, undirected=Fals
 def scipy_max_flow(n: int, arcs, source: int, sink: int) -> int:
     """Max-flow value of ``arcs`` (src, dst, cap) by scipy's ``maximum_flow``
     on an int32 CSR matrix, parallel arcs summed into one entry."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
     tail, head, cap = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
     graph = csr_matrix((cap, (tail, head)), shape=(n, n))
     if graph.data.max(initial=0) > np.iinfo(np.int32).max:
@@ -498,9 +508,11 @@ def throughput_flow_failures(snap: analysis.WeightedNetSnapshot) -> list[str]:
     return failures
 
 
-def delay_matrix(snapshot: analysis.WeightedNetSnapshot) -> csr_matrix:
-    """Symmetric sparse matrix of per-edge propagation delays (seconds): the
-    graph that the shortest-path oracles search with scipy's Dijkstra."""
+def delay_matrix(snapshot: analysis.WeightedNetSnapshot):
+    """Symmetric scipy CSR matrix of per-edge propagation delays (seconds):
+    the graph that the shortest-path oracles search with scipy's Dijkstra."""
+    from scipy.sparse import csr_matrix
+
     a, b = snapshot.edges.T
     return csr_matrix((np.tile(snapshot.delay_s, 2), (np.r_[a, b], np.r_[b, a])),
                       shape=(snapshot.num_sats,) * 2)
@@ -580,7 +592,9 @@ def check_flow() -> CheckResult:
 
 def latency_equals_dijkstra(snap: analysis.WeightedNetSnapshot) -> bool:
     """The latency kernel from every source equals scipy's Dijkstra exactly."""
-    want = csgraph_dijkstra(delay_matrix(snap), directed=False)
+    from scipy.sparse.csgraph import dijkstra
+
+    want = dijkstra(delay_matrix(snap), directed=False)
     got = analysis.shortest_path_delays(snap, np.arange(snap.num_sats))
     return np.array_equal(got.reshape(snap.num_sats, -1), want)
 

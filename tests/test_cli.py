@@ -15,7 +15,8 @@ import pytest
 import leovn.isl
 import leovn.verify
 import leovn.virtualgraph
-from leovn.cli import KIND_LETTERS, SUITE_NAMES, _build_config, build_parser, main
+from leovn.cli import (KIND_LETTERS, OUTPUT_DIR_ENV, SUITE_NAMES, _build_config,
+                       build_parser, main)
 from leovn.constellation import ConstellationConfig
 from leovn.isl import IslMode, bh_planes
 from leovn.virtualgraph import EventCause, EventChange, VnMethod, edge_addresses
@@ -532,39 +533,6 @@ class TestVerifyCommand:
         assert "hisl_count" in line["detail"]
 
 
-def test_import_loads_no_verify():
-    # the oracles load only for `verify` and `theorem1-check`
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(leovn.__file__).parents[1]), env.get("PYTHONPATH")]))
-    code = "import sys, leovn.cli; print('leovn.verify' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
-
-
-def scipy_modules_after(code: str) -> str:
-    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(leovn.__file__).parents[1]), env.get("PYTHONPATH")]))
-    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    return subprocess.run([sys.executable, "-c", "import sys; " + code], env=env,
-                          capture_output=True, text=True, check=True).stdout.splitlines()[-1]
-
-
-def test_import_loads_no_scipy():
-    assert scipy_modules_after("import leovn.cli") == "[]"
-
-
-def test_throughput_loads_no_scipy(tmp_path):
-    # scipy is an oracle of `verify` only; the flow kernel is pure Python
-    argv = ["throughput", "--n1", "6", "--n2", "12", "--f-max", "2", "--snapshots", "1",
-            "--out", str(tmp_path / "throughput.csv")]
-    assert scipy_modules_after(f"import leovn.cli; leovn.cli.main({argv!r})") == "[]"
-    assert (tmp_path / "throughput.csv").exists()
-
-
 TINY = ["--n1", "3", "--n2", "6"]
 DATA_COMMANDS = {
     "divide": [],
@@ -574,6 +542,62 @@ DATA_COMMANDS = {
     "throughput": ["--f-max", "1", "--snapshots", "1"],
     "latency": ["--f-max", "1", "--snapshots", "1", "--pairs", "5", "--seed", "1"],
 }
+
+
+def run_without_scipy(argv: list[str] | None, tmp_path: Path) -> tuple[int, str, str, bool]:
+    """Run ``leovn.cli.main(argv)`` (or only ``import leovn.cli`` when ``argv``
+    is None) in a fresh interpreter in which ``import scipy`` raises
+    ImportError, in ``tmp_path``: (exit code, stdout, stderr, whether
+    ``leovn.verify`` loaded)."""
+    env = dict(os.environ)
+    env.pop(OUTPUT_DIR_ENV, None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(leovn.__file__).parents[1]), env.get("PYTHONPATH")]))
+    call = "0" if argv is None else f"leovn.cli.main({argv!r})"
+    code = ("import sys; sys.modules['scipy'] = None; import leovn.cli; "
+            f"code = {call}; print('leovn.verify' in sys.modules); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    *out, loaded = proc.stdout.splitlines() or [""]
+    return proc.returncode, "".join(f"{line}\n" for line in out), proc.stderr, loaded == "True"
+
+
+def data_files(directory: Path) -> dict[str, bytes]:
+    """The files in ``directory`` by name, manifests (which hold times) aside."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()
+            if not p.name.endswith(".manifest.json")}
+
+
+# the oracles load only for `verify` and `theorem1-check`, and the pipeline
+# needs no scipy: each command runs without it and writes the same bytes
+@pytest.mark.parametrize("name", [None, *sorted(DATA_COMMANDS), "theorem1-check"])
+def test_runs_without_scipy(tmp_path, capsys, name):
+    if name is None:
+        assert run_without_scipy(None, tmp_path) == (0, "", "", False)
+        return
+    if name == "theorem1-check":
+        argv = [name, "--n1", "12", "--n2", "36", "--f", "5"]
+    else:
+        argv = [name, *TINY, *DATA_COMMANDS[name], "--out", "out"]
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "blocked").mkdir()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path / "plain")
+        assert main(argv) == 0
+    want = capsys.readouterr().out
+    code, out, err, loaded = run_without_scipy(argv, tmp_path / "blocked")
+    assert (code, err, loaded) == (0, "", name == "theorem1-check")
+    if name == "theorem1-check":
+        assert out == want
+    else:
+        assert data_files(tmp_path / "blocked") == data_files(tmp_path / "plain") != {}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_without_scipy_exits_2(tmp_path, suite):
+    code, out, err, _ = run_without_scipy(["verify", "--suite", suite], tmp_path)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "pip install scipy" in err and "Traceback" not in err
 
 
 class ReadRecorder(argparse.Namespace):
@@ -650,6 +674,34 @@ class TestErrorPaths:
         assert main(["divide", "--config", str(cfg_file)]) == 2
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make", [
+        lambda path: None,                          # missing
+        lambda path: path.mkdir(),                  # a directory
+        lambda path: path.write_bytes(b"n1 = 6\nn2 = \xff12\n"),    # not UTF-8
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_config_file_names_path(self, tmp_path, capsys, make):
+        cfg_file = tmp_path / "walker.cfg"
+        make(cfg_file)
+        assert main(["divide", "--config", str(cfg_file),
+                     "--out", str(tmp_path / "division.csv")]) == 2
+        assert f"cannot read config file {cfg_file}" in capsys.readouterr().err
+        assert not (tmp_path / "division.csv").exists()
+
+    @pytest.mark.parametrize("name", sorted(DATA_COMMANDS))
+    def test_out_naming_a_directory_exits_2(self, tmp_path, capsys, name):
+        # refused before the command computes anything: nothing is written
+        # in or beside the directory
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([name, *TINY, *DATA_COMMANDS[name], "--out", str(out)]) == 2
+        assert f"output path {out} is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+    def test_out_below_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").touch()
+        assert main(["divide", *TINY, "--out", str(tmp_path / "file" / "division.csv")]) == 2
+        assert "cannot create the directory of output path" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv,field", [
         (["--n1", "1", "--n2", "12"], "num_planes"),
         (["--n1", "6", "--n2", "12", "--inclination-deg", "0"], "inclination_deg"),
@@ -690,7 +742,15 @@ class TestErrorPaths:
                   "--out", str(tmp_path / "snap.csv")])
         assert exc.value.code == 2 and not list(tmp_path.iterdir())
 
-    def test_output_dir_env_override(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name,stem", [
+        ("divide", "division"), ("snapshot", "snapshot"), ("sweep-hisl", "hisl_sweep"),
+        ("throughput", "throughput"), ("latency", "latency")])
+    def test_default_name_follows_format(self, tmp_path, monkeypatch, name, stem, fmt):
+        # without --out, files land in $LEOVN_OUTPUT_DIR, created if missing
         monkeypatch.setenv("LEOVN_OUTPUT_DIR", str(tmp_path / "outputs"))
-        assert main(["divide", "--n1", "6", "--n2", "12"]) == 0
-        assert (tmp_path / "outputs" / "division.csv").exists()
+        assert main([name, *TINY, *DATA_COMMANDS[name], "--format", fmt]) == 0
+        assert sorted(p.name for p in (tmp_path / "outputs").iterdir()) == [
+            f"{stem}.{fmt}", f"{stem}.{fmt}.manifest.json"]
+        if fmt == "json":
+            strict_json(tmp_path / "outputs" / f"{stem}.json")
