@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or config error, or
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__
 from .analysis import mean_latency, mean_throughput, require_count, seeded_pairs, sweep
 from .constellation import CONFIG_FIELDS, ConfigError, ConstellationConfig, read_config_file
-from .division import cell_bounds
+from .division import cell_starts
 from .isl import IslKind, IslMode, active_row_set, snapshot_edges
 from .virtualgraph import EventCause, EventChange, VnMethod, edge_addresses, staticness_report
 
@@ -56,24 +57,38 @@ def _write_manifest(out_path: Path, config: ConstellationConfig, args: argparse.
         "started": started,
         "finished": _now(),
     }
-    path = out_path.with_name(out_path.name + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    _manifest_path(out_path).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _manifest_path(out: Path) -> Path:
+    return out.with_name(out.name + ".manifest.json")
+
+
+def _events_paths(out: Path) -> tuple[Path, Path]:
+    """``staticness``'s events CSV and the temporary file it is written to."""
+    events = out.with_suffix(".events.csv")
+    return events, events.with_name(events.name + ".tmp")
+
+
 def _out_path(args: argparse.Namespace, stem: str) -> Path:
     """``--out``, else ``stem`` with the ``--format`` suffix in
     $LEOVN_OUTPUT_DIR or the working directory (``staticness``, which takes
-    no ``--format``, writes JSON).  The file's directory is created.  Called
-    before a command computes anything: a path that is a directory, or whose
-    directory cannot be created, is a ConfigError."""
+    no ``--format``, writes JSON).  Called before a command computes
+    anything: the path or a sibling output (the manifest, ``staticness``'s
+    events CSV and its temporary file) that is a directory, or a directory
+    that cannot be created, is a ConfigError.  The directories it creates
+    are noted on ``args``, for ``main`` to remove if the command is rejected."""
     default_name = f"{stem}.{getattr(args, 'format', 'json')}"
     path = Path(args.out) if args.out else Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / default_name
-    if path.is_dir():
-        raise ConfigError(f"output path {path} is a directory")
+    events = _events_paths(path) if args.subcommand == "staticness" else ()
+    for written in (path, _manifest_path(path), *events):
+        if written.is_dir():
+            raise ConfigError(f"output path {written} is a directory")
+    args.made_dirs = [parent for parent in path.parents if not parent.exists()]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -127,21 +142,42 @@ def _parse_mode(value: str) -> list[IslMode]:
 
 # -- subcommands -------------------------------------------------------------------
 
-def cmd_divide(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
-    config = _build_config(args)
-    out = _out_path(args, "division")
-    active = active_row_set(config, IslMode(args.mode))
-    header = ["v", "h", "region", "lat_low_deg", "lat_high_deg",
-              "lon_low_deg", "lon_high_deg", "pole_wrap"]
+def _fold_lat(x, den: int):
+    """Latitude of the unfolded along-track angle x/den deg, x an int or an
+    object array of ints: 90 - |180 - (x + 90) mod 360| (0 -> 0, 100 -> 80,
+    250 -> -70) in exact ints, rounded once by int true division."""
+    return (90 * den - abs(180 * den - (x + 90 * den) % (360 * den))) / den
+
+
+def _division_rows(config: ConstellationConfig, mode: IslMode) -> list[list]:
+    """``divide``'s rows, one per cell (v, h), row-major.  Column h spans
+    raan0 + (h-1, h) * 180/n1 deg of longitude, normalized to [-180, 180);
+    the latitudes are the folds of the band's start and end, so descending
+    bands have lat_low > lat_high; the band [start, start + step) wraps a
+    pole when it holds +90 or 270 deg of unfolded phase."""
+    n1, n2 = config.num_planes, config.sats_per_plane
+    active = active_row_set(config, mode)
+    starts, step, den = cell_starts(config)
+    lat_low, lat_high = (_fold_lat(x, den).tolist() for x in (starts, starts + step))
+    turn = 360 * den
+    pole_wrap = (((90 * den - starts) % turn < step)
+                 | ((270 * den - starts) % turn < step)).tolist()
+    lon = [float((config.raan_deg(h) + 180) % 360 - 180) for h in range(1, n1 + 2)]
     rows = []
-    n2 = config.sats_per_plane
     for v in range(1, n2 + 1):
         # R: H-ISLs on, P: off; 1/2: the first or second half of the rows
         region = ("R" if v in active else "P") + ("1" if 2 * (v - 1) < n2 else "2")
-        for h in range(1, config.num_planes + 1):
-            cell = cell_bounds(config, v, h)
-            rows.append([v, h, region, cell.lat_low, cell.lat_high,
-                         cell.lon_low, cell.lon_high, cell.pole_wrap])
+        rows += [[v, h + 1, region, lat_low[v - 1][h], lat_high[v - 1][h], lon[h], lon[h + 1],
+                  pole_wrap[v - 1][h]] for h in range(n1)]
+    return rows
+
+
+def cmd_divide(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]:
+    config = _build_config(args)
+    out = _out_path(args, "division")
+    rows = _division_rows(config, IslMode(args.mode))
+    header = ["v", "h", "region", "lat_low_deg", "lat_high_deg",
+              "lon_low_deg", "lon_high_deg", "pole_wrap"]
     _write_rows(out, args.format, header, rows)
     print(f"wrote {len(rows)} cells to {out}")
     return out, config
@@ -198,8 +234,7 @@ def cmd_staticness(args: argparse.Namespace) -> tuple[Path, ConstellationConfig]
     once the report is complete, so a failed run writes neither file."""
     config = _build_config(args)
     out = _out_path(args, "staticness")
-    events_path = out.with_suffix(".events.csv")
-    partial = events_path.with_name(events_path.name + ".tmp")
+    events_path, partial = _events_paths(out)
     try:
         with open(partial, "w", newline="\n") as fh:
             fh.write("t,a_v,a_h,b_v,b_h,kind,change,cause\n")
@@ -381,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         written = args.func(args)
     except ConfigError as exc:
+        for made in getattr(args, "made_dirs", ()):     # a rejected command leaves none
+            with contextlib.suppress(OSError):
+                made.rmdir()
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if isinstance(written, int):        # theorem1-check and verify print an exit code

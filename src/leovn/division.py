@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,22 +42,6 @@ from .constellation import (
 # mathematically on a cell boundary land within ~1e-12 of it in double
 # precision; anything a real sample places inside a cell is >> 1e-9 away.
 CELL_SNAP = 1e-9
-
-
-@dataclass(frozen=True)
-class VnCellBounds:
-    """Raw cell bounds in degrees.
-
-    Longitudes are normalized to [-180, 180); latitudes are the folds of the
-    band's start/end phase, so descending bands have lat_low > lat_high.
-    pole_wrap marks cells whose half-open phase band [start, start+step)
-    contains a pole crossing.
-    """
-    lon_low: float
-    lon_high: float
-    lat_low: float
-    lat_high: float
-    pole_wrap: bool
 
 
 # -- the celestial division of a constellation ---------------------------------
@@ -120,35 +103,20 @@ def _plane_shifts(config: ConstellationConfig) -> np.ndarray:
     return shifts
 
 
-def row_start_deg(config: ConstellationConfig, row: int, plane: int) -> Fraction:
-    """Unfolded start angle of cell (row, plane), exact degrees."""
-    return (row_origin_deg(config) + cell_shifts_deg(config)[plane - 1]
-            + (row - 1) * phase_step_deg(config))
+def cell_starts(config: ConstellationConfig) -> tuple[np.ndarray, int, int]:
+    """Exact unfolded start angle of every cell (v, h), the one source of
+    the cell bounds.
 
-
-# -- cell bounds -------------------------------------------------------------
-
-def fold_lat_deg(value) -> Fraction:
-    """Fold an unfolded phase-as-latitude angle (degrees) into [-90, 90].
-
-    An along-track angle keeps growing past the pole; the physical latitude
-    folds back.  0 -> 0, 80 -> 80, 100 -> 80, 180 -> 0, 250 -> -70.
+    Returns ``(starts, step, den)``: ``starts`` an (n2, n1) object array of
+    Python-int numerators, ``step`` the row height's numerator, both over
+    the common denominator ``den`` of the row origin, the row height and
+    the plane shifts (``common_numerators``), so that ``starts / den`` is
+    the correctly rounded float of each exact start.
     """
-    return 90 - abs(180 - (Fraction(value) + 90) % 360)
-
-
-def cell_bounds(config: ConstellationConfig, row: int, plane: int) -> VnCellBounds:
-    """Bounds of cell (row, plane).  Column h spans raan0 + (h-1, h) * 180/n1
-    deg of longitude; the band [start, start + step) wraps a pole when it
-    holds +90 or 270 deg of unfolded phase."""
-    lon_low, lon_high = (float((config.raan_deg(h) + 180) % 360 - 180)
-                         for h in (plane, plane + 1))
-    start = row_start_deg(config, row, plane)
-    step = phase_step_deg(config)
-    pole_wrap = (90 - start) % 360 < step or (270 - start) % 360 < step
-    return VnCellBounds(lon_low=lon_low, lon_high=lon_high,
-                        lat_low=float(fold_lat_deg(start)),
-                        lat_high=float(fold_lat_deg(start + step)), pole_wrap=pole_wrap)
+    (origin, step, *shifts), den = common_numerators(
+        [row_origin_deg(config), phase_step_deg(config), *cell_shifts_deg(config)])
+    columns = np.array([origin + s for s in shifts], dtype=object)
+    return np.arange(config.sats_per_plane, dtype=object)[:, None] * step + columns, step, den
 
 
 # -- satellite -> address mapping ---------------------------------------------
@@ -202,18 +170,13 @@ def build_grd_grid(config: ConstellationConfig) -> np.ndarray:
     with the default epoch phase the satellite addressed (v, h) sits at the
     zenith of anchor (v, h).
 
-    The start angles are ``float(row_start_deg(config, v, h))``, bit for
-    bit, without a ``Fraction`` per cell: the row origin, the row height and
-    the plane shifts are ``common_numerators``, and int true division rounds
-    the exact quotient correctly, as ``float`` of the reduced fraction does.
+    The start angles are the ``cell_starts`` table, each numerator divided
+    by the denominator with int true division, which rounds the exact
+    quotient correctly.
     """
-    n1, n2 = config.num_planes, config.sats_per_plane
-    (origin, step, *shifts), den = common_numerators(
-        [row_origin_deg(config), phase_step_deg(config), *cell_shifts_deg(config)])
-    columns = np.array([origin + s for s in shifts], dtype=object)
-    starts = np.arange(n2, dtype=object)[:, None] * step + columns   # (n2, n1) ints
+    starts, _, den = cell_starts(config)
     u = np.radians((starts / den).astype(float))
-    raan = np.radians([float(config.raan_deg(h)) for h in range(1, n1 + 1)])
+    raan = np.radians([float(config.raan_deg(h)) for h in range(1, config.num_planes + 1)])
     return _orbit_unit_vectors(u, np.cos(raan), np.sin(raan), config.inclination)
 
 

@@ -150,24 +150,22 @@ def check_division() -> CheckResult:
 
 
 def check_counts() -> CheckResult:
-    """H-ISL counts equal the scanned region rows and geometric snapshot counts."""
+    """H-ISL counts equal the active H-ISLs of geometric snapshots.  The rows
+    they count are ``check_division``'s, scanned on the same grid."""
     n1_grid, n2_grid = (6, 12, 18), (12, 24, 36)
     polar_grid, f_grid = (60, 64, 70, 80), range(6)
     modes = (IslMode.CONVENTIONAL, IslMode.OPTIMIZED)
     result = CheckResult(
         name="counts",
         grid=f"n1 in {n1_grid} x n2 in {n2_grid} x polar in {polar_grid} x F in 0..5 x "
-             "both modes, each snapshot-counted at its first 3 switching epochs",
+             "both modes, hisl_count against the snapshot count at the first 3 "
+             "switching epochs",
         passed=True)
     for n1, n2, polar, f, mode in itertools.product(
             n1_grid, n2_grid, polar_grid, f_grid, modes):
         cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
                                   altitude_km=780, polar_threshold_deg=polar)
         want = isl.hisl_count(cfg, mode)
-        scanned = (n1 - 1) * len(rows_by_scan(n2, polar, _paper_spread_deg(n1, n2, f, mode)))
-        if want != scanned:
-            result.fail(f"n1={n1} n2={n2} polar={polar} F={f} {mode.value}: "
-                        f"hisl_count {want} != scanned rows {scanned}")
         for t in division.switching_epochs(cfg, 3):
             got = isl.active_hisl_count(isl.snapshot_edges(cfg, mode, t))
             if got != want:

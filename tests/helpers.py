@@ -1,11 +1,12 @@
-"""Exact-angle helpers, graph counts, staticness event blocks and
-Hypothesis strategies shared by the test modules."""
+"""Exact-angle helpers, per-cell reference bounds, graph counts, staticness
+event blocks and Hypothesis strategies shared by the test modules."""
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
 from leovn.constellation import SIDEREAL_DAY, ConstellationConfig
+from leovn.division import cell_shifts_deg, phase_step_deg, row_origin_deg
 from leovn.virtualgraph import staticness_report
 
 
@@ -15,6 +16,29 @@ def initial_phase_deg(cfg, plane: int, slot: int) -> Fraction:
     return (Fraction(cfg.phase0_deg)
             + (slot - 1) * Fraction(360, cfg.sats_per_plane)
             + (plane - 1) * cfg.phase_offset_deg)
+
+
+def row_start_deg(cfg, row: int, plane: int) -> Fraction:
+    """Unfolded start angle of cell (row, plane), exact degrees, one
+    ``Fraction`` sum per cell: the reference for ``division.cell_starts``."""
+    return (row_origin_deg(cfg) + cell_shifts_deg(cfg)[plane - 1]
+            + (row - 1) * phase_step_deg(cfg))
+
+
+def fold_lat_deg(value) -> Fraction:
+    """An unfolded phase-as-latitude angle (degrees) folded into [-90, 90]."""
+    return 90 - abs(180 - (Fraction(value) + 90) % 360)
+
+
+def cell_bounds(cfg, row: int, plane: int) -> list:
+    """``divide``'s [lat_low, lat_high, lon_low, lon_high, pole_wrap] of cell
+    (row, plane), from exact ``Fraction`` per cell: the reference for the
+    table."""
+    start, step = row_start_deg(cfg, row, plane), phase_step_deg(cfg)
+    lon_low, lon_high = (float((cfg.raan_deg(h) + 180) % 360 - 180) for h in (plane, plane + 1))
+    pole_wrap = (90 - start) % 360 < step or (270 - start) % 360 < step
+    return [float(fold_lat_deg(start)), float(fold_lat_deg(start + step)),
+            lon_low, lon_high, pole_wrap]
 
 
 def edge_count(keys, kind) -> int:

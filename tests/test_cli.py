@@ -21,7 +21,7 @@ from leovn.constellation import ConstellationConfig
 from leovn.isl import IslMode, bh_planes
 from leovn.virtualgraph import EventCause, EventChange, VnMethod, edge_addresses
 
-from helpers import report_blocks
+from helpers import cell_bounds, report_blocks
 
 
 def read_division_csv(path):
@@ -55,16 +55,11 @@ class TestDivide:
         out = tmp_path / "division.csv"
         main(["divide", "--n1", "7", "--n2", "11", "--polar-deg", "66.5",
               "--out", str(out)])
-        from leovn.division import cell_bounds
         cfg = ConstellationConfig(num_planes=7, sats_per_plane=11,
                                   altitude_km=780.0, polar_threshold_deg=66.5)
+        keys = ("lat_low_deg", "lat_high_deg", "lon_low_deg", "lon_high_deg", "pole_wrap")
         for row in read_division_csv(out):
-            cell = cell_bounds(cfg, row["v"], row["h"])
-            assert row["lat_low_deg"] == cell.lat_low
-            assert row["lat_high_deg"] == cell.lat_high
-            assert row["lon_low_deg"] == cell.lon_low
-            assert row["lon_high_deg"] == cell.lon_high
-            assert row["pole_wrap"] == cell.pole_wrap
+            assert [row[key] for key in keys] == cell_bounds(cfg, row["v"], row["h"])
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -696,6 +691,32 @@ class TestErrorPaths:
         assert main([name, *TINY, *DATA_COMMANDS[name], "--out", str(out)]) == 2
         assert f"output path {out} is a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name,out,sibling", [
+        ("divide", "y.csv", "y.csv.manifest.json"),
+        ("staticness", "x.json", "x.events.csv"),
+        ("staticness", "x.json", "x.events.csv.tmp"),
+    ])
+    def test_sibling_naming_a_directory_exits_2(self, tmp_path, capsys, name, out, sibling):
+        # the manifest and the events CSV are refused before any work, like --out
+        blocked = tmp_path / sibling
+        blocked.mkdir()
+        assert main([name, *TINY, *DATA_COMMANDS[name], "--out", str(tmp_path / out)]) == 2
+        assert f"output path {blocked} is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [blocked] and list(blocked.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["staticness", *TINY, "--method", "csd", "--duration-s", "600", "--samples", "1"],
+        ["divide", "--n1", "3", "--n2", "6", "--f", "5", "--mode", "optimized"],
+        ["snapshot", "--n1", "3", "--n2", "6", "--f", "5", "--mode", "optimized"],
+        ["staticness", "--n1", "3", "--n2", "6", "--f", "5", "--mode", "optimized",
+         "--method", "csd", "--duration-s", "600"],
+    ], ids=["staticness-samples", "divide-layout", "snapshot-layout", "staticness-layout"])
+    def test_rejected_command_leaves_no_directory(self, tmp_path, capsys, argv):
+        # the output directory is made before these checks fail, and removed
+        assert main([*argv, "--out", str(tmp_path / "new" / "dir" / "x")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_below_a_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "file").touch()

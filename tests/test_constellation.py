@@ -24,10 +24,10 @@ from leovn.cli import _build_config, build_parser
 from leovn.division import (
     VnMethod,
     build_grd_grid,
+    cell_starts,
     csd_rows_all,
     grd_assignment,
     phase_step_deg,
-    row_start_deg,
 )
 from leovn.isl import IslMode, ShutoffRule, polar_mask, row_activity, row_chains
 
@@ -215,10 +215,11 @@ class TestKinematicsProperties:
         rows = csd_rows_all(cfg, t)
         step = phase_step_deg(cfg)
         advance = 360 * Fraction(t) / Fraction(cfg.period)
+        starts, _, den = cell_starts(cfg)
         for plane in range(1, n1 + 1):
             for slot in range(1, n2 + 1):
                 phase = initial_phase_deg(cfg, plane, slot) + advance
-                rel = (phase - row_start_deg(cfg, 1, plane)) % 360
+                rel = (phase - Fraction(starts[0, plane - 1], den)) % 360
                 if min(rel % step, step - rel % step) < Fraction(1, 10**6):
                     continue  # within float reach of a cell boundary
                 assert rows[plane - 1, slot - 1] == 1 + math.floor(rel / step) % n2

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leovn.cli import main
+from leovn.cli import _division_rows, _fold_lat, main
 from leovn.constellation import (
     R_EARTH,
     SIDEREAL_DAY,
@@ -25,20 +25,18 @@ from leovn.division import (
     _score_blocks,
     backward_links,
     build_grd_grid,
-    cell_bounds,
     cell_shifts_deg,
+    cell_starts,
     csd_rows_all,
-    fold_lat_deg,
     grd_assignment,
     phase_step_deg,
-    row_start_deg,
     spreads_deg,
     switching_epochs,
 )
 from leovn.isl import IslMode, active_row_set
 from leovn.verify import boundaries_by_scan, rows_by_scan
 
-from helpers import configs
+from helpers import cell_bounds, configs, fold_lat_deg, row_start_deg
 
 GRD_METHODS = (VnMethod.GRD1, VnMethod.GRD2)
 
@@ -50,14 +48,20 @@ def make_config(**kw):
     return ConstellationConfig(**base)
 
 
+def divide_cell(config, row, plane):
+    """``divide``'s [lat_low, lat_high, lon_low, lon_high, pole_wrap] of cell
+    (row, plane)."""
+    return _division_rows(config, IslMode.CONVENTIONAL)[
+        (row - 1) * config.num_planes + plane - 1][3:]
+
+
 def lon_range(config, plane):
-    cell = cell_bounds(config, 1, plane)
-    return cell.lon_low, cell.lon_high
+    return tuple(divide_cell(config, 1, plane)[2:4])
 
 
 def lat_range(config, row, plane):
-    cell = cell_bounds(config, row, plane)
-    return cell.lat_low, cell.lat_high, cell.pole_wrap
+    lat_low, lat_high, _, _, pole_wrap = divide_cell(config, row, plane)
+    return lat_low, lat_high, pole_wrap
 
 
 class TestLongitudeRange:
@@ -96,15 +100,22 @@ class TestLatitudeRange:
         cfg = make_config(num_planes=4, phasing_factor=2)
         assert lat_range(cfg, 1, 2) == (-65.0, -55.0, False)
 
+    @pytest.mark.parametrize("theta,want", [(0, 0.0), (80, 80.0), (100, 80.0),
+                                            (180, 0.0), (250, -70.0)])
+    def test_fold_examples(self, theta, want):
+        assert _fold_lat(theta, 1) == want
+
     @given(theta=st.fractions(min_value=-1000, max_value=1000))
     def test_fold_stays_in_latitude_range(self, theta):
-        folded = fold_lat_deg(theta)
+        folded = _fold_lat(theta.numerator, theta.denominator)
         assert -90 <= folded <= 90
+        assert folded == float(fold_lat_deg(theta))
 
     @given(theta=st.fractions(min_value=-500, max_value=500))
     def test_fold_mirror_symmetry(self, theta):
         # the fold is symmetric about the pole at 90
-        assert fold_lat_deg(theta) == fold_lat_deg(180 - theta)
+        n, d = theta.numerator, theta.denominator
+        assert _fold_lat(n, d) == _fold_lat(180 * d - n, d)
 
 
 class TestPlaneShift:
@@ -273,11 +284,11 @@ class TestCsdMap:
 
     def test_cells_tile_the_phase_circle(self):
         cfg = make_config(phasing_factor=2)
-        step = phase_step_deg(cfg)
+        starts, step, den = cell_starts(cfg)
+        assert Fraction(step, den) == phase_step_deg(cfg)
         for h in (1, 2, 7, 18):
-            spans = [row_start_deg(cfg, v + 1, h) - row_start_deg(cfg, v, h)
-                     for v in range(1, 36)]
-            assert sum(spans) + step == 360
+            spans = np.diff(starts[:, h - 1]).tolist()
+            assert sum(spans) + step == 360 * den
             assert all(s == step for s in spans)
 
 
@@ -520,13 +531,38 @@ class TestGrdTieGate:
 
 
 def grid_by_fractions(config):
-    """``build_grd_grid`` from one ``float(row_start_deg(...))`` per cell
-    (the earlier implementation)."""
+    """``build_grd_grid`` from one ``float(row_start_deg(...))`` per cell."""
     n1, n2 = config.num_planes, config.sats_per_plane
     u = np.radians([[float(row_start_deg(config, v, h)) for h in range(1, n1 + 1)]
                     for v in range(1, n2 + 1)])
     raan = np.radians([float(config.raan_deg(h)) for h in range(1, n1 + 1)])
     return _orbit_unit_vectors(u, np.cos(raan), np.sin(raan), config.inclination)
+
+
+class TestCellStartsExact:
+    """The one integer-numerator cell table equals the per-cell ``Fraction``
+    reference, and so does ``divide``'s table read from it, floats bit for
+    bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=configs())
+    def test_table_equals_per_cell_reference(self, case):
+        cfg, _ = case
+        n1, n2 = cfg.num_planes, cfg.sats_per_plane
+        starts, step, den = cell_starts(cfg)
+        assert starts.shape == (n2, n1) and Fraction(step, den) == phase_step_deg(cfg)
+        cells = [(v, h) for v in range(1, n2 + 1) for h in range(1, n1 + 1)]
+        want = [row_start_deg(cfg, v, h) for v, h in cells]
+        assert [Fraction(x, den) for x in starts.ravel().tolist()] == want
+        floats = np.array([float(x) for x in want])
+        assert (starts / den).astype(float).ravel().tobytes() == floats.tobytes()
+        rows = _division_rows(cfg, IslMode.CONVENTIONAL)
+        assert [row[:2] for row in rows] == [list(cell) for cell in cells]
+        got = [row[3:] for row in rows]
+        ref = [cell_bounds(cfg, v, h) for v, h in cells]
+        assert got == ref
+        assert np.array(got, dtype=float).tobytes() == np.array(ref, dtype=float).tobytes()
+        assert all(-90 <= row[3] <= 90 and -90 <= row[4] <= 90 for row in rows)
 
 
 class TestGrdGridExact:
@@ -619,15 +655,12 @@ class TestGrdGrid:
 
 class TestCellBounds:
     def test_bounds_assemble_lat_and_lon(self):
-        cell = cell_bounds(make_config(), 1, 1)
-        assert (cell.lat_low, cell.lat_high) == (-70.0, -60.0)
-        assert (cell.lon_low, cell.lon_high) == (0.0, 10.0)
-        assert not cell.pole_wrap
+        assert divide_cell(make_config(), 1, 1) == [-70.0, -60.0, 0.0, 10.0, False]
 
     def test_pole_wrap_off_grid_origin(self):
         # origin not aligned with the pole: exactly one band strictly
         # contains +90
         cfg = make_config(polar_threshold_deg=64.0)
-        wraps = [cell_bounds(cfg, v, 1).pole_wrap for v in range(1, 37)]
+        wraps = [divide_cell(cfg, v, 1)[4] for v in range(1, 37)]
         assert sum(wraps) == 2  # one north, one south crossing
         assert wraps[15]  # band [86, 96) holds the north pole
