@@ -32,8 +32,9 @@ class ConstellationConfig:
     ``num_planes`` (n1) planes separated by exactly 180/n1 deg of RAAN,
     ``sats_per_plane`` (n2) satellites per plane separated by exactly
     360/n2 deg of phase, and inter-plane phase offset set by the integer
-    ``phasing_factor`` (F).  Angular inputs are degrees; radian values are
-    exposed as properties and every float field must be finite.
+    ``phasing_factor`` (F).  The three counts must be Python ints.  Angular
+    inputs are degrees; radian values are exposed as properties and every
+    float field must be finite.
     ``phase0_deg`` defaults to ``-polar_threshold_deg`` so that satellite
     (1,1) starts at the foot of virtual row 1.
     """
@@ -52,12 +53,14 @@ class ConstellationConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        for name in ("num_planes", "sats_per_plane", "phasing_factor"):
+            value = getattr(self, name)
+            if type(value) is not int:      # a bool or numpy int would change the digest
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.num_planes < 2:
             raise ConfigError(f"num_planes must be >= 2, got {self.num_planes}")
         if self.sats_per_plane < 3:
             raise ConfigError(f"sats_per_plane must be >= 3, got {self.sats_per_plane}")
-        if not isinstance(self.phasing_factor, int):
-            raise ConfigError(f"phasing_factor must be an integer, got {self.phasing_factor!r}")
         if not 0 <= self.phasing_factor <= self.sats_per_plane - 1:
             raise ConfigError(
                 f"phasing_factor must satisfy 0 <= F <= n2-1, got {self.phasing_factor}")

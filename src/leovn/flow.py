@@ -12,8 +12,9 @@ is ``res[a] -= f; res[a ^ 1] += f``.  A directed arc has a 0-capacity twin;
 an undirected edge is one twin pair with its capacity both ways.  The
 layout stays because the sink tree grows along ``a ^ 1`` where the source
 tree grows along ``a``, so one code path serves both.  Capacities and
-flows are exact Python ints, and scipy is not imported (``verify`` holds
-its ``maximum_flow`` as the oracle).
+flows are exact Python ints, and scipy is not imported: its
+``maximum_flow`` is an oracle of ``verify.max_flow_failures``, the one
+comparison of a solve with its oracles.
 
 The names ``add_arc`` and ``solve`` and the alias ``MinCostMaxFlow`` stay:
 ``perfbench/child.py`` traces them by name, and its

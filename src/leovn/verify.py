@@ -3,14 +3,15 @@
 Each check returns a CheckResult with the parameter grid it ran; the CLI
 ``verify`` subcommand prints them as JSON lines and exits non-zero when any
 check fails.  Oracles here are deliberately brute force: inequality scans for
-the paper's closed-form region rows, exhaustive link-layout enumeration, snapshot
-edge counting, exhaustive cuts and scipy's ``maximum_flow`` for max-flow (and a
-feasibility check of the returned per-arc flows), and for the latency kernel
-full path enumeration on constellations of at most 12 satellites and scipy's
-Dijkstra up to the paper's 18x36.  Five checks test the paper's claims
-instead: the H-ISL count trends, the GRD dynamics, GRD1's handovers near the
-half-epochs, and the throughput and latency trends over the phasing factor at
-18x36.
+the paper's closed-form region rows, exhaustive link-layout enumeration,
+snapshot edge counting, for max-flow one comparison (``max_flow_failures``)
+of the kernel's value with scipy's ``maximum_flow`` and, up to 12 nodes,
+exhaustive cuts, and of its per-arc flows with feasibility and balance, and
+for the latency kernel full path enumeration on constellations of at most 12
+satellites and scipy's Dijkstra up to the paper's 18x36.  Five checks test
+the paper's claims instead: the H-ISL count trends, the GRD dynamics, GRD1's
+handovers near the half-epochs, and the throughput and latency trends over
+the phasing factor at 18x36.
 
 scipy is imported only inside the four functions that call it
 (``is_connected``, ``scipy_max_flow``, ``delay_matrix`` and
@@ -460,49 +461,59 @@ def scipy_max_flow(n: int, arcs, source: int, sink: int) -> int:
     return int(maximum_flow(graph, source, sink).flow_value)
 
 
-def directed_arcs(arcs, undirected) -> list:
-    """``arcs`` (src, dst, cap), plus a (dst, src, cap) arc for each entry
-    that the mask ``undirected`` marks."""
-    return list(arcs) + [(b, a, cap) for (a, b, cap), both in zip(arcs, undirected) if both]
+def max_flow_failures(n: int, arcs, source: int, sink: int, undirected=False):
+    """(value, per-entry flows, failures) of the flow kernel's solve of
+    ``arcs`` (src, dst, cap), entered in order: ``add_arc`` for each directed
+    entry, one ``add_edges`` call for each run of entries that the mask
+    ``undirected`` (broadcast) marks.  A failure is a value other than
+    scipy's ``maximum_flow`` or, at ``n <= 12``, the exhaustive min cut, or
+    flows that are infeasible or do not carry the value from source to sink."""
+    undirected = np.broadcast_to(undirected, len(arcs))
+    net = MaxFlowNetwork(n)
+    for both, run in itertools.groupby(zip(arcs, undirected), key=lambda entry: entry[1]):
+        if both:
+            net.add_edges(*zip(*(arc for arc, _ in run)))
+        else:
+            for arc, _ in run:
+                net.add_arc(*arc)
+    value, flow = net.solve(source, sink)
+    directed = list(arcs) + [(b, a, cap) for (a, b, cap), both in zip(arcs, undirected) if both]
+    want = {"scipy maximum_flow": scipy_max_flow(n, directed, source, sink)}
+    if n <= 12:
+        want["min cut"] = min_cut_exhaustive(n, directed, source, sink)
+    failures = [] if set(want.values()) == {value} else [f"max flow {value}, oracles {want}"]
+    if not flow_is_feasible(n, arcs, flow, source, sink, undirected):
+        failures.append("infeasible flow")
+    sent = net_outflow(n, arcs, flow)
+    if not sent[source] == -sent[sink] == value:
+        failures.append(f"flows carry {sent[source]:.0f} out, {-sent[sink]:.0f} in, not {value}")
+    return value, flow, failures
 
 
 def throughput_arcs(snap: analysis.WeightedNetSnapshot):
-    """(source, sink, arcs, undirected) of the network that
-    ``max_flow_throughput`` builds for a snapshot, entry for entry: the
-    uncapacitated arcs from a super-source to the satellites over
-    ``SOURCE_BOX`` and from those over ``SINK_BOX`` to a super-sink, then
-    one unit entry per active ISL, in snapshot order, which the mask
-    ``undirected`` marks."""
+    """The ``max_flow_failures`` arguments (n, arcs, source, sink,
+    undirected) of the network that ``max_flow_throughput`` builds for a
+    snapshot, entry for entry: the uncapacitated arcs from a super-source to
+    the satellites over ``SOURCE_BOX`` and from those over ``SINK_BOX`` to a
+    super-sink, then one unit entry per active ISL, in snapshot order, which
+    the mask ``undirected`` marks."""
     lat, lon = np.degrees(snap.lats), np.degrees(snap.lons)
     source, sink = snap.num_sats, snap.num_sats + 1
     inf = analysis.INF_CAPACITY
     arcs = ([(source, int(i), inf) for i in np.flatnonzero(analysis.SOURCE_BOX.contains(lat, lon))]
             + [(int(i), sink, inf) for i in np.flatnonzero(analysis.SINK_BOX.contains(lat, lon))])
     undirected = np.arange(len(arcs) + len(snap.edges)) >= len(arcs)
-    return source, sink, arcs + [(a, b, 1) for a, b in snap.edges.tolist()], undirected
+    return (snap.num_sats + 2, arcs + [(a, b, 1) for a, b in snap.edges.tolist()],
+            source, sink, undirected)
 
 
 def throughput_flow_failures(snap: analysis.WeightedNetSnapshot) -> list[str]:
-    """How the flow kernel's solve of a snapshot's throughput network
-    (``throughput_arcs``, the ISLs through ``add_edges``) departs from a
-    maximum flow: its per-entry flows must be feasible and carry its value,
-    which must equal scipy's ``maximum_flow`` and ``max_flow_throughput``."""
-    source, sink, arcs, undirected = throughput_arcs(snap)
-    n = snap.num_sats + 2
-    net = MaxFlowNetwork(n)
-    for arc in arcs[:len(arcs) - len(snap.edges)]:
-        net.add_arc(*arc)
-    net.add_edges(snap.edges[:, 0], snap.edges[:, 1], 1)
-    value, flow = net.solve(source, sink)
-    want = scipy_max_flow(n, directed_arcs(arcs, undirected), source, sink)
+    """``max_flow_failures`` of a snapshot's ``throughput_arcs``, whose
+    value must also equal ``max_flow_throughput``'s."""
+    value, _flow, failures = max_flow_failures(*throughput_arcs(snap))
     got = analysis.max_flow_throughput(snap) / analysis.ISL_CAPACITY_GBPS
-    failures = [] if value == want == got else [
-        f"kernel {value}, max_flow_throughput {got}, scipy maximum_flow {want} units"]
-    if not flow_is_feasible(n, arcs, flow, source, sink, undirected):
-        failures.append("infeasible flow")
-    sent = net_outflow(n, arcs, flow)[source]
-    if sent != value:
-        failures.append(f"the entries carry {sent}, not {value}")
+    if got != value:
+        failures.append(f"max flow {value}, max_flow_throughput {got:g} units")
     return failures
 
 
@@ -537,17 +548,15 @@ def all_paths_min_delay(n: int, edges, src: int) -> list[float]:
 
 
 def check_flow() -> CheckResult:
-    """Flow kernel equals exhaustive min-cut and scipy's ``maximum_flow``
-    with feasible per-arc flows; the latency kernel equals path enumeration
-    and Dijkstra bit for bit."""
+    """The flow kernel passes ``max_flow_failures``; the latency kernel
+    equals path enumeration and Dijkstra bit for bit."""
     result = CheckResult(
         name="flow",
-        grid="20 seeded digraphs <= 12 nodes and a 7-node graph whose first "
-             "augmenting path must be cancelled (max flow vs min cut and scipy "
-             "maximum_flow, per-arc flows feasible and carrying the value); "
-             "18x36 throughput networks at t=T/3, polar 70, F in (0,6,14) x both "
-             "modes (kernel vs scipy maximum_flow and max_flow_throughput, "
-             "per-entry flows feasible and carrying the value); "
+        grid="max_flow_failures (max flow vs scipy maximum_flow and, <= 12 nodes, "
+             "min cut; per-arc flows feasible and carrying the value) on 20 seeded "
+             "digraphs <= 12 nodes, a 7-node graph whose first augmenting path must "
+             "be cancelled, and 18x36 throughput networks at t=T/3, polar 70, F in "
+             "(0,6,14) x both modes (also vs max_flow_throughput); "
              "20 seeded constellations <= 12 satellites, both modes and shutoff "
              "rules, a seeded V-ISL off, and the first of each as bare rings with "
              "plane 1's V-ISL n2-1 -> n2 off (latency kernel vs path enumeration, "
@@ -559,20 +568,8 @@ def check_flow() -> CheckResult:
         passed=True)
     graphs = [(f"graph seed={seed}", random_flow_graph(seed)) for seed in range(20)]
     for label, (n, arcs) in [*graphs, ("cancelling graph", CANCELLING_GRAPH)]:
-        net = MaxFlowNetwork(n)
-        for arc in arcs:
-            net.add_arc(*arc)
-        flow_value, flow = net.solve(0, n - 1)
-        cut = min_cut_exhaustive(n, arcs, 0, n - 1)
-        scipy_value = scipy_max_flow(n, arcs, 0, n - 1)
-        if not flow_value == cut == scipy_value:
-            result.fail(f"{label}: max flow {flow_value}, min cut {cut}, "
-                        f"scipy maximum_flow {scipy_value}")
-        if not flow_is_feasible(n, arcs, flow, 0, n - 1):
-            result.fail(f"{label}: infeasible flow")
-        sent = net_outflow(n, arcs, flow)[0]
-        if sent != flow_value:
-            result.fail(f"{label}: the arcs carry {sent}, not {flow_value}")
+        for failure in max_flow_failures(n, arcs, 0, n - 1)[2]:
+            result.fail(f"{label}: {failure}")
     for f, mode in itertools.product((0, 6, 14), IslMode):
         cfg = ConstellationConfig(num_planes=18, sats_per_plane=36, phasing_factor=f,
                                   polar_threshold_deg=70.0)

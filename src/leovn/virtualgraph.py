@@ -252,6 +252,9 @@ def staticness_report(config: ConstellationConfig, method: VnMethod, mode: IslMo
         raise ConfigError(f"duration_s must be finite and > 0, got {duration_s}")
     anchors = build_grd_grid(config) if method is not VnMethod.CSD else None
     times = sample_times(config, duration_s, samples)
+    if len(times) < 2:
+        raise ConfigError(f"duration_s {duration_s} leaves {len(times)} sample: "
+                          "sample_times merges samples under 1e-9 s apart")
 
     def classify(keys, serving, i):     # polar_mask caches samples i-1 and i
         polar = polar_mask(config, times[i])

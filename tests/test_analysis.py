@@ -30,13 +30,10 @@ from leovn.verify import (
     _keep_edges,
     all_paths_min_delay,
     delay_matrix,
-    directed_arcs,
     enumeration_snapshots,
     latency_equals_dijkstra,
     latency_equals_enumeration,
-    min_cut_exhaustive,
     seeded_snapshots,
-    throughput_arcs,
     throughput_flow_failures,
 )
 
@@ -169,18 +166,15 @@ class TestThroughput:
     @pytest.mark.parametrize("n1,n2", [(2, 3), (2, 4), (2, 5), (3, 3)])
     def test_equals_min_cut_on_small_snapshots(self, n1, n2):
         # at most 10 satellites: the network, super-source and super-sink
-        # included, has at most 12 nodes, so every cut can be enumerated
+        # included, has at most 12 nodes, so every cut is enumerated too
         positive = 0
         for f in range(min(n1, n2 - 1) + 1):
             cfg = make_config(F=f, n1=n1, n2=n2)
             for mode in IslMode:
                 for t in np.linspace(0.0, SIDEREAL_DAY, 49):
                     snap = snapshot_at(cfg, mode, t)
-                    source, sink, arcs, undirected = throughput_arcs(snap)
-                    want = min_cut_exhaustive(snap.num_sats + 2, directed_arcs(arcs, undirected),
-                                              source, sink)
-                    assert max_flow_throughput(snap) == want * ISL_CAPACITY_GBPS, (f, mode, t)
-                    positive += want > 0
+                    assert throughput_flow_failures(snap) == [], (f, mode, t)
+                    positive += max_flow_throughput(snap) > 0
         assert positive > 0
 
     def test_zero_snapshots_rejected(self):
@@ -280,11 +274,9 @@ class TestLatencyKernel:
     @pytest.mark.parametrize("mode", list(IslMode))
     def test_equals_dijkstra_at_paper_scale(self, f, mode):
         cfg = make_config(F=f)
-        sources = np.arange(cfg.total_sats)
         for t in (0.0, 0.3 * cfg.period):
             snap = snapshot_at(cfg, mode, t)
-            got = shortest_path_delays(snap, sources).reshape(len(sources), -1)
-            assert np.array_equal(got, self.dijkstra_reference(snap, sources)), t
+            assert latency_equals_dijkstra(snap), t
         if (f, mode) == (14, IslMode.CONVENTIONAL):   # no H links: planes split
             assert not (snap.kind == IslKind.H_ISL).any()
 

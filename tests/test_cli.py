@@ -255,9 +255,10 @@ class TestStaticnessCommand:
         (["--duration-s", "1000", "--samples", "1"], "samples"),
         (["--duration-s", "nan", "--samples", "10"], "duration_s"),
         (["--duration-s", "-5", "--samples", "10"], "duration_s"),
+        (["--duration-s", "1e-10", "--samples", "5"], "duration_s 1e-10 leaves 1 sample"),
     ])
     def test_invalid_window_exits_2(self, tmp_path, capsys, window, fragment):
-        out = tmp_path / "static.json"
+        out = tmp_path / "new" / "static.json"
         assert main(["staticness", "--n1", "6", "--n2", "12", "--method", "grd2",
                      *window, "--out", str(out)]) == 2
         assert fragment in capsys.readouterr().err

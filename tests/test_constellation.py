@@ -112,6 +112,11 @@ class TestBuildConstellation:
         (dict(altitude_km=0), "altitude_km"),
         (dict(polar_threshold_deg=0), "polar_threshold_deg"),
         (dict(polar_threshold_deg=95), "polar_threshold_deg"),
+        (dict(phasing_factor=True), "phasing_factor must be an integer"),
+        (dict(num_planes=6.0), "num_planes must be an integer"),
+        (dict(num_planes=False), "num_planes must be an integer"),
+        (dict(sats_per_plane=12.0), "sats_per_plane must be an integer"),
+        (dict(sats_per_plane=np.int64(12)), "sats_per_plane must be an integer"),
     ])
     def test_invalid_config_names_field(self, kw, fragment):
         with pytest.raises(ConfigError, match=fragment):

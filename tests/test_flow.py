@@ -15,27 +15,17 @@ from leovn.flow import MaxFlowNetwork
 from leovn.isl import IslMode
 from leovn.verify import (
     CANCELLING_GRAPH,
-    directed_arcs,
     flow_is_feasible,
-    min_cut_exhaustive,
-    net_outflow,
+    max_flow_failures,
     random_flow_graph,
-    scipy_max_flow,
     throughput_arcs,
-    throughput_flow_failures,
 )
 
 
 def solve(n, arcs, source, sink):
-    """(value, per-arc flows), the flows checked feasible and carrying the
-    value."""
-    net = MaxFlowNetwork(n)
-    for arc in arcs:
-        net.add_arc(*arc)
-    value, flow = net.solve(source, sink)
-    assert flow_is_feasible(n, arcs, flow, source, sink)
-    sent = net_outflow(n, arcs, flow)
-    assert sent[source] == -sent[sink] == value
+    """(value, per-arc flows) of a solve that ``max_flow_failures`` passes."""
+    value, flow, failures = max_flow_failures(n, arcs, source, sink)
+    assert failures == []
     return value, flow
 
 
@@ -65,7 +55,7 @@ class TestMaxFlowNetwork:
     def test_parallel_arcs_add_their_capacities(self):
         arcs = [(0, 1, 3), (0, 1, 2), (0, 1, 4), (1, 3, 8), (0, 2, 1), (2, 3, 5)]
         value, flow = solve(4, arcs, 0, 3)
-        assert value == min_cut_exhaustive(4, arcs, 0, 3) == 9
+        assert value == 9
         assert sum(flow[:3]) == 8
         value, flow = solve(3, [(0, 1, 1)] * 5 + [(1, 2, 4)], 0, 2)
         assert value == sum(flow[:5]) == 4
@@ -76,11 +66,7 @@ class TestMaxFlowNetwork:
         assert net.solve(0, 2) == (2, [2, 2])
         # a second solve starts from the stored capacities again
         assert net.solve(2, 0) == (2, [-2, -2])
-        net = MaxFlowNetwork(3)
-        net.add_edges(np.array([1, 0]), np.array([2, 1]), [2, 3])
-        value, flow = net.solve(2, 0)
-        assert (value, flow) == (2, [-2, -2])
-        assert flow_is_feasible(3, [(1, 2, 2), (0, 1, 3)], flow, 2, 0, undirected=True)
+        assert max_flow_failures(3, [(1, 2, 2), (0, 1, 3)], 2, 0, True) == (2, [-2, -2], [])
 
     def test_flows_follow_insertion_order(self):
         net = MaxFlowNetwork(4)
@@ -140,21 +126,14 @@ class TestMaxFlowNetwork:
         for seed in range(400):
             rng = random.Random(seed)
             n = rng.randrange(4, 80)
-            net, arcs, undirected = MaxFlowNetwork(n), [], []
+            arcs, undirected = [], []
             for _ in range(rng.randrange(1, 4 * n + 1)):
                 a = rng.randrange(n)
                 b = (a + rng.randrange(1, n)) % n
-                cap = rng.choice((1, 1, 1, 2, 3, 7, 10 ** 6))
-                both = rng.random() < 0.5
-                if both:
-                    net.add_edges([a], [b], cap)
-                else:
-                    net.add_arc(a, b, cap)
-                arcs.append((a, b, cap))
-                undirected.append(both)
-            value, flow = net.solve(0, n - 1)
-            assert value == scipy_max_flow(n, directed_arcs(arcs, undirected), 0, n - 1), seed
-            assert flow_is_feasible(n, arcs, flow, 0, n - 1, undirected), seed
+                arcs.append((a, b, rng.choice((1, 1, 1, 2, 3, 7, 10 ** 6))))
+                undirected.append(rng.random() < 0.5)
+            value, _flow, failures = max_flow_failures(n, arcs, 0, n - 1, undirected)
+            assert failures == [], seed
             positive += value > 0
         assert positive > 200
 
@@ -179,10 +158,27 @@ class TestPaperScale:
         cfg = ConstellationConfig(num_planes=18, sats_per_plane=36, phasing_factor=f,
                                   polar_threshold_deg=70.0)
         snap = snapshot_at(cfg, mode, cfg.period / 3)
-        source, sink, arcs, undirected = throughput_arcs(snap)
-        # the same network as directed arcs, each ISL a unit arc each way
-        value = solve(snap.num_sats + 2, directed_arcs(arcs, undirected), source, sink)[0]
-        assert value == self.PINNED[mode, f]
+        value, _flow, failures = max_flow_failures(*throughput_arcs(snap))
+        assert failures == [] and value == self.PINNED[mode, f]
         assert value * ISL_CAPACITY_GBPS == max_flow_throughput(snap)
-        assert throughput_flow_failures(snap) == []
 
+
+class TestMaxFlowFailures:
+    """Each kind of failure the one harness reports, on a solve broken after
+    the fact: 0 -> 1 -> 2 and 0 -> 2, whose maximum flow fills every arc."""
+
+    ARCS = [(0, 1, 2), (1, 2, 2), (0, 2, 1)]
+
+    @pytest.mark.parametrize("broken,named", [
+        (lambda value, flow: (value + 1, flow),
+         ["max flow 4, oracles {'scipy maximum_flow': 3, 'min cut': 3}",
+          "flows carry 3 out, 3 in, not 4"]),
+        (lambda value, flow: (value, [3, 3, 0]), ["infeasible flow"]),
+        (lambda value, flow: (value, [2, 2, 0]), ["flows carry 2 out, 2 in, not 3"]),
+    ], ids=["value off by one", "arc over capacity", "unit taken off the source"])
+    def test_names_each_failure(self, monkeypatch, broken, named):
+        assert max_flow_failures(3, self.ARCS, 0, 2) == (3, [2, 2, 1], [])
+        solve = MaxFlowNetwork.solve
+        monkeypatch.setattr(MaxFlowNetwork, "solve",
+                            lambda net, source, sink: broken(*solve(net, source, sink)))
+        assert max_flow_failures(3, self.ARCS, 0, 2)[2] == named
