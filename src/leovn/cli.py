@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .analysis import mean_latency, mean_throughput, require_count, seeded_pairs, sweep
 from .constellation import CONFIG_FIELDS, ConfigError, ConstellationConfig, read_config_file
-from .division import cell_starts
+from .division import cell_starts, exact_angles
 from .isl import IslKind, IslMode, active_row_set, snapshot_edges
 from .virtualgraph import EventCause, EventChange, VnMethod, edge_addresses, staticness_report
 
@@ -162,7 +162,9 @@ def _division_rows(config: ConstellationConfig, mode: IslMode) -> list[list]:
     turn = 360 * den
     pole_wrap = (((90 * den - starts) % turn < step)
                  | ((270 * den - starts) % turn < step)).tolist()
-    lon = [float((config.raan_deg(h) + 180) % 360 - 180) for h in range(1, n1 + 2)]
+    a = exact_angles(config)
+    lon = [((a.raan0 + h * a.raan_step + 180 * den) % turn - 180 * den) / den
+           for h in range(n1 + 1)]
     rows = []
     for v in range(1, n2 + 1):
         # R: H-ISLs on, P: off; 1/2: the first or second half of the rows

@@ -8,8 +8,8 @@ is checked against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -33,8 +33,9 @@ class ConstellationConfig:
     ``sats_per_plane`` (n2) satellites per plane separated by exactly
     360/n2 deg of phase, and inter-plane phase offset set by the integer
     ``phasing_factor`` (F).  The three counts must be Python ints.  Angular
-    inputs are degrees; radian values are exposed as properties and every
-    float field must be finite.
+    inputs are degrees; radian values are exposed as properties.  The five
+    float fields take any real number but a bool, must be finite, and are
+    stored as Python floats, so equal values give equal reprs and digests.
     ``phase0_deg`` defaults to ``-polar_threshold_deg`` so that satellite
     (1,1) starts at the foot of virtual row 1.
     """
@@ -51,8 +52,13 @@ class ConstellationConfig:
         for name in ("altitude_km", "inclination_deg", "polar_threshold_deg",
                      "raan0_deg", "phase0_deg"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None and name == "phase0_deg":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))
         for name in ("num_planes", "sats_per_plane", "phasing_factor"):
             value = getattr(self, name)
             if type(value) is not int:      # a bool or numpy int would change the digest
@@ -80,17 +86,6 @@ class ConstellationConfig:
     def total_sats(self) -> int:
         return self.num_planes * self.sats_per_plane
 
-    # -- exact angular steps (degrees, rational) ---------------------------
-    @property
-    def raan_step_deg(self) -> Fraction:
-        """Angle between adjacent planes: exactly 180/n1 deg (pi-type)."""
-        return Fraction(180, self.num_planes)
-
-    @property
-    def phase_offset_deg(self) -> Fraction:
-        """Adjacent-plane phase offset: exactly 360*F/(n1*n2) deg."""
-        return Fraction(360 * self.phasing_factor, self.total_sats)
-
     # -- float radians for geometry ----------------------------------------
     @property
     def raan_step(self) -> float:
@@ -117,10 +112,6 @@ class ConstellationConfig:
         """Circular-orbit period in seconds, by Kepler's third law, spherical
         Earth."""
         return 2.0 * math.pi * math.sqrt(self.orbit_radius ** 3 / MU_EARTH)
-
-    # -- initial angles ----------------------------------------------------
-    def raan_deg(self, plane: int) -> Fraction:
-        return Fraction(self.raan0_deg) + (plane - 1) * self.raan_step_deg
 
 
 def _phase(config: ConstellationConfig, t: float, turn: float) -> np.ndarray:

@@ -14,18 +14,20 @@ cells and serves each frozen cell with whichever satellite covers it, either
 from the original plane only (GRD1) or from any plane (GRD2); ``VnMethod``
 names the three methods.
 
-Geometry runs in float radians; cell-boundary bookkeeping runs in exact
-rational degrees (``fractions.Fraction``), so that floor/ceil expressions and
-interval comparisons are bit-reproducible: a threshold like 70 deg does not
-survive the round trip through radians, and the division formulas sit
-exactly on integer boundaries for the configurations of interest.
+Geometry runs in float radians; the layout's exact angles (row origin, row
+height, plane offsets, RAANs, epoch phase and polar caps) are one table of
+Python-int numerators over a common denominator (``exact_angles``), so that
+floor/ceil expressions and interval comparisons are bit-reproducible and
+each angle is floated once: a threshold like 70 deg does not survive the
+round trip through radians, and the division formulas sit exactly on
+integer boundaries for the configurations of interest.
 """
 from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,23 +48,50 @@ CELL_SNAP = 1e-9
 
 # -- the celestial division of a constellation ---------------------------------
 
-def row_origin_deg(config: ConstellationConfig) -> Fraction:
-    """Along-track phase where row 1 of plane 1 starts: -polar threshold."""
-    return -Fraction(config.polar_threshold_deg)
+class ExactAngles(NamedTuple):
+    """A layout's exact angles in degrees, each a Python-int numerator over
+    ``den`` (a float such as 70.1 has a 2^k denominator, past int64), so
+    that ``num / den`` rounds the exact angle correctly and ``%``, ``//``
+    and comparisons are exact.  ``origin`` is row 1's start (-polar),
+    ``step`` the row height 360/n2, ``unit`` 360/(n1 n2) = delta_f / F,
+    ``raan_step`` 180/n1, and ``caps`` the open along-track spans (lo, hi)
+    where |latitude| > threshold."""
+    den: int
+    origin: int
+    step: int
+    unit: int
+    raan0: int
+    raan_step: int
+    phase0: int
+    caps: tuple[tuple[int, int], ...]
 
 
-def phase_step_deg(config: ConstellationConfig) -> Fraction:
-    """Along-track height of a cell: 360/n2 deg."""
-    return Fraction(360, config.sats_per_plane)
+@lru_cache(maxsize=None)
+def exact_angles(config: ConstellationConfig) -> ExactAngles:
+    """The one table of the layout's exact angles, which the cell bounds, the
+    CSD rows, the handover epochs, the GRD anchors, the active rows and
+    ``divide``'s longitudes read.
 
-
-def common_numerators(values: list[Fraction]) -> tuple[list[int], int]:
-    """Exact ``values`` as Python-int numerators over their least common
-    denominator, and that denominator, so that sums, floor divisions and
-    comparisons of them run on ints.  Python ints, not int64: a float
-    threshold such as 70.1 has a 2^k denominator."""
-    den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
+    den = lcm(n1 n2, the denominators of the threshold, raan0, phase0 and
+    the cap edge p).  The caps are (p, 180-p) and (180+p, 360-p): p is the
+    threshold at 90 deg inclination, else asin(sin(threshold) /
+    sin(inclination)) in floats, and there are none when p >= 90 (the
+    orbit never passes the threshold latitude).
+    """
+    n1, n2 = config.num_planes, config.sats_per_plane
+    cap = config.polar_threshold_deg
+    if config.inclination_deg != 90.0:
+        sin_i = math.sin(config.inclination)      # 0 once tiny degrees underflow
+        q = math.sin(config.polar_threshold) / sin_i if sin_i else 1.0
+        cap = math.degrees(math.asin(q)) if q < 1.0 else 90.0
+    ratios = [x.as_integer_ratio() for x in (config.polar_threshold_deg, config.raan0_deg,
+                                             config.phase0_deg, cap)]
+    den = math.lcm(n1 * n2, *(d for _, d in ratios))
+    polar, raan0, phase0, p = (n * (den // d) for n, d in ratios)
+    turn = 360 * den
+    caps = ((p, turn // 2 - p), (turn // 2 + p, turn - p)) if cap < 90 else ()
+    return ExactAngles(den=den, origin=-polar, step=turn // n2, unit=turn // (n1 * n2),
+                       raan0=raan0, raan_step=turn // (2 * n1), phase0=phase0, caps=caps)
 
 
 def backward_links(num_planes: int, phasing_factor: int) -> np.ndarray:
@@ -76,29 +105,23 @@ def backward_links(num_planes: int, phasing_factor: int) -> np.ndarray:
     return np.arange(num_planes) * phasing_factor // num_planes
 
 
-def spreads_deg(config: ConstellationConfig, crossed: np.ndarray) -> tuple[Fraction, ...]:
-    """(h-1)*delta_f - c(h)*360/n2 per plane h, exact degrees: the phase of a
-    row's plane-h member relative to its plane-1 member when the row has
-    crossed c(h) backward links before plane h."""
-    n1, n2, f = config.num_planes, config.sats_per_plane, config.phasing_factor
-    return tuple(Fraction(360 * (h * f - c * n1), n1 * n2)
-                 for h, c in enumerate(crossed.tolist()))
-
-
-@lru_cache(maxsize=None)
-def cell_shifts_deg(config: ConstellationConfig) -> tuple[Fraction, ...]:
-    """Along-track shift of each plane's cells, exact degrees.
-
-    The spread of the backward-link layout, mod(h-1, K) * delta_f with
-    K = n1/F and delta_f = 360F/(n1 n2), for every F (0 when F = 0).
-    """
-    return spreads_deg(config, backward_links(config.num_planes, config.phasing_factor))
+def plane_starts(config: ConstellationConfig, crossed: np.ndarray) -> list[int]:
+    """Row 1's start in each plane h, as ``exact_angles`` numerators, when
+    the row has crossed c(h) = ``crossed[h-1]`` backward links before plane
+    h: origin + ((h-1)F - c(h) n1) * unit.  Less the origin these are the
+    row's in-row spreads, and at the backward-link count the cell shifts
+    mod(h-1, K) * delta_f of every F."""
+    a = exact_angles(config)
+    n1, f = config.num_planes, config.phasing_factor
+    return [a.origin + (h * f - c * n1) * a.unit for h, c in enumerate(crossed.tolist())]
 
 
 @lru_cache(maxsize=None)
 def _plane_shifts(config: ConstellationConfig) -> np.ndarray:
     """(n1, 1) read-only column of the cell shifts in float degrees."""
-    shifts = np.array(cell_shifts_deg(config), dtype=float)[:, None]
+    a = exact_angles(config)
+    columns = plane_starts(config, backward_links(config.num_planes, config.phasing_factor))
+    shifts = np.array([(s - a.origin) / a.den for s in columns])[:, None]
     shifts.flags.writeable = False
     return shifts
 
@@ -108,15 +131,14 @@ def cell_starts(config: ConstellationConfig) -> tuple[np.ndarray, int, int]:
     the cell bounds.
 
     Returns ``(starts, step, den)``: ``starts`` an (n2, n1) object array of
-    Python-int numerators, ``step`` the row height's numerator, both over
-    the common denominator ``den`` of the row origin, the row height and
-    the plane shifts (``common_numerators``), so that ``starts / den`` is
-    the correctly rounded float of each exact start.
+    ``exact_angles`` numerators, ``step`` the row height's, both over its
+    ``den``, so that ``starts / den`` is the correctly rounded float of each
+    exact start.
     """
-    (origin, step, *shifts), den = common_numerators(
-        [row_origin_deg(config), phase_step_deg(config), *cell_shifts_deg(config)])
-    columns = np.array([origin + s for s in shifts], dtype=object)
-    return np.arange(config.sats_per_plane, dtype=object)[:, None] * step + columns, step, den
+    a = exact_angles(config)
+    columns = plane_starts(config, backward_links(config.num_planes, config.phasing_factor))
+    return (np.arange(config.sats_per_plane, dtype=object)[:, None] * a.step
+            + np.array(columns, dtype=object), a.step, a.den)
 
 
 # -- satellite -> address mapping ---------------------------------------------
@@ -133,7 +155,8 @@ def csd_rows_all(config: ConstellationConfig, t: float) -> np.ndarray:
     n1, n2 = config.num_planes, config.sats_per_plane
     step = 360.0 / n2
     phase = phases_deg(config, t).reshape(n1, n2)
-    rel = np.mod(phase - float(row_origin_deg(config)) - _plane_shifts(config), 360.0)
+    a = exact_angles(config)
+    rel = np.mod(phase - a.origin / a.den - _plane_shifts(config), 360.0)
     rows = 1 + np.floor(rel / step + CELL_SNAP).astype(int) % n2
     rows.flags.writeable = False
     return rows
@@ -147,8 +170,8 @@ def switching_epochs(config: ConstellationConfig, count: int) -> list[float]:
     """
     step_t = config.period / config.sats_per_plane
     # offset of the first epoch: phase0 + 360 t/T == lat origin (mod step)
-    lag_deg = float((row_origin_deg(config) - Fraction(config.phase0_deg)) %
-                    phase_step_deg(config))
+    a = exact_angles(config)
+    lag_deg = (a.origin - a.phase0) % a.step / a.den
     t0 = lag_deg / 360.0 * config.period
     k0 = math.ceil(-t0 / step_t - 1e-12)
     return [t0 + k * step_t for k in range(k0, k0 + count)]
@@ -170,13 +193,15 @@ def build_grd_grid(config: ConstellationConfig) -> np.ndarray:
     with the default epoch phase the satellite addressed (v, h) sits at the
     zenith of anchor (v, h).
 
-    The start angles are the ``cell_starts`` table, each numerator divided
-    by the denominator with int true division, which rounds the exact
-    quotient correctly.
+    The start angles are the ``cell_starts`` table and the RAANs raan0 +
+    (h-1) * 180/n1 ``exact_angles`` numerators, each divided by the
+    denominator with int true division, which rounds the exact quotient
+    correctly.
     """
     starts, _, den = cell_starts(config)
+    a = exact_angles(config)
     u = np.radians((starts / den).astype(float))
-    raan = np.radians([float(config.raan_deg(h)) for h in range(1, config.num_planes + 1)])
+    raan = np.radians([(a.raan0 + h * a.raan_step) / den for h in range(config.num_planes)])
     return _orbit_unit_vectors(u, np.cos(raan), np.sin(raan), config.inclination)
 
 

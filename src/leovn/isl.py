@@ -8,28 +8,21 @@ same-slot satellites; in the optimized mode a row has crossed
 c(h) = floor((h-1)F/n1) backward links (to the trailing neighbor, one slot
 down) before plane h, one at every boundary where c steps (about every K-th,
 K = n1/F), which caps the in-row phase spread at mod(h-1, K) * delta_f
-instead of (n1-1) * delta_f.  c(h) and the spread are
-``division.backward_links`` and ``division.spreads_deg``.
+instead of (n1-1) * delta_f.  c(h) is ``division.backward_links``; the
+row's member windows and the polar caps are ``division.exact_angles``
+numerators (``division.plane_starts``).
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .constellation import ConfigError, ConstellationConfig, phases_deg
-from .division import (
-    backward_links,
-    common_numerators,
-    csd_rows_all,
-    phase_step_deg,
-    row_origin_deg,
-    spreads_deg,
-)
+from .division import backward_links, csd_rows_all, exact_angles, plane_starts
 
 
 class IslMode(enum.Enum):
@@ -112,30 +105,6 @@ def row_chains(config: ConstellationConfig, mode: IslMode) -> np.ndarray:
     return rows
 
 
-def row_spreads_deg(config: ConstellationConfig, mode: IslMode) -> tuple[Fraction, ...]:
-    """Exact phase offset of each row member relative to the plane-1 member."""
-    return spreads_deg(config, _crossed(config, mode))
-
-
-def polar_cap_phase_spans(config: ConstellationConfig) -> list[tuple[Fraction, Fraction]]:
-    """Open spans of along-track phase (degrees) where |latitude| > threshold.
-
-    Exact for the default 90 deg inclination; for other inclinations the cap
-    edges come from asin(sin(threshold)/sin(inclination)) in floats.  Empty
-    when the orbit never reaches the threshold latitude.
-    """
-    if config.inclination_deg == 90.0:
-        p = Fraction(config.polar_threshold_deg)
-    else:
-        sin_i = math.sin(config.inclination)      # 0 once tiny degrees underflow
-        if sin_i == 0 or (q := math.sin(config.polar_threshold) / sin_i) >= 1.0:
-            return []
-        p = Fraction(math.degrees(math.asin(q)))
-    if p >= 90:
-        return []
-    return [(p, 180 - p), (180 + p, 360 - p)]
-
-
 @lru_cache(maxsize=None)
 def active_row_set(config: ConstellationConfig, mode: IslMode) -> frozenset[int]:
     """Dwell rows v whose full handover interval keeps every member clear of
@@ -144,25 +113,24 @@ def active_row_set(config: ConstellationConfig, mode: IslMode) -> frozenset[int]
     Member h of a row anchored at dwell row v sweeps the half-open window
     [origin + (v-1)*step + spread_h, ... + step) of along-track phase during
     the dwell; the row is active for that dwell iff no window, wrapped past
-    360, meets an open cap span.  The exact degrees are
-    ``common_numerators``, so the test runs on Python ints.  Snapshots, sweep
-    counts, the static virtual graph and the ``divide`` regions all read
-    these rows; the paper's closed forms are ``verify``'s oracle for them.
+    360, meets an open cap span.  The window starts (``plane_starts``), the
+    row height and the caps are ``exact_angles`` numerators, so the test
+    runs on Python ints.  Snapshots, sweep counts, the static virtual graph
+    and the ``divide`` regions all read these rows; the paper's closed forms
+    and the ``Fraction`` windows of ``verify`` and the tests are their
+    oracles.
 
     The windows of one start s tile the phase line, n2 of them per turn,
     and the caps lie inside (0, 360), so the rows whose window
-    [s + (v-1)w, s + vw) meets the open cap (lo, hi) are one run,
-    v = (lo - s)//w + 1 .. -((s - hi)//w), taken mod n2.
+    [s + (v-1)*step, s + v*step) meets the open cap (lo, hi) are one run,
+    v = (lo - s)//step + 1 .. -((s - hi)//step), taken mod n2.
     """
     n2 = config.sats_per_plane
-    bounds = [x for span in polar_cap_phase_spans(config) for x in span]   # lo, hi, ...
-    offsets = {row_origin_deg(config) + s for s in row_spreads_deg(config, mode)}
-    (width, *ints), _ = common_numerators([phase_step_deg(config), *bounds, *offsets])
-    caps = list(zip(ints[:len(bounds):2], ints[1:len(bounds):2]))
+    a = exact_angles(config)
     hit = set()
-    for s in ints[len(bounds):]:
-        for lo, hi in caps:
-            first, last = (lo - s) // width + 1, -((s - hi) // width)
+    for s in set(plane_starts(config, _crossed(config, mode))):
+        for lo, hi in a.caps:
+            first, last = (lo - s) // a.step + 1, -((s - hi) // a.step)
             hit.update((v - 1) % n2 + 1 for v in range(first, last + 1))
     return frozenset(range(1, n2 + 1)) - hit
 

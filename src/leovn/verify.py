@@ -8,10 +8,13 @@ snapshot edge counting, for max-flow one comparison (``max_flow_failures``)
 of the kernel's value with scipy's ``maximum_flow`` and, up to 12 nodes,
 exhaustive cuts, and of its per-arc flows with feasibility and balance, and
 for the latency kernel full path enumeration on constellations of at most 12
-satellites and scipy's Dijkstra up to the paper's 18x36.  Five checks test
-the paper's claims instead: the H-ISL count trends, the GRD dynamics, GRD1's
-handovers near the half-epochs, and the throughput and latency trends over
-the phasing factor at 18x36.
+satellites and scipy's Dijkstra up to the paper's 18x36.  Six checks test
+the paper's claims instead: the optimal division (no row origin gives more
+H-ISLs, scanned in exact ``Fraction`` windows), the H-ISL count trends, the
+GRD dynamics, GRD1's handovers near the half-epochs, and the throughput and
+latency trends over the phasing factor at 18x36.  The exact angles of
+``division.exact_angles`` are checked against ``Fraction`` expressions of
+the configuration written out here and in the tests.
 
 scipy is imported only inside the four functions that call it
 (``is_connected``, ``scipy_max_flow``, ``delay_matrix`` and
@@ -95,6 +98,14 @@ def _paper_spread_deg(n1: int, n2: int, f: int, mode: IslMode) -> Fraction:
     return max((h - math.floor(h / k) * k) * delta_f for h in range(n1))
 
 
+def _table_spreads_deg(config: ConstellationConfig, crossed) -> list[Fraction]:
+    """In-row spread of each plane of a row that crosses ``crossed[h-1]``
+    backward links before plane h, read from the ``division.exact_angles``
+    table as exact degrees."""
+    a = division.exact_angles(config)
+    return [Fraction(s - a.origin, a.den) for s in division.plane_starts(config, crossed)]
+
+
 def _matches_active_rows(cfg: ConstellationConfig, mode: IslMode,
                          scanned: frozenset[int]) -> bool:
     """Whether ``isl.active_row_set`` equals the scanned rows; at polar 90
@@ -141,12 +152,67 @@ def check_division() -> CheckResult:
         cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
                                   altitude_km=780, polar_threshold_deg=polar)
         spread = _paper_spread_deg(n1, n2, f, mode)
-        realized = max(isl.row_spreads_deg(cfg, mode))
+        realized = max(_table_spreads_deg(cfg, isl._crossed(cfg, mode)))
         if realized != spread or not _matches_active_rows(
                 cfg, mode, rows_by_scan(n2, polar, spread)):
             result.fail(f"{mode.value} rows n1={n1} F={f} n2={n2} polar={polar}: "
                         f"spread {realized} != {spread} or active rows "
                         f"{sorted(isl.active_row_set(cfg, mode))} != scan")
+    return result
+
+
+def hisl_count_by_windows(config: ConstellationConfig, mode: IslMode, offset) -> int:
+    """H-ISLs on during any dwell when row 1 starts ``offset`` deg above
+    -polar p: n1-1 per row whose every member window, in exact Fraction
+    degrees, keeps |latitude| <= p on a 90-deg orbit.  Plane h's member
+    trails by (h-1)F units of 360/(n1 n2) conventional and by the paper's
+    mod(h-1, K) delta_f, mod((h-1)F, n1) units, optimized.  A window
+    [a, a + step) keeps |latitude| <= p iff it lies in [-p, p] or
+    [180-p, 180+p] (mod 360), that is iff (a + p) mod 180 <= 2p - step."""
+    n1, n2, f = config.num_planes, config.sats_per_plane, config.phasing_factor
+    step, p = Fraction(360, n2), Fraction(config.polar_threshold_deg)
+    if p >= 90:
+        return (n1 - 1) * n2
+    units = (h * f % n1 if mode is IslMode.OPTIMIZED else h * f for h in range(n1))
+    starts = {offset + Fraction(360 * u, n1 * n2) for u in units}
+    room = 2 * p - step
+    return (n1 - 1) * sum(all((a + k * step) % 180 <= room for a in starts)
+                          for k in range(n2))
+
+
+def check_optimal_division() -> CheckResult:
+    """The paper's optimal division: no row origin within one row height of
+    -polar gives more H-ISLs than ``isl.hisl_count`` at the division's own.
+
+    A window [a, a + step) is clear iff (a + p) mod 180 <= 2p - step, a
+    test closed at both ends, so as the origin moves the count changes only
+    where a window starts on a cap's end or ends on a cap's start, and there
+    it is at least the count on either side.  The offsets scanned, every cap
+    edge less every member's row-1 start reduced mod step, therefore reach
+    the largest count of any offset.
+    """
+    result = CheckResult(
+        name="optimal_division",
+        grid="n1 in (6, 12) x n2 in (12, 36) x polar in (60, 64, 70, 80) x "
+             "F in (0, 2, 3, 5) x both modes, inclination 90, every origin offset "
+             "where a member window edge meets a cap edge",
+        passed=True)
+    for n1, n2, polar, f, mode in itertools.product(
+            (6, 12), (12, 36), (60, 64, 70, 80), (0, 2, 3, 5), IslMode):
+        cfg = ConstellationConfig(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
+                                  polar_threshold_deg=polar)
+        want = isl.hisl_count(cfg, mode)
+        step, p = Fraction(360, n2), Fraction(polar)
+        # member starts less -p, mod step: c(h) whole rows drop out
+        starts = {Fraction(360 * h * f, n1 * n2) for h in range(n1)}
+        offsets = {(edge + p - s) % step for edge in (p, 180 - p, 180 + p, 360 - p)
+                   for s in starts} | {Fraction(0)}
+        counts = {x: hisl_count_by_windows(cfg, mode, x) for x in offsets}
+        best = max(offsets, key=counts.get)
+        if counts[0] != want or counts[best] > want:
+            result.fail(f"n1={n1} n2={n2} polar={polar} F={f} {mode.value}: hisl_count "
+                        f"{want}, windows {counts[0]} at -polar and {counts[best]} "
+                        f"at offset {best}")
     return result
 
 
@@ -256,7 +322,8 @@ def theorem1_layouts(config: ConstellationConfig):
     """Theorem 1's optimized layout and the exhaustive optimum, each as (max
     in-row spread in exact degrees, backward boundary set): the comparison
     that ``check_theorem1`` and ``leovn theorem1-check`` report."""
-    analytic = max(division.cell_shifts_deg(config)), isl.bh_planes(config)
+    crossed = division.backward_links(config.num_planes, config.phasing_factor)
+    analytic = max(_table_spreads_deg(config, crossed)), isl.bh_planes(config)
     return analytic, theorem1_bruteforce(config.num_planes, config.sats_per_plane,
                                          config.phasing_factor)
 
@@ -279,7 +346,7 @@ def check_theorem1() -> CheckResult:
                 if brute_set != layout:
                     result.fail(f"n1={n1} n2={n2} F={f}: layout {sorted(brute_set)} != "
                                 f"{sorted(layout)}")
-                delta_f, k = cfg.phase_offset_deg, Fraction(n1, f)
+                delta_f, k = Fraction(360 * f, n1 * n2), Fraction(n1, f)
                 if k.denominator == 1 and brute_min != (k - 1) * delta_f:
                     result.fail(f"n1={n1} n2={n2} F={f}: integer-K minimum "
                                 f"{brute_min} != {(k - 1) * delta_f}")
@@ -287,8 +354,8 @@ def check_theorem1() -> CheckResult:
                     result.fail(f"n1={n1} n2={n2} F={f}: optimized spread exceeds "
                                 f"conventional")
                 unit = delta_f / f
-                if any((s / unit).denominator != 1 or s < 0
-                       for s in division.cell_shifts_deg(cfg)):
+                if any((s / unit).denominator != 1 or s < 0 for s in _table_spreads_deg(
+                        cfg, division.backward_links(n1, f))):
                     result.fail(f"n1={n1} n2={n2} F={f}: spread not a non-negative "
                                 f"multiple of delta_f/F")
     return result
@@ -722,7 +789,7 @@ def check_latency_trend() -> CheckResult:
 
 
 SUITES = {
-    "division": (check_division,),
+    "division": (check_division, check_optimal_division),
     "counts": (check_counts, check_count_trends),
     "theorem1": (check_theorem1,),
     "staticness": (check_csd_staticness, check_grd_dynamics, check_grd1_handover),

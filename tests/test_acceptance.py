@@ -24,6 +24,7 @@ CRITERIA = (
     (8, verify.check_latency_trend, 600.0),
     (9, verify.check_grd1_handover, 5.0),
     (10, verify.check_flow, 60.0),
+    (11, verify.check_optimal_division, 5.0),
 )
 
 

@@ -540,22 +540,23 @@ DATA_COMMANDS = {
 }
 
 
-def run_without_scipy(argv: list[str] | None, tmp_path: Path) -> tuple[int, str, str, bool]:
+def run_without_scipy(argv: list[str] | None, tmp_path: Path) -> tuple[int, str, str, set]:
     """Run ``leovn.cli.main(argv)`` (or only ``import leovn.cli`` when ``argv``
     is None) in a fresh interpreter in which ``import scipy`` raises
-    ImportError, in ``tmp_path``: (exit code, stdout, stderr, whether
-    ``leovn.verify`` loaded)."""
+    ImportError, in ``tmp_path``: (exit code, stdout, stderr, which of
+    ``leovn.verify`` and ``fractions`` loaded)."""
     env = dict(os.environ)
     env.pop(OUTPUT_DIR_ENV, None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(leovn.__file__).parents[1]), env.get("PYTHONPATH")]))
     call = "0" if argv is None else f"leovn.cli.main({argv!r})"
     code = ("import sys; sys.modules['scipy'] = None; import leovn.cli; "
-            f"code = {call}; print('leovn.verify' in sys.modules); sys.exit(code)")
+            f"code = {call}; print(*sorted({{'leovn.verify', 'fractions'}} & set(sys.modules))); "
+            "sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True)
     *out, loaded = proc.stdout.splitlines() or [""]
-    return proc.returncode, "".join(f"{line}\n" for line in out), proc.stderr, loaded == "True"
+    return proc.returncode, "".join(f"{line}\n" for line in out), proc.stderr, set(loaded.split())
 
 
 def data_files(directory: Path) -> dict[str, bytes]:
@@ -565,11 +566,13 @@ def data_files(directory: Path) -> dict[str, bytes]:
 
 
 # the oracles load only for `verify` and `theorem1-check`, and the pipeline
-# needs no scipy: each command runs without it and writes the same bytes
+# needs no scipy: each command runs without it and writes the same bytes.  Nor
+# does it need `fractions`: its exact angles are the integer table, and only
+# the oracles of `verify` write them as Fractions
 @pytest.mark.parametrize("name", [None, *sorted(DATA_COMMANDS), "theorem1-check"])
 def test_runs_without_scipy(tmp_path, capsys, name):
     if name is None:
-        assert run_without_scipy(None, tmp_path) == (0, "", "", False)
+        assert run_without_scipy(None, tmp_path) == (0, "", "", set())
         return
     if name == "theorem1-check":
         argv = [name, "--n1", "12", "--n2", "36", "--f", "5"]
@@ -582,7 +585,8 @@ def test_runs_without_scipy(tmp_path, capsys, name):
         assert main(argv) == 0
     want = capsys.readouterr().out
     code, out, err, loaded = run_without_scipy(argv, tmp_path / "blocked")
-    assert (code, err, loaded) == (0, "", name == "theorem1-check")
+    assert (code, err) == (0, "")
+    assert loaded == ({"leovn.verify", "fractions"} if name == "theorem1-check" else set())
     if name == "theorem1-check":
         assert out == want
     else:

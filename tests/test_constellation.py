@@ -20,18 +20,18 @@ from leovn.constellation import (
     propagate_all,
     read_config_file,
 )
-from leovn.cli import _build_config, build_parser
+from leovn.cli import _build_config, _config_digest, build_parser
 from leovn.division import (
     VnMethod,
     build_grd_grid,
     cell_starts,
     csd_rows_all,
+    exact_angles,
     grd_assignment,
-    phase_step_deg,
 )
 from leovn.isl import IslMode, ShutoffRule, polar_mask, row_activity, row_chains
 
-from helpers import configs, initial_phase_deg
+from helpers import configs, initial_phase_deg, phase_offset_deg, phase_step_deg, raan_deg
 
 
 def make_config(**kw):
@@ -54,7 +54,7 @@ def rotation_oracle(cfg, plane, slot, t):
     """(phase, position, lat, lon) of one satellite from explicit rotations:
     R3(raan) R1(inclination) applied to the in-plane vector at phase u."""
     u = math.radians(float(initial_phase_deg(cfg, plane, slot))) + 2 * math.pi * t / cfg.period
-    raan = math.radians(float(cfg.raan_deg(plane)))
+    raan = math.radians(float(raan_deg(cfg, plane)))
     inc = cfg.inclination
     x, y = math.cos(u), math.sin(u)
     y, z = y * math.cos(inc), y * math.sin(inc)
@@ -97,9 +97,10 @@ class TestBuildConstellation:
     @pytest.mark.parametrize("n1,n2,f", [(18, 36, 2), (7, 11, 5), (2, 3, 0)])
     def test_radian_steps_are_the_exact_degree_steps(self, n1, n2, f):
         cfg = make_config(num_planes=n1, sats_per_plane=n2, phasing_factor=f)
-        assert cfg.raan_step_deg * n1 == 180 and cfg.phase_offset_deg * n1 * n2 == 360 * f
-        assert cfg.raan_deg(n1) == (n1 - 1) * cfg.raan_step_deg
-        assert cfg.raan_step == pytest.approx(math.radians(cfg.raan_step_deg), rel=1e-15, abs=0)
+        a = exact_angles(cfg)
+        assert a.raan_step * n1 == 180 * a.den and a.unit * n1 * n2 == 360 * a.den
+        assert a.raan0 + (n1 - 1) * a.raan_step == (n1 - 1) * 180 * a.den // n1
+        assert cfg.raan_step == pytest.approx(math.radians(a.raan_step / a.den), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("kw,fragment", [
         (dict(num_planes=1), "num_planes"),
@@ -117,10 +118,26 @@ class TestBuildConstellation:
         (dict(num_planes=False), "num_planes must be an integer"),
         (dict(sats_per_plane=12.0), "sats_per_plane must be an integer"),
         (dict(sats_per_plane=np.int64(12)), "sats_per_plane must be an integer"),
+        (dict(altitude_km=True), "altitude_km must be a number"),
+        (dict(inclination_deg=np.bool_(True)), "inclination_deg must be a number"),
+        (dict(polar_threshold_deg="70"), "polar_threshold_deg must be a number"),
+        (dict(raan0_deg=None), "raan0_deg must be a number"),
+        (dict(phase0_deg=False), "phase0_deg must be a number"),
     ])
     def test_invalid_config_names_field(self, kw, fragment):
         with pytest.raises(ConfigError, match=fragment):
             make_config(**kw)
+
+    def test_float_fields_are_stored_as_floats(self):
+        # an int or numpy scalar is the float of the same value, digest included
+        ints = make_config(altitude_km=780, inclination_deg=np.float32(90), raan0_deg=0,
+                           polar_threshold_deg=np.int64(70), phase0_deg=-70)
+        floats = make_config(raan0_deg=0.0, phase0_deg=-70.0)
+        for name in ("altitude_km", "inclination_deg", "polar_threshold_deg", "raan0_deg",
+                     "phase0_deg"):
+            assert type(getattr(ints, name)) is float
+        assert ints == floats and _config_digest(ints) == _config_digest(floats)
+        assert type(make_config().phase0_deg) is float
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["altitude_km", "inclination_deg", "polar_threshold_deg",
@@ -241,7 +258,7 @@ class TestSharedKinematics:
         cfg, t = case
         planes, slots = _plane_slot_index(cfg)
         want = (cfg.phase0_deg + slots * (360.0 / cfg.sats_per_plane)
-                + planes * float(cfg.phase_offset_deg)
+                + planes * float(phase_offset_deg(cfg))
                 + 360.0 * t / cfg.period)
         assert np.array_equal(phases_deg(cfg, t), want)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leovn.cli import _division_rows, _fold_lat, main
@@ -25,18 +25,29 @@ from leovn.division import (
     _score_blocks,
     backward_links,
     build_grd_grid,
-    cell_shifts_deg,
     cell_starts,
     csd_rows_all,
+    exact_angles,
     grd_assignment,
-    phase_step_deg,
-    spreads_deg,
     switching_epochs,
 )
 from leovn.isl import IslMode, active_row_set
-from leovn.verify import boundaries_by_scan, rows_by_scan
+from leovn.verify import _table_spreads_deg, boundaries_by_scan, rows_by_scan, theorem1_layouts
 
-from helpers import cell_bounds, configs, fold_lat_deg, row_start_deg
+from helpers import (
+    cell_bounds,
+    cell_shifts_deg,
+    configs,
+    fold_lat_deg,
+    fraction_active_rows,
+    phase_offset_deg,
+    phase_step_deg,
+    polar_cap_phase_spans,
+    raan_deg,
+    row_origin_deg,
+    row_start_deg,
+    switching_epochs_by_fractions,
+)
 
 GRD_METHODS = (VnMethod.GRD1, VnMethod.GRD2)
 
@@ -128,12 +139,12 @@ class TestPlaneShift:
             k = Fraction(n1, f)
             want = ((h - 1) - math.floor((h - 1) / k) * k) * Fraction(360 * f, n1 * n2)
         cfg = make_config(num_planes=n1, sats_per_plane=n2, phasing_factor=f)
-        assert cell_shifts_deg(cfg)[h - 1] == want
+        assert _table_spreads_deg(cfg, backward_links(n1, f))[h - 1] == want
 
     def test_uncrossed_row_spreads_by_delta_f_per_plane(self):
         cfg = make_config(phasing_factor=2)
-        assert spreads_deg(cfg, np.zeros(18, dtype=int)) == tuple(
-            h * cfg.phase_offset_deg for h in range(18))
+        assert _table_spreads_deg(cfg, np.zeros(18, dtype=int)) == [
+            h * phase_offset_deg(cfg) for h in range(18)]
 
 
 class TestBackwardLinks:
@@ -535,7 +546,7 @@ def grid_by_fractions(config):
     n1, n2 = config.num_planes, config.sats_per_plane
     u = np.radians([[float(row_start_deg(config, v, h)) for h in range(1, n1 + 1)]
                     for v in range(1, n2 + 1)])
-    raan = np.radians([float(config.raan_deg(h)) for h in range(1, n1 + 1)])
+    raan = np.radians([float(raan_deg(config, h)) for h in range(1, n1 + 1)])
     return _orbit_unit_vectors(u, np.cos(raan), np.sin(raan), config.inclination)
 
 
@@ -586,6 +597,55 @@ class TestGrdGridExact:
         cfg = make_config(num_planes=n1, sats_per_plane=n2, phasing_factor=f,
                           polar_threshold_deg=polar, inclination_deg=inclination)
         assert build_grd_grid(cfg).tobytes() == grid_by_fractions(cfg).tobytes()
+
+
+class TestExactAngles:
+    """``exact_angles`` and every reader of it equal the ``Fraction``
+    expressions of ``helpers``, exactly and as floats bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=configs())
+    # a 2^k threshold, tilted orbits whose cap edge has a 2^k denominator of
+    # its own, and a non-zero raan0 and phase0
+    @example(case=(make_config(phasing_factor=5, polar_threshold_deg=70.1), 0.0))
+    @example(case=(make_config(num_planes=12, sats_per_plane=24, phasing_factor=7,
+                               inclination_deg=86.4), 0.0))
+    @example(case=(make_config(num_planes=9, sats_per_plane=18, phasing_factor=3,
+                               polar_threshold_deg=64.25, inclination_deg=97.5), 0.0))
+    @example(case=(make_config(phasing_factor=2, raan0_deg=-170.2, phase0_deg=3.7), 0.0))
+    def test_table_equals_fraction_expressions(self, case):
+        cfg, _ = case
+        n1, n2, f = cfg.num_planes, cfg.sats_per_plane, cfg.phasing_factor
+        a = exact_angles(cfg)
+
+        def deg(x):
+            return Fraction(x, a.den)
+
+        assert a.den % (n1 * n2) == 0
+        assert [deg(x) for x in (a.origin, a.step, a.unit, a.raan0, a.raan_step, a.phase0)] == [
+            row_origin_deg(cfg), phase_step_deg(cfg), Fraction(360, n1 * n2),
+            Fraction(cfg.raan0_deg), Fraction(180, n1), Fraction(cfg.phase0_deg)]
+        assert [(deg(lo), deg(hi)) for lo, hi in a.caps] == polar_cap_phase_spans(cfg)
+        starts, step, den = cell_starts(cfg)
+        want = [row_start_deg(cfg, v, h) for v in range(1, n2 + 1) for h in range(1, n1 + 1)]
+        assert [Fraction(x, den) for x in starts.ravel().tolist()] == want
+        assert (starts / den).astype(float).ravel().tobytes() == np.array(
+            [float(x) for x in want]).tobytes()
+        for mode in IslMode:
+            if mode is IslMode.CONVENTIONAL or f <= n1:
+                assert active_row_set(cfg, mode) == fraction_active_rows(cfg, mode)
+        assert np.array(switching_epochs(cfg, 4)).tobytes() == np.array(
+            switching_epochs_by_fractions(cfg, 4)).tobytes()
+        assert build_grd_grid(cfg).tobytes() == grid_by_fractions(cfg).tobytes()
+        lons = [row[5:7] for row in _division_rows(cfg, IslMode.CONVENTIONAL)[:n1]]
+        assert np.array(lons).tobytes() == np.array(
+            [[float((raan_deg(cfg, h + k) + 180) % 360 - 180) for k in (0, 1)]
+             for h in range(1, n1 + 1)]).tobytes()
+        shifts = cell_shifts_deg(cfg)
+        assert _table_spreads_deg(cfg, backward_links(n1, f)) == list(shifts)
+        if n1 <= 12 and f <= n1:        # theorem1_bruteforce's domain
+            (spread, _), _ = theorem1_layouts(cfg)
+            assert spread == max(shifts)
 
 
 class TestGrdGrid:

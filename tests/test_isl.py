@@ -6,23 +6,29 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from leovn.constellation import ConfigError, ConstellationConfig
-from leovn.division import cell_shifts_deg, switching_epochs
+from leovn.division import backward_links, exact_angles, switching_epochs
 from leovn.isl import (
     IslKind,
     IslMode,
     ShutoffRule,
+    _crossed,
     active_hisl_count,
     active_row_set,
     bh_planes,
     hisl_count,
-    polar_cap_phase_spans,
     row_chains,
-    row_spreads_deg,
     snapshot_edges,
 )
-from leovn.verify import boundaries_by_scan, rows_by_scan, theorem1_bruteforce
+from leovn.verify import _table_spreads_deg, boundaries_by_scan, rows_by_scan, theorem1_bruteforce
 
-from helpers import configs, initial_phase_deg
+from helpers import (
+    cell_shifts_deg,
+    configs,
+    fraction_active_rows,
+    initial_phase_deg,
+    phase_offset_deg,
+    row_spreads_deg,
+)
 
 
 def make_config(n1=18, n2=36, F=0, polar=70.0):
@@ -41,17 +47,22 @@ def east_neighbor(rows, plane, slot, n2=36):
     return sat_id(rows[r, plane], n2) if plane < rows.shape[1] else None
 
 
+def table_spreads(cfg, mode):
+    """A mode's in-row spreads, exact degrees, read from ``exact_angles``."""
+    return _table_spreads_deg(cfg, _crossed(cfg, mode))
+
+
 def max_spreads(cfg):
-    """(delta_f, max conventional row spread, max optimized row spread)."""
-    return (cfg.phase_offset_deg, max(row_spreads_deg(cfg, IslMode.CONVENTIONAL)),
-            max(cell_shifts_deg(cfg)))
+    """(delta_f, max conventional row spread, max optimized row spread), the
+    spreads read from ``exact_angles``."""
+    return (phase_offset_deg(cfg), max(table_spreads(cfg, IslMode.CONVENTIONAL)),
+            max(table_spreads(cfg, IslMode.OPTIMIZED)))
 
 
 class TestPhaseAnalysis:
     def test_zero_phasing_all_quantities_zero(self):
         cfg = make_config(F=0)
         assert max_spreads(cfg) == (0, 0, 0)
-        assert max(row_spreads_deg(cfg, IslMode.OPTIMIZED)) == 0
         assert bh_planes(cfg) == frozenset()
 
     def test_f2_k9(self):
@@ -98,7 +109,7 @@ class TestLayoutProperties:
         n1, n2 = cfg.num_planes, cfg.sats_per_plane
         assume(cfg.phasing_factor <= n1)
         rows = row_chains(cfg, IslMode.OPTIMIZED)
-        spreads = row_spreads_deg(cfg, IslMode.OPTIMIZED)
+        spreads = table_spreads(cfg, IslMode.OPTIMIZED)
         assert all(0 <= s < Fraction(360, n2) for s in spreads)
         for row in rows:
             base = initial_phase_deg(cfg, *sat_id(row[0], n2))
@@ -115,7 +126,7 @@ class TestLayoutProperties:
         polar = cfg.polar_threshold_deg
         if polar < 90:
             for mode in IslMode:
-                spread = max(row_spreads_deg(cfg, mode))
+                spread = max(table_spreads(cfg, mode))
                 assert active_row_set(replace(cfg, inclination_deg=90.0), mode) == (
                     rows_by_scan(n2, polar, spread))
 
@@ -144,7 +155,7 @@ class TestHNeighbor:
         u3 = initial_phase_deg(cfg, 3, 7)
         u4 = initial_phase_deg(cfg, *partner)
         u1 = initial_phase_deg(cfg, 1, 7)
-        assert u4 - u3 == cfg.phase_offset_deg - Fraction(10)   # behind by step - delta_f
+        assert u4 - u3 == phase_offset_deg(cfg) - 10      # behind by step - delta_f
         assert u4 - u1 == 0                               # row spread resets to zero
 
     def test_west_mirrors_east(self):
@@ -170,14 +181,14 @@ class TestRowChains:
         cfg = make_config(F=5)
         for mode in (IslMode.CONVENTIONAL, IslMode.OPTIMIZED):
             rows = row_chains(cfg, mode)
-            spreads = row_spreads_deg(cfg, mode)
+            spreads = table_spreads(cfg, mode)
             base = initial_phase_deg(cfg, *sat_id(rows[0][0]))
             for h, member in enumerate(rows[0]):
                 assert (initial_phase_deg(cfg, *sat_id(member)) - base) % 360 == spreads[h] % 360
 
     def test_optimized_spread_caps_at_analysis_value(self):
         cfg = make_config(F=5)
-        assert max(row_spreads_deg(cfg, IslMode.OPTIMIZED)) == max(cell_shifts_deg(cfg))
+        assert table_spreads(cfg, IslMode.OPTIMIZED) == list(cell_shifts_deg(cfg))
 
 
 class TestSnapshotEdges:
@@ -245,27 +256,6 @@ class TestSnapshotEdges:
         assert not np.array_equal(row_rule.active, per_sat.active)
 
 
-def fraction_active_rows(config, mode):
-    """Reference for ``active_row_set``: every member window of every dwell
-    row, tested in exact Fraction degrees against the open cap spans; row 1
-    starts at -polar and rows are 360/n2 tall."""
-    spans = polar_cap_phase_spans(config)
-    step = Fraction(360, config.sats_per_plane)
-    origin = -Fraction(config.polar_threshold_deg)
-
-    def hits(start):
-        s = start % 360
-        pieces = [(s, min(s + step, Fraction(360)))]
-        if s + step > 360:
-            pieces.append((Fraction(0), s + step - 360))
-        return any(lo < hi and a < hi and b > lo for a, b in pieces for lo, hi in spans)
-
-    return frozenset(
-        v for v in range(1, config.sats_per_plane + 1)
-        if not any(hits(origin + (v - 1) * step + s)
-                   for s in row_spreads_deg(config, mode)))
-
-
 @st.composite
 def cap_edge_configs(draw):
     """Constellations whose cap edges fall on window edges: sampled
@@ -309,7 +299,7 @@ class TestActiveRowClosedForm:
         # polar 90 at 90 deg, or an orbit that never reaches the threshold
         cfg = ConstellationConfig(num_planes=5, sats_per_plane=11, phasing_factor=3,
                                   polar_threshold_deg=polar, inclination_deg=inclination)
-        assert polar_cap_phase_spans(cfg) == []
+        assert exact_angles(cfg).caps == ()
         for mode in IslMode:
             assert active_row_set(cfg, mode) == frozenset(range(1, 12))
 
@@ -365,14 +355,14 @@ class TestTheorem1:
     def test_integer_k_matches_closed_form(self):
         spread, layout = theorem1_bruteforce(9, 18, 3)
         cfg = make_config(n1=9, n2=18, F=3)
-        assert spread == (Fraction(9, 3) - 1) * cfg.phase_offset_deg
+        assert spread == (Fraction(9, 3) - 1) * phase_offset_deg(cfg)
         assert layout == bh_planes(cfg)
 
     def test_spreads_are_multiples_of_base_unit(self):
         for n1, n2, f in ((6, 12, 4), (9, 18, 5), (12, 24, 7)):
             cfg = make_config(n1=n1, n2=n2, F=f)
-            unit = cfg.phase_offset_deg / f
-            for s in cell_shifts_deg(cfg):
+            unit = phase_offset_deg(cfg) / f
+            for s in _table_spreads_deg(cfg, backward_links(n1, f)):
                 assert s >= 0 and (s / unit).denominator == 1
 
     def test_size_guard(self):
